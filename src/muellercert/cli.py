@@ -55,7 +55,10 @@ class ParseError(ValueError):
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
-    """Parse matrix file content (plain 16-number or JSON object format)."""
+    """Parse matrix file content (plain 16-number or JSON object format).
+
+    Raises ``ParseError`` unless the content holds 16 finite reals.
+    """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -65,21 +68,25 @@ def parse_matrix_text(text: str) -> np.ndarray:
         if not isinstance(obj, dict) or "mueller" not in obj:
             raise ParseError('JSON input must be an object with a "mueller" key')
         try:
-            return as_mueller_matrix(np.asarray(obj["mueller"], dtype=float))
+            mat = as_mueller_matrix(np.asarray(obj["mueller"], dtype=float))
         except (TypeError, ValueError) as exc:
             raise ParseError(f'bad "mueller" value: {exc}') from exc
-    tokens: list[str] = []
-    for line in text.splitlines():
-        if line.lstrip().startswith("#"):
-            continue
-        tokens.extend(line.replace(",", " ").split())
-    try:
-        values = [float(tok) for tok in tokens]
-    except ValueError as exc:
-        raise ParseError(f"non-numeric token in input: {exc}") from exc
-    if len(values) != 16:
-        raise ParseError(f"expected 16 numbers, found {len(values)}")
-    return np.array(values, dtype=float).reshape(4, 4)
+    else:
+        tokens: list[str] = []
+        for line in text.splitlines():
+            if line.lstrip().startswith("#"):
+                continue
+            tokens.extend(line.replace(",", " ").split())
+        try:
+            values = [float(tok) for tok in tokens]
+        except ValueError as exc:
+            raise ParseError(f"non-numeric token in input: {exc}") from exc
+        if len(values) != 16:
+            raise ParseError(f"expected 16 numbers, found {len(values)}")
+        mat = np.array(values, dtype=float).reshape(4, 4)
+    if not np.isfinite(mat).all():
+        raise ParseError("non-finite entry in input (nan or inf)")
+    return mat
 
 
 def load_matrix(path) -> np.ndarray:

@@ -7,10 +7,15 @@ global minimizations over the unit sphere:
 
 * output intensity, affine in s, minimized in closed form;
 * the output Lorentz quadratic form, quadratic in s, minimized exactly via
-  an eigendecomposition plus a one-dimensional secular equation.
+  an eigendecomposition plus one 6x6 eigenproblem whose smallest eigenvalue
+  is the optimal Lagrange multiplier (Gander, Golub & von Matt, "A
+  constrained eigenvalue problem", Linear Algebra Appl. 114/115, 1989; hard
+  case as in Adachi, Iwata, Nakatsukasa & Takeda, "Solving the
+  trust-region subproblem by a generalized eigenvalue problem", SIAM J.
+  Optim. 27, 2017).
 
-No sampling is involved anywhere, so the reported margins are certificates
-up to floating point rounding, not estimates.
+No sampling and no iteration is involved anywhere, so the reported margins
+are certificates up to floating point rounding, not estimates.
 """
 
 from dataclasses import dataclass
@@ -19,9 +24,11 @@ import numpy as np
 
 from .core import DEFAULT_TOL, LORENTZ_METRIC, as_mueller_matrix
 
-# Degenerate-structure thresholds inside the secular solve (relative to the
-# problem scale): components below _COUPLING_EPS count as decoupled from the
-# bottom eigenspace, eigenvalue gaps below _GAP_EPS count as degenerate.
+# Degenerate-structure thresholds of the sphere minimization (relative to the
+# problem scale).  Eigenvalues within _GAP_EPS of the smallest form the
+# bottom eigenspace, whose solution components are completed to the sphere
+# rather than divided by their gaps; a bottom-space coupling below
+# _COUPLING_EPS counts as zero when deciding for the hard case.
 _GAP_EPS = 1e-12
 _COUPLING_EPS = 1e-14
 
@@ -48,13 +55,26 @@ def sphere_quadratic_min(a, b) -> tuple[float, np.ndarray]:
     """Globally minimize s^T A s + 2 b^T s over the unit sphere ||s|| = 1.
 
     Stationary points satisfy (A - mu I) s = -b with the global minimum at
-    the unique multiplier mu <= lambda_min(A).  In the eigenbasis of A the
-    constraint reads sum_i c_i^2 / (lam_i - mu)^2 = 1, a secular equation in
-    mu solved by Newton iterations safeguarded with bisection on the bracket
-    [lambda_min - ||b||, lambda_min].  When b has no component on the bottom
+    the unique multiplier mu <= lambda_min(A).  In the eigenbasis of A, with
+    eigenvalues lam and c = Q^T b, the sphere constraint reads
+    det((diag(lam) - mu I)^2 - c c^T) = 0, so mu is the smallest real
+    eigenvalue of the 2n x 2n matrix [[diag(lam), -I], [-c c^T, diag(lam)]]
+    (6x6 for the cone test; Gander, Golub & von Matt 1989).  That matrix is
+    solved shifted by lambda_min and with its off-diagonal blocks replaced
+    by -diag(|c|) and the symmetric -v v^T, v = sign(c) |c|^1/2, which has
+    the same characteristic polynomial (where c has no zero it is the
+    diagonal similarity diag(|c|^1/2, |c|^-1/2)).  Its entries are then of
+    size |c| instead of c^2, so the multiplier stays accurate to rounding
+    even when b barely couples to the bottom eigenspace and mu sits next to
+    lambda_min.
+
+    Components off the bottom eigenspace are -c_i / (lam_i - mu).  The
+    bottom-space components keep their direction and are rescaled to
+    complete the unit length, so no component is divided by a gap that is
+    not resolved in floating point.  When b has no component on the bottom
     eigenspace and the remaining components leave ||s|| < 1 at
-    mu = lambda_min (the hard case), the solution is completed with a bottom
-    eigenvector.
+    mu = lambda_min (the hard case, Adachi, Iwata, Nakatsukasa & Takeda
+    2017), the solution is completed with a bottom eigenvector.
 
     The minimum always exists (continuous function on a compact set); the
     input matrix is symmetrized before use.
@@ -72,25 +92,36 @@ def sphere_quadratic_min(a, b) -> tuple[float, np.ndarray]:
 
     lam, q = np.linalg.eigh(a)
     c = q.T @ b
-    lam0 = lam[0]
     scale = max(abs(lam[0]), abs(lam[-1]), float(np.linalg.norm(b)), 1.0)
 
-    gap = lam - lam0
+    gap = lam - lam[0]
     bottom = gap <= _GAP_EPS * scale
-    coupled = float(np.sum(c[bottom] ** 2))
-    with np.errstate(divide="ignore"):
-        tail = np.where(bottom, 0.0, (c / np.where(bottom, 1.0, gap)) ** 2)
-    tail_sum = float(tail.sum())
-
-    if coupled <= (_COUPLING_EPS * scale) ** 2 and tail_sum <= 1.0:
+    rest = ~bottom
+    s_eig = np.zeros(n)
+    tail = -c[rest] / gap[rest]
+    coupled = float(c[bottom] @ c[bottom])
+    if coupled <= (_COUPLING_EPS * scale) ** 2 and float(tail @ tail) <= 1.0:
         # Hard case: multiplier pinned at lambda_min, completed on the
         # bottom eigenspace to reach the sphere.
-        s_eig = np.where(bottom, 0.0, -c / np.where(bottom, 1.0, gap))
-        deficit = max(0.0, 1.0 - float(s_eig @ s_eig))
-        s_eig[int(np.argmax(bottom))] += np.sqrt(deficit)
+        s_eig[rest] = tail
+        s_eig[int(np.argmax(bottom))] = np.sqrt(1.0 - float(tail @ tail))
     else:
-        mu = _secular_root(lam, c, lam0)
-        s_eig = -c / (lam - mu)
+        # The eigenvalues of `lifted` are mu - lambda_min; shift is
+        # lambda_min - mu, clamped so that mu <= lambda_min.
+        v = np.sign(c) * np.sqrt(np.abs(c))
+        lifted = np.zeros((2 * n, 2 * n))
+        lifted[:n, :n] = lifted[n:, n:] = np.diag(gap)
+        lifted[:n, n:] = -np.diag(np.abs(c))
+        lifted[n:, :n] = -np.outer(v, v)
+        shift = max(0.0, -float(np.linalg.eigvals(lifted).real.min()))
+        s_eig[rest] = -c[rest] / (gap[rest] + shift)
+        # Only the direction of the bottom components is used, so a shift
+        # below rounding may be floored without changing the result.
+        direction = -c[bottom] / (gap[bottom] + max(shift, np.finfo(float).eps * scale))
+        length = float(np.linalg.norm(direction))
+        if length > 0.0:
+            deficit = max(0.0, 1.0 - float(s_eig @ s_eig))
+            s_eig[bottom] = direction * (np.sqrt(deficit) / length)
 
     s = q @ s_eig
     norm = float(np.linalg.norm(s))
@@ -100,56 +131,16 @@ def sphere_quadratic_min(a, b) -> tuple[float, np.ndarray]:
     return value, s
 
 
-def _secular_root(lam: np.ndarray, c: np.ndarray, lam0: float) -> float:
-    """Solve ||s(mu)|| = 1 for mu in [lam0 - ||c||, lam0).
-
-    Works on f(mu) = 1/||s(mu)|| - 1, which is monotone decreasing on the
-    bracket; Newton steps are accepted only while they stay inside the
-    current bisection bracket.
-    """
-    lo = lam0 - max(float(np.linalg.norm(c)), 1e-300)
-    hi = lam0
-    mu = lo
-    for _ in range(200):
-        d = lam - mu
-        with np.errstate(divide="ignore", over="ignore"):
-            w = float(np.sum((c / d) ** 2))
-        if not np.isfinite(w):
-            # On (or past) the pole: the norm is huge, so the root is left.
-            hi = mu
-            mu = 0.5 * (lo + hi)
-            continue
-        if w <= 0.0:  # unreachable in the easy case; defensive
-            break
-        norm = np.sqrt(w)
-        f = 1.0 / norm - 1.0
-        if abs(f) <= 1e-15:
-            break
-        if f > 0.0:
-            lo = mu
-        else:
-            hi = mu
-        if hi - lo <= 1e-16 * max(1.0, abs(lam0)):
-            break
-        dw = 2.0 * float(np.sum(c**2 / d**3))
-        fprime = -0.5 * dw / (w * norm)
-        step_ok = fprime < 0.0 and np.isfinite(fprime)
-        nxt = mu - f / fprime if step_ok else lo
-        if not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
-        mu = nxt
-    # never return the pole itself: keep the solution components finite
-    return min(mu, float(np.nextafter(lam0, -np.inf)))
-
-
 def certify_cone(m, tol: float = DEFAULT_TOL) -> ConeVerdict:
     """Decide whether ``m`` maps the solid Stokes cone into itself.
 
     Margins are reported in the raw units of ``m`` (the intensity margin
     scales linearly and the Lorentz margin quadratically under rescaling);
     the verdict threshold is applied to margins normalized by the largest
-    singular value.  A pure state mapped to the zero vector counts as the
-    cone apex and is allowed.
+    singular value.  The Lorentz margin is computed on ``m / sigma`` and
+    rescaled by ``sigma**2`` only for the report, so the verdict does not
+    depend on the scale of ``m``.  A pure state mapped to the zero vector
+    counts as the cone apex and is allowed.
     """
     mat = as_mueller_matrix(m)
     sigma = float(np.linalg.norm(mat, 2))
@@ -161,15 +152,13 @@ def certify_cone(m, tol: float = DEFAULT_TOL) -> ConeVerdict:
     intensity_margin = float(mat[0, 0]) - row_norm
     worst_intensity = -row / row_norm if row_norm > 0.0 else np.array([0.0, 0.0, 1.0])
 
-    quad = mat.T @ LORENTZ_METRIC @ mat
+    unit = mat / sigma
+    quad = unit.T @ LORENTZ_METRIC @ unit
     quad = 0.5 * (quad + quad.T)
     value, s_star = sphere_quadratic_min(quad[1:, 1:], quad[0, 1:])
-    lorentz_margin = float(quad[0, 0]) + value
+    unit_lorentz = float(quad[0, 0]) + value
 
-    ok = (
-        intensity_margin >= -tol * sigma
-        and lorentz_margin >= -tol * sigma**2
-    )
-    binding_lorentz = lorentz_margin / sigma**2 <= intensity_margin / sigma
+    ok = intensity_margin >= -tol * sigma and unit_lorentz >= -tol
+    binding_lorentz = unit_lorentz <= intensity_margin / sigma
     worst = s_star if binding_lorentz else worst_intensity
-    return ConeVerdict(bool(ok), intensity_margin, lorentz_margin, worst)
+    return ConeVerdict(bool(ok), intensity_margin, unit_lorentz * sigma**2, worst)

@@ -80,6 +80,111 @@ def grid_quadratic_min(a, b, points):
     return float(values[k]), points[k]
 
 
+# Thresholds of the reference solver below, relative to the problem scale.
+_REFERENCE_GAP_EPS = 1e-12
+_REFERENCE_COUPLING_EPS = 1e-14
+
+
+def reference_sphere_quadratic_min(a, b) -> tuple[float, np.ndarray]:
+    """Reference for ``sphere_quadratic_min``: an iterative secular solve.
+
+    Globally minimize s^T A s + 2 b^T s over the unit sphere ||s|| = 1.
+
+    Stationary points satisfy (A - mu I) s = -b with the global minimum at
+    the unique multiplier mu <= lambda_min(A).  In the eigenbasis of A the
+    constraint reads sum_i c_i^2 / (lam_i - mu)^2 = 1, a secular equation in
+    mu solved by Newton iterations safeguarded with bisection on the bracket
+    [lambda_min - ||b||, lambda_min].  When b has no component on the bottom
+    eigenspace and the remaining components leave ||s|| < 1 at
+    mu = lambda_min (the hard case), the solution is completed with a bottom
+    eigenvector.
+
+    The minimum always exists (continuous function on a compact set); the
+    input matrix is symmetrized before use.
+
+    Returns ``(value, s_star)``: the global minimum and a unit vector
+    attaining it.  ``value`` is evaluated at the returned point, so it is
+    achievable by construction.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = b.shape[0]
+    if a.shape != (n, n):
+        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
+    a = 0.5 * (a + a.T)
+
+    lam, q = np.linalg.eigh(a)
+    c = q.T @ b
+    lam0 = lam[0]
+    scale = max(abs(lam[0]), abs(lam[-1]), float(np.linalg.norm(b)), 1.0)
+
+    gap = lam - lam0
+    bottom = gap <= _REFERENCE_GAP_EPS * scale
+    coupled = float(np.sum(c[bottom] ** 2))
+    with np.errstate(divide="ignore"):
+        tail = np.where(bottom, 0.0, (c / np.where(bottom, 1.0, gap)) ** 2)
+    tail_sum = float(tail.sum())
+
+    if coupled <= (_REFERENCE_COUPLING_EPS * scale) ** 2 and tail_sum <= 1.0:
+        # Hard case: multiplier pinned at lambda_min, completed on the
+        # bottom eigenspace to reach the sphere.
+        s_eig = np.where(bottom, 0.0, -c / np.where(bottom, 1.0, gap))
+        deficit = max(0.0, 1.0 - float(s_eig @ s_eig))
+        s_eig[int(np.argmax(bottom))] += np.sqrt(deficit)
+    else:
+        mu = _reference_secular_root(lam, c, lam0)
+        s_eig = -c / (lam - mu)
+
+    s = q @ s_eig
+    norm = float(np.linalg.norm(s))
+    if norm > 0.0:
+        s = s / norm
+    value = float(s @ a @ s + 2.0 * (b @ s))
+    return value, s
+
+
+def _reference_secular_root(lam: np.ndarray, c: np.ndarray, lam0: float) -> float:
+    """Solve ||s(mu)|| = 1 for mu in [lam0 - ||c||, lam0).
+
+    Works on f(mu) = 1/||s(mu)|| - 1, which is monotone decreasing on the
+    bracket; Newton steps are accepted only while they stay inside the
+    current bisection bracket.
+    """
+    lo = lam0 - max(float(np.linalg.norm(c)), 1e-300)
+    hi = lam0
+    mu = lo
+    for _ in range(200):
+        d = lam - mu
+        with np.errstate(divide="ignore", over="ignore"):
+            w = float(np.sum((c / d) ** 2))
+        if not np.isfinite(w):
+            # On (or past) the pole: the norm is huge, so the root is left.
+            hi = mu
+            mu = 0.5 * (lo + hi)
+            continue
+        if w <= 0.0:  # unreachable in the easy case; defensive
+            break
+        norm = np.sqrt(w)
+        f = 1.0 / norm - 1.0
+        if abs(f) <= 1e-15:
+            break
+        if f > 0.0:
+            lo = mu
+        else:
+            hi = mu
+        if hi - lo <= 1e-16 * max(1.0, abs(lam0)):
+            break
+        dw = 2.0 * float(np.sum(c**2 / d**3))
+        fprime = -0.5 * dw / (w * norm)
+        step_ok = fprime < 0.0 and np.isfinite(fprime)
+        nxt = mu - f / fprime if step_ok else lo
+        if not (lo < nxt < hi):
+            nxt = 0.5 * (lo + hi)
+        mu = nxt
+    # never return the pole itself: keep the solution components finite
+    return min(mu, float(np.nextafter(lam0, -np.inf)))
+
+
 def type2_canonical(d0, d1, d2, d3):
     """The non-diagonalizable canonical form with M01 fixed by the diagonal."""
     m = np.diag([d0, d1, d2, d3]).astype(float)

@@ -48,6 +48,17 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_matrix_text('{"other": 1}')
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_text(self, token):
+        with pytest.raises(ParseError, match="non-finite"):
+            parse_matrix_text(" ".join(["1"] * 15 + [token]))
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json(self, token):
+        text = '{"mueller": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, %s]]}'
+        with pytest.raises(ParseError, match="non-finite"):
+            parse_matrix_text(text % token)
+
 
 class TestAnalyzeReport:
     def test_identity_report(self):
@@ -97,6 +108,15 @@ class TestMainCommand:
         assert main(["analyze", str(tmp_path / "missing.txt")]) == 2
         err = capsys.readouterr().err
         assert "error" in err
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_input_exit_code(self, tmp_path, capsys, token):
+        path = tmp_path / "bad.txt"
+        path.write_text("1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 " + token + "\n")
+        assert main(["analyze", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert main(["batch", str(tmp_path)]) == 2
+        assert "non-finite" in json.loads(capsys.readouterr().out)["bad.txt"]["error"]
 
     def test_report_is_valid_json_and_deterministic(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "m.txt", np.diag([1.0, 0.3, 0.2, -0.1]))

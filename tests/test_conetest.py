@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from muellercert import (
     certify_cone,
@@ -9,10 +12,40 @@ from muellercert import (
 from helpers import (
     fibonacci_sphere,
     grid_quadratic_min,
+    pin_map,
+    polarizer_map,
     random_lorentz,
     random_psd_h,
     random_unit_det_jones,
+    reference_sphere_quadratic_min,
+    type2_canonical,
 )
+
+_GRID_20K = fibonacci_sphere(20_000)
+
+
+# An eigenvalue gap: a tie, a near tie on either side of the solver's
+# degeneracy threshold, or a well-separated level.
+_gaps = st.one_of(
+    st.just(0.0),
+    st.floats(-16.0, -8.0).map(lambda e: 10.0**e),
+    st.floats(0.0, 2.0),
+)
+
+
+@st.composite
+def _sphere_problems(draw):
+    """(A, b) = (Q diag(lam) Q^T, Q c) with clustered or tied eigenvalues and
+    a coupling of b to the bottom eigenvector between 1e-16 and 1."""
+    lam0 = draw(st.floats(-1.0, 1.0))
+    gap1, gap2 = draw(_gaps), draw(_gaps)
+    lam = lam0 + np.array([0.0, gap1, gap1 + gap2])
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    coupling = sign * 10.0 ** draw(st.floats(-16.0, 0.0))
+    c = np.array([coupling, draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q @ np.diag(lam) @ q.T, q @ c
 
 
 class TestSphereQuadraticMin:
@@ -68,6 +101,48 @@ class TestSphereQuadraticMin:
             assert abs(np.linalg.norm(s) - 1.0) < 1e-12
             attained = s @ a @ s + 2 * b @ s
             assert abs(attained - value) < 1e-13
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sphere_problems())
+    # At and just above the hard-case threshold lam0 - mu is about 1e-14, so
+    # the bottom component must come from completing the unit length rather
+    # than from -c0 / (lam0 - mu).
+    @example((np.diag([1e-16, 1.0, 1.0]), np.array([-1.0e-14, 0.115, 0.046])))
+    @example((np.diag([1e-16, 1.0, 1.0]), np.array([-1.5e-14, 0.115, 0.046])))
+    # A near tie just outside the degeneracy threshold, weakly coupled: the
+    # multiplier must be resolved to far below the 2.5e-12 gap.
+    @example(
+        (
+            np.diag([-0.7624836290027326, -0.7624836290001888, 0.7892123827984989]),
+            np.array([1.6323540181538608e-11, 3.142147323051511e-11, 0.06605145484480272]),
+        )
+    )
+    def test_matches_reference_near_the_hard_case(self, problem):
+        a, b = problem
+        value, s = sphere_quadratic_min(a, b)
+        lam = np.linalg.eigvalsh(a)
+        scale = max(abs(lam[0]), abs(lam[-1]), np.linalg.norm(b), 1.0)
+        reference, _ = reference_sphere_quadratic_min(a, b)
+        grid_value, _ = grid_quadratic_min(a, b, _GRID_20K)
+        assert value <= reference + 1e-12 * scale
+        assert value <= grid_value + 1e-12
+        assert abs(np.linalg.norm(s) - 1.0) <= 1e-12
+        assert abs(s @ a @ s + 2 * b @ s - value) <= 1e-12 * scale
+
+
+def _scale_cases():
+    rng = np.random.default_rng(35)
+    return [
+        np.eye(4),
+        np.diag([1.0, 1.0, 1.0, -1.0]),
+        np.diag([1.0, 1.5, 0.0, 0.0]),
+        type2_canonical(1.0, 0.6, 0.3, 0.2),
+        pin_map(),
+        polarizer_map(0.5),
+        random_lorentz(rng),
+        m_from_h(random_psd_h(rng)),
+        rng.normal(size=(4, 4)),
+    ]
 
 
 class TestCertifyCone:
@@ -147,3 +222,22 @@ class TestCertifyCone:
             assert verdict.is_pre_mueller
             # Lorentz maps keep pure states pure
             assert abs(verdict.lorentz_margin) < 1e-9
+
+    @pytest.mark.parametrize("m", _scale_cases())
+    def test_scale_invariance_over_300_decades(self, m):
+        base = certify_cone(m)
+        base_unit = base.lorentz_margin / np.linalg.norm(m, 2) ** 2
+        for k in range(-150, 151):
+            scaled = 10.0**k * m
+            sigma = np.linalg.norm(scaled, 2)
+            verdict = certify_cone(scaled)
+            assert verdict.is_pre_mueller == base.is_pre_mueller, k
+            unit_lorentz = verdict.lorentz_margin / sigma**2
+            assert abs(unit_lorentz - base_unit) <= 1e-12, k
+            # the worst input attains the binding margin
+            out = (scaled / sigma) @ np.concatenate([[1.0], verdict.worst_input])
+            if unit_lorentz <= verdict.intensity_margin / sigma:
+                attained = out[0] ** 2 - out[1:] @ out[1:]
+                assert abs(attained - unit_lorentz) <= 1e-12, k
+            else:
+                assert abs(out[0] - verdict.intensity_margin / sigma) <= 1e-12, k
