@@ -37,7 +37,6 @@ from .conetest import ConeVerdict, certify_cone, sphere_quadratic_min
 from .core import (
     DEFAULT_TOL,
     LORENTZ_METRIC,
-    MuellerCandidate,
     NonHermitianInputError,
     PAULI_BASIS,
     STOKES_TO_VEC,
@@ -72,7 +71,6 @@ __all__ = [
     "Family",
     "JonesEnsemble",
     "LORENTZ_METRIC",
-    "MuellerCandidate",
     "NonHermitianInputError",
     "NotPhysicalError",
     "NotTypeIError",

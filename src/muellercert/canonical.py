@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conetest import certify_cone
-from .core import DEFAULT_TOL, LORENTZ_METRIC, as_mueller_matrix
+from . import kernel
+from .core import DEFAULT_TOL, as_mueller_matrix
 
 
 class DegenerateSpectrumError(ValueError):
@@ -43,12 +43,12 @@ class NotTypeIError(ValueError):
 
 
 class Family(enum.Enum):
-    TYPE_I = "TypeI"
-    TYPE_II = "TypeII"
-    POLARIZER = "Polarizer"
-    PIN_MAP = "PinMap"
-    NOT_PRE_MUELLER = "NotPreMueller"
-    INDETERMINATE = "Indeterminate"
+    TYPE_I = kernel.TYPE_I
+    TYPE_II = kernel.TYPE_II
+    POLARIZER = kernel.POLARIZER
+    PIN_MAP = kernel.PIN_MAP
+    NOT_PRE_MUELLER = kernel.NOT_PRE_MUELLER
+    INDETERMINATE = kernel.INDETERMINATE
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,7 @@ TYPE1_CONSTRAINT_FORMS = (
 
 def n_matrix(m) -> np.ndarray:
     """Lorentz normal matrix N = G M^T G M."""
-    mat = as_mueller_matrix(m)
-    g = LORENTZ_METRIC
-    return g @ mat.T @ g @ mat
+    return kernel.normal_matrices(as_mueller_matrix(m))
 
 
 def type1_margins(d) -> np.ndarray:
@@ -166,108 +164,15 @@ def type1_factor(m, tol: float = DEFAULT_TOL):
     when the spectrum or eigenvector causality types rule the family out,
     or when the input is singular.
     """
-    mat = as_mueller_matrix(m)
-    g = LORENTZ_METRIC
-    nmat = n_matrix(mat)
-    scale = max(float(np.linalg.norm(nmat, 2)), 1e-300)
-
-    lam, vecs = np.linalg.eig(nmat)
-    if np.iscomplexobj(lam):
-        if float(np.abs(lam.imag).max()) > tol * scale:
-            raise NotTypeIError("Lorentz normal matrix has complex spectrum")
-        lam, vecs = lam.real, vecs.real
-    order = np.argsort(-lam)
-    lam = lam[order]
-    vecs = vecs[:, order]
-
-    if lam[-1] < -tol * scale:
-        raise NotTypeIError("Lorentz normal matrix has a negative eigenvalue")
-    if lam[-1] <= tol * scale:
-        raise NotTypeIError("factorization requires a nonsingular input")
-    if np.min(lam[:-1] - lam[1:]) < tol * scale:
-        raise DegenerateSpectrumError(
-            "eigenvalues of the Lorentz normal matrix are not distinct within tol"
-        )
-
-    quad = np.einsum("ia,ij,ja->a", vecs, g, vecs)
-    if quad[0] <= 0.0:
-        raise NotTypeIError("top eigenvector is not timelike")
-    if np.any(quad[1:] >= 0.0):
-        raise NotTypeIError("subdominant eigenvector is not spacelike")
-
-    basis = vecs / np.sqrt(np.abs(quad))
-    if basis[0, 0] < 0.0:
-        basis[:, 0] = -basis[:, 0]
-    for k in range(1, 4):
-        if basis[np.argmax(np.abs(basis[:, k])), k] < 0.0:
-            basis[:, k] = -basis[:, k]
-    if np.linalg.det(basis) < 0.0:
-        basis[:, 3] = -basis[:, 3]
-
-    ortho_err = float(np.abs(basis.T @ g @ basis - g).max())
-    if ortho_err > 1e-6:
-        raise NotTypeIError(
-            f"eigenbasis fails Lorentz orthonormality by {ortho_err:.3g}"
-        )
-
-    d = np.sqrt(np.clip(lam, 0.0, None))
-    if np.linalg.det(mat) < 0.0:
-        d[3] = -d[3]
-
-    l_right = g @ basis.T @ g
-    l_left = mat @ basis @ np.diag(1.0 / d)
-    if l_left[0, 0] <= 0.0 or float(np.abs(l_left.T @ g @ l_left - g).max()) > 1e-6:
-        raise NotTypeIError("left factor is not proper orthochronous Lorentz")
-    return l_left, d, l_right
+    result = kernel.Analysis(m, tol).factors()[0]
+    if isinstance(result, kernel.FactorFailure):
+        raise (DegenerateSpectrumError if result.degenerate else NotTypeIError)(result.message)
+    return result.l_left, result.d, result.l_right
 
 
-def _matches_type2_pattern(mat: np.ndarray, atol: float) -> bool:
-    off = mat.copy()
-    np.fill_diagonal(off, 0.0)
-    off[0, 1] = 0.0
-    if float(np.abs(off).max()) > atol:
-        return False
-    return abs(mat[0, 1] - (mat[0, 0] - mat[1, 1])) <= atol
-
-
-def _classify_rank_one(unit, cluster_tol):
-    """Sort a cone-preserving matrix with vanishing Lorentz normal matrix
-    into the Polarizer / Pin-map families via its rank-one factors."""
-    g = LORENTZ_METRIC
-    u_all, s_all, vt_all = np.linalg.svd(unit)
-    if s_all[1] > cluster_tol:
-        return CanonicalClass(
-            Family.INDETERMINATE,
-            diagnostics="vanishing Lorentz normal matrix but rank above one",
-        )
-    u = u_all[:, 0]
-    v = vt_all[0]
-    if u[0] < 0.0:
-        u, v = -u, -v
-    if u[0] <= cluster_tol:
-        return CanonicalClass(
-            Family.INDETERMINATE,
-            diagnostics="rank-one output direction is not future-pointing",
-        )
-    if abs(float(u @ g @ u)) > cluster_tol:
-        return CanonicalClass(
-            Family.INDETERMINATE,
-            diagnostics="rank-one output direction is not lightlike",
-        )
-    if v[0] <= cluster_tol:
-        return CanonicalClass(
-            Family.INDETERMINATE,
-            diagnostics="rank-one input weight vector is not future-pointing",
-        )
-    vgv = float(v @ g @ v)
-    note = "canonical scale d0 is not a double-coset invariant"
-    if abs(vgv) <= cluster_tol:
-        return CanonicalClass(Family.POLARIZER, diagnostics=note)
-    if vgv > 0.0:
-        return CanonicalClass(Family.PIN_MAP, diagnostics=note)
+def _canonical_class(result: kernel.Canonical) -> CanonicalClass:
     return CanonicalClass(
-        Family.INDETERMINATE,
-        diagnostics="rank-one input weight vector is spacelike",
+        Family(result.family), result.d, result.l_left, result.l_right, result.diagnostics
     )
 
 
@@ -283,114 +188,4 @@ def classify(m, tol: float = DEFAULT_TOL) -> CanonicalClass:
     between comes back as Indeterminate with diagnostics, never as a
     guess.
     """
-    mat = as_mueller_matrix(m)
-    cone = certify_cone(mat, tol)
-    if not cone.is_pre_mueller:
-        return CanonicalClass(
-            Family.NOT_PRE_MUELLER,
-            diagnostics="does not map the Stokes cone into itself",
-        )
-    sigma = float(np.linalg.norm(mat, 2))
-    if sigma == 0.0:
-        return CanonicalClass(Family.INDETERMINATE, diagnostics="zero matrix")
-
-    unit = mat / sigma
-    nmat = n_matrix(unit)
-    nnorm = float(np.linalg.norm(nmat, 2))
-
-    if nnorm <= tol:
-        return _classify_rank_one(unit, float(np.sqrt(tol)))
-
-    # All spectral thresholds are relative to the normal matrix's own scale
-    # (for strongly boosted inputs its spectrum sits far below the unit
-    # spectral norm of the input).
-    cluster_tol = float(np.sqrt(tol)) * nnorm
-    geo_tol = tol * nnorm
-
-    lam, vecs = np.linalg.eig(nmat)
-    if np.iscomplexobj(lam):
-        if float(np.abs(lam.imag).max()) > cluster_tol:
-            return CanonicalClass(
-                Family.INDETERMINATE,
-                diagnostics="Lorentz normal matrix has complex spectrum",
-            )
-        lam, vecs = lam.real, vecs.real
-    order = np.argsort(-lam)
-    lam = lam[order]
-    vecs = vecs[:, order]
-    if lam[-1] < -cluster_tol:
-        return CanonicalClass(
-            Family.INDETERMINATE,
-            diagnostics="Lorentz normal matrix has a negative eigenvalue",
-        )
-    lam = np.clip(lam, 0.0, None)
-
-    # Cluster eigenvalues, then compare geometric and algebraic multiplicity.
-    clusters = []
-    start = 0
-    for k in range(1, 4):
-        if lam[k - 1] - lam[k] > cluster_tol:
-            clusters.append((start, k))
-            start = k
-    clusters.append((start, 4))
-
-    # A genuine Jordan block leaves a machine-precision null direction of
-    # (N - lambda I) next to an O(1) coupling; a nearly tied diagonalizable
-    # pair leaves neither.  Clusters with only gray-band singular values are
-    # reported as Indeterminate instead of being forced into a family.
-    defective = False
-    ambiguous = None
-    for lo, hi in clusters:
-        size = hi - lo
-        if size == 1:
-            continue
-        center = float(lam[lo:hi].mean())
-        svals = np.linalg.svd(nmat - center * np.eye(4), compute_uv=False)
-        strict = int(np.count_nonzero(svals <= geo_tol))
-        loose = int(np.count_nonzero(svals <= cluster_tol))
-        if strict >= size:
-            continue
-        if strict >= 1 and loose < size:
-            defective = True
-            break
-        ambiguous = center
-
-    if ambiguous is not None and not defective:
-        return CanonicalClass(
-            Family.INDETERMINATE,
-            diagnostics=(
-                "eigenvalue cluster near "
-                f"{ambiguous:.6g} (input normalized): cannot separate "
-                "defective from nearly degenerate diagonalizable structure"
-            ),
-        )
-    if defective:
-        d = (
-            np.diag(mat).copy()
-            if _matches_type2_pattern(unit, float(np.sqrt(tol)))
-            else None
-        )
-        return CanonicalClass(Family.TYPE_II, d=d)
-
-    # Type I: diagonalizable, nonnegative real spectrum.
-    if clusters[0][1] - clusters[0][0] == 1:
-        top = vecs[:, 0]
-        if float(top @ LORENTZ_METRIC @ top) <= 0.0:
-            return CanonicalClass(
-                Family.INDETERMINATE,
-                diagnostics="dominant eigenvector is not timelike",
-            )
-    d = sigma * np.sqrt(lam)
-    det = float(np.linalg.det(unit))
-    if abs(det) <= tol:
-        d[3] = 0.0
-    elif det < 0.0:
-        d[3] = -d[3]
-
-    l_left = l_right = None
-    try:
-        l_left, d_factor, l_right = type1_factor(mat, tol)
-        d = d_factor
-    except (DegenerateSpectrumError, NotTypeIError):
-        pass
-    return CanonicalClass(Family.TYPE_I, d=d, l_left=l_left, l_right=l_right)
+    return _canonical_class(kernel.Analysis(m, tol).canonical[0])

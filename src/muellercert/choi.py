@@ -12,13 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    _canonical_phase,
-    devectorize,
-    h_from_m,
-    mueller_from_jones,
-)
+from .core import DEFAULT_TOL, devectorize, mueller_from_jones
+from .kernel import Analysis, HermitianStage
 
 
 class NotPhysicalError(ValueError):
@@ -65,24 +60,41 @@ class JonesEnsemble:
         return out
 
 
-def _spectrum(m):
-    h = h_from_m(m)
-    w, v = np.linalg.eigh(h)
-    hnorm = max(abs(float(w[0])), abs(float(w[-1])))
-    return w, v, hnorm
+def _physicality_row(h: HermitianStage, i: int) -> PhysicalityReport:
+    w, thresh = h.w[i], h.thresh[i]
+    return PhysicalityReport(
+        eigenvalues=w[::-1].copy(),
+        min_eigenvalue=float(w[0]),
+        min_eigenvector=h.vecs[i, 0].copy(),
+        is_mueller=bool(w[0] >= -thresh),
+        rank=int(np.count_nonzero(w > thresh)),
+    )
+
+
+def _ensemble_row(h: HermitianStage, i: int) -> JonesEnsemble:
+    w, thresh = h.w[i], h.thresh[i]
+    if w[0] < -thresh:
+        raise NotPhysicalError(
+            f"most negative eigenvalue {w[0]:.6g} exceeds tolerance; "
+            "no convex-sum realization exists"
+        )
+    return JonesEnsemble(
+        items=tuple(
+            (float(w[k]), devectorize(h.vecs[i, k])) for k in range(3, -1, -1) if w[k] > thresh
+        )
+    )
+
+
+def _jones_row(h: HermitianStage, i: int):
+    w, thresh = h.w[i], h.thresh[i]
+    if w[0] < -thresh or int(np.count_nonzero(w > thresh)) != 1:
+        return None
+    return np.sqrt(float(w[-1])) * devectorize(h.vecs[i, 3])
 
 
 def physicality(m, tol: float = DEFAULT_TOL) -> PhysicalityReport:
     """Eigendecompose the associated hermitian matrix and report the verdict."""
-    w, v, hnorm = _spectrum(m)
-    thresh = tol * hnorm
-    return PhysicalityReport(
-        eigenvalues=w[::-1].copy(),
-        min_eigenvalue=float(w[0]),
-        min_eigenvector=_canonical_phase(v[:, 0]),
-        is_mueller=bool(w[0] >= -thresh),
-        rank=int(np.count_nonzero(w > thresh)),
-    )
+    return _physicality_row(Analysis(m, tol).hermitian, 0)
 
 
 def jones_ensemble(m, tol: float = DEFAULT_TOL) -> JonesEnsemble:
@@ -92,18 +104,7 @@ def jones_ensemble(m, tol: float = DEFAULT_TOL) -> JonesEnsemble:
     the weight, the devectorized unit eigenvector as the Jones matrix.  The
     weighted sum of the member Mueller-Jones matrices reproduces the input.
     """
-    w, v, hnorm = _spectrum(m)
-    thresh = tol * hnorm
-    if w[0] < -thresh:
-        raise NotPhysicalError(
-            f"most negative eigenvalue {w[0]:.6g} exceeds tolerance; "
-            "no convex-sum realization exists"
-        )
-    items = []
-    for k in range(w.shape[0] - 1, -1, -1):
-        if w[k] > thresh:
-            items.append((float(w[k]), devectorize(_canonical_phase(v[:, k]))))
-    return JonesEnsemble(items=tuple(items))
+    return _ensemble_row(Analysis(m, tol).hermitian, 0)
 
 
 def mueller_jones_test(m, tol: float = DEFAULT_TOL):
@@ -113,10 +114,4 @@ def mueller_jones_test(m, tol: float = DEFAULT_TOL):
     positive semidefinite of rank one; the Jones matrix is recovered up to
     an (unobservable) global phase.  Returns None for every other input.
     """
-    w, v, hnorm = _spectrum(m)
-    thresh = tol * hnorm
-    if w[0] < -thresh:
-        return None
-    if int(np.count_nonzero(w > thresh)) != 1:
-        return None
-    return np.sqrt(float(w[-1])) * devectorize(_canonical_phase(v[:, -1]))
+    return _jones_row(Analysis(m, tol).hermitian, 0)

@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``analyze FILE``: full report for one matrix (JSON by default).
-* ``batch DIR``: reports for every file in a directory.
+* ``batch DIR``: reports for every file in a directory, analyzed as one
+  stack.
 * ``tetra-scan``: Monte Carlo fractions of physical / cone-preserving
   matrices among diagonal forms diag(1, d1, d2, d3) sampled uniformly from
   the cube [-1, 1]^3.  The physical region is the inscribed tetrahedron
@@ -31,15 +32,16 @@ import numpy as np
 from .canonical import (
     TYPE1_CONSTRAINT_FORMS,
     Family,
-    classify,
+    _canonical_class,
     h_eigs_diagonal,
     type1_constraints,
     type1_margins,
 )
-from .choi import jones_ensemble, mueller_jones_test, physicality
-from .conetest import certify_cone
+from .choi import _ensemble_row, _jones_row, _physicality_row
+from .conetest import _verdict_row
 from .core import DEFAULT_TOL, as_mueller_matrix
-from .witness import expectation, extended_action, witness_certificate, witness_input
+from .kernel import Analysis
+from .witness import _witness_row, expectation, extended_action, witness_input
 
 #: Published canonical parameters of the van Zyl radar Mueller matrix.
 VAN_ZYL_D = (0.9735, 0.9112, 0.4640, -0.3838)
@@ -103,16 +105,32 @@ def _complex_obj(arr: np.ndarray):
 
 def analyze_matrix(m, tol: float = DEFAULT_TOL) -> dict:
     """Run every verdict on one matrix and assemble the report document."""
-    mat = as_mueller_matrix(m)
-    cone = certify_cone(mat, tol)
-    phys = physicality(mat, tol)
-    jones = mueller_jones_test(mat, tol)
-    canon = classify(mat, tol)
-    witness_vec = witness_certificate(mat, tol)
+    return analyze_stack(as_mueller_matrix(m)[None], tol)[0]
+
+
+def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
+    """Report documents for a stack of matrices, shape (N, 4, 4).
+
+    Each spectral stage runs once over the whole stack; report i equals
+    ``analyze_matrix(mats[i], tol)``.
+    """
+    analysis = Analysis(mats, tol)
+    if not len(analysis):
+        return []
+    return [_report(analysis, i) for i in range(len(analysis))]
+
+
+def _report(analysis: Analysis, i: int) -> dict:
+    mat, tol, h = analysis.m[i], analysis.tol, analysis.hermitian
+    cone = _verdict_row(analysis.cone, i)
+    phys = _physicality_row(h, i)
+    jones = _jones_row(h, i)
+    canon = _canonical_class(analysis.canonical[i])
+    witness_vec = _witness_row(h, i)
 
     ensemble = []
     if phys.is_mueller:
-        for weight, jmat in jones_ensemble(mat, tol).items:
+        for weight, jmat in _ensemble_row(h, i).items:
             ensemble.append({"weight": weight, "jones": _complex_obj(jmat)})
 
     binding = None
@@ -345,18 +363,22 @@ def main(argv=None, out=None, err=None) -> int:
         if not directory.is_dir():
             err.write(f"error: not a directory: {directory}\n")
             return _EXIT_PARSE
-        results: dict[str, dict] = {}
-        failed = False
-        worst = 0
+        results: dict[str, dict | None] = {}
+        names, mats = [], []
         for path in sorted(p for p in directory.iterdir() if p.is_file()):
             try:
-                report = analyze_matrix(load_matrix(path), args.tol)
+                mats.append(load_matrix(path))
             except ParseError as exc:
                 results[path.name] = {"error": str(exc)}
-                failed = True
                 continue
-            results[path.name] = report
-            worst = max(worst, verdict_exit_code(report))
+            names.append(path.name)
+            results[path.name] = None  # keeps the sorted order
+        failed = len(names) < len(results)
+        worst = 0
+        if mats:
+            for name, report in zip(names, analyze_stack(np.stack(mats), args.tol)):
+                results[name] = report
+                worst = max(worst, verdict_exit_code(report))
         if args.format == "report":
             out.write(json.dumps(_round12(results), indent=2, sort_keys=True) + "\n")
         else:

@@ -22,15 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, LORENTZ_METRIC, as_mueller_matrix
-
-# Degenerate-structure thresholds of the sphere minimization (relative to the
-# problem scale).  Eigenvalues within _GAP_EPS of the smallest form the
-# bottom eigenspace, whose solution components are completed to the sphere
-# rather than divided by their gaps; a bottom-space coupling below
-# _COUPLING_EPS counts as zero when deciding for the hard case.
-_GAP_EPS = 1e-12
-_COUPLING_EPS = 1e-14
+from .core import DEFAULT_TOL
+from .kernel import Analysis, ConeStage, sphere_min
 
 
 @dataclass(frozen=True)
@@ -89,46 +82,17 @@ def sphere_quadratic_min(a, b) -> tuple[float, np.ndarray]:
     if a.shape != (n, n):
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
     a = 0.5 * (a + a.T)
+    value, s = sphere_min(a[None], b[None])
+    return float(value[0]), s[0]
 
-    lam, q = np.linalg.eigh(a)
-    c = q.T @ b
-    scale = max(abs(lam[0]), abs(lam[-1]), float(np.linalg.norm(b)), 1.0)
 
-    gap = lam - lam[0]
-    bottom = gap <= _GAP_EPS * scale
-    rest = ~bottom
-    s_eig = np.zeros(n)
-    tail = -c[rest] / gap[rest]
-    coupled = float(c[bottom] @ c[bottom])
-    if coupled <= (_COUPLING_EPS * scale) ** 2 and float(tail @ tail) <= 1.0:
-        # Hard case: multiplier pinned at lambda_min, completed on the
-        # bottom eigenspace to reach the sphere.
-        s_eig[rest] = tail
-        s_eig[int(np.argmax(bottom))] = np.sqrt(1.0 - float(tail @ tail))
-    else:
-        # The eigenvalues of `lifted` are mu - lambda_min; shift is
-        # lambda_min - mu, clamped so that mu <= lambda_min.
-        v = np.sign(c) * np.sqrt(np.abs(c))
-        lifted = np.zeros((2 * n, 2 * n))
-        lifted[:n, :n] = lifted[n:, n:] = np.diag(gap)
-        lifted[:n, n:] = -np.diag(np.abs(c))
-        lifted[n:, :n] = -np.outer(v, v)
-        shift = max(0.0, -float(np.linalg.eigvals(lifted).real.min()))
-        s_eig[rest] = -c[rest] / (gap[rest] + shift)
-        # Only the direction of the bottom components is used, so a shift
-        # below rounding may be floored without changing the result.
-        direction = -c[bottom] / (gap[bottom] + max(shift, np.finfo(float).eps * scale))
-        length = float(np.linalg.norm(direction))
-        if length > 0.0:
-            deficit = max(0.0, 1.0 - float(s_eig @ s_eig))
-            s_eig[bottom] = direction * (np.sqrt(deficit) / length)
-
-    s = q @ s_eig
-    norm = float(np.linalg.norm(s))
-    if norm > 0.0:
-        s = s / norm
-    value = float(s @ a @ s + 2.0 * (b @ s))
-    return value, s
+def _verdict_row(cone: ConeStage, i: int) -> ConeVerdict:
+    return ConeVerdict(
+        bool(cone.ok[i]),
+        float(cone.intensity_margin[i]),
+        float(cone.lorentz_margin[i]),
+        cone.worst_input[i].copy(),
+    )
 
 
 def certify_cone(m, tol: float = DEFAULT_TOL) -> ConeVerdict:
@@ -142,23 +106,4 @@ def certify_cone(m, tol: float = DEFAULT_TOL) -> ConeVerdict:
     depend on the scale of ``m``.  A pure state mapped to the zero vector
     counts as the cone apex and is allowed.
     """
-    mat = as_mueller_matrix(m)
-    sigma = float(np.linalg.norm(mat, 2))
-    if sigma == 0.0:
-        return ConeVerdict(True, 0.0, 0.0, np.array([0.0, 0.0, 1.0]))
-
-    row = mat[0, 1:]
-    row_norm = float(np.linalg.norm(row))
-    intensity_margin = float(mat[0, 0]) - row_norm
-    worst_intensity = -row / row_norm if row_norm > 0.0 else np.array([0.0, 0.0, 1.0])
-
-    unit = mat / sigma
-    quad = unit.T @ LORENTZ_METRIC @ unit
-    quad = 0.5 * (quad + quad.T)
-    value, s_star = sphere_quadratic_min(quad[1:, 1:], quad[0, 1:])
-    unit_lorentz = float(quad[0, 0]) + value
-
-    ok = intensity_margin >= -tol * sigma and unit_lorentz >= -tol
-    binding_lorentz = unit_lorentz <= intensity_margin / sigma
-    worst = s_star if binding_lorentz else worst_intensity
-    return ConeVerdict(bool(ok), intensity_margin, unit_lorentz * sigma**2, worst)
+    return _verdict_row(Analysis(m, tol).cone, 0)

@@ -25,8 +25,6 @@ itself, with no extra permutation.
 All functions are pure and thread-safe; returned arrays are fresh copies.
 """
 
-from functools import cached_property
-
 import numpy as np
 
 #: Default relative tolerance for every predicate in the package.  Measured
@@ -77,15 +75,37 @@ for _const in (PAULI_BASIS, LORENTZ_METRIC, VEC_TO_STOKES, STOKES_TO_VEC, _PAIR_
 del _const
 
 
-def as_mueller_matrix(m) -> np.ndarray:
-    """Coerce to a real 4x4 float array, rejecting complex input."""
+def _as_real(m) -> np.ndarray:
     arr = np.asarray(m)
     if np.iscomplexobj(arr):
         raise ValueError("Mueller candidate must be real")
-    arr = arr.astype(float, copy=False)
+    return arr.astype(float, copy=False)
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ValueError("Mueller candidate has a non-finite entry (nan or inf)")
+    return arr
+
+
+def as_mueller_matrix(m) -> np.ndarray:
+    """Coerce to a real 4x4 float array, rejecting complex and non-finite
+    input."""
+    arr = _as_real(m)
     if arr.shape != (4, 4):
         raise ValueError(f"expected a 4x4 real matrix, got shape {arr.shape}")
-    return arr
+    return _finite(arr)
+
+
+def as_mueller_stack(ms) -> np.ndarray:
+    """Coerce to a real (N, 4, 4) float stack, rejecting complex and
+    non-finite input; a single 4x4 matrix becomes a stack of one."""
+    arr = _as_real(ms)
+    if arr.shape == (4, 4):
+        arr = arr[None]
+    if arr.ndim != 3 or arr.shape[1:] != (4, 4):
+        raise ValueError(f"expected an (N, 4, 4) stack of real matrices, got shape {arr.shape}")
+    return _finite(arr)
 
 
 def as_jones_matrix(j) -> np.ndarray:
@@ -161,7 +181,20 @@ def h_from_m(m) -> np.ndarray:
     decides physicality: ``m`` is a Mueller matrix iff the result is
     positive semidefinite.
     """
-    return np.einsum("ab,abjk->jk", as_mueller_matrix(m), _PAIR_BASIS)
+    return _hermitian_of(as_mueller_matrix(m))
+
+
+def _hermitian_of(mats) -> np.ndarray:
+    """Associated hermitian matrices of a real (..., 4, 4) array."""
+    return np.einsum("...ab,abjk->...jk", mats, _PAIR_BASIS)
+
+
+def _not_hermitian(arr: np.ndarray, tol: float, scale: float | None = None) -> bool:
+    """True when arr deviates from hermiticity, in Frobenius norm, by more
+    than tol times ``scale`` (by default its own Frobenius norm)."""
+    if scale is None:
+        scale = max(np.linalg.norm(arr), 1e-300)
+    return bool(np.linalg.norm(arr - arr.conj().T) > tol * scale)
 
 
 def m_from_h(h, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -173,8 +206,7 @@ def m_from_h(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     arr = np.asarray(h, dtype=complex)
     if arr.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
-    scale = max(np.linalg.norm(arr), 1e-300)
-    if np.linalg.norm(arr - arr.conj().T) > tol * scale:
+    if _not_hermitian(arr, tol):
         raise NonHermitianInputError("input matrix is not hermitian")
     return np.ascontiguousarray(np.einsum("jk,abkj->ab", arr, _PAIR_BASIS).real)
 
@@ -200,52 +232,18 @@ def coherency_is_physical(phi, tol: float = DEFAULT_TOL) -> bool:
     arr = np.asarray(phi, dtype=complex)
     if arr.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {arr.shape}")
-    scale = max(np.linalg.norm(arr), 1e-300)
-    if np.linalg.norm(arr - arr.conj().T) > tol * scale:
+    if _not_hermitian(arr, tol):
         return False
     tr = arr.trace().real
     return tr > 0.0 and np.linalg.det(arr).real >= -tol * tr**2
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a complex vector's global phase so its largest entry is real
-    and positive.  Deterministic output for eigenvector-valued results."""
-    idx = int(np.argmax(np.abs(v)))
-    mag = abs(v[idx])
-    if mag == 0.0:
-        return v.copy()
-    return v * (v[idx].conjugate() / mag)
-
-
-class MuellerCandidate:
-    """A real 4x4 transfer matrix plus lazily computed derived objects.
-
-    Accepted anywhere a plain 4x4 array is (it supports the numpy array
-    protocol).  The cached properties are computed once on first access;
-    instances are otherwise immutable and safe to share between threads.
-    """
-
-    def __init__(self, m):
-        self.m = as_mueller_matrix(m).copy()
-        self.m.setflags(write=False)
-
-    @cached_property
-    def h(self) -> np.ndarray:
-        """Associated hermitian matrix."""
-        return h_from_m(self.m)
-
-    @cached_property
-    def n(self) -> np.ndarray:
-        """Lorentz normal matrix G m^T G m, the classification workhorse."""
-        g = LORENTZ_METRIC
-        return g @ self.m.T @ g @ self.m
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None and dtype != self.m.dtype:
-            return self.m.astype(dtype)
-        if copy:
-            return self.m.copy()
-        return self.m
-
-    def __repr__(self) -> str:
-        return f"MuellerCandidate({self.m.tolist()!r})"
+    """Rotate the global phase of complex vectors (on the last axis) so that
+    the largest entry of each is real and positive.  Deterministic output
+    for eigenvector-valued results; zero vectors are returned unchanged."""
+    flat = v.reshape(-1, v.shape[-1])
+    pivot = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=-1)]
+    pivot = pivot.reshape(v.shape[:-1] + (1,))
+    mag = np.hypot(pivot.real, pivot.imag)
+    return v * np.divide(pivot.conj(), mag, out=np.ones_like(pivot), where=mag > 0.0)

@@ -25,10 +25,10 @@ from .core import (
     NonHermitianInputError,
     STOKES_TO_VEC,
     VEC_TO_STOKES,
-    _canonical_phase,
+    _not_hermitian,
     as_mueller_matrix,
-    h_from_m,
 )
+from .kernel import Analysis, HermitianStage
 
 
 def coherency_transfer(m) -> np.ndarray:
@@ -72,7 +72,7 @@ def two_mode_is_physical(c, tol: float = DEFAULT_TOL) -> bool:
     if arr.shape != (4, 4):
         raise ValueError(f"expected a 4x4 coefficient matrix, got shape {arr.shape}")
     scale = max(np.linalg.norm(arr, 2), 1e-300)
-    if np.linalg.norm(arr - arr.conj().T) > tol * scale:
+    if _not_hermitian(arr, tol, scale):
         return False
     return bool(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[0] >= -tol * scale)
 
@@ -85,8 +85,7 @@ def expectation(c, e, tol: float = DEFAULT_TOL) -> float:
     arr = np.asarray(c, dtype=complex)
     if arr.shape != (4, 4):
         raise ValueError(f"expected a 4x4 coefficient matrix, got shape {arr.shape}")
-    scale = max(np.linalg.norm(arr), 1e-300)
-    if np.linalg.norm(arr - arr.conj().T) > tol * scale:
+    if _not_hermitian(arr, tol):
         raise NonHermitianInputError("two-mode state is not hermitian")
     vec = np.asarray(e, dtype=complex)
     if vec.shape != (4,):
@@ -103,9 +102,10 @@ def witness_certificate(m, tol: float = DEFAULT_TOL):
     on the maximally entangled input is then negative.  Returns None when
     ``m`` is physical (within tolerance).
     """
-    h = h_from_m(m)
-    w, v = np.linalg.eigh(h)
-    hnorm = max(abs(float(w[0])), abs(float(w[-1])))
-    if w[0] < -tol * hnorm:
-        return _canonical_phase(v[:, 0])
+    return _witness_row(Analysis(m, tol).hermitian, 0)
+
+
+def _witness_row(h: HermitianStage, i: int):
+    if h.w[i, 0] < -h.thresh[i]:
+        return h.vecs[i, 0].copy()
     return None

@@ -3,7 +3,6 @@ import pytest
 
 from muellercert import (
     LORENTZ_METRIC,
-    MuellerCandidate,
     NonHermitianInputError,
     PAULI_BASIS,
     STOKES_TO_VEC,
@@ -19,6 +18,7 @@ from muellercert import (
     stokes_is_pure,
     vectorize,
 )
+from muellercert.core import as_mueller_matrix, as_mueller_stack
 from helpers import explicit_h_table, random_jones, random_unit_det_jones
 
 
@@ -241,28 +241,21 @@ class TestPredicates:
         assert not coherency_is_physical(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-class TestMuellerCandidate:
-    def test_round_trip_invariant(self):
-        rng = np.random.default_rng(21)
-        m = rng.normal(size=(4, 4))
-        cand = MuellerCandidate(m)
-        back = m_from_h(cand.h)
-        assert np.abs(back - m).max() < 1e-12 * max(1.0, np.abs(m).max())
-
-    def test_cached_derived_objects(self):
-        cand = MuellerCandidate(np.eye(4))
-        assert cand.h is cand.h
-        np.testing.assert_array_equal(cand.n, np.eye(4))
-
-    def test_array_protocol(self):
-        cand = MuellerCandidate(np.diag([3.0, 2.0, 1.0, 0.5]))
-        np.testing.assert_array_equal(np.asarray(cand), cand.m)
-        np.testing.assert_allclose(
-            h_from_m(cand), h_from_m(cand.m), atol=0
-        )
-
+class TestMuellerCoercion:
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            MuellerCandidate(np.eye(3))
-        with pytest.raises(ValueError):
-            MuellerCandidate(np.eye(4, dtype=complex) * 1j)
+        with pytest.raises(ValueError, match="4x4"):
+            as_mueller_matrix(np.eye(3))
+        with pytest.raises(ValueError, match="real"):
+            as_mueller_matrix(np.eye(4, dtype=complex) * 1j)
+        with pytest.raises(ValueError, match="non-finite"):
+            as_mueller_matrix(np.full((4, 4), np.nan))
+
+    def test_stack_coercion(self):
+        assert as_mueller_stack(np.eye(4)).shape == (1, 4, 4)
+        assert as_mueller_stack(np.zeros((3, 4, 4))).shape == (3, 4, 4)
+        assert as_mueller_stack(np.eye(4, dtype=int)).dtype == float
+        for bad in (np.zeros((4,)), np.zeros((2, 3, 3)), np.zeros((2, 2, 4, 4))):
+            with pytest.raises(ValueError, match="stack"):
+                as_mueller_stack(bad)
+        with pytest.raises(ValueError, match="real"):
+            as_mueller_stack(np.zeros((2, 4, 4), dtype=complex))
