@@ -23,50 +23,13 @@ are provided as simple inequalities on the canonical parameters, equivalent
 to positive semidefiniteness of the associated hermitian matrix.
 """
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernel
 from .core import DEFAULT_TOL, as_mueller_matrix
 
-
-class DegenerateSpectrumError(ValueError):
-    """Raised by the Type-I factorization when eigenvalues of the Lorentz
-    normal matrix are too close to separate eigenvectors reliably."""
-
-
-class NotTypeIError(ValueError):
-    """Raised by the Type-I factorization when the input does not admit a
-    diagonal canonical form (or is singular)."""
-
-
-class Family(enum.Enum):
-    TYPE_I = kernel.TYPE_I
-    TYPE_II = kernel.TYPE_II
-    POLARIZER = kernel.POLARIZER
-    PIN_MAP = kernel.PIN_MAP
-    NOT_PRE_MUELLER = kernel.NOT_PRE_MUELLER
-    INDETERMINATE = kernel.INDETERMINATE
-
-
-@dataclass(frozen=True)
-class CanonicalClass:
-    """Family verdict with canonical parameters and factors when determined.
-
-    ``d`` is None when the parameters are not determined by the orbit (the
-    rank-one families carry no invariant scale) or cannot be extracted.
-    When factors are present they satisfy L^T G L = G with positive corner
-    and unit determinant, and l_left @ diag(d) @ l_right reproduces the
-    input.
-    """
-
-    family: Family
-    d: np.ndarray | None = None
-    l_left: np.ndarray | None = None
-    l_right: np.ndarray | None = None
-    diagnostics: str | None = None
+# The result types are defined by the kernel, which builds them.
+from .kernel import CanonicalClass, DegenerateSpectrumError, Family, NotTypeIError  # noqa: F401
 
 
 #: The four inequalities, in fixed order, that make a diagonal canonical
@@ -165,15 +128,9 @@ def type1_factor(m, tol: float = DEFAULT_TOL):
     or when the input is singular.
     """
     result = kernel.Analysis(m, tol).factors()[0]
-    if isinstance(result, kernel.FactorFailure):
-        raise (DegenerateSpectrumError if result.degenerate else NotTypeIError)(result.message)
-    return result.l_left, result.d, result.l_right
-
-
-def _canonical_class(result: kernel.Canonical) -> CanonicalClass:
-    return CanonicalClass(
-        Family(result.family), result.d, result.l_left, result.l_right, result.diagnostics
-    )
+    if isinstance(result, ValueError):
+        raise result
+    return result
 
 
 def classify(m, tol: float = DEFAULT_TOL) -> CanonicalClass:
@@ -188,4 +145,4 @@ def classify(m, tol: float = DEFAULT_TOL) -> CanonicalClass:
     between comes back as Indeterminate with diagnostics, never as a
     guess.
     """
-    return _canonical_class(kernel.Analysis(m, tol).canonical[0])
+    return kernel.Analysis(m, tol).canonical[0]

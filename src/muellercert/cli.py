@@ -32,7 +32,6 @@ import numpy as np
 from .canonical import (
     TYPE1_CONSTRAINT_FORMS,
     Family,
-    _canonical_class,
     h_eigs_diagonal,
     type1_constraints,
     type1_margins,
@@ -115,8 +114,6 @@ def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
     ``analyze_matrix(mats[i], tol)``.
     """
     analysis = Analysis(mats, tol)
-    if not len(analysis):
-        return []
     return [_report(analysis, i) for i in range(len(analysis))]
 
 
@@ -125,7 +122,7 @@ def _report(analysis: Analysis, i: int) -> dict:
     cone = _verdict_row(analysis.cone, i)
     phys = _physicality_row(h, i)
     jones = _jones_row(h, i)
-    canon = _canonical_class(analysis.canonical[i])
+    canon = analysis.canonical[i]
     witness_vec = _witness_row(h, i)
 
     ensemble = []
@@ -241,6 +238,8 @@ def _round12(obj):
 
 
 def render_report(report: dict) -> str:
+    """JSON text of a report, or of ``batch``'s file-name-to-report mapping:
+    every float at 12 significant digits, keys sorted, indent 2."""
     return json.dumps(_round12(report), indent=2, sort_keys=True) + "\n"
 
 
@@ -380,7 +379,7 @@ def main(argv=None, out=None, err=None) -> int:
                 results[name] = report
                 worst = max(worst, verdict_exit_code(report))
         if args.format == "report":
-            out.write(json.dumps(_round12(results), indent=2, sort_keys=True) + "\n")
+            out.write(render_report(results))
         else:
             for name, report in results.items():
                 out.write(f"== {name}\n")

@@ -17,6 +17,11 @@ over a whole (N, 4, 4) stack at a time:
   that ``eig`` on the rows with a repeated eigenvalue, and the Type-I
   factorization runs on the Type-I rows only.
 
+The N stage builds the public results itself: :class:`Family`,
+:class:`CanonicalClass` and the Type-I errors :class:`DegenerateSpectrumError`
+and :class:`NotTypeIError` are defined here, and
+:mod:`muellercert.canonical` re-exports them.
+
 The public functions of the layer modules are views on an analysis of a
 stack of one, and ``batch`` analyzes a whole directory as one stack, so
 both sizes take the same code path.  Row reductions are written as stacked
@@ -25,6 +30,8 @@ BLAS routine per row as the 1-D products of a single matrix, so a row's
 result does not depend on the stack around it.
 """
 
+import enum
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -44,13 +51,42 @@ _COUPLING_EPS = 1e-14
 _POLE = np.array([0.0, 0.0, 1.0])
 _POLE.setflags(write=False)
 
-# The six families, by the value that names them in reports.
-TYPE_I = "TypeI"
-TYPE_II = "TypeII"
-POLARIZER = "Polarizer"
-PIN_MAP = "PinMap"
-NOT_PRE_MUELLER = "NotPreMueller"
-INDETERMINATE = "Indeterminate"
+
+class Family(enum.Enum):
+    TYPE_I = "TypeI"
+    TYPE_II = "TypeII"
+    POLARIZER = "Polarizer"
+    PIN_MAP = "PinMap"
+    NOT_PRE_MUELLER = "NotPreMueller"
+    INDETERMINATE = "Indeterminate"
+
+
+@dataclass(frozen=True)
+class CanonicalClass:
+    """Family verdict with canonical parameters and factors when determined.
+
+    ``d`` is None when the parameters are not determined by the orbit (the
+    rank-one families carry no invariant scale) or cannot be extracted.
+    When factors are present they satisfy L^T G L = G with positive corner
+    and unit determinant, and l_left @ diag(d) @ l_right reproduces the
+    input.
+    """
+
+    family: Family
+    d: np.ndarray | None = None
+    l_left: np.ndarray | None = None
+    l_right: np.ndarray | None = None
+    diagnostics: str | None = None
+
+
+class DegenerateSpectrumError(ValueError):
+    """Raised by the Type-I factorization when eigenvalues of the Lorentz
+    normal matrix are too close to separate eigenvectors reliably."""
+
+
+class NotTypeIError(ValueError):
+    """Raised by the Type-I factorization when the input does not admit a
+    diagonal canonical form (or is singular)."""
 
 
 def _dot(x, y):
@@ -189,34 +225,6 @@ class ConeStage(NamedTuple):
     worst_input: np.ndarray
 
 
-class Factors(NamedTuple):
-    """Type-I factorization l_left @ diag(d) @ l_right of one matrix."""
-
-    l_left: np.ndarray
-    d: np.ndarray
-    l_right: np.ndarray
-
-
-class FactorFailure(NamedTuple):
-    """Why a matrix has no Type-I factorization: ``degenerate`` when the
-    eigenvalues of its normal matrix are too close to separate, otherwise
-    the family or the input rules it out."""
-
-    degenerate: bool
-    message: str
-
-
-class Canonical(NamedTuple):
-    """Family of one matrix, with its canonical parameters and factors
-    where they are determined (see CanonicalClass)."""
-
-    family: str
-    d: np.ndarray | None = None
-    l_left: np.ndarray | None = None
-    l_right: np.ndarray | None = None
-    diagnostics: str | None = None
-
-
 class Analysis:
     """The three spectral stages of a stack of real 4x4 matrices.
 
@@ -285,17 +293,16 @@ class Analysis:
         return ConeStage(ok, intensity, lorentz, worst)
 
     @cached_property
-    def canonical(self) -> list[Canonical]:
+    def canonical(self) -> list[CanonicalClass]:
         """Canonical family of every matrix of the stack."""
         out: list = [None] * len(self.m)
         rows = []
         for i, (ok, sigma) in enumerate(zip(self.cone.ok.tolist(), self.sigma.tolist())):
             if not ok:
-                out[i] = Canonical(
-                    NOT_PRE_MUELLER, diagnostics="does not map the Stokes cone into itself"
-                )
+                why = "does not map the Stokes cone into itself"
+                out[i] = CanonicalClass(Family.NOT_PRE_MUELLER, diagnostics=why)
             elif sigma == 0.0:
-                out[i] = Canonical(INDETERMINATE, diagnostics="zero matrix")
+                out[i] = _indeterminate("zero matrix")
             else:
                 rows.append(i)
         if rows:
@@ -321,7 +328,7 @@ class Analysis:
                     out[i] = result
         return out
 
-    def _classify_full(self, rows, nmat, nnorm) -> list[Canonical]:
+    def _classify_full(self, rows, nmat, nnorm) -> list[CanonicalClass]:
         """Families of the given rows, whose normal matrices ``nmat`` do not
         vanish.
 
@@ -346,15 +353,10 @@ class Analysis:
         centers = {}
         for j, (lj, cj) in enumerate(zip(clip_l, ctol)):
             if imag_l[j] > cj:
-                out[j] = Canonical(
-                    INDETERMINATE, diagnostics="Lorentz normal matrix has complex spectrum"
-                )
+                out[j] = _indeterminate("Lorentz normal matrix has complex spectrum")
                 continue
             if lam_l[j][3] < -cj:
-                out[j] = Canonical(
-                    INDETERMINATE,
-                    diagnostics="Lorentz normal matrix has a negative eigenvalue",
-                )
+                out[j] = _indeterminate("Lorentz normal matrix has a negative eigenvalue")
                 continue
             bounds = [0, *(k for k in range(1, 4) if lj[k - 1] - lj[k] > cj), 4]
             clusters[j] = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo + 1]
@@ -391,34 +393,33 @@ class Analysis:
                     break
                 ambiguous = centers[j, lo]
             if ambiguous is not None and not defective:
-                out[j] = Canonical(
-                    INDETERMINATE,
-                    diagnostics=(
-                        "eigenvalue cluster near "
-                        f"{ambiguous:.6g} (input normalized): cannot separate "
-                        "defective from nearly degenerate diagonalizable structure"
-                    ),
+                out[j] = _indeterminate(
+                    f"eigenvalue cluster near {ambiguous:.6g} (input normalized): "
+                    "cannot separate defective from nearly degenerate "
+                    "diagonalizable structure"
                 )
             elif defective:
                 i = rows[j]
                 pattern = _matches_type2_pattern(self.unit[i], float(np.sqrt(tol)))
-                out[j] = Canonical(TYPE_II, d=np.diag(self.m[i]).copy() if pattern else None)
+                d = np.diag(self.m[i]).copy() if pattern else None
+                out[j] = CanonicalClass(Family.TYPE_II, d)
             elif (not clusters[j] or clusters[j][0][0] > 0) and not timelike[j]:
                 # The dominant eigenvalue is simple, so its eigenvector must
                 # be timelike.
-                out[j] = Canonical(
-                    INDETERMINATE, diagnostics="dominant eigenvector is not timelike"
-                )
+                out[j] = _indeterminate("dominant eigenvector is not timelike")
             else:
                 type_one.append(j)
 
         # Type I: diagonalizable, nonnegative real spectrum.  Without the
         # factorization, d comes from the spectrum and the sign of det(m).
         factors = self.factors(rows[type_one]) if type_one else []
-        fallback = [j for j, f in zip(type_one, factors) if not isinstance(f, Factors)]
+        fallback = []
         for j, factor in zip(type_one, factors):
-            if isinstance(factor, Factors):
-                out[j] = Canonical(TYPE_I, factor.d, factor.l_left, factor.l_right)
+            if isinstance(factor, ValueError):
+                fallback.append(j)
+            else:
+                l_left, d, l_right = factor
+                out[j] = CanonicalClass(Family.TYPE_I, d, l_left, l_right)
         if fallback:
             idx = rows[fallback]
             d_all = self.sigma[idx, None] * np.sqrt(clipped[fallback])
@@ -427,12 +428,18 @@ class Analysis:
             flip = (np.abs(det) > tol) & (det < 0.0)
             d_all[flip, 3] = -d_all[flip, 3]
             for j, d in zip(fallback, d_all):
-                out[j] = Canonical(TYPE_I, d=d)
+                out[j] = CanonicalClass(Family.TYPE_I, d=d)
         return out
 
     def factors(self, rows=slice(None)) -> list:
-        """Type-I factorization of the given rows (by default every matrix):
-        a :class:`Factors` or a :class:`FactorFailure` per row.
+        """Type-I factorization of the given rows (by default every matrix).
+
+        Each row gets the tuple ``(l_left, d, l_right)`` or, when it has no
+        factorization, the error that :func:`~muellercert.type1_factor`
+        raises for it: a :class:`DegenerateSpectrumError` when the
+        eigenvalues are too close to separate, a :class:`NotTypeIError`
+        when the spectrum, the eigenvector causality or the input rules the
+        family out.
 
         The Lorentz normal matrix is self-adjoint in the Lorentz metric, so
         for distinct eigenvalues its eigenvectors are G-orthogonal:
@@ -456,14 +463,14 @@ class Analysis:
         spectral = []
         for j, (lj, sc, im) in enumerate(zip(lam.tolist(), scale.tolist(), imag.tolist())):
             if im > sc:
-                out[j] = FactorFailure(False, "Lorentz normal matrix has complex spectrum")
+                out[j] = NotTypeIError("Lorentz normal matrix has complex spectrum")
             elif lj[3] < -sc:
-                out[j] = FactorFailure(False, "Lorentz normal matrix has a negative eigenvalue")
+                out[j] = NotTypeIError("Lorentz normal matrix has a negative eigenvalue")
             elif lj[3] <= sc:
-                out[j] = FactorFailure(False, "factorization requires a nonsingular input")
+                out[j] = NotTypeIError("factorization requires a nonsingular input")
             elif min(lj[0] - lj[1], lj[1] - lj[2], lj[2] - lj[3]) < sc:
-                out[j] = FactorFailure(
-                    True, "eigenvalues of the Lorentz normal matrix are not distinct within tol"
+                out[j] = DegenerateSpectrumError(
+                    "eigenvalues of the Lorentz normal matrix are not distinct within tol"
                 )
             else:
                 spectral.append(j)
@@ -476,9 +483,9 @@ class Analysis:
         causal = []
         for k, qk in enumerate(quad.tolist()):
             if qk[0] <= 0.0:
-                out[spectral[k]] = FactorFailure(False, "top eigenvector is not timelike")
+                out[spectral[k]] = NotTypeIError("top eigenvector is not timelike")
             elif max(qk[1:]) >= 0.0:
-                out[spectral[k]] = FactorFailure(False, "subdominant eigenvector is not spacelike")
+                out[spectral[k]] = NotTypeIError("subdominant eigenvector is not spacelike")
             else:
                 causal.append(k)
         if not causal:
@@ -493,11 +500,12 @@ class Analysis:
         pivot = basis[np.arange(k)[:, None], np.argmax(np.abs(basis), axis=1), np.arange(4)]
         pivot[:, 0] = basis[:, 0, 0]
         basis *= np.where(pivot < 0.0, -1.0, 1.0)[:, None, :]
-        det = np.linalg.det(np.concatenate((basis, mats)))
-        basis[det[:k] < 0.0, :, 3] *= -1.0
+        # slogdet's sign survives where det(m) itself under- or overflows.
+        sign = np.linalg.slogdet(np.concatenate((basis, mats)))[0]
+        basis[sign[:k] < 0.0, :, 3] *= -1.0
 
         d = np.sqrt(np.clip(lam, 0.0, None))
-        d[det[k:] < 0.0, 3] *= -1.0
+        d[sign[k:] < 0.0, 3] *= -1.0
         l_right = g @ _transpose(basis) @ g
         l_left = (mats @ basis) * (1.0 / d)[:, None, :]
         both = np.concatenate((basis, l_left))
@@ -506,43 +514,40 @@ class Analysis:
         for c, ortho_err in enumerate(err[:k].tolist()):
             j = spectral[causal[c]]
             if ortho_err > 1e-6:
-                out[j] = FactorFailure(
-                    False, f"eigenbasis fails Lorentz orthonormality by {ortho_err:.3g}"
-                )
+                why = f"eigenbasis fails Lorentz orthonormality by {ortho_err:.3g}"
+                out[j] = NotTypeIError(why)
             elif not proper[c]:
-                out[j] = FactorFailure(False, "left factor is not proper orthochronous Lorentz")
+                out[j] = NotTypeIError("left factor is not proper orthochronous Lorentz")
             else:
-                out[j] = Factors(l_left[c], d[c], l_right[c])
+                out[j] = (l_left[c], d[c], l_right[c])
         return out
 
 
-def _rank_one_family(u, s1, v, cluster_tol) -> Canonical:
+def _indeterminate(diagnostics: str) -> CanonicalClass:
+    return CanonicalClass(Family.INDETERMINATE, diagnostics=diagnostics)
+
+
+def _rank_one_family(u, s1, v, cluster_tol) -> CanonicalClass:
     """Family of a cone-preserving matrix with vanishing normal matrix from
     its second singular value ``s1`` and leading singular vectors."""
     g = LORENTZ_METRIC
     if s1 > cluster_tol:
-        return Canonical(
-            INDETERMINATE, diagnostics="vanishing Lorentz normal matrix but rank above one"
-        )
+        return _indeterminate("vanishing Lorentz normal matrix but rank above one")
     if u[0] < 0.0:
         u, v = -u, -v
     if u[0] <= cluster_tol:
-        return Canonical(
-            INDETERMINATE, diagnostics="rank-one output direction is not future-pointing"
-        )
+        return _indeterminate("rank-one output direction is not future-pointing")
     if abs(float(u @ g @ u)) > cluster_tol:
-        return Canonical(INDETERMINATE, diagnostics="rank-one output direction is not lightlike")
+        return _indeterminate("rank-one output direction is not lightlike")
     if v[0] <= cluster_tol:
-        return Canonical(
-            INDETERMINATE, diagnostics="rank-one input weight vector is not future-pointing"
-        )
+        return _indeterminate("rank-one input weight vector is not future-pointing")
     vgv = float(v @ g @ v)
     note = "canonical scale d0 is not a double-coset invariant"
     if abs(vgv) <= cluster_tol:
-        return Canonical(POLARIZER, diagnostics=note)
+        return CanonicalClass(Family.POLARIZER, diagnostics=note)
     if vgv > 0.0:
-        return Canonical(PIN_MAP, diagnostics=note)
-    return Canonical(INDETERMINATE, diagnostics="rank-one input weight vector is spacelike")
+        return CanonicalClass(Family.PIN_MAP, diagnostics=note)
+    return _indeterminate("rank-one input weight vector is spacelike")
 
 
 def _sorted_eig(nmat):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import muellercert
 from muellercert import (
     DegenerateSpectrumError,
     Family,
@@ -105,6 +106,25 @@ class TestClassify:
         assert result.family is Family.TYPE_I
         np.testing.assert_allclose(result.d, d, atol=1e-7)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-10, 1.0, 1e40, 1e80, 1e100])
+    def test_d_scales_with_the_input(self, scale):
+        # the sign of d3 is the sign of det(m), which under- or overflows
+        # long before the canonical parameters do
+        rng = np.random.default_rng(57)
+        d = np.array([1.0, 0.5, 0.3, -0.2])
+        for m in (np.diag(d), random_lorentz(rng) @ np.diag(d) @ random_lorentz(rng)):
+            result = classify(scale * m)
+            assert result.family is Family.TYPE_I
+            np.testing.assert_array_equal(np.sign(result.d / scale), np.sign(d))
+            np.testing.assert_allclose(result.d / scale, d, rtol=1e-7)
+            _, d_out, _ = type1_factor(scale * m)
+            np.testing.assert_allclose(d_out / scale, d, rtol=1e-7)
+
+    def test_family_of_a_stack_row_is_the_public_enum(self):
+        stack = np.stack([np.zeros((4, 4)), np.diag([3.0, 2.0, 1.0, 0.5])])
+        assert classify(stack[1]).family is muellercert.Family.TYPE_I
+        assert muellercert.canonical.Family is muellercert.Family
+
     def test_near_ties_are_indeterminate_not_guessed(self):
         # split sits between the rank-test and clustering thresholds, where
         # defective and diagonalizable structures cannot be told apart
@@ -144,16 +164,25 @@ class TestType1Factor:
             assert abs(np.linalg.det(factor) - 1.0) < 1e-8
 
     def test_identity_has_degenerate_spectrum(self):
-        with pytest.raises(DegenerateSpectrumError):
+        with pytest.raises(DegenerateSpectrumError, match="not distinct within tol"):
             type1_factor(np.eye(4))
 
     def test_singular_input_rejected(self):
-        with pytest.raises(NotTypeIError):
+        with pytest.raises(NotTypeIError, match="nonsingular input"):
             type1_factor(np.diag([1.0, 0.5, 0.25, 0.0]))
 
     def test_type_two_input_rejected(self):
-        with pytest.raises((NotTypeIError, DegenerateSpectrumError)):
+        rejected = (NotTypeIError, DegenerateSpectrumError)
+        with pytest.raises(rejected, match="not distinct within tol"):
             type1_factor(type2_canonical(2.0, 1.0, 1.0, 1.0))
+
+    def test_spacelike_top_eigenvector_rejected(self):
+        with pytest.raises(NotTypeIError, match="top eigenvector is not timelike"):
+            type1_factor(np.diag([0.5, 3.0, 2.0, 1.0]))
+
+    def test_improper_left_factor_rejected(self):
+        with pytest.raises(NotTypeIError, match="not proper orthochronous"):
+            type1_factor(-np.diag([3.0, 2.0, 1.0, 0.5]))
 
 
 class TestDiagonalConstraints:
