@@ -118,9 +118,10 @@ def type1_factor(m, tol: float = DEFAULT_TOL):
     distinct eigenvalues its eigenvectors are automatically G-orthogonal:
     normalized to one timelike (future-pointing) and three spacelike unit
     vectors with overall determinant one they assemble into the inverse of
-    a proper orthochronous l_right, and l_left follows by division.  The
-    canonical parameters are the signed square roots of the eigenvalues,
-    the last one carrying the sign of det(m).
+    a proper orthochronous l_right, and l_left follows by division.  With
+    sigma the largest singular value of m, the canonical parameters d are
+    sigma times the signed square roots of the eigenvalues of the normal
+    matrix of m/sigma, the last one carrying the sign of det(m).
 
     Raises DegenerateSpectrumError when eigenvalue gaps fall below tol
     (callers should fall back to classification only) and NotTypeIError

@@ -12,10 +12,9 @@ over a whole (N, 4, 4) stack at a time:
   Poincare sphere: a stacked 3x3 ``eigh`` plus one stacked 6x6 ``eigvals``
   on the rows off the hard case.  It decides cone preservation.
 * **N stage**: the Lorentz normal matrix G M^T G M of M scaled to unit
-  largest singular value, and one stacked ``eig``, on the cone-preserving
-  rows.  It gives the canonical family; the cluster and rank tests reuse
-  that ``eig`` on the rows with a repeated eigenvalue, and the Type-I
-  factorization runs on the Type-I rows only.
+  largest singular value, its spectral norm and one stacked ``eig``.  The
+  canonical family, the cluster rank tests and the Type-I factorization
+  all read that ``eig``, the last two only on the rows that need them.
 
 The N stage builds the public results itself: :class:`Family`,
 :class:`CanonicalClass` and the Type-I errors :class:`DegenerateSpectrumError`
@@ -225,6 +224,20 @@ class ConeStage(NamedTuple):
     worst_input: np.ndarray
 
 
+class NormalStage(NamedTuple):
+    """Lorentz normal matrices ``nmat`` of a stack scaled to unit largest
+    singular value, with their spectral norms ``nnorm``, the real parts of
+    their eigenvalues ``lam`` sorted descending, the matching real parts of
+    the eigenvectors ``vecs[:, :, k]``, and the largest imaginary part
+    ``imag`` dropped per matrix."""
+
+    nmat: np.ndarray
+    nnorm: np.ndarray
+    lam: np.ndarray
+    vecs: np.ndarray
+    imag: np.ndarray
+
+
 class Analysis:
     """The three spectral stages of a stack of real 4x4 matrices.
 
@@ -293,44 +306,45 @@ class Analysis:
         return ConeStage(ok, intensity, lorentz, worst)
 
     @cached_property
+    def normal(self) -> NormalStage:
+        nmat = normal_matrices(self.unit)
+        lam, vecs = np.linalg.eig(nmat)
+        imag = np.abs(lam.imag).max(axis=-1, initial=0.0)
+        order = np.argsort(-lam.real, axis=-1)
+        rows = np.arange(len(lam))[:, None]
+        vecs = vecs.real[rows[:, :, None], np.arange(4)[:, None], order[:, None, :]]
+        return NormalStage(nmat, _spectral_norm(nmat), lam.real[rows, order], vecs, imag)
+
+    @cached_property
     def canonical(self) -> list[CanonicalClass]:
         """Canonical family of every matrix of the stack."""
         out: list = [None] * len(self.m)
-        rows = []
-        for i, (ok, sigma) in enumerate(zip(self.cone.ok.tolist(), self.sigma.tolist())):
+        low, full = [], []
+        vanishing = (self.normal.nnorm <= self.tol).tolist()
+        for i, (ok, sigma, vanishes) in enumerate(
+            zip(self.cone.ok.tolist(), self.sigma.tolist(), vanishing)
+        ):
             if not ok:
                 why = "does not map the Stokes cone into itself"
                 out[i] = CanonicalClass(Family.NOT_PRE_MUELLER, diagnostics=why)
             elif sigma == 0.0:
                 out[i] = _indeterminate("zero matrix")
             else:
-                rows.append(i)
-        if rows:
-            rows = np.array(rows)
-            # N stage: normal matrices of the inputs scaled to unit largest
-            # singular value, whose own scale sets every threshold below.
-            nmat = normal_matrices(self.unit[rows])
-            nnorm = _spectral_norm(nmat)
-            full = nnorm > self.tol
-            n_full = np.count_nonzero(full)
-            if n_full < len(rows):
-                # Vanishing normal matrix: Polarizer / Pin map, read off the
-                # rank-one factors.
-                low = rows[~full]
-                u, s, vt = np.linalg.svd(self.unit[low])
-                cluster_tol = float(np.sqrt(self.tol))
-                for j, i in enumerate(low):
-                    out[i] = _rank_one_family(u[j, :, 0], s[j, 1], vt[j, 0], cluster_tol)
-            if n_full:
-                if n_full < len(rows):
-                    rows, nmat, nnorm = rows[full], nmat[full], nnorm[full]
-                for i, result in zip(rows, self._classify_full(rows, nmat, nnorm)):
-                    out[i] = result
+                (low if vanishes else full).append(i)
+        if low:
+            # Vanishing normal matrix: Polarizer / Pin map, read off the
+            # rank-one factors.
+            u, s, vt = np.linalg.svd(self.unit[low])
+            cluster_tol = float(np.sqrt(self.tol))
+            for j, i in enumerate(low):
+                out[i] = _rank_one_family(u[j, :, 0], s[j, 1], vt[j, 0], cluster_tol)
+        if full:
+            for i, result in zip(full, self._classify_full(np.array(full))):
+                out[i] = result
         return out
 
-    def _classify_full(self, rows, nmat, nnorm) -> list[CanonicalClass]:
-        """Families of the given rows, whose normal matrices ``nmat`` do not
-        vanish.
+    def _classify_full(self, rows) -> list[CanonicalClass]:
+        """Families of the given rows, whose normal matrices do not vanish.
 
         Eigenvalues are clustered at sqrt(tol) (relative to the normal
         matrix's own scale); a cluster whose geometric multiplicity (rank
@@ -339,7 +353,7 @@ class Analysis:
         defective (Type II), and anything in between is Indeterminate.
         """
         tol = self.tol
-        lam, vecs, imag = _sorted_eig(nmat)
+        nmat, nnorm, lam, vecs, imag = (field[rows] for field in self.normal)
         cluster_tol = float(np.sqrt(tol)) * nnorm
         geo_tol = tol * nnorm
         clipped = np.clip(lam, 0.0, None)
@@ -446,19 +460,15 @@ class Analysis:
         normalized to one timelike (future-pointing) and three spacelike
         unit vectors with overall determinant one they assemble into the
         inverse of a proper orthochronous l_right, and l_left follows by
-        division.  The canonical parameters are the signed square roots of
-        the eigenvalues, the last one carrying the sign of det(m).
-
-        This solves its own ``eig``, of the normal matrix of the unscaled
-        input: canonical parameters taken from the eigenvalues of the scaled
-        one differ in their last digits, up to the tenth significant digit
-        for small parameters, so reports would change.
+        division.  The canonical parameters d are sigma times the signed
+        square roots of the eigenvalues of the normal matrix of m/sigma, the
+        last one carrying the sign of det(m).
         """
         g = LORENTZ_METRIC
-        mats = self.m[rows]
-        nmat = normal_matrices(mats)
-        scale = self.tol * np.maximum(_spectral_norm(nmat), 1e-300)
-        lam, vecs, imag = _sorted_eig(nmat)
+        stage = self.normal
+        mats, sigma = self.unit[rows], self.sigma[rows]
+        lam, vecs, imag = stage.lam[rows], stage.vecs[rows], stage.imag[rows]
+        scale = self.tol * stage.nnorm[rows]
         out: list = [None] * len(mats)
         spectral = []
         for j, (lj, sc, im) in enumerate(zip(lam.tolist(), scale.tolist(), imag.tolist())):
@@ -504,10 +514,10 @@ class Analysis:
         sign = np.linalg.slogdet(np.concatenate((basis, mats)))[0]
         basis[sign[:k] < 0.0, :, 3] *= -1.0
 
-        d = np.sqrt(np.clip(lam, 0.0, None))
-        d[sign[k:] < 0.0, 3] *= -1.0
+        root = np.sqrt(np.clip(lam, 0.0, None))
+        root[sign[k:] < 0.0, 3] *= -1.0
         l_right = g @ _transpose(basis) @ g
-        l_left = (mats @ basis) * (1.0 / d)[:, None, :]
+        l_left = (mats @ basis) * (1.0 / root)[:, None, :]
         both = np.concatenate((basis, l_left))
         err = np.abs(_transpose(both) @ g @ both - g).reshape(2 * k, 16).max(axis=1)
         proper = ((l_left[:, 0, 0] > 0.0) & (err[k:] <= 1e-6)).tolist()
@@ -519,7 +529,7 @@ class Analysis:
             elif not proper[c]:
                 out[j] = NotTypeIError("left factor is not proper orthochronous Lorentz")
             else:
-                out[j] = (l_left[c], d[c], l_right[c])
+                out[j] = (l_left[c], sigma[j] * root[c], l_right[c])
         return out
 
 
@@ -548,18 +558,6 @@ def _rank_one_family(u, s1, v, cluster_tol) -> CanonicalClass:
     if vgv > 0.0:
         return CanonicalClass(Family.PIN_MAP, diagnostics=note)
     return _indeterminate("rank-one input weight vector is spacelike")
-
-
-def _sorted_eig(nmat):
-    """Real parts of the eigenvalues of each matrix, sorted descending, the
-    matching real parts of the eigenvectors, and the largest imaginary part
-    dropped per matrix."""
-    lam, vecs = np.linalg.eig(nmat)
-    imag = np.abs(lam.imag).max(axis=-1, initial=0.0)
-    lam, vecs = lam.real, vecs.real
-    order = np.argsort(-lam, axis=-1)
-    rows = np.arange(len(lam))[:, None]
-    return lam[rows, order], vecs[rows[:, :, None], np.arange(4)[:, None], order[:, None, :]], imag
 
 
 def _matches_type2_pattern(mat: np.ndarray, atol: float) -> bool:

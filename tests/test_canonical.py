@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import muellercert
 from muellercert import (
@@ -17,6 +19,9 @@ from muellercert import (
     type1_margins,
     type2_constraints,
 )
+from muellercert import kernel
+from muellercert.cli import analyze_stack
+
 from helpers import (
     boost_jones,
     pin_map,
@@ -25,6 +30,25 @@ from helpers import (
     rotation_jones,
     type2_canonical,
 )
+
+
+def _lorentz_factor(draw):
+    """Proper orthochronous Lorentz matrix: a rotation after a boost of
+    rapidity at most 1, about drawn axes."""
+    rotation = rotation_jones(draw(st.integers(1, 3)), draw(st.floats(-np.pi, np.pi)))
+    boost = boost_jones(draw(st.integers(1, 3)), draw(st.floats(-1.0, 1.0)))
+    return mueller_from_jones(rotation @ boost)
+
+
+@st.composite
+def _scaled_type_one(draw):
+    """A scale 10**k, k in [-300, 300], canonical parameters (1, d1, d2, +-d3)
+    whose magnitudes are 0.05 to 0.3 apart (so |d3| >= 0.1), and the
+    unscaled Lorentz-dressed matrix."""
+    d = 1.0 - np.cumsum([0.0] + [draw(st.floats(0.05, 0.3)) for _ in range(3)])
+    d[3] *= draw(st.sampled_from([1.0, -1.0]))
+    m = _lorentz_factor(draw) @ np.diag(d) @ _lorentz_factor(draw)
+    return 10.0 ** draw(st.floats(-300.0, 300.0)), d, m
 
 
 class TestNMatrix:
@@ -106,15 +130,20 @@ class TestClassify:
         assert result.family is Family.TYPE_I
         np.testing.assert_allclose(result.d, d, atol=1e-7)
 
-    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-10, 1.0, 1e40, 1e80, 1e100])
+    @pytest.mark.parametrize(
+        "scale", [1e-200, 1e-155, 1e-150, 1e-100, 1e-10, 1.0, 1e40, 1e80, 1e100]
+    )
     def test_d_scales_with_the_input(self, scale):
         # the sign of d3 is the sign of det(m), which under- or overflows
-        # long before the canonical parameters do
+        # long before the canonical parameters do; the normal matrix of m
+        # itself, whose entries go as scale**2, underflows below 1e-154
         rng = np.random.default_rng(57)
         d = np.array([1.0, 0.5, 0.3, -0.2])
         for m in (np.diag(d), random_lorentz(rng) @ np.diag(d) @ random_lorentz(rng)):
             result = classify(scale * m)
             assert result.family is Family.TYPE_I
+            assert result.l_left is not None
+            assert result.l_right is not None
             np.testing.assert_array_equal(np.sign(result.d / scale), np.sign(d))
             np.testing.assert_allclose(result.d / scale, d, rtol=1e-7)
             _, d_out, _ = type1_factor(scale * m)
@@ -183,6 +212,45 @@ class TestType1Factor:
     def test_improper_left_factor_rejected(self):
         with pytest.raises(NotTypeIError, match="not proper orthochronous"):
             type1_factor(-np.diag([3.0, 2.0, 1.0, 0.5]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scaled_type_one())
+    def test_holds_over_the_float_range(self, case):
+        scale, d, m = case
+        l_left, d_out, l_right = type1_factor(scale * m)
+        np.testing.assert_allclose(d_out / scale, d, rtol=1e-10)
+        # d is scaled back before the product, so the check cannot overflow
+        rebuilt = l_left @ np.diag(d_out / scale) @ l_right
+        np.testing.assert_allclose(rebuilt, m, rtol=0.0, atol=1e-10)
+
+
+def test_one_normal_matrix_stage_per_analysis(monkeypatch):
+    # the classification and the Type-I factorization read the same eig
+    calls = {"eig": 0, "normal_matrices": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+    monkeypatch.setattr(kernel, "normal_matrices", counted("normal_matrices", kernel.normal_matrices))
+    stack = np.stack(
+        [
+            np.diag([3.0, 2.0, 1.0, 0.5]),
+            type2_canonical(2.0, 1.0, 1.0, 1.0),
+            np.diag([0.5, 3.0, 2.0, 1.0]),
+        ]
+    )
+    reports = analyze_stack(stack)
+    assert [report["canonical"]["family"] for report in reports] == [
+        "TypeI",
+        "TypeII",
+        "NotPreMueller",
+    ]
+    assert calls == {"eig": 1, "normal_matrices": 1}
 
 
 class TestDiagonalConstraints:

@@ -1,0 +1,116 @@
+"""Render the benchmark corpora's reports, or compare two such renderings.
+
+Run from anywhere; the package and the corpus generator are taken from the
+checkout this file belongs to (its ``src`` and ``bench/corpus.py``):
+
+    python3 tools/report_diff.py render OUT
+    python3 tools/report_diff.py compare PARENT CHANGE
+
+``render`` writes the report of every input of the ``exact-library`` and
+``measured-batch`` corpora at seeds 1-3, 21,600 reports, one JSON line each:
+``{"key": ..., "report": TEXT}``, where TEXT is ``render_report``'s output.
+Each corpus is analyzed as its workload analyzes it: the exact inputs one
+by one with ``analyze_matrix``, the measured ones a directory at a time with
+``analyze_stack``.
+
+``compare`` prints how many reports differ and, for each JSON path that
+differs somewhere (list indices dropped, so ``canonical.d`` covers all four
+entries), the number of reports in which it differs and the largest
+relative difference |a - b| / max(|a|, |b|) of its numbers.  A difference
+that is not between two numbers (a verdict, a family, a missing value)
+counts as relative difference inf.
+"""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3)
+# The corpus sizes of the two workloads in bench/run.py.
+EXACT_PER_CLASS = 1000
+MEASURED_DIRS = 48
+MEASURED_PER_DIR = 25
+
+
+def render(out: Path) -> None:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import numpy as np
+
+    import corpus
+    from muellercert.cli import analyze_matrix, analyze_stack, render_report
+
+    with out.open("w") as f:
+        for seed in SEEDS:
+            for entry in corpus.exact_corpus(seed, EXACT_PER_CLASS):
+                text = render_report(analyze_matrix(entry.m))
+                f.write(json.dumps({"key": f"exact/{seed}/{entry.name}", "report": text}) + "\n")
+            for entries in corpus.measured_corpus(seed, MEASURED_DIRS, MEASURED_PER_DIR):
+                reports = analyze_stack(np.stack([entry.m for entry in entries]))
+                for entry, report in zip(entries, reports):
+                    key = f"measured/{seed}/{entry.name}"
+                    f.write(json.dumps({"key": key, "report": render_report(report)}) + "\n")
+
+
+def _load(path: Path) -> dict:
+    with path.open() as f:
+        return {rec["key"]: rec["report"] for rec in map(json.loads, f)}
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _differences(a, b, path: str, out: dict) -> None:
+    """Largest relative difference per path between two JSON values."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}" if path else key
+            _differences(a.get(key), b.get(key), sub, out)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            _differences(x, y, path, out)
+    elif a != b:
+        if _is_number(a) and _is_number(b):
+            rel = abs(a - b) / max(abs(a), abs(b))
+        else:
+            rel = math.inf
+        out[path] = max(out.get(path, 0.0), rel)
+
+
+def compare(parent: Path, change: Path) -> None:
+    old, new = _load(parent), _load(change)
+    differing = 0
+    per_path: dict = {}
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        differing += 1
+        found: dict = {}
+        if a is None or b is None:
+            found["<report missing>"] = math.inf
+        else:
+            _differences(json.loads(a), json.loads(b), "", found)
+        for path, rel in found.items():
+            count, worst = per_path.get(path, (0, 0.0))
+            per_path[path] = (count + 1, max(worst, rel))
+    print(f"{differing} of {len(old.keys() | new.keys())} reports differ")
+    for path, (count, worst) in sorted(per_path.items()):
+        print(f"  {path}: {count} reports, max relative difference {worst:.3g}")
+
+
+def main(argv) -> int:
+    if len(argv) == 2 and argv[0] == "render":
+        render(Path(argv[1]))
+    elif len(argv) == 3 and argv[0] == "compare":
+        compare(Path(argv[1]), Path(argv[2]))
+    else:
+        print(__doc__, file=sys.stderr)
+        return 2
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
