@@ -18,13 +18,23 @@ order (lines starting with ``#`` ignored), or a JSON object with a
 input, flags, and seed produce byte-identical output.  Numbers are printed
 with 12 significant digits.
 
+A report costs about what its analysis costs.  :func:`analyze_stack` runs
+the spectral stages once over a stack and builds each report field once
+for the whole stack, one ``tolist`` per array, before slicing it per row;
+:func:`analyze_matrix` is the stack of one.  :func:`render_report` is the
+only writer of report text: one recursive walk rounds and writes, with
+the bytes of ``json.dumps(indent=2, sort_keys=True)`` on the rounded
+document, whose pure-Python indent encoder it replaces.
+
 Exit codes: 0 success, 1 internal error, 2 parse/input failure.  With
 ``--verdict-exit``: 0 Mueller, 3 pre-Mueller only, 4 not pre-Mueller.
 """
 
 import argparse
+import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +46,9 @@ from .canonical import (
     type1_constraints,
     type1_margins,
 )
-from .choi import _ensemble_row, _jones_row, _physicality_row
-from .conetest import _verdict_row
 from .core import DEFAULT_TOL, as_mueller_matrix
 from .kernel import Analysis
-from .witness import _witness_row, expectation, extended_action, witness_input
+from .witness import expectation, extended_action, witness_input
 
 #: Published canonical parameters of the van Zyl radar Mueller matrix.
 VAN_ZYL_D = (0.9735, 0.9112, 0.4640, -0.3838)
@@ -98,10 +106,6 @@ def load_matrix(path) -> np.ndarray:
     return parse_matrix_text(text)
 
 
-def _complex_obj(arr: np.ndarray):
-    return {"real": arr.real.tolist(), "imag": arr.imag.tolist()}
-
-
 def analyze_matrix(m, tol: float = DEFAULT_TOL) -> dict:
     """Run every verdict on one matrix and assemble the report document."""
     return analyze_stack(as_mueller_matrix(m)[None], tol)[0]
@@ -110,68 +114,91 @@ def analyze_matrix(m, tol: float = DEFAULT_TOL) -> dict:
 def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
     """Report documents for a stack of matrices, shape (N, 4, 4).
 
-    Each spectral stage runs once over the whole stack; report i equals
-    ``analyze_matrix(mats[i], tol)``.
+    Each spectral stage runs once over the whole stack, and each report
+    field is built once over the stack (one ``tolist`` per array) and then
+    sliced per row; report i equals ``analyze_matrix(mats[i], tol)``.
     """
     analysis = Analysis(mats, tol)
-    return [_report(analysis, i) for i in range(len(analysis))]
+    m, (w, vecs, thresh) = analysis.m, analysis.hermitian
+    mueller = w[:, 0] >= -thresh
+    above = w > thresh[:, None]
+    rank = np.count_nonzero(above, axis=1)
+    single = mueller & (rank == 1)
+    witness = w[:, 0] < -thresh
 
+    # The Jones matrix of a single Jones system, and the ensemble items of
+    # the physical rows, largest eigenvalue first, devectorized.
+    jones = np.sqrt(w[single, 3])[:, None, None] * vecs[single, 3].reshape(-1, 2, 2)
+    items = vecs[mueller, ::-1].reshape(-1, 4, 2, 2)
+    witness_vecs = vecs[witness, 0]
+    jones_rows = zip(jones.real.tolist(), jones.imag.tolist())
+    item_rows = zip(items.real.tolist(), items.imag.tolist(), above[mueller, ::-1].tolist())
+    witness_rows = zip(witness_vecs.real.tolist(), witness_vecs.imag.tolist(), witness_vecs)
 
-def _report(analysis: Analysis, i: int) -> dict:
-    mat, tol, h = analysis.m[i], analysis.tol, analysis.hermitian
-    cone = _verdict_row(analysis.cone, i)
-    phys = _physicality_row(h, i)
-    jones = _jones_row(h, i)
-    canon = analysis.canonical[i]
-    witness_vec = _witness_row(h, i)
+    canonical = analysis.canonical
+    binding: list = [None] * len(m)
+    type_one = [
+        i for i, canon in enumerate(canonical)
+        if canon.d is not None and canon.family is Family.TYPE_I
+    ]
+    if type_one:
+        margins = type1_margins(np.array([canonical[i].d for i in type_one]))
+        worst = np.argmin(margins, axis=1)
+        violated = margins[np.arange(len(type_one)), worst] < 0.0
+        for i, k, bad in zip(type_one, worst.tolist(), violated.tolist()):
+            if bad:
+                binding[i] = TYPE1_CONSTRAINT_FORMS[k]
 
-    ensemble = []
-    if phys.is_mueller:
-        for weight, jmat in _ensemble_row(h, i).items:
-            ensemble.append({"weight": weight, "jones": _complex_obj(jmat)})
-
-    binding = None
-    if canon.d is not None and canon.family is Family.TYPE_I:
-        margins = type1_margins(canon.d)
-        worst = int(np.argmin(margins))
-        if margins[worst] < 0.0:
-            binding = TYPE1_CONSTRAINT_FORMS[worst]
-
-    witness_entry = {"present": False, "vector": None, "expectation": None}
-    if witness_vec is not None:
-        value = expectation(extended_action(mat, witness_input()), witness_vec, tol)
-        witness_entry = {
-            "present": True,
-            "vector": _complex_obj(witness_vec),
-            "expectation": value,
-        }
-
-    return {
-        "input_echo": mat.reshape(16).tolist(),
-        "pre_mueller": {
-            "verdict": cone.is_pre_mueller,
-            "intensity_margin": cone.intensity_margin,
-            "lorentz_margin": cone.lorentz_margin,
-            "worst_input": cone.worst_input.tolist(),
-        },
-        "physicality": {
-            "eigenvalues": phys.eigenvalues.tolist(),
-            "min_eigenvalue": phys.min_eigenvalue,
-            "verdict": phys.is_mueller,
-            "rank": phys.rank,
-        },
-        "mueller_jones": {
-            "verdict": jones is not None,
-            "jones": _complex_obj(jones) if jones is not None else None,
-        },
-        "ensemble": ensemble,
-        "canonical": {
-            "family": canon.family.value,
-            "d": None if canon.d is None else canon.d.tolist(),
-            "binding_constraint": binding,
-        },
-        "witness": witness_entry,
-    }
+    echo = m.reshape(-1, 16).tolist()
+    cone_ok, intensity, lorentz, worst_input = (field.tolist() for field in analysis.cone)
+    eigenvalues, w_min = w[:, ::-1].tolist(), w[:, 0].tolist()
+    mueller, rank, single, witness = (x.tolist() for x in (mueller, rank, single, witness))
+    entangled = witness_input()
+    reports = []
+    for i, canon in enumerate(canonical):
+        jones_entry = None
+        if single[i]:
+            real, imag = next(jones_rows)
+            jones_entry = {"real": real, "imag": imag}
+        ensemble = []
+        if mueller[i]:
+            ensemble = [
+                {"weight": weight, "jones": {"real": real, "imag": imag}}
+                for weight, real, imag, keep in zip(eigenvalues[i], *next(item_rows))
+                if keep
+            ]
+        witness_entry = {"present": False, "vector": None, "expectation": None}
+        if witness[i]:
+            real, imag, vec = next(witness_rows)
+            witness_entry = {
+                "present": True,
+                "vector": {"real": real, "imag": imag},
+                "expectation": expectation(extended_action(m[i], entangled), vec, tol),
+            }
+        reports.append({
+            "input_echo": echo[i],
+            "pre_mueller": {
+                "verdict": cone_ok[i],
+                "intensity_margin": intensity[i],
+                "lorentz_margin": lorentz[i],
+                "worst_input": worst_input[i],
+            },
+            "physicality": {
+                "eigenvalues": eigenvalues[i],
+                "min_eigenvalue": w_min[i],
+                "verdict": mueller[i],
+                "rank": rank[i],
+            },
+            "mueller_jones": {"verdict": single[i], "jones": jones_entry},
+            "ensemble": ensemble,
+            "canonical": {
+                "family": canon.family.value,
+                "d": None if canon.d is None else canon.d.tolist(),
+                "binding_constraint": binding[i],
+            },
+            "witness": witness_entry,
+        })
+    return reports
 
 
 def tetra_scan(samples: int, seed: int) -> dict:
@@ -223,24 +250,56 @@ def vanzyl_case() -> dict:
     }
 
 
-def _round12(obj):
-    """Round every float to 12 significant digits, recursively."""
-    if isinstance(obj, bool):
-        return obj
+# JSON text of the floats that ``repr`` spells otherwise.
+_FLOAT_TEXT = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN", "-0.0": "0.0"}
+
+
+def _json(obj, newline: str) -> str:
+    """JSON text of ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)``
+    writes it, with every float first rounded to 12 significant digits.
+    ``newline`` starts the line that ``obj`` is on, with its indent."""
     if isinstance(obj, float):
-        val = float(f"{obj:.12g}")
-        return 0.0 if val == 0.0 else val
-    if isinstance(obj, dict):
-        return {key: _round12(val) for key, val in obj.items()}
+        text = repr(float("%.12g" % obj))
+        return _FLOAT_TEXT.get(text, text)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
     if isinstance(obj, (list, tuple)):
-        return [_round12(val) for val in obj]
-    return obj
+        if not obj:
+            return "[]"
+        body = ("," + inner).join([_json(item, inner) for item in obj])
+        return "[" + inner + body + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = ("," + inner).join(
+            [f"{_json_key(key)}: {_json(val, inner)}" for key, val in sorted(obj.items())]
+        )
+        return "{" + inner + body + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"report keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
 
 
 def render_report(report: dict) -> str:
     """JSON text of a report, or of ``batch``'s file-name-to-report mapping:
-    every float at 12 significant digits, keys sorted, indent 2."""
-    return json.dumps(_round12(report), indent=2, sort_keys=True) + "\n"
+    every float at 12 significant digits (-0.0 as 0.0), keys sorted,
+    indent 2, ASCII only, the bytes that ``json.dumps(..., indent=2,
+    sort_keys=True)`` writes for the rounded document.  Keys must be
+    strings."""
+    return _json(report, "\n") + "\n"
 
 
 def summarize_report(report: dict) -> str:
@@ -342,10 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use and then kept."""
+    return build_parser()
+
+
 def main(argv=None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
 
     if args.command == "analyze":
         try:

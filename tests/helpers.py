@@ -5,6 +5,8 @@ brute-force grids) so they share no code path with the implementations they
 check.
 """
 
+import json
+
 import numpy as np
 
 from muellercert import PAULI_BASIS, mueller_from_jones
@@ -210,3 +212,23 @@ def align_phase(candidate, reference):
     if abs(inner) == 0.0:
         return candidate
     return candidate * (inner / abs(inner))
+
+
+def _round12(obj):
+    """Round every float to 12 significant digits, recursively."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        val = float(f"{obj:.12g}")
+        return 0.0 if val == 0.0 else val
+    if isinstance(obj, dict):
+        return {key: _round12(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round12(val) for val in obj]
+    return obj
+
+
+def reference_render_report(report) -> str:
+    """Reference for ``render_report``: round, then the standard library's
+    JSON encoder (pure Python under ``indent``)."""
+    return json.dumps(_round12(report), indent=2, sort_keys=True) + "\n"

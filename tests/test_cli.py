@@ -6,8 +6,10 @@ import pytest
 from muellercert.cli import (
     ParseError,
     analyze_matrix,
+    build_parser,
     main,
     parse_matrix_text,
+    render_report,
     tetra_scan,
     vanzyl_case,
 )
@@ -171,6 +173,16 @@ class TestMainCommand:
         assert main(["batch", str(tmp_path)]) == 2
         parsed = json.loads(capsys.readouterr().out)
         assert "error" in parsed["bad.txt"]
+
+    def test_calls_share_no_parser_state(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "m.txt", np.eye(4))
+        with pytest.raises(SystemExit):
+            main(["analyze"])
+        assert main(["analyze", str(path), "--format", "summary", "--tol", "1e-3"]) == 0
+        assert capsys.readouterr().out.startswith("verdict: Mueller")
+        assert main(["analyze", str(path)]) == 0
+        assert capsys.readouterr().out == render_report(analyze_matrix(np.eye(4)))
+        assert build_parser() is not build_parser()
 
     def test_tetra_scan_command(self, capsys):
         assert main(["tetra-scan", "--samples", "20000", "--seed", "7"]) == 0

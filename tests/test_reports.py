@@ -9,9 +9,14 @@ tie of the cone test's bottom eigenvalues just outside its degeneracy
 threshold, the zero matrix and an Indeterminate near tie of the normal
 matrix's spectrum.  The bytes were captured before the analysis was
 stacked and must not change.
+
+``render_report`` writes JSON in one walk of the document; it is checked
+against the standard library's encoder applied to the rounded document
+(``helpers.reference_render_report``).
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +38,7 @@ from muellercert import (
 )
 from muellercert.cli import analyze_matrix, analyze_stack, main, render_report
 
-from helpers import random_jones, random_lorentz
+from helpers import random_jones, random_lorentz, reference_render_report
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_reports.json").read_text())
 
@@ -48,6 +53,111 @@ def test_golden_inputs_as_one_stack():
     stack = np.stack([np.array(case["m"]).reshape(4, 4) for case in GOLDEN])
     rendered = [render_report(report) for report in analyze_stack(stack)]
     assert rendered == [case["report"] for case in GOLDEN]
+
+
+# Floats whose text is special: signed zeros, non-finite values, the
+# smallest subnormal, the edges of fixed notation for small numbers, and
+# magnitudes 1e11 to 1e17, where %g (from 1e12) and repr (from 1e16) switch
+# to exponent notation at different points.
+_SPECIAL_FLOATS = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-4, 9.99999999999e-5, 1e-5]
+)
+_LARGE_FLOATS = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+    st.sampled_from([1.0, -1.0]),
+    st.floats(1.0, 10.0),
+    st.integers(11, 17),
+)
+_LEAVES = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    _SPECIAL_FLOATS,
+    _LARGE_FLOATS,
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),
+)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCUMENTS)
+def test_render_matches_the_json_encoder(doc):
+    assert render_report(doc) == reference_render_report(doc)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.int64(3), np.float32(0.5), np.bool_(True), 1j, {1.0}, object()],
+    ids=["int64", "float32", "bool_", "complex", "set", "object"],
+)
+def test_render_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        reference_render_report({"a": [value]})
+    with pytest.raises(TypeError):
+        render_report({"a": [value]})
+
+
+_VANZYL_REPORT = """\
+{
+  "binding_constraint": "d1 + d2 - d3 <= d0",
+  "constraint_margins": [
+    1.9649,
+    1.8045,
+    -0.7855,
+    0.9101
+  ],
+  "d": [
+    0.9735,
+    0.9112,
+    0.464,
+    -0.3838
+  ],
+  "diagonal_h_spectrum": [
+    0.98245,
+    0.90225,
+    0.45505,
+    -0.39275
+  ],
+  "negative_count": 1,
+  "note": "spectrum shown is for the diagonal canonical form only; the measured \
+matrix's eigenvalues are not recoverable from d because spectra are not double-coset \
+invariants",
+  "physical": false,
+  "violation": 0.7855
+}
+"""
+
+_TETRA_SCAN_REPORT = """\
+{
+  "fraction_mueller": 0.315,
+  "fraction_pre_mueller": 1.0,
+  "samples": 1000,
+  "seed": 5
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["vanzyl"], _VANZYL_REPORT),
+        (["tetra-scan", "--samples", "1000", "--seed", "5"], _TETRA_SCAN_REPORT),
+    ],
+    ids=["vanzyl", "tetra-scan"],
+)
+def test_command_report_bytes_are_pinned(argv, expected, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def _mixed(kind, seed):
