@@ -142,9 +142,13 @@ def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
         if canon.d is not None and canon.family is Family.TYPE_I
     ]
     if type_one:
-        margins = type1_margins(np.array([canonical[i].d for i in type_one]))
+        # A constraint binds when its margin is below -tol relative to d0:
+        # a single Jones system has d proportional to (1, 1, 1, 1), with
+        # three margins zero up to rounding.
+        d = np.array([canonical[i].d for i in type_one])
+        margins = type1_margins(d)
         worst = np.argmin(margins, axis=1)
-        violated = margins[np.arange(len(type_one)), worst] < 0.0
+        violated = margins[np.arange(len(type_one)), worst] < -tol * d[:, 0]
         for i, k, bad in zip(type_one, worst.tolist(), violated.tolist()):
             if bad:
                 binding[i] = TYPE1_CONSTRAINT_FORMS[k]

@@ -14,6 +14,8 @@ from muellercert.cli import (
     vanzyl_case,
 )
 
+from helpers import random_lorentz
+
 
 def write_matrix(tmp_path, name, m):
     path = tmp_path / name
@@ -80,6 +82,18 @@ class TestAnalyzeReport:
         assert abs(report["witness"]["expectation"] + 1.0) < 1e-12
         assert report["canonical"]["binding_constraint"] == "d1 + d2 - d3 <= d0"
         assert report["ensemble"] == []
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_single_jones_names_no_binding_constraint(self, seed):
+        # L1 diag(c, c, c, c) L2: a single Jones system, with three Type-I
+        # margins zero up to rounding.
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, 3)
+        report = analyze_matrix(random_lorentz(rng) @ (scale * np.eye(4)) @ random_lorentz(rng))
+        assert report["physicality"]["verdict"] is True
+        assert report["canonical"]["family"] == "TypeI"
+        np.testing.assert_allclose(report["canonical"]["d"], 4 * [report["canonical"]["d"][0]])
+        assert report["canonical"]["binding_constraint"] is None
 
     def test_verdict_consistency(self):
         rng = np.random.default_rng(70)
