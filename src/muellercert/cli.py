@@ -254,7 +254,8 @@ def vanzyl_case() -> dict:
     }
 
 
-# JSON text of the floats that ``repr`` spells otherwise.
+# Rounded floats that ``repr`` spells otherwise in a report: the non-finite
+# ones as ``json`` writes them, and -0.0 as 0.0.
 _FLOAT_TEXT = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN", "-0.0": "0.0"}
 
 
@@ -285,16 +286,13 @@ def _json(obj, newline: str) -> str:
         if not obj:
             return "{}"
         body = ("," + inner).join(
-            [f"{_json_key(key)}: {_json(val, inner)}" for key, val in sorted(obj.items())]
+            [
+                f"{encode_basestring_ascii(key)}: {_json(val, inner)}"
+                for key, val in sorted(obj.items())
+            ]
         )
         return "{" + inner + body + newline + "}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _json_key(key) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"report keys must be str, not {type(key).__name__}")
-    return encode_basestring_ascii(key)
 
 
 def render_report(report: dict) -> str:

@@ -190,18 +190,58 @@ def _mixed(kind, seed):
 _KINDS = ("gaussian", "jones_mixture", "dressed_diagonal", "type2", "rank_one", "scaled", "zero")
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(_KINDS), st.integers(0, 2**32 - 1)), min_size=1, max_size=8
-    )
+_DRAWS = st.lists(
+    st.tuples(st.sampled_from(_KINDS), st.integers(0, 2**32 - 1)), min_size=1, max_size=8
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DRAWS)
 def test_stack_rows_equal_single_analyses(draws):
     stack = np.stack([_mixed(kind, seed) for kind, seed in draws])
     reports = analyze_stack(stack)
     assert len(reports) == len(stack)
     for m, report in zip(stack, reports):
         assert report == analyze_matrix(m)
+
+
+def _complex(arr):
+    return {"real": arr.real.tolist(), "imag": arr.imag.tolist()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_DRAWS)
+def test_report_fields_are_the_public_verdicts(draws):
+    """The stacked report assembly against the public views of one matrix."""
+    stack = np.stack([_mixed(kind, seed) for kind, seed in draws])
+    for m, report in zip(stack, analyze_stack(stack)):
+        cone, phys, canon = certify_cone(m), physicality(m), classify(m)
+        jones, witness = mueller_jones_test(m), witness_certificate(m)
+        assert report["pre_mueller"] == {
+            "verdict": cone.is_pre_mueller,
+            "intensity_margin": cone.intensity_margin,
+            "lorentz_margin": cone.lorentz_margin,
+            "worst_input": cone.worst_input.tolist(),
+        }
+        assert report["physicality"] == {
+            "eigenvalues": phys.eigenvalues.tolist(),
+            "min_eigenvalue": phys.min_eigenvalue,
+            "verdict": phys.is_mueller,
+            "rank": phys.rank,
+        }
+        assert report["mueller_jones"] == {
+            "verdict": jones is not None,
+            "jones": None if jones is None else _complex(jones),
+        }
+        items = jones_ensemble(m).items if phys.is_mueller else ()
+        assert report["ensemble"] == [
+            {"weight": weight, "jones": _complex(jmat)} for weight, jmat in items
+        ]
+        assert report["canonical"]["family"] == canon.family.value
+        assert report["canonical"]["d"] == (None if canon.d is None else canon.d.tolist())
+        assert report["witness"]["present"] is (witness is not None)
+        if witness is not None:
+            assert report["witness"]["vector"] == _complex(witness)
 
 
 def test_empty_stack():
