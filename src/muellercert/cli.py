@@ -33,6 +33,7 @@ Exit codes: 0 success, 1 internal error, 2 parse/input failure.  With
 import argparse
 import functools
 import json
+import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -114,27 +115,13 @@ def analyze_matrix(m, tol: float = DEFAULT_TOL) -> dict:
 def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
     """Report documents for a stack of matrices, shape (N, 4, 4).
 
-    Each spectral stage runs once over the whole stack, and each report
-    field is built once over the stack (one ``tolist`` per array) and then
-    sliced per row; report i equals ``analyze_matrix(mats[i], tol)``.
+    Each spectral stage runs once over the whole stack, each stage array
+    is converted to Python lists once (one ``tolist`` per array), and each
+    report slices those lists; report i equals
+    ``analyze_matrix(mats[i], tol)``.
     """
     analysis = Analysis(mats, tol)
     m, (w, vecs, thresh) = analysis.m, analysis.hermitian
-    mueller = w[:, 0] >= -thresh
-    above = w > thresh[:, None]
-    rank = np.count_nonzero(above, axis=1)
-    single = mueller & (rank == 1)
-    witness = w[:, 0] < -thresh
-
-    # The Jones matrix of a single Jones system, and the ensemble items of
-    # the physical rows, largest eigenvalue first, devectorized.
-    jones = np.sqrt(w[single, 3])[:, None, None] * vecs[single, 3].reshape(-1, 2, 2)
-    items = vecs[mueller, ::-1].reshape(-1, 4, 2, 2)
-    witness_vecs = vecs[witness, 0]
-    jones_rows = zip(jones.real.tolist(), jones.imag.tolist())
-    item_rows = zip(items.real.tolist(), items.imag.tolist(), above[mueller, ::-1].tolist())
-    witness_rows = zip(witness_vecs.real.tolist(), witness_vecs.imag.tolist(), witness_vecs)
-
     canonical = analysis.canonical
     binding: list = [None] * len(m)
     type_one = [
@@ -153,31 +140,41 @@ def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
             if bad:
                 binding[i] = TYPE1_CONSTRAINT_FORMS[k]
 
+    # One tolist per stage array; each row below slices the Python lists.
     echo = m.reshape(-1, 16).tolist()
     cone_ok, intensity, lorentz, worst_input = (field.tolist() for field in analysis.cone)
-    eigenvalues, w_min = w[:, ::-1].tolist(), w[:, 0].tolist()
-    mueller, rank, single, witness = (x.tolist() for x in (mueller, rank, single, witness))
-    entangled = witness_input()
+    w_rows, thresh_rows = w.tolist(), thresh.tolist()
+    vec_real, vec_imag = vecs.real.tolist(), vecs.imag.tolist()
+    entangled = None
     reports = []
     for i, canon in enumerate(canonical):
-        jones_entry = None
-        if single[i]:
-            real, imag = next(jones_rows)
-            jones_entry = {"real": real, "imag": imag}
+        w_i, t = w_rows[i], thresh_rows[i]
+        # The physicality verdicts of choi.physicality, mueller_jones_test
+        # and jones_ensemble, read off the same eigenvalues.
+        eigenvalues = w_i[::-1]
+        rank = sum(x > t for x in eigenvalues)
+        mueller = w_i[0] >= -t
+        real, imag = vec_real[i], vec_imag[i]
+        jones = None
+        if mueller and rank == 1:
+            root = math.sqrt(w_i[3])
+            jones = _jones_obj([root * x for x in real[3]], [root * x for x in imag[3]])
         ensemble = []
-        if mueller[i]:
+        if mueller:
             ensemble = [
-                {"weight": weight, "jones": {"real": real, "imag": imag}}
-                for weight, real, imag, keep in zip(eigenvalues[i], *next(item_rows))
-                if keep
+                {"weight": x, "jones": _jones_obj(real[k], imag[k])}
+                for k, x in zip(range(3, -1, -1), eigenvalues)
+                if x > t
             ]
-        witness_entry = {"present": False, "vector": None, "expectation": None}
-        if witness[i]:
-            real, imag, vec = next(witness_rows)
-            witness_entry = {
+        witness = {"present": False, "vector": None, "expectation": None}
+        if w_i[0] < -t:
+            if entangled is None:
+                entangled = witness_input()
+            value = expectation(extended_action(m[i], entangled), vecs[i, 0], tol)
+            witness = {
                 "present": True,
-                "vector": {"real": real, "imag": imag},
-                "expectation": expectation(extended_action(m[i], entangled), vec, tol),
+                "vector": {"real": real[0], "imag": imag[0]},
+                "expectation": value,
             }
         reports.append({
             "input_echo": echo[i],
@@ -188,21 +185,26 @@ def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
                 "worst_input": worst_input[i],
             },
             "physicality": {
-                "eigenvalues": eigenvalues[i],
-                "min_eigenvalue": w_min[i],
-                "verdict": mueller[i],
-                "rank": rank[i],
+                "eigenvalues": eigenvalues,
+                "min_eigenvalue": w_i[0],
+                "verdict": mueller,
+                "rank": rank,
             },
-            "mueller_jones": {"verdict": single[i], "jones": jones_entry},
+            "mueller_jones": {"verdict": jones is not None, "jones": jones},
             "ensemble": ensemble,
             "canonical": {
                 "family": canon.family.value,
                 "d": None if canon.d is None else canon.d.tolist(),
                 "binding_constraint": binding[i],
             },
-            "witness": witness_entry,
+            "witness": witness,
         })
     return reports
+
+
+def _jones_obj(real: list, imag: list) -> dict:
+    """Report entry of a Jones matrix from its row-major vectorization."""
+    return {"real": [real[:2], real[2:]], "imag": [imag[:2], imag[2:]]}
 
 
 def tetra_scan(samples: int, seed: int) -> dict:
