@@ -19,8 +19,8 @@ input, flags, and seed produce byte-identical output.  Numbers are printed
 with 12 significant digits.
 
 A report costs about what its analysis costs.  :func:`analyze_stack` runs
-the spectral stages once over a stack and builds each report field once
-for the whole stack, one ``tolist`` per array, before slicing it per row;
+the spectral stages once over a stack and converts each stage array to
+Python lists once, one ``tolist`` per array, which each report slices;
 :func:`analyze_matrix` is the stack of one.  :func:`render_report` is the
 only writer of report text: one recursive walk rounds and writes, with
 the bytes of ``json.dumps(indent=2, sort_keys=True)`` on the rounded
