@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, devectorize, mueller_from_jones
-from .kernel import Analysis, HermitianStage
+from .kernel import Analysis
 
 
 class NotPhysicalError(ValueError):
@@ -60,41 +60,16 @@ class JonesEnsemble:
         return out
 
 
-def _physicality_row(h: HermitianStage, i: int) -> PhysicalityReport:
-    w, thresh = h.w[i], h.thresh[i]
-    return PhysicalityReport(
-        eigenvalues=w[::-1].copy(),
-        min_eigenvalue=float(w[0]),
-        min_eigenvector=h.vecs[i, 0].copy(),
-        is_mueller=bool(w[0] >= -thresh),
-        rank=int(np.count_nonzero(w > thresh)),
-    )
-
-
-def _ensemble_row(h: HermitianStage, i: int) -> JonesEnsemble:
-    w, thresh = h.w[i], h.thresh[i]
-    if w[0] < -thresh:
-        raise NotPhysicalError(
-            f"most negative eigenvalue {w[0]:.6g} exceeds tolerance; "
-            "no convex-sum realization exists"
-        )
-    return JonesEnsemble(
-        items=tuple(
-            (float(w[k]), devectorize(h.vecs[i, k])) for k in range(3, -1, -1) if w[k] > thresh
-        )
-    )
-
-
-def _jones_row(h: HermitianStage, i: int):
-    w, thresh = h.w[i], h.thresh[i]
-    if w[0] < -thresh or int(np.count_nonzero(w > thresh)) != 1:
-        return None
-    return np.sqrt(float(w[-1])) * devectorize(h.vecs[i, 3])
-
-
 def physicality(m, tol: float = DEFAULT_TOL) -> PhysicalityReport:
     """Eigendecompose the associated hermitian matrix and report the verdict."""
-    return _physicality_row(Analysis(m, tol).hermitian, 0)
+    h = Analysis(m, tol).hermitian
+    return PhysicalityReport(
+        eigenvalues=h.w[0, ::-1].copy(),
+        min_eigenvalue=float(h.w[0, 0]),
+        min_eigenvector=h.vecs[0, 0].copy(),
+        is_mueller=bool(h.mueller[0]),
+        rank=int(h.rank[0]),
+    )
 
 
 def jones_ensemble(m, tol: float = DEFAULT_TOL) -> JonesEnsemble:
@@ -104,7 +79,18 @@ def jones_ensemble(m, tol: float = DEFAULT_TOL) -> JonesEnsemble:
     the weight, the devectorized unit eigenvector as the Jones matrix.  The
     weighted sum of the member Mueller-Jones matrices reproduces the input.
     """
-    return _ensemble_row(Analysis(m, tol).hermitian, 0)
+    h = Analysis(m, tol).hermitian
+    w = h.w[0]
+    if not h.mueller[0]:
+        raise NotPhysicalError(
+            f"most negative eigenvalue {w[0]:.6g} exceeds tolerance; "
+            "no convex-sum realization exists"
+        )
+    return JonesEnsemble(
+        items=tuple(
+            (float(w[k]), devectorize(h.vecs[0, k])) for k in range(3, 3 - h.rank[0], -1)
+        )
+    )
 
 
 def mueller_jones_test(m, tol: float = DEFAULT_TOL):
@@ -114,4 +100,7 @@ def mueller_jones_test(m, tol: float = DEFAULT_TOL):
     positive semidefinite of rank one; the Jones matrix is recovered up to
     an (unobservable) global phase.  Returns None for every other input.
     """
-    return _jones_row(Analysis(m, tol).hermitian, 0)
+    h = Analysis(m, tol).hermitian
+    if not h.mueller[0] or h.rank[0] != 1:
+        return None
+    return np.sqrt(float(h.w[0, 3])) * devectorize(h.vecs[0, 3])

@@ -121,13 +121,10 @@ def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
     ``analyze_matrix(mats[i], tol)``.
     """
     analysis = Analysis(mats, tol)
-    m, (w, vecs, thresh) = analysis.m, analysis.hermitian
+    m, h = analysis.m, analysis.hermitian
     canonical = analysis.canonical
     binding: list = [None] * len(m)
-    type_one = [
-        i for i, canon in enumerate(canonical)
-        if canon.d is not None and canon.family is Family.TYPE_I
-    ]
+    type_one = [i for i, canon in enumerate(canonical) if canon.family is Family.TYPE_I]
     if type_one:
         # A constraint binds when its margin is below -tol relative to d0:
         # a single Jones system has d proportional to (1, 1, 1, 1), with
@@ -143,17 +140,15 @@ def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
     # One tolist per stage array; each row below slices the Python lists.
     echo = m.reshape(-1, 16).tolist()
     cone_ok, intensity, lorentz, worst_input = (field.tolist() for field in analysis.cone)
-    w_rows, thresh_rows = w.tolist(), thresh.tolist()
-    vec_real, vec_imag = vecs.real.tolist(), vecs.imag.tolist()
+    w_rows, mueller_rows, rank_rows = h.w.tolist(), h.mueller.tolist(), h.rank.tolist()
+    vec_real, vec_imag = h.vecs.real.tolist(), h.vecs.imag.tolist()
     entangled = None
     reports = []
     for i, canon in enumerate(canonical):
-        w_i, t = w_rows[i], thresh_rows[i]
-        # The physicality verdicts of choi.physicality, mueller_jones_test
-        # and jones_ensemble, read off the same eigenvalues.
+        # The H stage's verdicts, as choi.physicality, mueller_jones_test,
+        # jones_ensemble and witness_certificate read them.
+        w_i, mueller, rank = w_rows[i], mueller_rows[i], rank_rows[i]
         eigenvalues = w_i[::-1]
-        rank = sum(x > t for x in eigenvalues)
-        mueller = w_i[0] >= -t
         real, imag = vec_real[i], vec_imag[i]
         jones = None
         if mueller and rank == 1:
@@ -162,15 +157,14 @@ def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
         ensemble = []
         if mueller:
             ensemble = [
-                {"weight": x, "jones": _jones_obj(real[k], imag[k])}
-                for k, x in zip(range(3, -1, -1), eigenvalues)
-                if x > t
+                {"weight": w_i[k], "jones": _jones_obj(real[k], imag[k])}
+                for k in range(3, 3 - rank, -1)
             ]
         witness = {"present": False, "vector": None, "expectation": None}
-        if w_i[0] < -t:
+        if not mueller:
             if entangled is None:
                 entangled = witness_input()
-            value = expectation(extended_action(m[i], entangled), vecs[i, 0], tol)
+            value = expectation(extended_action(m[i], entangled), h.vecs[i, 0], tol)
             witness = {
                 "present": True,
                 "vector": {"real": real[0], "imag": imag[0]},

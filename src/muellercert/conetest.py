@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL
-from .kernel import Analysis, ConeStage, sphere_min
+from .kernel import Analysis, sphere_min
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,6 @@ def sphere_quadratic_min(a, b) -> tuple[float, np.ndarray]:
     return float(value[0]), s[0]
 
 
-def _verdict_row(cone: ConeStage, i: int) -> ConeVerdict:
-    return ConeVerdict(
-        bool(cone.ok[i]),
-        float(cone.intensity_margin[i]),
-        float(cone.lorentz_margin[i]),
-        cone.worst_input[i].copy(),
-    )
-
-
 def certify_cone(m, tol: float = DEFAULT_TOL) -> ConeVerdict:
     """Decide whether ``m`` maps the solid Stokes cone into itself.
 
@@ -106,4 +97,10 @@ def certify_cone(m, tol: float = DEFAULT_TOL) -> ConeVerdict:
     depend on the scale of ``m``.  A pure state mapped to the zero vector
     counts as the cone apex and is allowed.
     """
-    return _verdict_row(Analysis(m, tol).cone, 0)
+    cone = Analysis(m, tol).cone
+    return ConeVerdict(
+        bool(cone.ok[0]),
+        float(cone.intensity_margin[0]),
+        float(cone.lorentz_margin[0]),
+        cone.worst_input[0].copy(),
+    )

@@ -235,7 +235,8 @@ def coherency_is_physical(phi, tol: float = DEFAULT_TOL) -> bool:
     if _not_hermitian(arr, tol):
         return False
     tr = arr.trace().real
-    return tr > 0.0 and np.linalg.det(arr).real >= -tol * tr**2
+    det = (arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]).real
+    return tr > 0.0 and det >= -tol * tr**2
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ Every verdict of the package is read off three spectral objects of a real
 over a whole (N, 4, 4) stack at a time:
 
 * **H stage**: the associated hermitian matrix H and one stacked ``eigh``.
-  It decides physicality and gives the Jones ensemble, the single-Jones
-  test and the entanglement witness.
+  It decides physicality and the rank, which the Jones ensemble, the
+  single-Jones test, the entanglement witness and the reports read.
 * **Cone stage**: the largest singular value, the closed-form intensity
   margin and the global minimum of the output Lorentz form over the
   Poincare sphere: a stacked 3x3 ``eigh`` plus one stacked 6x6 ``eigvals``
@@ -15,6 +15,8 @@ over a whole (N, 4, 4) stack at a time:
   largest singular value, its spectral norm and one stacked ``eig``.  The
   canonical family, the cluster rank tests and the Type-I factorization
   all read that ``eig``, the last two only on the rows that need them.
+  With one stacked ``slogdet`` it gives the Type-I parameters d
+  (:attr:`Analysis.type1_d`) that the family and the factorization report.
 
 The N stage builds the public results itself: :class:`Family`,
 :class:`CanonicalClass` and the Type-I errors :class:`DegenerateSpectrumError`
@@ -113,10 +115,11 @@ def _transpose(a):
 
 
 def _squares(x):
-    """Squares of a 1-D array, taken as Python floats take them: ``pow``
+    """Squares of an array, taken as Python floats take them: ``pow``
     (which differs from x * x in the last bit now and then), raising
-    OverflowError where a square overflows."""
-    return np.array([v**2 for v in x.tolist()])
+    FloatingPointError where a square overflows."""
+    with np.errstate(over="raise"):
+        return np.float_power(x, 2)
 
 
 def _spectral_norm(mats):
@@ -208,11 +211,15 @@ class HermitianStage(NamedTuple):
     ``w`` holds the eigenvalues ascending, ``vecs[:, k]`` the unit
     eigenvector of ``w[:, k]`` with its largest entry real and positive,
     and ``thresh`` the verdict threshold tol times the spectral norm.
+    ``mueller`` is the verdict ``w[:, 0] >= -thresh`` and ``rank`` the
+    number of eigenvalues above ``thresh`` (the last ``rank`` of ``w``).
     """
 
     w: np.ndarray
     vecs: np.ndarray
     thresh: np.ndarray
+    mueller: np.ndarray
+    rank: np.ndarray
 
 
 class ConeStage(NamedTuple):
@@ -250,14 +257,12 @@ class Analysis:
         self.m = as_mueller_stack(mats)
         self.tol = tol
 
-    def __len__(self) -> int:
-        return len(self.m)
-
     @cached_property
     def hermitian(self) -> HermitianStage:
         w, v = np.linalg.eigh(_hermitian_of(self.m))
-        hnorm = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
-        return HermitianStage(w, _canonical_phase(_transpose(v)), self.tol * hnorm)
+        thresh = self.tol * np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+        rank = np.count_nonzero(w > thresh[:, None], axis=1)
+        return HermitianStage(w, _canonical_phase(_transpose(v)), thresh, w[:, 0] >= -thresh, rank)
 
     @cached_property
     def sigma(self) -> np.ndarray:
@@ -314,6 +319,24 @@ class Analysis:
         rows = np.arange(len(lam))[:, None]
         vecs = vecs.real[rows[:, :, None], np.arange(4)[:, None], order[:, None, :]]
         return NormalStage(nmat, _spectral_norm(nmat), lam.real[rows, order], vecs, imag)
+
+    @cached_property
+    def type1_d(self) -> np.ndarray:
+        """Type-I parameters d of every matrix, shape (N, 4), read by both
+        the classification and the factorization (on Type-I rows only).
+
+        d is sigma times the square roots r of the clipped N-stage
+        eigenvalues; d3 takes the sign of det(M) and is zero where
+        |det(M / sigma)| = r0 r1 r2 |d3| / sigma is at most tol r0 r1 r2.
+        One stacked ``slogdet`` of M / sigma gives that determinant without
+        under- or overflow.  Zeroing d3 where the last eigenvalue is at most
+        tol * nnorm instead would drop every |d3| below about sqrt(tol) sigma.
+        """
+        sign, logdet = np.linalg.slogdet(self.unit)
+        root = np.sqrt(np.maximum(self.normal.lam, 0.0))
+        sign[np.exp(logdet) <= self.tol * root[:, :3].prod(axis=1)] = 0.0
+        root[:, 3] *= sign
+        return self.sigma[:, None] * root
 
     @cached_property
     def canonical(self) -> list[CanonicalClass]:
@@ -424,25 +447,16 @@ class Analysis:
             else:
                 type_one.append(j)
 
-        # Type I: diagonalizable, nonnegative real spectrum.  Without the
-        # factorization, d comes from the spectrum and the sign of det(m).
-        factors = self.factors(rows[type_one]) if type_one else []
-        fallback = []
-        for j, factor in zip(type_one, factors):
-            if isinstance(factor, ValueError):
-                fallback.append(j)
-            else:
-                l_left, d, l_right = factor
-                out[j] = CanonicalClass(Family.TYPE_I, d, l_left, l_right)
-        if fallback:
-            idx = rows[fallback]
-            d_all = self.sigma[idx, None] * np.sqrt(clipped[fallback])
-            det = np.linalg.det(self.unit[idx])
-            d_all[np.abs(det) <= tol, 3] = 0.0
-            flip = (np.abs(det) > tol) & (det < 0.0)
-            d_all[flip, 3] = -d_all[flip, 3]
-            for j, d in zip(fallback, d_all):
-                out[j] = CanonicalClass(Family.TYPE_I, d=d)
+        # Type I: diagonalizable, nonnegative real spectrum.  A row without a
+        # factorization keeps its d and gets no factors.
+        if type_one:
+            idx = rows[type_one]
+            for j, d, factor in zip(type_one, self.type1_d[idx], self.factors(idx)):
+                if isinstance(factor, ValueError):
+                    out[j] = CanonicalClass(Family.TYPE_I, d)
+                else:
+                    l_left, d, l_right = factor
+                    out[j] = CanonicalClass(Family.TYPE_I, d, l_left, l_right)
         return out
 
     def factors(self, rows=slice(None)) -> list:
@@ -460,13 +474,12 @@ class Analysis:
         normalized to one timelike (future-pointing) and three spacelike
         unit vectors with overall determinant one they assemble into the
         inverse of a proper orthochronous l_right, and l_left follows by
-        division.  The canonical parameters d are sigma times the signed
-        square roots of the eigenvalues of the normal matrix of m/sigma, the
-        last one carrying the sign of det(m).
+        division.  The canonical parameters d are the rows of
+        :attr:`type1_d`.
         """
         g = LORENTZ_METRIC
         stage = self.normal
-        mats, sigma = self.unit[rows], self.sigma[rows]
+        mats, sigma, d = self.unit[rows], self.sigma[rows], self.type1_d[rows]
         lam, vecs, imag = stage.lam[rows], stage.vecs[rows], stage.imag[rows]
         scale = self.tol * stage.nnorm[rows]
         out: list = [None] * len(mats)
@@ -488,7 +501,7 @@ class Analysis:
             return out
 
         pick = _select(spectral, len(mats))
-        vecs, lam, mats = vecs[pick], lam[pick], mats[pick]
+        vecs, mats, sigma, d = vecs[pick], mats[pick], sigma[pick], d[pick]
         quad = np.einsum("nia,ij,nja->na", vecs, g, vecs)
         causal = []
         for k, qk in enumerate(quad.tolist()):
@@ -504,20 +517,17 @@ class Analysis:
         # Unit vectors: the timelike one future-pointing, the largest entry
         # of each spacelike one positive, and determinant one.
         pick = _select(causal, len(quad))
-        vecs, lam, mats = vecs[pick], lam[pick], mats[pick]
+        vecs, mats, sigma, d = vecs[pick], mats[pick], sigma[pick], d[pick]
         k = len(vecs)
         basis = vecs / np.sqrt(np.abs(quad[pick]))[:, None, :]
         pivot = basis[np.arange(k)[:, None], np.argmax(np.abs(basis), axis=1), np.arange(4)]
         pivot[:, 0] = basis[:, 0, 0]
         basis *= np.where(pivot < 0.0, -1.0, 1.0)[:, None, :]
-        # slogdet's sign survives where det(m) itself under- or overflows.
-        sign = np.linalg.slogdet(np.concatenate((basis, mats)))[0]
-        basis[sign[:k] < 0.0, :, 3] *= -1.0
+        basis[np.linalg.slogdet(basis)[0] < 0.0, :, 3] *= -1.0
 
-        root = np.sqrt(np.clip(lam, 0.0, None))
-        root[sign[k:] < 0.0, 3] *= -1.0
         l_right = g @ _transpose(basis) @ g
-        l_left = (mats @ basis) * (1.0 / root)[:, None, :]
+        # mats is m / sigma, so its columns are divided by d / sigma.
+        l_left = (mats @ basis) * (sigma[:, None] / d)[:, None, :]
         both = np.concatenate((basis, l_left))
         err = np.abs(_transpose(both) @ g @ both - g).reshape(2 * k, 16).max(axis=1)
         proper = ((l_left[:, 0, 0] > 0.0) & (err[k:] <= 1e-6)).tolist()
@@ -529,7 +539,7 @@ class Analysis:
             elif not proper[c]:
                 out[j] = NotTypeIError("left factor is not proper orthochronous Lorentz")
             else:
-                out[j] = (l_left[c], sigma[j] * root[c], l_right[c])
+                out[j] = (l_left[c], d[c], l_right[c])
         return out
 
 

@@ -28,7 +28,7 @@ from .core import (
     _not_hermitian,
     as_mueller_matrix,
 )
-from .kernel import Analysis, HermitianStage
+from .kernel import Analysis
 
 
 def coherency_transfer(m) -> np.ndarray:
@@ -102,10 +102,5 @@ def witness_certificate(m, tol: float = DEFAULT_TOL):
     on the maximally entangled input is then negative.  Returns None when
     ``m`` is physical (within tolerance).
     """
-    return _witness_row(Analysis(m, tol).hermitian, 0)
-
-
-def _witness_row(h: HermitianStage, i: int):
-    if h.w[i, 0] < -h.thresh[i]:
-        return h.vecs[i, 0].copy()
-    return None
+    h = Analysis(m, tol).hermitian
+    return None if h.mueller[0] else h.vecs[0, 0].copy()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import muellercert
@@ -49,6 +49,20 @@ def _scaled_type_one(draw):
     d[3] *= draw(st.sampled_from([1.0, -1.0]))
     m = _lorentz_factor(draw) @ np.diag(d) @ _lorentz_factor(draw)
     return 10.0 ** draw(st.floats(-300.0, 300.0)), d, m
+
+
+@st.composite
+def _near_face_type_one(draw):
+    """Canonical parameters (1, d1, d2, d3) with margin eps on the face
+    d1 + d2 - d3 <= 1 of the tetrahedron: on it (eps = 0) or 1e-10 to 1e-2
+    to either side, with |d3| from 1e-6 to 1 times min(d1, 1 - d1); and
+    the Lorentz-dressed matrix."""
+    d1 = draw(st.floats(0.05, 0.95))
+    d3 = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-6.0, 0.0))
+    d3 *= min(d1, 1.0 - d1)
+    eps = draw(st.sampled_from([1.0, 0.0, -1.0])) * 10.0 ** draw(st.floats(-10.0, -2.0))
+    d = np.array([1.0, d1, 1.0 - d1 + d3 - eps, d3])
+    return d, _lorentz_factor(draw) @ np.diag(d) @ _lorentz_factor(draw)
 
 
 class TestNMatrix:
@@ -225,8 +239,10 @@ class TestType1Factor:
 
 
 def test_one_normal_matrix_stage_per_analysis(monkeypatch):
-    # the classification and the Type-I factorization read the same eig
-    calls = {"eig": 0, "normal_matrices": 0}
+    # the classification and the Type-I factorization read the same eig,
+    # and d comes from it with no det, also where the factorization fails
+    # (the tied spectrum of the identity)
+    calls = {"eig": 0, "normal_matrices": 0, "det": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -236,12 +252,14 @@ def test_one_normal_matrix_stage_per_analysis(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
     monkeypatch.setattr(kernel, "normal_matrices", counted("normal_matrices", kernel.normal_matrices))
     stack = np.stack(
         [
             np.diag([3.0, 2.0, 1.0, 0.5]),
             type2_canonical(2.0, 1.0, 1.0, 1.0),
             np.diag([0.5, 3.0, 2.0, 1.0]),
+            np.eye(4),
         ]
     )
     reports = analyze_stack(stack)
@@ -249,8 +267,28 @@ def test_one_normal_matrix_stage_per_analysis(monkeypatch):
         "TypeI",
         "TypeII",
         "NotPreMueller",
+        "TypeI",
     ]
-    assert calls == {"eig": 1, "normal_matrices": 1}
+    assert calls == {"eig": 1, "normal_matrices": 1, "det": 0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_face_type_one())
+def test_binding_constraint_agrees_with_physicality(case):
+    # A Type-I matrix is Mueller exactly when diag(d) meets the four
+    # inequalities.  Band: both the worst canonical margin and the minimum
+    # H eigenvalue lie more than 4 times their thresholds (tol d0 and the
+    # H stage's tol times the spectral norm) from zero.
+    tol = muellercert.DEFAULT_TOL
+    report = analyze_stack(case[1][None])[0]
+    canonical, physicality = report["canonical"], report["physicality"]
+    assume(canonical["family"] == "TypeI")
+    d = np.array(canonical["d"])
+    eigenvalues = physicality["eigenvalues"]
+    thresh = tol * max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
+    assume(abs(type1_margins(d).min()) > 4 * tol * d[0])
+    assume(abs(physicality["min_eigenvalue"]) > 4 * thresh)
+    assert physicality["verdict"] is (canonical["binding_constraint"] is None)
 
 
 class TestDiagonalConstraints:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from muellercert import mueller_from_jones
 from muellercert.cli import (
     ParseError,
     analyze_matrix,
@@ -14,7 +15,7 @@ from muellercert.cli import (
     vanzyl_case,
 )
 
-from helpers import random_lorentz
+from helpers import boost_jones, random_lorentz, rotation_jones
 
 
 def write_matrix(tmp_path, name, m):
@@ -86,14 +87,29 @@ class TestAnalyzeReport:
     @pytest.mark.parametrize("seed", range(20))
     def test_single_jones_names_no_binding_constraint(self, seed):
         # L1 diag(c, c, c, c) L2: a single Jones system, with three Type-I
-        # margins zero up to rounding.
+        # margins zero up to rounding.  The second input is dressed by a
+        # boost of rapidity r >= log(180), so sigma / d = exp(r) >= 180 and
+        # det(M / sigma) = exp(-4 r) is below tol, yet d3 = +d2.
         rng = np.random.default_rng(seed)
         scale = 10.0 ** rng.uniform(-3, 3)
-        report = analyze_matrix(random_lorentz(rng) @ (scale * np.eye(4)) @ random_lorentz(rng))
-        assert report["physicality"]["verdict"] is True
-        assert report["canonical"]["family"] == "TypeI"
-        np.testing.assert_allclose(report["canonical"]["d"], 4 * [report["canonical"]["d"][0]])
-        assert report["canonical"]["binding_constraint"] is None
+        mild = random_lorentz(rng) @ (scale * np.eye(4)) @ random_lorentz(rng)
+        rapidity = rng.uniform(np.log(180.0), np.log(600.0))
+        jones = (
+            rotation_jones(rng.integers(1, 4), rng.uniform(-np.pi, np.pi))
+            @ boost_jones(rng.integers(1, 4), rapidity)
+            @ rotation_jones(rng.integers(1, 4), rng.uniform(-np.pi, np.pi))
+        )
+        strong = scale * mueller_from_jones(jones)
+        sigma = np.linalg.svd(strong, compute_uv=False)
+        assert sigma[0] >= 180.0 * scale and np.prod(sigma / sigma[0]) < 1e-9
+        for m in (mild, strong):
+            report = analyze_matrix(m)
+            assert report["physicality"]["verdict"] is True
+            assert report["canonical"]["family"] == "TypeI"
+            d = report["canonical"]["d"]
+            np.testing.assert_allclose(d, 4 * [d[0]])
+            np.testing.assert_allclose(d[3], d[2], rtol=1e-9, atol=0.0)
+            assert report["canonical"]["binding_constraint"] is None
 
     def test_verdict_consistency(self):
         rng = np.random.default_rng(70)

@@ -18,7 +18,9 @@ differs somewhere (list indices dropped, so ``canonical.d`` covers all four
 entries), the number of reports in which it differs and the largest
 relative difference |a - b| / max(|a|, |b|) of its numbers.  A difference
 that is not between two numbers (a verdict, a family, a missing value)
-counts as relative difference inf.
+counts as relative difference inf.  It exits 1 when any report differs
+and 0 when every report is byte-identical, so a script can check byte
+identity from the exit code alone.
 """
 
 import json
@@ -79,7 +81,8 @@ def _differences(a, b, path: str, out: dict) -> None:
         out[path] = max(out.get(path, 0.0), rel)
 
 
-def compare(parent: Path, change: Path) -> None:
+def compare(parent: Path, change: Path) -> int:
+    """Print the differences and return the number of differing reports."""
     old, new = _load(parent), _load(change)
     differing = 0
     per_path: dict = {}
@@ -99,13 +102,14 @@ def compare(parent: Path, change: Path) -> None:
     print(f"{differing} of {len(old.keys() | new.keys())} reports differ")
     for path, (count, worst) in sorted(per_path.items()):
         print(f"  {path}: {count} reports, max relative difference {worst:.3g}")
+    return differing
 
 
 def main(argv) -> int:
     if len(argv) == 2 and argv[0] == "render":
         render(Path(argv[1]))
     elif len(argv) == 3 and argv[0] == "compare":
-        compare(Path(argv[1]), Path(argv[2]))
+        return 1 if compare(Path(argv[1]), Path(argv[2])) else 0
     else:
         print(__doc__, file=sys.stderr)
         return 2
