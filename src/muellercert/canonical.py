@@ -23,6 +23,8 @@ are provided as simple inequalities on the canonical parameters, equivalent
 to positive semidefiniteness of the associated hermitian matrix.
 """
 
+import dataclasses
+
 import numpy as np
 
 from . import kernel
@@ -126,12 +128,9 @@ def type1_factor(m, tol: float = DEFAULT_TOL):
     Raises DegenerateSpectrumError when eigenvalue gaps fall below tol
     (callers should fall back to classification only) and NotTypeIError
     when the spectrum or eigenvector causality types rule the family out,
-    or when the input is singular.
+    or when the input is singular (d3 is zero).
     """
-    result = kernel.Analysis(m, tol).factors()[0]
-    if isinstance(result, ValueError):
-        raise result
-    return result
+    return kernel.Analysis(m, tol).factor()
 
 
 def classify(m, tol: float = DEFAULT_TOL) -> CanonicalClass:
@@ -144,6 +143,15 @@ def classify(m, tol: float = DEFAULT_TOL) -> CanonicalClass:
     size is diagonalizable (Type I), one with a genuine null direction but
     missing loose-rank dimensions is defective (Type II), and anything in
     between comes back as Indeterminate with diagnostics, never as a
-    guess.
+    guess.  A Type-I result carries the factors of :func:`type1_factor`
+    when the factorization succeeds.
     """
-    return kernel.Analysis(m, tol).canonical[0]
+    analysis = kernel.Analysis(m, tol)
+    result = analysis.canonical[0]
+    if result.family is not Family.TYPE_I:
+        return result
+    try:
+        l_left, _, l_right = analysis.factor()
+    except (DegenerateSpectrumError, NotTypeIError):
+        return result
+    return dataclasses.replace(result, l_left=l_left, l_right=l_right)

@@ -26,8 +26,9 @@ only writer of report text: one recursive walk rounds and writes, with
 the bytes of ``json.dumps(indent=2, sort_keys=True)`` on the rounded
 document, whose pure-Python indent encoder it replaces.
 
-Exit codes: 0 success, 1 internal error, 2 parse/input failure.  With
-``--verdict-exit``: 0 Mueller, 3 pre-Mueller only, 4 not pre-Mueller.
+Exit codes: 0 success, 1 internal error, 2 parse/input failure (a bad
+``--tol`` included).  With ``--verdict-exit``: 0 Mueller, 3 pre-Mueller
+only, 4 not pre-Mueller.
 """
 
 import argparse
@@ -47,7 +48,7 @@ from .canonical import (
     type1_constraints,
     type1_margins,
 )
-from .core import DEFAULT_TOL, as_mueller_matrix
+from .core import DEFAULT_TOL, as_mueller_matrix, as_tolerance
 from .kernel import Analysis
 from .witness import expectation, extended_action, witness_input
 
@@ -73,13 +74,13 @@ def parse_matrix_text(text: str) -> np.ndarray:
     if stripped.startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"invalid JSON input: {exc}") from exc
         if not isinstance(obj, dict) or "mueller" not in obj:
             raise ParseError('JSON input must be an object with a "mueller" key')
         try:
             mat = as_mueller_matrix(np.asarray(obj["mueller"], dtype=float))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f'bad "mueller" value: {exc}') from exc
     else:
         tokens: list[str] = []
@@ -102,7 +103,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
 def load_matrix(path) -> np.ndarray:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_matrix_text(text)
 
@@ -348,10 +349,18 @@ def _emit(report: dict, fmt: str, out) -> None:
     out.write(render_report(report) if fmt == "report" else summarize_report(report))
 
 
+def _tolerance(text: str) -> float:
+    """Type of ``--tol``: a finite nonnegative number, else a usage error."""
+    try:
+        return as_tolerance(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL, help="relative verdict tolerance"
+        "--tol", type=_tolerance, default=DEFAULT_TOL, help="relative verdict tolerance"
     )
     common.add_argument(
         "--format",

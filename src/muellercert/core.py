@@ -108,6 +108,15 @@ def as_mueller_stack(ms) -> np.ndarray:
     return _finite(arr)
 
 
+def as_tolerance(tol) -> float:
+    """Coerce a verdict tolerance to a float, rejecting nan, inf and
+    negative values."""
+    value = float(tol)
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {value!r}")
+    return value
+
+
 def as_jones_matrix(j) -> np.ndarray:
     """Coerce to a 2x2 complex array."""
     arr = np.asarray(j, dtype=complex)

@@ -13,10 +13,13 @@ over a whole (N, 4, 4) stack at a time:
   on the rows off the hard case.  It decides cone preservation.
 * **N stage**: the Lorentz normal matrix G M^T G M of M scaled to unit
   largest singular value, its spectral norm and one stacked ``eig``.  The
-  canonical family, the cluster rank tests and the Type-I factorization
-  all read that ``eig``, the last two only on the rows that need them.
-  With one stacked ``slogdet`` it gives the Type-I parameters d
-  (:attr:`Analysis.type1_d`) that the family and the factorization report.
+  canonical family and the cluster rank tests read that ``eig``, the
+  latter only on the rows that need them.  With one stacked ``slogdet`` it
+  gives the Type-I parameters d (:attr:`Analysis.type1_d`) that the family
+  reports.  The Type-I factors are not part of the stage: only
+  :func:`~muellercert.classify` and :func:`~muellercert.type1_factor` ask
+  for them, one matrix at a time (:meth:`Analysis.factor`), so reports
+  never factor.
 
 The N stage builds the public results itself: :class:`Family`,
 :class:`CanonicalClass` and the Type-I errors :class:`DegenerateSpectrumError`
@@ -38,7 +41,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_TOL, LORENTZ_METRIC, _canonical_phase, _hermitian_of, as_mueller_stack
+from .core import (
+    DEFAULT_TOL,
+    LORENTZ_METRIC,
+    _canonical_phase,
+    _hermitian_of,
+    as_mueller_stack,
+    as_tolerance,
+)
 
 # Degenerate-structure thresholds of the sphere minimization (relative to the
 # problem scale).  Eigenvalues within _GAP_EPS of the smallest form the
@@ -64,13 +74,15 @@ class Family(enum.Enum):
 
 @dataclass(frozen=True)
 class CanonicalClass:
-    """Family verdict with canonical parameters and factors when determined.
+    """Family verdict with canonical parameters and, from
+    :func:`~muellercert.classify` only, factors when determined.
 
     ``d`` is None when the parameters are not determined by the orbit (the
     rank-one families carry no invariant scale) or cannot be extracted.
-    When factors are present they satisfy L^T G L = G with positive corner
-    and unit determinant, and l_left @ diag(d) @ l_right reproduces the
-    input.
+    Only ``classify`` attaches factors, to a Type-I result whose
+    factorization succeeds; the stacked canonical stage never does.  When
+    factors are present they satisfy L^T G L = G with positive corner and
+    unit determinant, and l_left @ diag(d) @ l_right reproduces the input.
     """
 
     family: Family
@@ -125,12 +137,6 @@ def _squares(x):
 def _spectral_norm(mats):
     """Largest singular value of each matrix (as ``np.linalg.norm(m, 2)``)."""
     return np.linalg.svd(mats, compute_uv=False).max(axis=-1)
-
-
-def _select(idx: list, n: int):
-    """Index of the listed rows (increasing) of a stack of n: a slice when
-    they are all of them, which saves a copy."""
-    return slice(None) if len(idx) == n else idx
 
 
 def normal_matrices(mats):
@@ -250,12 +256,13 @@ class Analysis:
 
     Each stage is computed on first use and at most once; a stage that a
     verdict does not need is never computed.  ``tol`` is the relative
-    tolerance of every verdict.
+    tolerance of every verdict, a finite nonnegative number (else
+    ``ValueError``).
     """
 
     def __init__(self, mats, tol: float = DEFAULT_TOL):
         self.m = as_mueller_stack(mats)
-        self.tol = tol
+        self.tol = as_tolerance(tol)
 
     @cached_property
     def hermitian(self) -> HermitianStage:
@@ -323,7 +330,8 @@ class Analysis:
     @cached_property
     def type1_d(self) -> np.ndarray:
         """Type-I parameters d of every matrix, shape (N, 4), read by both
-        the classification and the factorization (on Type-I rows only).
+        the classification (on Type-I rows only) and :meth:`factor`, whose
+        singular-input screen is d3 == 0.
 
         d is sigma times the square roots r of the clipped N-stage
         eigenvalues; d3 takes the sign of det(M) and is zero where
@@ -447,100 +455,60 @@ class Analysis:
             else:
                 type_one.append(j)
 
-        # Type I: diagonalizable, nonnegative real spectrum.  A row without a
-        # factorization keeps its d and gets no factors.
+        # Type I: diagonalizable, nonnegative real spectrum.
         if type_one:
-            idx = rows[type_one]
-            for j, d, factor in zip(type_one, self.type1_d[idx], self.factors(idx)):
-                if isinstance(factor, ValueError):
-                    out[j] = CanonicalClass(Family.TYPE_I, d)
-                else:
-                    l_left, d, l_right = factor
-                    out[j] = CanonicalClass(Family.TYPE_I, d, l_left, l_right)
+            for j, d in zip(type_one, self.type1_d[rows[type_one]]):
+                out[j] = CanonicalClass(Family.TYPE_I, d)
         return out
 
-    def factors(self, rows=slice(None)) -> list:
-        """Type-I factorization of the given rows (by default every matrix).
-
-        Each row gets the tuple ``(l_left, d, l_right)`` or, when it has no
-        factorization, the error that :func:`~muellercert.type1_factor`
-        raises for it: a :class:`DegenerateSpectrumError` when the
-        eigenvalues are too close to separate, a :class:`NotTypeIError`
-        when the spectrum, the eigenvector causality or the input rules the
-        family out.
-
-        The Lorentz normal matrix is self-adjoint in the Lorentz metric, so
-        for distinct eigenvalues its eigenvectors are G-orthogonal:
-        normalized to one timelike (future-pointing) and three spacelike
-        unit vectors with overall determinant one they assemble into the
-        inverse of a proper orthochronous l_right, and l_left follows by
-        division.  The canonical parameters d are the rows of
+    def factor(self):
+        """Type-I factorization ``(l_left, d, l_right)`` of the first matrix
+        of the stack, by the method documented at
+        :func:`muellercert.canonical.type1_factor`; d is its row of
         :attr:`type1_d`.
+
+        Raises :class:`DegenerateSpectrumError` when the eigenvalues are too
+        close to separate and :class:`NotTypeIError` when the spectrum, the
+        input, the eigenvector causality or the factors rule the family out.
         """
         g = LORENTZ_METRIC
         stage = self.normal
-        mats, sigma, d = self.unit[rows], self.sigma[rows], self.type1_d[rows]
-        lam, vecs, imag = stage.lam[rows], stage.vecs[rows], stage.imag[rows]
-        scale = self.tol * stage.nnorm[rows]
-        out: list = [None] * len(mats)
-        spectral = []
-        for j, (lj, sc, im) in enumerate(zip(lam.tolist(), scale.tolist(), imag.tolist())):
-            if im > sc:
-                out[j] = NotTypeIError("Lorentz normal matrix has complex spectrum")
-            elif lj[3] < -sc:
-                out[j] = NotTypeIError("Lorentz normal matrix has a negative eigenvalue")
-            elif lj[3] <= sc:
-                out[j] = NotTypeIError("factorization requires a nonsingular input")
-            elif min(lj[0] - lj[1], lj[1] - lj[2], lj[2] - lj[3]) < sc:
-                out[j] = DegenerateSpectrumError(
-                    "eigenvalues of the Lorentz normal matrix are not distinct within tol"
-                )
-            else:
-                spectral.append(j)
-        if not spectral:
-            return out
-
-        pick = _select(spectral, len(mats))
-        vecs, mats, sigma, d = vecs[pick], mats[pick], sigma[pick], d[pick]
-        quad = np.einsum("nia,ij,nja->na", vecs, g, vecs)
-        causal = []
-        for k, qk in enumerate(quad.tolist()):
-            if qk[0] <= 0.0:
-                out[spectral[k]] = NotTypeIError("top eigenvector is not timelike")
-            elif max(qk[1:]) >= 0.0:
-                out[spectral[k]] = NotTypeIError("subdominant eigenvector is not spacelike")
-            else:
-                causal.append(k)
-        if not causal:
-            return out
+        lam, vecs, d = stage.lam[0], stage.vecs[0], self.type1_d[0]
+        scale = self.tol * stage.nnorm[0]
+        if stage.imag[0] > scale:
+            raise NotTypeIError("Lorentz normal matrix has complex spectrum")
+        if lam[3] < -scale:
+            raise NotTypeIError("Lorentz normal matrix has a negative eigenvalue")
+        if d[3] == 0.0:
+            raise NotTypeIError("factorization requires a nonsingular input")
+        if np.min(lam[:3] - lam[1:]) < scale:
+            raise DegenerateSpectrumError(
+                "eigenvalues of the Lorentz normal matrix are not distinct within tol"
+            )
+        quad = np.einsum("ia,ij,ja->a", vecs, g, vecs)
+        if quad[0] <= 0.0:
+            raise NotTypeIError("top eigenvector is not timelike")
+        if quad[1:].max() >= 0.0:
+            raise NotTypeIError("subdominant eigenvector is not spacelike")
 
         # Unit vectors: the timelike one future-pointing, the largest entry
         # of each spacelike one positive, and determinant one.
-        pick = _select(causal, len(quad))
-        vecs, mats, sigma, d = vecs[pick], mats[pick], sigma[pick], d[pick]
-        k = len(vecs)
-        basis = vecs / np.sqrt(np.abs(quad[pick]))[:, None, :]
-        pivot = basis[np.arange(k)[:, None], np.argmax(np.abs(basis), axis=1), np.arange(4)]
-        pivot[:, 0] = basis[:, 0, 0]
-        basis *= np.where(pivot < 0.0, -1.0, 1.0)[:, None, :]
-        basis[np.linalg.slogdet(basis)[0] < 0.0, :, 3] *= -1.0
+        basis = vecs / np.sqrt(np.abs(quad))
+        pivot = basis[np.argmax(np.abs(basis), axis=0), np.arange(4)]
+        pivot[0] = basis[0, 0]
+        basis *= np.where(pivot < 0.0, -1.0, 1.0)
+        if np.linalg.slogdet(basis)[0] < 0.0:
+            basis[:, 3] *= -1.0
 
-        l_right = g @ _transpose(basis) @ g
-        # mats is m / sigma, so its columns are divided by d / sigma.
-        l_left = (mats @ basis) * (sigma[:, None] / d)[:, None, :]
-        both = np.concatenate((basis, l_left))
-        err = np.abs(_transpose(both) @ g @ both - g).reshape(2 * k, 16).max(axis=1)
-        proper = ((l_left[:, 0, 0] > 0.0) & (err[k:] <= 1e-6)).tolist()
-        for c, ortho_err in enumerate(err[:k].tolist()):
-            j = spectral[causal[c]]
-            if ortho_err > 1e-6:
-                why = f"eigenbasis fails Lorentz orthonormality by {ortho_err:.3g}"
-                out[j] = NotTypeIError(why)
-            elif not proper[c]:
-                out[j] = NotTypeIError("left factor is not proper orthochronous Lorentz")
-            else:
-                out[j] = (l_left[c], d[c], l_right[c])
-        return out
+        ortho_err = np.abs(basis.T @ g @ basis - g).max()
+        if ortho_err > 1e-6:
+            raise NotTypeIError(f"eigenbasis fails Lorentz orthonormality by {ortho_err:.3g}")
+        l_right = g @ basis.T @ g
+        # unit is m / sigma, so its columns are divided by d / sigma.
+        l_left = (self.unit[0] @ basis) * (self.sigma[0] / d)
+        if not (l_left[0, 0] > 0.0 and np.abs(l_left.T @ g @ l_left - g).max() <= 1e-6):
+            raise NotTypeIError("left factor is not proper orthochronous Lorentz")
+        return l_left, d, l_right
 
 
 def _indeterminate(diagnostics: str) -> CanonicalClass:

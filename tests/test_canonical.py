@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -179,11 +181,19 @@ class TestClassify:
 
 class TestType1Factor:
     def test_diagonal_input_yields_identity_factors(self):
-        d = np.array([3.0, 2.0, 1.0, 0.5])
-        l_left, d_out, l_right = type1_factor(np.diag(d))
-        np.testing.assert_allclose(l_left, np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(l_right, np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(d_out, d, atol=1e-12)
+        # the second input has |d3| = 3e-5 d0, below sqrt(tol) d0 but far
+        # from singular: it is factored, and classify attaches the factors
+        for d in ([3.0, 2.0, 1.0, 0.5], [1.0, 0.6, 0.3, 3e-5]):
+            m = np.diag(d)
+            l_left, d_out, l_right = type1_factor(m)
+            np.testing.assert_allclose(l_left, np.eye(4), atol=1e-12)
+            np.testing.assert_allclose(l_right, np.eye(4), atol=1e-12)
+            np.testing.assert_allclose(d_out, d, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(l_left @ np.diag(d_out) @ l_right, m, atol=1e-12)
+            result = classify(m)
+            assert result.l_left is not None
+            np.testing.assert_array_equal(result.l_left, l_left)
+            np.testing.assert_array_equal(result.l_right, l_right)
 
     def test_construct_then_recover(self):
         d = np.array([3.0, 2.0, 1.0, 0.5])
@@ -214,6 +224,28 @@ class TestType1Factor:
         with pytest.raises(NotTypeIError, match="nonsingular input"):
             type1_factor(np.diag([1.0, 0.5, 0.25, 0.0]))
 
+    def test_rank_one_input_is_singular(self):
+        # M = a b^T with a lightlike has N = (a^T G a) G b b^T, zero up to
+        # rounding, so the spectrum of N is noise.  The factorization stops
+        # at a spectrum screen or, where the noise passes those, at the
+        # singular screen (d3 = 0); it never divides by d3 = 0 or lets the
+        # noise pick a later reason.
+        rng = np.random.default_rng(0)
+        singular = 0
+        for _ in range(4000):
+            n, v = (x / np.linalg.norm(x) for x in rng.normal(size=(2, 3)))
+            r = 1.0 if rng.random() < 0.5 else rng.uniform(0.0, 0.8)
+            m = np.outer(np.r_[1.0, n], np.r_[1.0, r * v]) * 10.0 ** rng.integers(-3, 10)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotTypeIError) as info:
+                    type1_factor(m)
+            message = str(info.value)
+            if "spectrum" not in message and "negative eigenvalue" not in message:
+                assert message == "factorization requires a nonsingular input"
+                singular += 1
+        assert singular >= 40
+
     def test_type_two_input_rejected(self):
         rejected = (NotTypeIError, DegenerateSpectrumError)
         with pytest.raises(rejected, match="not distinct within tol"):
@@ -239,10 +271,11 @@ class TestType1Factor:
 
 
 def test_one_normal_matrix_stage_per_analysis(monkeypatch):
-    # the classification and the Type-I factorization read the same eig,
-    # and d comes from it with no det, also where the factorization fails
-    # (the tied spectrum of the identity)
-    calls = {"eig": 0, "normal_matrices": 0, "det": 0}
+    # one eig of the normal matrices serves the whole stack, and d comes
+    # from it and the one slogdet of type1_d, with no det; reports never
+    # factor, so the Type-I rows (a distinct and a tied spectrum) make no
+    # slogdet of their own
+    calls = {"eig": 0, "normal_matrices": 0, "det": 0, "slogdet": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -253,6 +286,7 @@ def test_one_normal_matrix_stage_per_analysis(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
     monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
+    monkeypatch.setattr(np.linalg, "slogdet", counted("slogdet", np.linalg.slogdet))
     monkeypatch.setattr(kernel, "normal_matrices", counted("normal_matrices", kernel.normal_matrices))
     stack = np.stack(
         [
@@ -269,7 +303,7 @@ def test_one_normal_matrix_stage_per_analysis(monkeypatch):
         "NotPreMueller",
         "TypeI",
     ]
-    assert calls == {"eig": 1, "normal_matrices": 1, "det": 0}
+    assert calls == {"eig": 1, "normal_matrices": 1, "det": 0, "slogdet": 1}
 
 
 @settings(max_examples=300, deadline=None)

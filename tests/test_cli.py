@@ -141,6 +141,36 @@ class TestMainCommand:
         err = capsys.readouterr().err
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe not UTF-8",
+            b'{"mueller": [[1' + b"0" * 400 + b", 0, 0, 0]]}",
+            b'{"mueller": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        ],
+        ids=["not-utf8", "huge-integer", "deep-nesting"],
+    )
+    def test_unparseable_file_exit_code(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["batch", str(tmp_path)]) == 2
+        assert set(json.loads(capsys.readouterr().out)["bad.txt"]) == {"error"}
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_is_a_usage_error(self, tmp_path, capsys, tol):
+        path = write_matrix(tmp_path, "m.txt", np.eye(4))
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", str(path), "--tol", tol])
+        assert info.value.code == 2
+        assert "tol must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_zero_tol(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "m.txt", np.eye(4))
+        assert main(["analyze", str(path), "--tol", "0", "--verdict-exit"]) == 0
+        assert json.loads(capsys.readouterr().out)["canonical"]["family"] == "TypeI"
+
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_input_exit_code(self, tmp_path, capsys, token):
         path = tmp_path / "bad.txt"

@@ -13,6 +13,7 @@ from muellercert import (
     h_from_m,
     m_from_h,
     mueller_from_jones,
+    physicality,
     stokes_from_coherency,
     stokes_is_physical,
     stokes_is_pure,
@@ -259,3 +260,13 @@ class TestMuellerCoercion:
                 as_mueller_stack(bad)
         with pytest.raises(ValueError, match="real"):
             as_mueller_stack(np.zeros((2, 4, 4), dtype=complex))
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            physicality(np.eye(4), tol)
+
+    def test_zero_tol(self):
+        assert physicality(np.eye(4), 0.0).is_mueller
