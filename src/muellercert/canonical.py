@@ -125,10 +125,12 @@ def type1_factor(m, tol: float = DEFAULT_TOL):
     sigma times the signed square roots of the eigenvalues of the normal
     matrix of m/sigma, the last one carrying the sign of det(m).
 
-    Raises DegenerateSpectrumError when eigenvalue gaps fall below tol
-    (callers should fall back to classification only) and NotTypeIError
-    when the spectrum or eigenvector causality types rule the family out,
-    or when the input is singular (d3 is zero).
+    Raises NotTypeIError when the input is singular (d3 is zero), before
+    any other screen, since the normal matrix of a singular input can be
+    rounding noise.  Otherwise raises DegenerateSpectrumError when
+    eigenvalue gaps fall below tol (callers should fall back to
+    classification only) and NotTypeIError when the spectrum or
+    eigenvector causality types rule the family out.
     """
     return kernel.Analysis(m, tol).factor()
 

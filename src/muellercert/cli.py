@@ -19,22 +19,32 @@ input, flags, and seed produce byte-identical output.  Numbers are printed
 with 12 significant digits.
 
 A report costs about what its analysis costs.  :func:`analyze_stack` runs
-the spectral stages once over a stack and converts each stage array to
-Python lists once, one ``tolist`` per array, which each report slices;
+the spectral stages once over a stack, and the witness expectation once
+over its non-Mueller rows, and converts each stage array to Python lists
+once, one ``tolist`` per array, which each report slices;
 :func:`analyze_matrix` is the stack of one.  :func:`render_report` is the
 only writer of report text: one recursive walk rounds and writes, with
 the bytes of ``json.dumps(indent=2, sort_keys=True)`` on the rounded
-document, whose pure-Python indent encoder it replaces.
+document, whose pure-Python indent encoder it replaces.  A float is
+written as ``'%.12g' % x`` with ``.0`` after an integer, which for a
+normal float has the digits of ``repr(float('%.12g' % x))``; ``repr`` is
+called only at exponents e+12 to e+15 (positional in ``repr``) and below
+1e-300 (subnormals).
+
+``batch`` reads the files of DIR from one directory listing, symlinks
+followed and subdirectories skipped, in name order.  ``--tol`` belongs to
+``analyze`` and ``batch``, the commands whose verdicts read it.
 
 Exit codes: 0 success, 1 internal error, 2 parse/input failure (a bad
-``--tol`` included).  With ``--verdict-exit``: 0 Mueller, 3 pre-Mueller
-only, 4 not pre-Mueller.
+``--tol``, or ``--tol`` on ``tetra-scan`` or ``vanzyl``, included).  With
+``--verdict-exit``: 0 Mueller, 3 pre-Mueller only, 4 not pre-Mueller.
 """
 
 import argparse
 import functools
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -143,7 +153,13 @@ def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
     cone_ok, intensity, lorentz, worst_input = (field.tolist() for field in analysis.cone)
     w_rows, mueller_rows, rank_rows = h.w.tolist(), h.mueller.tolist(), h.rank.tolist()
     vec_real, vec_imag = h.vecs.real.tolist(), h.vecs.imag.tolist()
-    entangled = None
+    # One stacked witness expectation over the non-Mueller rows, which the
+    # loop below reads in row order.
+    expectations = iter(())
+    if not all(mueller_rows):
+        unphysical = ~h.mueller
+        state = extended_action(m[unphysical], witness_input())
+        expectations = iter(expectation(state, h.vecs[unphysical, 0], tol).tolist())
     reports = []
     for i, canon in enumerate(canonical):
         # The H stage's verdicts, as choi.physicality, mueller_jones_test,
@@ -163,13 +179,10 @@ def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
             ]
         witness = {"present": False, "vector": None, "expectation": None}
         if not mueller:
-            if entangled is None:
-                entangled = witness_input()
-            value = expectation(extended_action(m[i], entangled), h.vecs[i, 0], tol)
             witness = {
                 "present": True,
                 "vector": {"real": real[0], "imag": imag[0]},
-                "expectation": value,
+                "expectation": next(expectations),
             }
         reports.append({
             "input_echo": echo[i],
@@ -251,9 +264,31 @@ def vanzyl_case() -> dict:
     }
 
 
-# Rounded floats that ``repr`` spells otherwise in a report: the non-finite
-# ones as ``json`` writes them, and -0.0 as 0.0.
-_FLOAT_TEXT = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN", "-0.0": "0.0"}
+# ``%.12g`` texts without a decimal point that a report spells otherwise:
+# the non-finite ones as ``json`` writes them, and -0 as 0.0.
+_FLOAT_TEXT = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN", "-0": "0.0"}
+# Exponents at which ``%g`` (from e+12) writes exponent notation and
+# ``repr`` (up to e+15) writes the number positionally.
+_POSITIONAL = frozenset(("e+12", "e+13", "e+14", "e+15"))
+
+
+def _float_text(x: float) -> str:
+    """``repr(float('%.12g' % x))``, as ``json`` writes it (-0.0 as 0.0).
+
+    For a normal float the ``%.12g`` digits are already the shortest
+    round-trip digits (a decimal of at most 15 digits maps to a distinct
+    double), so only the notation is fixed up: ``.0`` after an integer.
+    ``repr`` is called in two cases only: exponents e+12 to e+15, which
+    ``repr`` writes positionally, and |x| below 1e-300, where a subnormal
+    may round-trip with fewer digits."""
+    text = "%.12g" % x
+    if "e" in text:
+        if text[-4:] in _POSITIONAL or -1e-300 < x < 1e-300:
+            return repr(float(text))
+        return text
+    if "." in text:
+        return text
+    return _FLOAT_TEXT.get(text) or text + ".0"
 
 
 def _json(obj, newline: str) -> str:
@@ -261,8 +296,7 @@ def _json(obj, newline: str) -> str:
     writes it, with every float first rounded to 12 significant digits.
     ``newline`` starts the line that ``obj`` is on, with its indent."""
     if isinstance(obj, float):
-        text = repr(float("%.12g" % obj))
-        return _FLOAT_TEXT.get(text, text)
+        return _float_text(obj)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -358,10 +392,12 @@ def _tolerance(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # --tol only where a verdict reads it: analyze and batch.
+    verdicts = argparse.ArgumentParser(add_help=False)
+    verdicts.add_argument(
         "--tol", type=_tolerance, default=DEFAULT_TOL, help="relative verdict tolerance"
     )
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
         choices=("report", "summary"),
@@ -375,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser(
-        "analyze", parents=[common], help="analyze one matrix file"
+        "analyze", parents=[verdicts, common], help="analyze one matrix file"
     )
     p_analyze.add_argument("file")
     p_analyze.add_argument(
@@ -385,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_batch = sub.add_parser(
-        "batch", parents=[common], help="analyze every file in a directory"
+        "batch", parents=[verdicts, common], help="analyze every file in a directory"
     )
     p_batch.add_argument("dir")
     p_batch.add_argument(
@@ -436,14 +472,17 @@ def main(argv=None, out=None, err=None) -> int:
             return _EXIT_PARSE
         results: dict[str, dict | None] = {}
         names, mats = [], []
-        for path in sorted(p for p in directory.iterdir() if p.is_file()):
+        # One listing; DirEntry.is_file follows symlinks, as Path.is_file does.
+        with os.scandir(directory) as listing:
+            files = sorted((entry.name, entry.path) for entry in listing if entry.is_file())
+        for name, path in files:
             try:
                 mats.append(load_matrix(path))
             except ParseError as exc:
-                results[path.name] = {"error": str(exc)}
+                results[name] = {"error": str(exc)}
                 continue
-            names.append(path.name)
-            results[path.name] = None  # keeps the sorted order
+            names.append(name)
+            results[name] = None  # keeps the sorted order
         failed = len(names) < len(results)
         worst = 0
         if mats:

@@ -198,12 +198,22 @@ def _hermitian_of(mats) -> np.ndarray:
     return np.einsum("...ab,abjk->...jk", mats, _PAIR_BASIS)
 
 
+def _frobenius(arr: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of an (N, n, n) stack or of one n x n
+    matrix, shape (N,) or (1,): one real dot product per matrix."""
+    rows = np.ascontiguousarray(arr, dtype=complex).reshape(-1, arr.shape[-1] ** 2)
+    pairs = rows.view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", pairs, pairs))
+
+
 def _not_hermitian(arr: np.ndarray, tol: float, scale: float | None = None) -> bool:
-    """True when arr deviates from hermiticity, in Frobenius norm, by more
-    than tol times ``scale`` (by default its own Frobenius norm)."""
+    """True when arr, one matrix or an (N, n, n) stack, holds a matrix that
+    deviates from hermiticity, in Frobenius norm, by more than tol times
+    ``scale`` (by default that matrix's own Frobenius norm)."""
     if scale is None:
-        scale = max(np.linalg.norm(arr), 1e-300)
-    return bool(np.linalg.norm(arr - arr.conj().T) > tol * scale)
+        scale = np.maximum(_frobenius(arr), 1e-300)
+    skew = _frobenius(arr - arr.conj().swapaxes(-2, -1))
+    return bool(np.count_nonzero(skew > tol * scale))
 
 
 def m_from_h(h, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -340,7 +340,8 @@ class Analysis:
         under- or overflow.  Zeroing d3 where the last eigenvalue is at most
         tol * nnorm instead would drop every |d3| below about sqrt(tol) sigma.
         """
-        sign, logdet = np.linalg.slogdet(self.unit)
+        with np.errstate(divide="ignore"):  # log 0 of a singular input
+            sign, logdet = np.linalg.slogdet(self.unit)
         root = np.sqrt(np.maximum(self.normal.lam, 0.0))
         sign[np.exp(logdet) <= self.tol * root[:, :3].prod(axis=1)] = 0.0
         root[:, 3] *= sign
@@ -467,20 +468,24 @@ class Analysis:
         :func:`muellercert.canonical.type1_factor`; d is its row of
         :attr:`type1_d`.
 
-        Raises :class:`DegenerateSpectrumError` when the eigenvalues are too
-        close to separate and :class:`NotTypeIError` when the spectrum, the
-        input, the eigenvector causality or the factors rule the family out.
+        Raises :class:`NotTypeIError` when the input is singular (d3 == 0,
+        screened first), :class:`DegenerateSpectrumError` when the
+        eigenvalues are too close to separate and :class:`NotTypeIError`
+        when the spectrum, the eigenvector causality or the factors rule the
+        family out.
         """
         g = LORENTZ_METRIC
         stage = self.normal
         lam, vecs, d = stage.lam[0], stage.vecs[0], self.type1_d[0]
+        # Singular first: for a singular input N can be rounding noise, and
+        # the noise would otherwise pick one of the spectrum's reasons.
+        if d[3] == 0.0:
+            raise NotTypeIError("factorization requires a nonsingular input")
         scale = self.tol * stage.nnorm[0]
         if stage.imag[0] > scale:
             raise NotTypeIError("Lorentz normal matrix has complex spectrum")
         if lam[3] < -scale:
             raise NotTypeIError("Lorentz normal matrix has a negative eigenvalue")
-        if d[3] == 0.0:
-            raise NotTypeIError("factorization requires a nonsingular input")
         if np.min(lam[:3] - lam[1:]) < scale:
             raise DegenerateSpectrumError(
                 "eigenvalues of the Lorentz normal matrix are not distinct within tol"

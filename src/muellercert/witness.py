@@ -16,6 +16,13 @@ against the transformed input is negative, witnessing that a map can
 preserve the Stokes cone and still be unphysical.  Separable inputs can
 never expose this: on them any cone-preserving map acts block-by-block as
 an ordinary Stokes map.
+
+:func:`coherency_transfer`, :func:`extended_action` and :func:`expectation`
+are stack-native, like the analysis kernel: they take a leading axis of N
+transfer matrices (N, 4, 4), states (N, 4, 4) or vectors (N, 4), and a
+single input is the stack of one on the same code.  A report's witness
+expectation is one call of each over all the rows of a stack that are not
+Mueller.
 """
 
 import numpy as np
@@ -26,7 +33,7 @@ from .core import (
     STOKES_TO_VEC,
     VEC_TO_STOKES,
     _not_hermitian,
-    as_mueller_matrix,
+    as_mueller_stack,
 )
 from .kernel import Analysis
 
@@ -35,9 +42,11 @@ def coherency_transfer(m) -> np.ndarray:
     """Matrix of the coherency-domain action equivalent to S -> m S.
 
     Acts on row-major vectorized 2x2 coherency matrices; for a Jones system
-    it equals the tensor square of the Jones matrix.
+    it equals the tensor square of the Jones matrix.  ``m`` is one 4x4
+    matrix or an (N, 4, 4) stack, and the result has its shape.
     """
-    return STOKES_TO_VEC @ as_mueller_matrix(m) @ VEC_TO_STOKES
+    t = STOKES_TO_VEC @ as_mueller_stack(m) @ VEC_TO_STOKES
+    return t if np.ndim(m) == 3 else t[0]
 
 
 def witness_input() -> np.ndarray:
@@ -51,19 +60,33 @@ def witness_input() -> np.ndarray:
     return np.outer(e, e.conj())
 
 
+def _coefficients(c) -> np.ndarray:
+    """Coerce to a complex 4x4 coefficient matrix or (N, 4, 4) stack."""
+    arr = np.asarray(c, dtype=complex)
+    if arr.ndim not in (2, 3) or arr.shape[-2:] != (4, 4):
+        raise ValueError(
+            f"expected a 4x4 coefficient matrix or an (N, 4, 4) stack, got shape {arr.shape}"
+        )
+    return arr
+
+
 def extended_action(m, c) -> np.ndarray:
     """Apply a transfer matrix to a two-mode state, polarization only.
 
     For every fixed pair of mode indices the 2x2 polarization block
     transforms by the coherency-domain equivalent of S -> m S; the mode
     structure is untouched.  Output is hermitian whenever the input is.
+
+    ``m`` is one 4x4 matrix or an (N, 4, 4) stack, and so is ``c``; a 4x4
+    input serves every row of the other.  The result is (N, 4, 4) when
+    either input is a stack, row i the action of ``m[i]`` on ``c[i]``, and
+    4x4 otherwise, as the stack of one.
     """
-    arr = np.asarray(c, dtype=complex)
-    if arr.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 coefficient matrix, got shape {arr.shape}")
-    t4 = coherency_transfer(m).reshape(2, 2, 2, 2)
-    c4 = arr.reshape(2, 2, 2, 2)
-    return np.einsum("jkpq,pmqn->jmkn", t4, c4).reshape(4, 4)
+    arr = _coefficients(c)
+    t4 = coherency_transfer(m).reshape(-1, 2, 2, 2, 2)
+    c4 = arr.reshape(-1, 2, 2, 2, 2)
+    out = np.einsum("...jkpq,...pmqn->...jmkn", t4, c4).reshape(-1, 4, 4)
+    return out if arr.ndim == 3 or np.ndim(m) == 3 else out[0]
 
 
 def two_mode_is_physical(c, tol: float = DEFAULT_TOL) -> bool:
@@ -77,20 +100,28 @@ def two_mode_is_physical(c, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[0] >= -tol * scale)
 
 
-def expectation(c, e, tol: float = DEFAULT_TOL) -> float:
+def expectation(c, e, tol: float = DEFAULT_TOL) -> float | np.ndarray:
     """Expectation value e^dag c e of a hermitian two-mode state.
 
-    Raises NonHermitianInputError when c fails the hermiticity tolerance.
+    ``c`` is one 4x4 state or an (N, 4, 4) stack, ``e`` one 4-vector or an
+    (N, 4) stack; a single state or vector serves every row of the other.
+    Returns a float for one state and one vector, and otherwise the (N,)
+    array whose row i is ``e[i]^dag c[i] e[i]``.
+
+    Raises NonHermitianInputError when any state fails the hermiticity
+    tolerance.
     """
-    arr = np.asarray(c, dtype=complex)
-    if arr.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 coefficient matrix, got shape {arr.shape}")
+    arr = _coefficients(c)
     if _not_hermitian(arr, tol):
         raise NonHermitianInputError("two-mode state is not hermitian")
     vec = np.asarray(e, dtype=complex)
-    if vec.shape != (4,):
-        raise ValueError(f"expected a 4-component Jones vector, got shape {vec.shape}")
-    return float((vec.conj() @ arr @ vec).real)
+    if vec.ndim not in (1, 2) or vec.shape[-1:] != (4,):
+        raise ValueError(
+            f"expected a 4-component Jones vector or an (N, 4) stack, got shape {vec.shape}"
+        )
+    vecs = vec.reshape(-1, 4)
+    values = (vecs.conj()[:, None, :] @ arr.reshape(-1, 4, 4) @ vecs[:, :, None])[:, 0, 0].real
+    return values if arr.ndim == 3 or vec.ndim == 2 else float(values[0])
 
 
 def witness_certificate(m, tol: float = DEFAULT_TOL):

@@ -166,6 +166,18 @@ class TestMainCommand:
         assert info.value.code == 2
         assert "tol must be finite and nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["tetra-scan", "--samples", "1000"], ["vanzyl"]],
+        ids=["tetra-scan", "vanzyl"],
+    )
+    def test_tol_only_where_a_verdict_reads_it(self, argv, capsys):
+        # tetra-scan and vanzyl read no tolerance, so --tol is a usage error
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--tol", "0.5"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --tol 0.5" in capsys.readouterr().err
+
     def test_zero_tol(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "m.txt", np.eye(4))
         assert main(["analyze", str(path), "--tol", "0", "--verdict-exit"]) == 0
@@ -210,6 +222,10 @@ class TestMainCommand:
         assert main(["analyze", str(path), "--verdict-exit", "--tol", "1e-3"]) == 0
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["physicality"]["verdict"] is True
+        assert main(["batch", str(tmp_path), "--verdict-exit"]) != 0
+        capsys.readouterr()
+        assert main(["batch", str(tmp_path), "--verdict-exit", "--tol", "1e-3"]) == 0
+        assert json.loads(capsys.readouterr().out)["m.txt"] == parsed
 
     def test_summary_format(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "m.txt", np.diag([1.0, 1, 1, -1]))
@@ -233,6 +249,23 @@ class TestMainCommand:
         assert main(["batch", str(tmp_path)]) == 2
         parsed = json.loads(capsys.readouterr().out)
         assert "error" in parsed["bad.txt"]
+
+    def test_batch_lists_files_only(self, tmp_path, capsys):
+        # a subdirectory is skipped, a symlink to a matrix file is analyzed,
+        # and the files come in name order
+        flip = np.diag([1.0, 1, 1, -1])
+        mixture = 0.5 * (np.eye(4) + np.diag([1.0, 1.0, -1.0, -1.0])) + 1e-3 / 3.0
+        (tmp_path / "sub").mkdir()
+        write_matrix(tmp_path / "sub", "a.txt", np.eye(4))
+        write_matrix(tmp_path, "d.txt", flip)
+        target = write_matrix(tmp_path / "sub", "mixture.txt", mixture)
+        (tmp_path / "c.txt").symlink_to(target)
+        (tmp_path / "dangling.txt").symlink_to(tmp_path / "missing.txt")
+        assert main(["batch", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert list(json.loads(out)) == ["c.txt", "d.txt"]
+        expected = {"c.txt": analyze_matrix(mixture), "d.txt": analyze_matrix(flip)}
+        assert out == render_report(expected)
 
     def test_calls_share_no_parser_state(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "m.txt", np.eye(4))

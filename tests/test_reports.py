@@ -27,6 +27,8 @@ from hypothesis import strategies as st
 from muellercert import (
     certify_cone,
     classify,
+    expectation,
+    extended_action,
     h_from_m,
     jones_ensemble,
     mueller_from_jones,
@@ -35,7 +37,9 @@ from muellercert import (
     physicality,
     type1_factor,
     witness_certificate,
+    witness_input,
 )
+from muellercert import cli
 from muellercert.cli import analyze_matrix, analyze_stack, main, render_report
 
 from helpers import random_jones, random_lorentz, reference_render_report
@@ -55,13 +59,29 @@ def test_golden_inputs_as_one_stack():
     assert rendered == [case["report"] for case in GOLDEN]
 
 
-# Floats whose text is special: signed zeros, non-finite values, the
-# smallest subnormal, the edges of fixed notation for small numbers, and
+# Floats whose text is special: signed zeros, non-finite values, subnormals
+# and the smallest normal, the edges of fixed notation for small numbers,
 # magnitudes 1e11 to 1e17, where %g (from 1e12) and repr (from 1e16) switch
-# to exponent notation at different points.
-_SPECIAL_FLOATS = st.sampled_from(
-    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-4, 9.99999999999e-5, 1e-5]
+# to exponent notation at different points, and values that %.12g rounds
+# across those switches (into e+12, and up to 1e+16).
+_SPECIAL_VALUES = (
+    0.0,
+    -0.0,
+    math.inf,
+    -math.inf,
+    math.nan,
+    5e-324,
+    -5e-324,
+    1.5e-310,
+    2.2250738585072014e-308,
+    1e-4,
+    9.99999999999e-5,
+    1e-5,
+    999999999999.5,
+    123456789012345.0,
+    9999999999999500.0,
 )
+_SPECIAL_FLOATS = st.sampled_from(_SPECIAL_VALUES)
 _LARGE_FLOATS = st.builds(
     lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
     st.sampled_from([1.0, -1.0]),
@@ -93,6 +113,23 @@ _DOCUMENTS = st.recursive(
 @given(_DOCUMENTS)
 def test_render_matches_the_json_encoder(doc):
     assert render_report(doc) == reference_render_report(doc)
+
+
+@pytest.mark.parametrize("value", _SPECIAL_VALUES, ids=repr)
+def test_special_float_text(value):
+    assert render_report([value]) == reference_render_report([value])
+
+
+def test_render_matches_the_json_encoder_on_random_bit_patterns():
+    # every float64 class at its frequency among bit patterns: subnormals,
+    # nan and inf, and exponents across the whole range; 100 floats per
+    # document, each on its own line
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64, endpoint=False)
+    floats = bits.view(np.float64).tolist()
+    for start in range(0, len(floats), 100):
+        doc = floats[start : start + 100]
+        assert render_report(doc) == reference_render_report(doc)
 
 
 @pytest.mark.parametrize(
@@ -242,6 +279,40 @@ def test_report_fields_are_the_public_verdicts(draws):
         assert report["witness"]["present"] is (witness is not None)
         if witness is not None:
             assert report["witness"]["vector"] == _complex(witness)
+
+
+def test_one_witness_expectation_per_stack(monkeypatch):
+    # one stacked extended action and one stacked expectation serve every
+    # witness row of the stack, with the values of each row alone
+    calls = {"extended_action": 0, "expectation": 0}
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    mats = [_mixed(kind, seed) for seed in range(4) for kind in _KINDS[:6]]
+    stack = np.stack(mats + [np.eye(4)])
+    assert len(stack) == 25
+    monkeypatch.setattr(cli, "extended_action", counted("extended_action"))
+    monkeypatch.setattr(cli, "expectation", counted("expectation"))
+    reports = analyze_stack(stack)
+    assert calls == {"extended_action": 1, "expectation": 1}
+    monkeypatch.undo()
+    witnessed = 0
+    for m, report in zip(stack, reports):
+        vec = witness_certificate(m)
+        if vec is None:
+            assert report["witness"]["expectation"] is None
+            continue
+        witnessed += 1
+        value = expectation(extended_action(m, witness_input()), vec)
+        assert report["witness"]["expectation"] == value < 0.0
+    assert witnessed >= 5
 
 
 def test_empty_stack():

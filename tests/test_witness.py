@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ from muellercert import (
     witness_input,
 )
 from helpers import random_jones, random_lorentz
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_reports.json").read_text())
 
 
 def two_mode_blocks(c):
@@ -200,3 +205,97 @@ class TestWitnessCertificate:
             else:
                 value = expectation(extended_action(m, witness_input()), vec)
                 assert value < 0.0
+
+
+def _stacks():
+    """The golden inputs as one stack, and seeded stacks of Gaussian
+    matrices and noisy Jones mixtures."""
+    yield np.stack([np.array(case["m"]).reshape(4, 4) for case in GOLDEN])
+    rng = np.random.default_rng(68)
+    for _ in range(10):
+        gaussian = rng.normal(size=(8, 4, 4))
+        mixtures = [
+            sum(mueller_from_jones(random_jones(rng)) for _ in range(3))
+            + rng.normal(scale=1e-3, size=(4, 4))
+            for _ in range(8)
+        ]
+        yield np.concatenate([gaussian, mixtures])
+
+
+def _hermitian_stack(rng, n):
+    b = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    return b + b.conj().swapaxes(1, 2)
+
+
+class TestStacks:
+    """The witness functions over an (N, 4, 4) stack against each row alone."""
+
+    def test_extended_action_rows_are_single_actions(self):
+        rng = np.random.default_rng(69)
+        c0 = witness_input()
+        for ms in _stacks():
+            states = _hermitian_stack(rng, len(ms))
+            shared = extended_action(ms, c0)
+            paired = extended_action(ms, states)
+            one_map = extended_action(ms[0], states)
+            assert shared.shape == paired.shape == one_map.shape == (len(ms), 4, 4)
+            for i, m in enumerate(ms):
+                assert np.array_equal(shared[i], extended_action(m, c0))
+                assert np.array_equal(paired[i], extended_action(m, states[i]))
+                assert np.array_equal(one_map[i], extended_action(ms[0], states[i]))
+
+    def test_expectation_rows_are_single_expectations(self):
+        rng = np.random.default_rng(70)
+        for ms in _stacks():
+            states = extended_action(ms, witness_input())
+            vecs = rng.normal(size=(len(ms), 4)) + 1j * rng.normal(size=(len(ms), 4))
+            values = expectation(states, vecs)
+            one_vec = expectation(states, vecs[0])
+            one_state = expectation(states[0], vecs)
+            assert values.shape == one_vec.shape == one_state.shape == (len(ms),)
+            for i in range(len(ms)):
+                single = expectation(states[i], vecs[i])
+                assert isinstance(single, float)
+                assert np.array_equal(values[i], single)
+                assert np.array_equal(one_vec[i], expectation(states[i], vecs[0]))
+                assert np.array_equal(one_state[i], expectation(states[0], vecs[i]))
+
+    def test_witness_rows_of_a_stack(self):
+        # the expectation of each unphysical row against its own witness
+        # vector, stacked and alone
+        for ms in _stacks():
+            rows = [i for i, m in enumerate(ms) if witness_certificate(m) is not None]
+            assert rows
+            vecs = np.stack([witness_certificate(ms[i]) for i in rows])
+            values = expectation(extended_action(ms[rows], witness_input()), vecs)
+            for value, i, vec in zip(values, rows, vecs):
+                single = expectation(extended_action(ms[i], witness_input()), vec)
+                assert np.array_equal(value, single)
+                assert value < 0.0
+
+    def test_one_nonhermitian_row_rejects_the_stack(self):
+        rng = np.random.default_rng(71)
+        states = _hermitian_stack(rng, 5)
+        vecs = np.ones((5, 4), dtype=complex)
+        expectation(states, vecs)
+        states[3, 0, 1] += 1.0
+        with pytest.raises(NonHermitianInputError):
+            expectation(states, vecs)
+        with pytest.raises(NonHermitianInputError):
+            expectation(states, vecs[0])
+
+    @pytest.mark.parametrize(
+        "m_shape, c_shape",
+        [((4, 4), (3, 4)), ((2, 4, 4), (4,)), ((2, 4, 4), (2, 2, 4, 4)), ((2, 3, 3), (4, 4))],
+    )
+    def test_rejects_bad_shapes(self, m_shape, c_shape):
+        with pytest.raises(ValueError):
+            extended_action(np.ones(m_shape), np.ones(c_shape))
+
+    def test_rejects_mismatched_rows(self):
+        with pytest.raises(ValueError):
+            extended_action(np.ones((2, 4, 4)), np.ones((3, 4, 4)))
+        with pytest.raises(ValueError):
+            expectation(np.eye(4)[None].repeat(2, axis=0), np.ones((3, 4)))
+        with pytest.raises(ValueError):
+            expectation(np.eye(4), np.ones((2, 3)))
