@@ -28,7 +28,7 @@ import dataclasses
 import numpy as np
 
 from . import kernel
-from .core import DEFAULT_TOL, as_mueller_matrix
+from .core import DEFAULT_TOL, _array, as_mueller_matrix
 
 # The result types are defined by the kernel, which builds them.
 from .kernel import CanonicalClass, DegenerateSpectrumError, Family, NotTypeIError  # noqa: F401
@@ -56,9 +56,7 @@ def type1_margins(d) -> np.ndarray:
     stack of 4 slacks, ordered as TYPE1_CONSTRAINT_FORMS.  All slacks are
     nonnegative exactly when diag(d) is a physical Mueller matrix.
     """
-    arr = np.asarray(d, dtype=float)
-    if arr.shape[-1] != 4:
-        raise ValueError("expected canonical parameters of shape (..., 4)")
+    arr = _array(d, (..., 4), "canonical parameters")
     d0, d1, d2, d3 = (arr[..., k] for k in range(4))
     return np.stack(
         [d0 + d1 + d2 + d3, d0 + d1 - d2 - d3, d0 - d1 - d2 + d3, d0 - d1 + d2 - d3],
@@ -79,15 +77,13 @@ def type2_constraints(d, tol: float = DEFAULT_TOL) -> bool:
     """Physicality test for the Type-II canonical form.
 
     On the Type-II domain d0 > d1 > 0 the canonical form is physical iff
-    d3 == d2 (within tol) and d2^2 <= d0 d1 (within tol); the equality is
-    the constraint that appears only when spatially entangled inputs are
-    considered.
+    d3 == d2 and d2^2 <= d0 d1, both within tol relative to d0 (so the
+    verdict does not depend on the scale of d): |d3 - d2| <= tol d0 and
+    d2^2 <= d0 d1 + tol d0^2.  The equality is the constraint that appears
+    only when spatially entangled inputs are considered.
     """
-    arr = np.asarray(d, dtype=float)
-    if arr.shape != (4,):
-        raise ValueError("expected 4 canonical parameters")
-    d0, d1, d2, d3 = arr
-    return bool(abs(d3 - d2) <= tol and d2**2 <= d0 * d1 + tol)
+    d0, d1, d2, d3 = _array(d, (4,), "canonical parameters")
+    return bool(abs(d3 - d2) <= tol * d0 and d2**2 <= d0 * d1 + tol * d0**2)
 
 
 def h_eigs_diagonal(d) -> np.ndarray:
@@ -97,9 +93,7 @@ def h_eigs_diagonal(d) -> np.ndarray:
     are (d0 + d1 +/- (d2 + d3)) / 2 and (d0 - d1 +/- (d2 - d3)) / 2,
     returned sorted descending (on the last axis for stacked input).
     """
-    arr = np.asarray(d, dtype=float)
-    if arr.shape[-1] != 4:
-        raise ValueError("expected canonical parameters of shape (..., 4)")
+    arr = _array(d, (..., 4), "canonical parameters")
     d0, d1, d2, d3 = (arr[..., k] for k in range(4))
     eigs = np.stack(
         [
@@ -132,7 +126,7 @@ def type1_factor(m, tol: float = DEFAULT_TOL):
     classification only) and NotTypeIError when the spectrum or
     eigenvector causality types rule the family out.
     """
-    return kernel.Analysis(m, tol).factor()
+    return kernel.Analysis(as_mueller_matrix(m)[None], tol).factor()
 
 
 def classify(m, tol: float = DEFAULT_TOL) -> CanonicalClass:
@@ -148,7 +142,7 @@ def classify(m, tol: float = DEFAULT_TOL) -> CanonicalClass:
     guess.  A Type-I result carries the factors of :func:`type1_factor`
     when the factorization succeeds.
     """
-    analysis = kernel.Analysis(m, tol)
+    analysis = kernel.Analysis(as_mueller_matrix(m)[None], tol)
     result = analysis.canonical[0]
     if result.family is not Family.TYPE_I:
         return result

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, devectorize, mueller_from_jones
+from .core import DEFAULT_TOL, as_mueller_matrix, devectorize, mueller_from_jones
 from .kernel import Analysis
 
 
@@ -62,7 +62,7 @@ class JonesEnsemble:
 
 def physicality(m, tol: float = DEFAULT_TOL) -> PhysicalityReport:
     """Eigendecompose the associated hermitian matrix and report the verdict."""
-    h = Analysis(m, tol).hermitian
+    h = Analysis(as_mueller_matrix(m)[None], tol).hermitian
     return PhysicalityReport(
         eigenvalues=h.w[0, ::-1].copy(),
         min_eigenvalue=float(h.w[0, 0]),
@@ -79,7 +79,7 @@ def jones_ensemble(m, tol: float = DEFAULT_TOL) -> JonesEnsemble:
     the weight, the devectorized unit eigenvector as the Jones matrix.  The
     weighted sum of the member Mueller-Jones matrices reproduces the input.
     """
-    h = Analysis(m, tol).hermitian
+    h = Analysis(as_mueller_matrix(m)[None], tol).hermitian
     w = h.w[0]
     if not h.mueller[0]:
         raise NotPhysicalError(
@@ -100,7 +100,7 @@ def mueller_jones_test(m, tol: float = DEFAULT_TOL):
     positive semidefinite of rank one; the Jones matrix is recovered up to
     an (unobservable) global phase.  Returns None for every other input.
     """
-    h = Analysis(m, tol).hermitian
+    h = Analysis(as_mueller_matrix(m)[None], tol).hermitian
     if not h.mueller[0] or h.rank[0] != 1:
         return None
     return np.sqrt(float(h.w[0, 3])) * devectorize(h.vecs[0, 3])

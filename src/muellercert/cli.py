@@ -58,7 +58,7 @@ from .canonical import (
     type1_constraints,
     type1_margins,
 )
-from .core import DEFAULT_TOL, as_mueller_matrix, as_tolerance
+from .core import DEFAULT_TOL, as_mueller_matrix, as_mueller_stack, as_tolerance
 from .kernel import Analysis
 from .witness import expectation, extended_action, witness_input
 
@@ -120,7 +120,7 @@ def load_matrix(path) -> np.ndarray:
 
 def analyze_matrix(m, tol: float = DEFAULT_TOL) -> dict:
     """Run every verdict on one matrix and assemble the report document."""
-    return analyze_stack(as_mueller_matrix(m)[None], tol)[0]
+    return _reports(Analysis(as_mueller_matrix(m)[None], tol))[0]
 
 
 def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
@@ -131,7 +131,12 @@ def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
     report slices those lists; report i equals
     ``analyze_matrix(mats[i], tol)``.
     """
-    analysis = Analysis(mats, tol)
+    return _reports(Analysis(as_mueller_stack(mats), tol))
+
+
+def _reports(analysis: Analysis) -> list[dict]:
+    """The report documents of every matrix of an analysis."""
+    tol = analysis.tol
     m, h = analysis.m, analysis.hermitian
     canonical = analysis.canonical
     binding: list = [None] * len(m)

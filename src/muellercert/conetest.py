@@ -18,11 +18,12 @@ No sampling and no iteration is involved anywhere, so the reported margins
 are certificates up to floating point rounding, not estimates.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL
+from .core import DEFAULT_TOL, _array, as_mueller_matrix
 from .kernel import Analysis, sphere_min
 
 
@@ -70,20 +71,21 @@ def sphere_quadratic_min(a, b) -> tuple[float, np.ndarray]:
     2017), the solution is completed with a bottom eigenvector.
 
     The minimum always exists (continuous function on a compact set); the
-    input matrix is symmetrized before use.
+    input matrix is symmetrized before use.  The problem is solved divided
+    by the power of two that brings its largest entry into [1, 2), an exact
+    rescaling, so the answer does not depend on the scale of a and b.
 
     Returns ``(value, s_star)``: the global minimum and a unit vector
     attaining it.  ``value`` is evaluated at the returned point, so it is
     achievable by construction.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    a = 0.5 * (a + a.T)
-    value, s = sphere_min(a[None], b[None])
-    return float(value[0]), s[0]
+    b = _array(b, (None,), "linear term b")
+    a = _array(a, (len(b), len(b)), "quadratic form a")
+    peak = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    exponent = math.frexp(peak)[1] - 1  # peak / 2**exponent lies in [1, 2)
+    a, b = np.ldexp(a, -exponent), np.ldexp(b, -exponent)
+    value, s = sphere_min(0.5 * (a + a.T)[None], b[None])
+    return math.ldexp(float(value[0]), exponent), s[0]
 
 
 def certify_cone(m, tol: float = DEFAULT_TOL) -> ConeVerdict:
@@ -97,7 +99,7 @@ def certify_cone(m, tol: float = DEFAULT_TOL) -> ConeVerdict:
     depend on the scale of ``m``.  A pure state mapped to the zero vector
     counts as the cone apex and is allowed.
     """
-    cone = Analysis(m, tol).cone
+    cone = Analysis(as_mueller_matrix(m)[None], tol).cone
     return ConeVerdict(
         bool(cone.ok[0]),
         float(cone.intensity_margin[0]),

@@ -75,37 +75,44 @@ for _const in (PAULI_BASIS, LORENTZ_METRIC, VEC_TO_STOKES, STOKES_TO_VEC, _PAIR_
 del _const
 
 
-def _as_real(m) -> np.ndarray:
-    arr = np.asarray(m)
-    if np.iscomplexobj(arr):
-        raise ValueError("Mueller candidate must be real")
-    return arr.astype(float, copy=False)
+def _array(x, shape, what, dtype=float, stack=False) -> np.ndarray:
+    """The one input boundary of the public API: ``x`` as a finite array of
+    ``dtype`` and ``shape``, else ValueError naming ``what``.
 
-
-def _finite(arr: np.ndarray) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise ValueError("Mueller candidate has a non-finite entry (nan or inf)")
+    ``None`` in ``shape`` is a free length, and a leading ``...`` admits any
+    number of leading axes; ``stack=True`` admits one optional leading axis.
+    The array keeps the axes it came with.  Where ``dtype`` is float, complex
+    input is rejected rather than cast to its real part.
+    """
+    arr = np.asarray(x)
+    if dtype is float and arr.dtype.kind == "c":
+        raise ValueError(f"{what} must be real")
+    arr = arr.astype(dtype, copy=False)
+    free = shape[0] is Ellipsis
+    dims = shape[1:] if free else shape
+    lead = arr.ndim - len(dims)  # axes in front of dims
+    fits = lead >= 0 if free else lead in (0, int(stack))
+    got = arr.shape[lead:]
+    if not fits or (got != dims and any(n not in (None, k) for n, k in zip(dims, got))):
+        names = ["..." if n is Ellipsis else "n" if n is None else str(n) for n in shape]
+        stacked = f" or an (N, {', '.join(names)}) stack" if stack else ""
+        raise ValueError(f"{what}: expected shape {'x'.join(names)}{stacked}, got {arr.shape}")
+    # count_nonzero is the cheapest reduction on the small arrays of one call.
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
+        raise ValueError(f"{what} has a non-finite entry (nan or inf)")
     return arr
 
 
 def as_mueller_matrix(m) -> np.ndarray:
     """Coerce to a real 4x4 float array, rejecting complex and non-finite
     input."""
-    arr = _as_real(m)
-    if arr.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 real matrix, got shape {arr.shape}")
-    return _finite(arr)
+    return _array(m, (4, 4), "Mueller candidate")
 
 
 def as_mueller_stack(ms) -> np.ndarray:
     """Coerce to a real (N, 4, 4) float stack, rejecting complex and
     non-finite input; a single 4x4 matrix becomes a stack of one."""
-    arr = _as_real(ms)
-    if arr.shape == (4, 4):
-        arr = arr[None]
-    if arr.ndim != 3 or arr.shape[1:] != (4, 4):
-        raise ValueError(f"expected an (N, 4, 4) stack of real matrices, got shape {arr.shape}")
-    return _finite(arr)
+    return _array(ms, (4, 4), "Mueller candidate", stack=True).reshape(-1, 4, 4)
 
 
 def as_tolerance(tol) -> float:
@@ -117,33 +124,14 @@ def as_tolerance(tol) -> float:
     return value
 
 
-def as_jones_matrix(j) -> np.ndarray:
-    """Coerce to a 2x2 complex array."""
-    arr = np.asarray(j, dtype=complex)
-    if arr.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 complex matrix, got shape {arr.shape}")
-    return arr
-
-
-def as_stokes_vector(s) -> np.ndarray:
-    """Coerce to a real length-4 float array."""
-    arr = np.asarray(s, dtype=float)
-    if arr.shape != (4,):
-        raise ValueError(f"expected a real 4-vector, got shape {arr.shape}")
-    return arr
-
-
 def vectorize(k) -> np.ndarray:
     """Flatten a 2x2 matrix row-major: K -> (K11, K12, K21, K22)."""
-    return as_jones_matrix(k).reshape(4).copy()
+    return _array(k, (2, 2), "2x2 matrix", complex).reshape(4).copy()
 
 
 def devectorize(v) -> np.ndarray:
     """Exact inverse of :func:`vectorize`."""
-    arr = np.asarray(v, dtype=complex)
-    if arr.shape != (4,):
-        raise ValueError(f"expected a complex 4-vector, got shape {arr.shape}")
-    return arr.reshape(2, 2).copy()
+    return _array(v, (4,), "vectorized 2x2 matrix", complex).reshape(2, 2).copy()
 
 
 def stokes_from_coherency(phi, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -152,9 +140,7 @@ def stokes_from_coherency(phi, tol: float = DEFAULT_TOL) -> np.ndarray:
     Non-hermitian input yields complex traces and raises
     NonHermitianInputError.
     """
-    arr = np.asarray(phi, dtype=complex)
-    if arr.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {arr.shape}")
+    arr = _array(phi, (2, 2), "coherency matrix", complex)
     s = np.einsum("ajk,kj->a", PAULI_BASIS, arr)
     scale = max(np.linalg.norm(arr), 1e-300)
     if np.abs(s.imag).max() > tol * scale:
@@ -166,7 +152,7 @@ def stokes_from_coherency(phi, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def coherency_from_stokes(s) -> np.ndarray:
     """Coherency matrix of a Stokes vector: half the Pauli-basis expansion."""
-    return 0.5 * np.einsum("a,ajk->jk", as_stokes_vector(s), PAULI_BASIS)
+    return 0.5 * np.einsum("a,ajk->jk", _array(s, (4,), "Stokes vector"), PAULI_BASIS)
 
 
 def mueller_from_jones(j) -> np.ndarray:
@@ -177,7 +163,8 @@ def mueller_from_jones(j) -> np.ndarray:
     matrix of unit determinant it is a proper orthochronous Lorentz matrix,
     and the formula applies to singular Jones matrices as well.
     """
-    jj = np.kron(as_jones_matrix(j), as_jones_matrix(j).conj())
+    arr = _array(j, (2, 2), "Jones matrix", complex)
+    jj = np.kron(arr, arr.conj())
     return np.ascontiguousarray((VEC_TO_STOKES @ jj @ STOKES_TO_VEC).real)
 
 
@@ -222,9 +209,7 @@ def m_from_h(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     Raises NonHermitianInputError when the input deviates from hermiticity
     by more than ``tol`` relative to its norm.
     """
-    arr = np.asarray(h, dtype=complex)
-    if arr.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
+    arr = _array(h, (4, 4), "hermitian matrix", complex)
     if _not_hermitian(arr, tol):
         raise NonHermitianInputError("input matrix is not hermitian")
     return np.ascontiguousarray(np.einsum("jk,abkj->ab", arr, _PAIR_BASIS).real)
@@ -232,30 +217,24 @@ def m_from_h(h, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def stokes_is_physical(s, tol: float = DEFAULT_TOL) -> bool:
     """True when s lies in the solid forward light cone (closed cone)."""
-    arr = as_stokes_vector(s)
-    if arr[0] <= 0.0:
-        return False
-    return float(arr @ LORENTZ_METRIC @ arr) >= -tol * arr[0] ** 2
+    arr = _array(s, (4,), "Stokes vector")
+    return bool(arr[0] > 0.0 and arr @ LORENTZ_METRIC @ arr >= -tol * arr[0] ** 2)
 
 
 def stokes_is_pure(s, tol: float = DEFAULT_TOL) -> bool:
     """True for fully polarized states, which live on the cone surface."""
-    arr = as_stokes_vector(s)
-    return stokes_is_physical(arr, tol) and abs(
-        float(arr @ LORENTZ_METRIC @ arr)
-    ) <= tol * arr[0] ** 2
+    arr = _array(s, (4,), "Stokes vector")
+    return bool(arr[0] > 0.0 and abs(arr @ LORENTZ_METRIC @ arr) <= tol * arr[0] ** 2)
 
 
 def coherency_is_physical(phi, tol: float = DEFAULT_TOL) -> bool:
     """True when phi is hermitian with positive trace and nonnegative det."""
-    arr = np.asarray(phi, dtype=complex)
-    if arr.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {arr.shape}")
+    arr = _array(phi, (2, 2), "coherency matrix", complex)
     if _not_hermitian(arr, tol):
         return False
     tr = arr.trace().real
     det = (arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]).real
-    return tr > 0.0 and det >= -tol * tr**2
+    return bool(tr > 0.0 and det >= -tol * tr**2)
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:

@@ -46,7 +46,6 @@ from .core import (
     LORENTZ_METRIC,
     _canonical_phase,
     _hermitian_of,
-    as_mueller_stack,
     as_tolerance,
 )
 
@@ -254,14 +253,16 @@ class NormalStage(NamedTuple):
 class Analysis:
     """The three spectral stages of a stack of real 4x4 matrices.
 
-    Each stage is computed on first use and at most once; a stage that a
-    verdict does not need is never computed.  ``tol`` is the relative
-    tolerance of every verdict, a finite nonnegative number (else
-    ``ValueError``).
+    ``mats`` is an (N, 4, 4) float stack with finite entries, coerced by the
+    caller (:func:`~muellercert.core.as_mueller_stack`, or
+    :func:`~muellercert.core.as_mueller_matrix` for a stack of one).  Each
+    stage is computed on first use and at most once; a stage that a verdict
+    does not need is never computed.  ``tol`` is the relative tolerance of
+    every verdict, a finite nonnegative number (else ``ValueError``).
     """
 
-    def __init__(self, mats, tol: float = DEFAULT_TOL):
-        self.m = as_mueller_stack(mats)
+    def __init__(self, mats: np.ndarray, tol: float = DEFAULT_TOL):
+        self.m = mats
         self.tol = as_tolerance(tol)
 
     @cached_property

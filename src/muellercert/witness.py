@@ -32,8 +32,9 @@ from .core import (
     NonHermitianInputError,
     STOKES_TO_VEC,
     VEC_TO_STOKES,
+    _array,
     _not_hermitian,
-    as_mueller_stack,
+    as_mueller_matrix,
 )
 from .kernel import Analysis
 
@@ -45,8 +46,7 @@ def coherency_transfer(m) -> np.ndarray:
     it equals the tensor square of the Jones matrix.  ``m`` is one 4x4
     matrix or an (N, 4, 4) stack, and the result has its shape.
     """
-    t = STOKES_TO_VEC @ as_mueller_stack(m) @ VEC_TO_STOKES
-    return t if np.ndim(m) == 3 else t[0]
+    return STOKES_TO_VEC @ _array(m, (4, 4), "Mueller candidate", stack=True) @ VEC_TO_STOKES
 
 
 def witness_input() -> np.ndarray:
@@ -58,16 +58,6 @@ def witness_input() -> np.ndarray:
     """
     e = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
     return np.outer(e, e.conj())
-
-
-def _coefficients(c) -> np.ndarray:
-    """Coerce to a complex 4x4 coefficient matrix or (N, 4, 4) stack."""
-    arr = np.asarray(c, dtype=complex)
-    if arr.ndim not in (2, 3) or arr.shape[-2:] != (4, 4):
-        raise ValueError(
-            f"expected a 4x4 coefficient matrix or an (N, 4, 4) stack, got shape {arr.shape}"
-        )
-    return arr
 
 
 def extended_action(m, c) -> np.ndarray:
@@ -82,18 +72,16 @@ def extended_action(m, c) -> np.ndarray:
     either input is a stack, row i the action of ``m[i]`` on ``c[i]``, and
     4x4 otherwise, as the stack of one.
     """
-    arr = _coefficients(c)
-    t4 = coherency_transfer(m).reshape(-1, 2, 2, 2, 2)
-    c4 = arr.reshape(-1, 2, 2, 2, 2)
+    arr = _array(c, (4, 4), "two-mode state", complex, stack=True)
+    t = coherency_transfer(m)
+    t4, c4 = t.reshape(-1, 2, 2, 2, 2), arr.reshape(-1, 2, 2, 2, 2)
     out = np.einsum("...jkpq,...pmqn->...jmkn", t4, c4).reshape(-1, 4, 4)
-    return out if arr.ndim == 3 or np.ndim(m) == 3 else out[0]
+    return out if arr.ndim == 3 or t.ndim == 3 else out[0]
 
 
 def two_mode_is_physical(c, tol: float = DEFAULT_TOL) -> bool:
     """True when a two-mode coefficient matrix is hermitian and PSD within tol."""
-    arr = np.asarray(c, dtype=complex)
-    if arr.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 coefficient matrix, got shape {arr.shape}")
+    arr = _array(c, (4, 4), "two-mode state", complex)
     scale = max(np.linalg.norm(arr, 2), 1e-300)
     if _not_hermitian(arr, tol, scale):
         return False
@@ -111,14 +99,10 @@ def expectation(c, e, tol: float = DEFAULT_TOL) -> float | np.ndarray:
     Raises NonHermitianInputError when any state fails the hermiticity
     tolerance.
     """
-    arr = _coefficients(c)
+    arr = _array(c, (4, 4), "two-mode state", complex, stack=True)
+    vec = _array(e, (4,), "Jones vector", complex, stack=True)
     if _not_hermitian(arr, tol):
         raise NonHermitianInputError("two-mode state is not hermitian")
-    vec = np.asarray(e, dtype=complex)
-    if vec.ndim not in (1, 2) or vec.shape[-1:] != (4,):
-        raise ValueError(
-            f"expected a 4-component Jones vector or an (N, 4) stack, got shape {vec.shape}"
-        )
     vecs = vec.reshape(-1, 4)
     values = (vecs.conj()[:, None, :] @ arr.reshape(-1, 4, 4) @ vecs[:, :, None])[:, 0, 0].real
     return values if arr.ndim == 3 or vec.ndim == 2 else float(values[0])
@@ -133,5 +117,5 @@ def witness_certificate(m, tol: float = DEFAULT_TOL):
     on the maximally entangled input is then negative.  Returns None when
     ``m`` is physical (within tolerance).
     """
-    h = Analysis(m, tol).hermitian
+    h = Analysis(as_mueller_matrix(m)[None], tol).hermitian
     return None if h.mueller[0] else h.vecs[0, 0].copy()

@@ -364,6 +364,8 @@ class TestDiagonalConstraints:
         assert not type2_constraints([2.0, 1.0, 1.0, 0.5])  # d3 != d2
 
     def test_type2_constraints_match_numerical_psd(self):
+        # The tolerances are relative to d0, so each draw is also checked at
+        # a scale between 1e-150 and 1e150, where it keeps its verdict.
         rng = np.random.default_rng(53)
         for _ in range(200):
             d0 = rng.uniform(0.5, 3.0)
@@ -371,9 +373,18 @@ class TestDiagonalConstraints:
             cap = np.sqrt(d0 * d1)
             d2 = rng.uniform(0.0, cap)
             d3 = d2 if rng.random() < 0.5 else rng.uniform(-d2, d2)
-            d = np.array([d0, d1, d2, d3])
-            eig_min = float(np.linalg.eigvalsh(h_from_m(type2_canonical(*d)))[0])
-            assert type2_constraints(d, tol=1e-9) == (eig_min >= -1e-9 * d0)
+            scale = 10.0 ** rng.integers(-150, 151)
+            verdicts = []
+            for d in (np.array([d0, d1, d2, d3]), scale * np.array([d0, d1, d2, d3])):
+                eig_min = float(np.linalg.eigvalsh(h_from_m(type2_canonical(*d)))[0])
+                verdicts.append(type2_constraints(d, tol=1e-9))
+                assert verdicts[-1] == (eig_min >= -1e-9 * d[0])
+            assert verdicts[0] == verdicts[1]
+
+    def test_type2_constraints_tolerance_is_relative(self):
+        for scale in (1e-10, 1.0, 1e10):
+            assert type2_constraints(scale * np.array([2.0, 1.0, 1.0, 0.0])) is False
+            assert type2_constraints(scale * np.array([2.0, 1.0, 1.0, 1.0 + 1e-10])) is True
 
 
 class TestHEigsDiagonal:

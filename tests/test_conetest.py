@@ -102,6 +102,20 @@ class TestSphereQuadraticMin:
             attained = s @ a @ s + 2 * b @ s
             assert abs(attained - value) < 1e-13
 
+    def test_answer_does_not_depend_on_the_problem_scale(self):
+        # The value scales with a and b and the minimizer does not, from
+        # 1e-150 to 1e150 (warnings are errors in this suite, so no overflow
+        # warning is raised either).
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            a = rng.normal(size=(3, 3))
+            b = rng.normal(size=3)
+            value, s = sphere_quadratic_min(a, b)
+            for scale in 10.0 ** np.arange(-150, 151, 15):
+                scaled_value, scaled_s = sphere_quadratic_min(scale * a, scale * b)
+                assert abs(scaled_value / scale - value) <= 1e-13 * abs(value)
+                np.testing.assert_allclose(scaled_s, s, rtol=0.0, atol=1e-12)
+
     @settings(max_examples=300, deadline=None)
     @given(_sphere_problems())
     # At and just above the hard-case threshold lam0 - mu is about 1e-14, so

@@ -224,22 +224,24 @@ class TestHermitianCorrespondence:
 
 
 class TestPredicates:
+    # The predicates return Python bools, never numpy.bool: `is` compares.
     def test_stokes_physical(self):
-        assert stokes_is_physical([1, 0, 0, 0])
-        assert stokes_is_physical([1, 1, 0, 0])  # closed cone: surface included
-        assert not stokes_is_physical([1, 1.01, 0, 0])
-        assert not stokes_is_physical([-1, 0, 0, 0])
-        assert not stokes_is_physical([0, 0, 0, 0])
+        assert stokes_is_physical([1, 0, 0, 0]) is True
+        assert stokes_is_physical([1, 1, 0, 0]) is True  # closed cone: surface included
+        assert stokes_is_physical([1, 1.01, 0, 0]) is False
+        assert stokes_is_physical([-1, 0, 0, 0]) is False
+        assert stokes_is_physical([0, 0, 0, 0]) is False
 
     def test_stokes_pure(self):
-        assert stokes_is_pure([1, 0, 0, 1])
-        assert not stokes_is_pure([1, 0, 0, 0.5])
+        assert stokes_is_pure([1, 0, 0, 1]) is True
+        assert stokes_is_pure([1, 0, 0, 0.5]) is False
+        assert stokes_is_pure([1, 0, 0, 1.5]) is False
 
     def test_coherency_physical(self):
-        assert coherency_is_physical(0.5 * np.eye(2))
-        assert coherency_is_physical(np.diag([1.0, 0.0]))
-        assert not coherency_is_physical(np.diag([1.0, -0.1]))
-        assert not coherency_is_physical(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert coherency_is_physical(0.5 * np.eye(2)) is True
+        assert coherency_is_physical(np.diag([1.0, 0.0])) is True
+        assert coherency_is_physical(np.diag([1.0, -0.1])) is False
+        assert coherency_is_physical(np.array([[1.0, 1.0], [0.0, 1.0]])) is False
 
 
 class TestMuellerCoercion:

@@ -13,8 +13,12 @@ stacked and must not change.
 ``render_report`` writes JSON in one walk of the document; it is checked
 against the standard library's encoder applied to the rounded document
 (``helpers.reference_render_report``).
+
+The input boundary of every public array-taking function is checked as
+one table at the end of the file.
 """
 
+import inspect
 import json
 import math
 from pathlib import Path
@@ -33,12 +37,11 @@ from muellercert import (
     jones_ensemble,
     mueller_from_jones,
     mueller_jones_test,
-    n_matrix,
     physicality,
-    type1_factor,
     witness_certificate,
     witness_input,
 )
+import muellercert
 from muellercert import cli
 from muellercert.cli import analyze_matrix, analyze_stack, main, render_report
 
@@ -372,27 +375,107 @@ class TestBatchMatchesAnalyze:
         assert out.index("== a.txt") < out.index("error:") < out.index("== b.txt")
 
 
-_VIEWS = (
-    analyze_matrix,
-    certify_cone,
-    physicality,
-    mueller_jones_test,
-    jones_ensemble,
-    witness_certificate,
-    classify,
-    type1_factor,
-    h_from_m,
-    n_matrix,
-)
+# The input boundary, as a table: every public function that takes an array,
+# with valid arguments and, per array argument, whether it must be real and
+# whether it also takes a stack (an extra leading axis).  Each function
+# coerces its arrays once, through the same helper, so every row rejects
+# nan and inf with "non-finite", complex input for a real argument with
+# "real", and a stack where it takes one array only with ValueError.
+_M = np.diag([1.0, 0.6, 0.4, 0.2])  # physical Type I, distinct spectrum
+_S = np.array([1.0, 0.0, 0.0, 1.0])
+_D = np.array([2.0, 1.0, 1.0, 1.0])
+_PHI = 0.5 * np.eye(2)
+# (must be real, also takes a stack) of one array argument.
+_REAL, _COMPLEX = (True, False), (False, False)
+_REAL_STACK, _COMPLEX_STACK = (True, True), (False, True)
+_BOUNDARY = [
+    (analyze_matrix, [(_M, _REAL)]),
+    (analyze_stack, [(_M, _REAL_STACK)]),
+    (muellercert.certify_cone, [(_M, _REAL)]),
+    (muellercert.classify, [(_M, _REAL)]),
+    (muellercert.coherency_from_stokes, [(_S, _REAL)]),
+    (muellercert.coherency_is_physical, [(_PHI, _COMPLEX)]),
+    (muellercert.coherency_transfer, [(_M, _REAL_STACK)]),
+    (muellercert.devectorize, [(_S, _COMPLEX)]),
+    (muellercert.expectation, [(witness_input(), _COMPLEX_STACK), (_S, _COMPLEX_STACK)]),
+    (muellercert.extended_action, [(_M, _REAL_STACK), (witness_input(), _COMPLEX_STACK)]),
+    (muellercert.h_eigs_diagonal, [(_D, _REAL_STACK)]),
+    (muellercert.h_from_m, [(_M, _REAL)]),
+    (muellercert.jones_ensemble, [(_M, _REAL)]),
+    (muellercert.m_from_h, [(h_from_m(_M), _COMPLEX)]),
+    (muellercert.mueller_from_jones, [(np.eye(2), _COMPLEX)]),
+    (muellercert.mueller_jones_test, [(_M, _REAL)]),
+    (muellercert.n_matrix, [(_M, _REAL)]),
+    (muellercert.physicality, [(_M, _REAL)]),
+    (muellercert.sphere_quadratic_min, [(np.eye(3), _REAL), (np.ones(3), _REAL)]),
+    (muellercert.stokes_from_coherency, [(_PHI, _COMPLEX)]),
+    (muellercert.stokes_is_physical, [(_S, _REAL)]),
+    (muellercert.stokes_is_pure, [(_S, _REAL)]),
+    (muellercert.two_mode_is_physical, [(witness_input(), _COMPLEX)]),
+    (muellercert.type1_constraints, [(_D, _REAL_STACK)]),
+    (muellercert.type1_factor, [(_M, _REAL)]),
+    (muellercert.type1_margins, [(_D, _REAL_STACK)]),
+    (muellercert.type2_constraints, [(_D, _REAL)]),
+    (muellercert.vectorize, [(np.eye(2), _COMPLEX)]),
+    (muellercert.witness_certificate, [(_M, _REAL)]),
+]
+_BOUNDARY_IDS = [function.__name__ for function, _ in _BOUNDARY]
+
+
+def _replaced(args, k, value):
+    """The argument list with argument k replaced by ``value``."""
+    return [value if j == k else arg for j, (arg, _) in enumerate(args)]
+
+
+def test_boundary_table_covers_every_public_array_function():
+    public = {
+        name
+        for name in muellercert.__all__
+        if inspect.isfunction(getattr(muellercert, name))
+        and inspect.signature(getattr(muellercert, name)).parameters
+    }
+    assert set(_BOUNDARY_IDS) == public | {"analyze_matrix", "analyze_stack"}
+
+
+@pytest.mark.parametrize("function, args", _BOUNDARY, ids=_BOUNDARY_IDS)
+def test_boundary_table_arguments_are_valid(function, args):
+    function(*(arg for arg, _ in args))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("view", _VIEWS, ids=[view.__name__ for view in _VIEWS])
-def test_non_finite_input_is_rejected(view, value):
-    m = np.eye(4)
-    m[2, 3] = value
-    with pytest.raises(ValueError, match="non-finite"):
-        view(m)
+@pytest.mark.parametrize("function, args", _BOUNDARY, ids=_BOUNDARY_IDS)
+def test_non_finite_input_is_rejected(function, args, value):
+    for k, (arg, (real, _)) in enumerate(args):
+        bad = np.array(arg, dtype=float if real else complex)
+        bad.flat[-1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            function(*_replaced(args, k, bad))
+
+
+_REAL_ROWS = [row for row in _BOUNDARY if any(real for _, (real, _) in row[1])]
+
+
+@pytest.mark.parametrize(
+    "function, args", _REAL_ROWS, ids=[function.__name__ for function, _ in _REAL_ROWS]
+)
+def test_complex_input_is_rejected_where_real(function, args):
+    for k, (arg, (real, _)) in enumerate(args):
+        if real:
+            with pytest.raises(ValueError, match="real"):
+                function(*_replaced(args, k, arg + 1e-3j))
+
+
+_SINGLE_ROWS = [row for row in _BOUNDARY if any(not stack for _, (_, stack) in row[1])]
+
+
+@pytest.mark.parametrize(
+    "function, args", _SINGLE_ROWS, ids=[function.__name__ for function, _ in _SINGLE_ROWS]
+)
+def test_stack_is_rejected_where_one_array_is_taken(function, args):
+    for k, (arg, (_, stack)) in enumerate(args):
+        if not stack:
+            with pytest.raises(ValueError):
+                function(*_replaced(args, k, np.stack([arg, arg])))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
