@@ -28,10 +28,10 @@ import dataclasses
 import numpy as np
 
 from . import kernel
-from .core import DEFAULT_TOL, _array, as_mueller_matrix
+from .core import DEFAULT_TOL, _array, as_mueller_matrix, as_tolerance
 
-# The result types are defined by the kernel, which builds them.
-from .kernel import CanonicalClass, DegenerateSpectrumError, Family, NotTypeIError  # noqa: F401
+# The family and the Type-I errors are defined by the kernel, which builds them.
+from .kernel import DegenerateSpectrumError, Family, NotTypeIError  # noqa: F401
 
 
 #: The four inequalities, in fixed order, that make a diagonal canonical
@@ -42,6 +42,25 @@ TYPE1_CONSTRAINT_FORMS = (
     "d1 + d2 - d3 <= d0",
     "d1 - d2 + d3 <= d0",
 )
+
+
+@dataclasses.dataclass(frozen=True)
+class CanonicalClass:
+    """Family verdict of :func:`classify` with canonical parameters and
+    factors when determined.
+
+    ``d`` is None when the parameters are not determined by the orbit (the
+    rank-one families carry no invariant scale) or cannot be extracted.
+    Factors are attached to a Type-I result whose factorization succeeds;
+    they satisfy L^T G L = G with positive corner and unit determinant, and
+    l_left @ diag(d) @ l_right reproduces the input.
+    """
+
+    family: Family
+    d: np.ndarray | None = None
+    l_left: np.ndarray | None = None
+    l_right: np.ndarray | None = None
+    diagnostics: str | None = None
 
 
 def n_matrix(m) -> np.ndarray:
@@ -56,21 +75,18 @@ def type1_margins(d) -> np.ndarray:
     stack of 4 slacks, ordered as TYPE1_CONSTRAINT_FORMS.  All slacks are
     nonnegative exactly when diag(d) is a physical Mueller matrix.
     """
-    arr = _array(d, (..., 4), "canonical parameters")
-    d0, d1, d2, d3 = (arr[..., k] for k in range(4))
-    return np.stack(
-        [d0 + d1 + d2 + d3, d0 + d1 - d2 - d3, d0 - d1 - d2 + d3, d0 - d1 + d2 - d3],
-        axis=-1,
-    )
+    return kernel.type1_margins(_array(d, (..., 4), "canonical parameters"))
 
 
 def type1_constraints(d, tol: float = 0.0):
-    """True when every diagonal-form physicality inequality holds within tol.
+    """True when every diagonal-form physicality inequality holds within tol
+    relative to d0 (every slack at least -tol d0), whatever the scale of d.
 
     Vectorized like :func:`type1_margins`; returns a bool (or bool array).
     """
-    result = type1_margins(d).min(axis=-1) >= -tol
-    return bool(result) if result.ndim == 0 else result
+    d = _array(d, (..., 4), "canonical parameters")
+    _, violated = kernel.worst_type1_constraint(d, as_tolerance(tol))
+    return not violated if violated.ndim == 0 else ~violated
 
 
 def type2_constraints(d, tol: float = DEFAULT_TOL) -> bool:
@@ -83,28 +99,18 @@ def type2_constraints(d, tol: float = DEFAULT_TOL) -> bool:
     only when spatially entangled inputs are considered.
     """
     d0, d1, d2, d3 = _array(d, (4,), "canonical parameters")
+    tol = as_tolerance(tol)
     return bool(abs(d3 - d2) <= tol * d0 and d2**2 <= d0 * d1 + tol * d0**2)
 
 
 def h_eigs_diagonal(d) -> np.ndarray:
     """Eigenvalues of the associated hermitian matrix of diag(d), closed form.
 
-    The hermitian matrix splits into two 2x2 blocks; the four eigenvalues
-    are (d0 + d1 +/- (d2 + d3)) / 2 and (d0 - d1 +/- (d2 - d3)) / 2,
-    returned sorted descending (on the last axis for stacked input).
+    The hermitian matrix splits into two 2x2 blocks; the four eigenvalues,
+    (d0 + d1 +/- (d2 + d3)) / 2 and (d0 - d1 +/- (d2 - d3)) / 2, are half the
+    :func:`type1_margins`, sorted descending (on the last axis for stacks).
     """
-    arr = _array(d, (..., 4), "canonical parameters")
-    d0, d1, d2, d3 = (arr[..., k] for k in range(4))
-    eigs = np.stack(
-        [
-            0.5 * (d0 + d1 + (d2 + d3)),
-            0.5 * (d0 + d1 - (d2 + d3)),
-            0.5 * (d0 - d1 + (d2 - d3)),
-            0.5 * (d0 - d1 - (d2 - d3)),
-        ],
-        axis=-1,
-    )
-    return np.sort(eigs, axis=-1)[..., ::-1]
+    return np.sort(0.5 * type1_margins(d), axis=-1)[..., ::-1]
 
 
 def type1_factor(m, tol: float = DEFAULT_TOL):
@@ -143,11 +149,12 @@ def classify(m, tol: float = DEFAULT_TOL) -> CanonicalClass:
     when the factorization succeeds.
     """
     analysis = kernel.Analysis(as_mueller_matrix(m)[None], tol)
-    result = analysis.canonical[0]
-    if result.family is not Family.TYPE_I:
-        return result
-    try:
-        l_left, _, l_right = analysis.factor()
-    except (DegenerateSpectrumError, NotTypeIError):
-        return result
-    return dataclasses.replace(result, l_left=l_left, l_right=l_right)
+    stage = analysis.canonical
+    family, d = kernel.FAMILIES[stage.family[0]], stage.d[0]
+    l_left = l_right = None
+    if family is Family.TYPE_I:
+        try:
+            l_left, _, l_right = analysis.factor()
+        except (DegenerateSpectrumError, NotTypeIError):
+            pass
+    return CanonicalClass(family, None if np.isnan(d[0]) else d, l_left, l_right, stage.reason[0])

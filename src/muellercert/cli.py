@@ -53,13 +53,12 @@ import numpy as np
 
 from .canonical import (
     TYPE1_CONSTRAINT_FORMS,
-    Family,
     h_eigs_diagonal,
     type1_constraints,
     type1_margins,
 )
 from .core import DEFAULT_TOL, as_mueller_matrix, as_mueller_stack, as_tolerance
-from .kernel import Analysis
+from .kernel import FAMILIES, Analysis
 from .witness import expectation, extended_action, witness_input
 
 #: Published canonical parameters of the van Zyl radar Mueller matrix.
@@ -137,24 +136,14 @@ def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
 def _reports(analysis: Analysis) -> list[dict]:
     """The report documents of every matrix of an analysis."""
     tol = analysis.tol
-    m, h = analysis.m, analysis.hermitian
-    canonical = analysis.canonical
-    binding: list = [None] * len(m)
-    type_one = [i for i, canon in enumerate(canonical) if canon.family is Family.TYPE_I]
-    if type_one:
-        # A constraint binds when its margin is below -tol relative to d0:
-        # a single Jones system has d proportional to (1, 1, 1, 1), with
-        # three margins zero up to rounding.
-        d = np.array([canonical[i].d for i in type_one])
-        margins = type1_margins(d)
-        worst = np.argmin(margins, axis=1)
-        violated = margins[np.arange(len(type_one)), worst] < -tol * d[:, 0]
-        for i, k, bad in zip(type_one, worst.tolist(), violated.tolist()):
-            if bad:
-                binding[i] = TYPE1_CONSTRAINT_FORMS[k]
+    m, h, canon = analysis.m, analysis.hermitian, analysis.canonical
 
     # One tolist per stage array; each row below slices the Python lists.
     echo = m.reshape(-1, 16).tolist()
+    families = [FAMILIES[k].value for k in canon.family.tolist()]
+    d_rows = canon.d.tolist()
+    forms = (*TYPE1_CONSTRAINT_FORMS, None)  # binding index -1 reads None
+    binding = [forms[k] for k in analysis.type1_binding.tolist()]
     cone_ok, intensity, lorentz, worst_input = (field.tolist() for field in analysis.cone)
     w_rows, mueller_rows, rank_rows = h.w.tolist(), h.mueller.tolist(), h.rank.tolist()
     vec_real, vec_imag = h.vecs.real.tolist(), h.vecs.imag.tolist()
@@ -166,7 +155,7 @@ def _reports(analysis: Analysis) -> list[dict]:
         state = extended_action(m[unphysical], witness_input())
         expectations = iter(expectation(state, h.vecs[unphysical, 0], tol).tolist())
     reports = []
-    for i, canon in enumerate(canonical):
+    for i, d in enumerate(d_rows):
         # The H stage's verdicts, as choi.physicality, mueller_jones_test,
         # jones_ensemble and witness_certificate read them.
         w_i, mueller, rank = w_rows[i], mueller_rows[i], rank_rows[i]
@@ -206,8 +195,8 @@ def _reports(analysis: Analysis) -> list[dict]:
             "mueller_jones": {"verdict": jones is not None, "jones": jones},
             "ensemble": ensemble,
             "canonical": {
-                "family": canon.family.value,
-                "d": None if canon.d is None else canon.d.tolist(),
+                "family": families[i],
+                "d": None if math.isnan(d[0]) else d,
                 "binding_constraint": binding[i],
             },
             "witness": witness,

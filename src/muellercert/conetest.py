@@ -75,17 +75,22 @@ def sphere_quadratic_min(a, b) -> tuple[float, np.ndarray]:
     by the power of two that brings its largest entry into [1, 2), an exact
     rescaling, so the answer does not depend on the scale of a and b.
 
-    Returns ``(value, s_star)``: the global minimum and a unit vector
-    attaining it.  ``value`` is evaluated at the returned point, so it is
-    achievable by construction.
+    Returns ``(value, s_star)``: the global minimum, evaluated at the unit
+    vector ``s_star``, so achievable by construction.  An empty problem, or
+    one whose minimum is beyond the float range, raises ValueError.
     """
     b = _array(b, (None,), "linear term b")
+    if not len(b):
+        raise ValueError("linear term b: expected at least one entry, got shape (0,)")
     a = _array(a, (len(b), len(b)), "quadratic form a")
-    peak = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    peak = max(np.abs(a).max(), np.abs(b).max())
     exponent = math.frexp(peak)[1] - 1  # peak / 2**exponent lies in [1, 2)
     a, b = np.ldexp(a, -exponent), np.ldexp(b, -exponent)
     value, s = sphere_min(0.5 * (a + a.T)[None], b[None])
-    return math.ldexp(float(value[0]), exponent), s[0]
+    try:
+        return math.ldexp(float(value[0]), exponent), s[0]
+    except OverflowError:
+        raise ValueError("a and b: the minimum is beyond the float range") from None
 
 
 def certify_cone(m, tol: float = DEFAULT_TOL) -> ConeVerdict:

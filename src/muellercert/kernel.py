@@ -15,16 +15,17 @@ over a whole (N, 4, 4) stack at a time:
   largest singular value, its spectral norm and one stacked ``eig``.  The
   canonical family and the cluster rank tests read that ``eig``, the
   latter only on the rows that need them.  With one stacked ``slogdet`` it
-  gives the Type-I parameters d (:attr:`Analysis.type1_d`) that the family
-  reports.  The Type-I factors are not part of the stage: only
-  :func:`~muellercert.classify` and :func:`~muellercert.type1_factor` ask
-  for them, one matrix at a time (:meth:`Analysis.factor`), so reports
-  never factor.
+  gives the Type-I parameters d (:attr:`Analysis.type1_d`).  The stacked
+  :class:`CanonicalStage` holds a family code, d and a reason per row, and
+  the one Type-I rule (:func:`worst_type1_constraint`) reads the binding
+  constraints off its d (:attr:`Analysis.type1_binding`).  The Type-I
+  factors are not part of the stage: only :func:`~muellercert.classify`
+  and :func:`~muellercert.type1_factor` ask for them, one matrix at a time
+  (:meth:`Analysis.factor`), so reports never factor.
 
-The N stage builds the public results itself: :class:`Family`,
-:class:`CanonicalClass` and the Type-I errors :class:`DegenerateSpectrumError`
-and :class:`NotTypeIError` are defined here, and
-:mod:`muellercert.canonical` re-exports them.
+:class:`Family` and the Type-I errors are defined here and re-exported by
+:mod:`muellercert.canonical`, whose ``classify`` builds a
+:class:`~muellercert.CanonicalClass` from its row of the stage.
 
 The public functions of the layer modules are views on an analysis of a
 stack of one, and ``batch`` analyzes a whole directory as one stack, so
@@ -35,7 +36,6 @@ result does not depend on the stack around it.
 """
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -71,24 +71,9 @@ class Family(enum.Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True)
-class CanonicalClass:
-    """Family verdict with canonical parameters and, from
-    :func:`~muellercert.classify` only, factors when determined.
-
-    ``d`` is None when the parameters are not determined by the orbit (the
-    rank-one families carry no invariant scale) or cannot be extracted.
-    Only ``classify`` attaches factors, to a Type-I result whose
-    factorization succeeds; the stacked canonical stage never does.  When
-    factors are present they satisfy L^T G L = G with positive corner and
-    unit determinant, and l_left @ diag(d) @ l_right reproduces the input.
-    """
-
-    family: Family
-    d: np.ndarray | None = None
-    l_left: np.ndarray | None = None
-    l_right: np.ndarray | None = None
-    diagnostics: str | None = None
+#: The families in code order: :attr:`CanonicalStage.family` indexes it.
+FAMILIES = tuple(Family)
+_TYPE_I, _TYPE_II, _POLARIZER, _PIN_MAP, _NOT_PRE_MUELLER, _INDETERMINATE = range(len(FAMILIES))
 
 
 class DegenerateSpectrumError(ValueError):
@@ -142,6 +127,21 @@ def normal_matrices(mats):
     """Lorentz normal matrix G M^T G M of each matrix of a stack."""
     g = LORENTZ_METRIC
     return g @ _transpose(mats) @ g @ mats
+
+
+def type1_margins(d):
+    """Slack of each Type-I physicality inequality of d, shape (..., 4)."""
+    d0, d1, d2, d3 = (d[..., k] for k in range(4))
+    margins = [d0 + d1 + d2 + d3, d0 + d1 - d2 - d3, d0 - d1 - d2 + d3, d0 - d1 + d2 - d3]
+    return np.stack(margins, axis=-1)
+
+
+def worst_type1_constraint(d, tol):
+    """The Type-I rule: the index of the smallest margin of d, shape (..., 4),
+    and whether it is below -tol d0: scale-free, and rounding in the three
+    zero margins of a single Jones system, d ~ (1, 1, 1, 1), violates nothing."""
+    margins = type1_margins(d)
+    return np.argmin(margins, axis=-1), margins.min(axis=-1) < -tol * d[..., 0]
 
 
 def sphere_min(a, b):
@@ -250,6 +250,17 @@ class NormalStage(NamedTuple):
     imag: np.ndarray
 
 
+class CanonicalStage(NamedTuple):
+    """Canonical families of a stack: ``family`` holds a code per row, an
+    index into :data:`FAMILIES`, ``d`` the canonical parameters, shape
+    (N, 4), nan where the family has none, and ``reason`` a list of each
+    row's diagnostics text, or None."""
+
+    family: np.ndarray
+    d: np.ndarray
+    reason: list
+
+
 class Analysis:
     """The three spectral stages of a stack of real 4x4 matrices.
 
@@ -349,19 +360,31 @@ class Analysis:
         return self.sigma[:, None] * root
 
     @cached_property
-    def canonical(self) -> list[CanonicalClass]:
-        """Canonical family of every matrix of the stack."""
-        out: list = [None] * len(self.m)
+    def type1_binding(self) -> np.ndarray:
+        """Per row, the index of the violated Type-I constraint with the
+        smallest margin (:func:`worst_type1_constraint`), or -1 where there
+        is none; computed on first read, which ``classify`` never does."""
+        canon = self.canonical
+        type_one = canon.family == _TYPE_I
+        if not type_one.any():
+            return np.full(len(self.m), -1)
+        worst, violated = worst_type1_constraint(canon.d, self.tol)
+        return np.where(violated & type_one, worst, -1)
+
+    @cached_property
+    def canonical(self) -> CanonicalStage:
+        """Canonical family, d and reason of every matrix of the stack."""
+        family, reason = [_INDETERMINATE] * len(self.m), [None] * len(self.m)
+        d = np.full((len(self.m), 4), np.nan)
         low, full = [], []
         vanishing = (self.normal.nnorm <= self.tol).tolist()
         for i, (ok, sigma, vanishes) in enumerate(
             zip(self.cone.ok.tolist(), self.sigma.tolist(), vanishing)
         ):
             if not ok:
-                why = "does not map the Stokes cone into itself"
-                out[i] = CanonicalClass(Family.NOT_PRE_MUELLER, diagnostics=why)
+                family[i], reason[i] = _NOT_PRE_MUELLER, "does not map the Stokes cone into itself"
             elif sigma == 0.0:
-                out[i] = _indeterminate("zero matrix")
+                reason[i] = "zero matrix"
             else:
                 (low if vanishes else full).append(i)
         if low:
@@ -370,14 +393,17 @@ class Analysis:
             u, s, vt = np.linalg.svd(self.unit[low])
             cluster_tol = float(np.sqrt(self.tol))
             for j, i in enumerate(low):
-                out[i] = _rank_one_family(u[j, :, 0], s[j, 1], vt[j, 0], cluster_tol)
+                family[i], reason[i] = _rank_one_family(u[j, :, 0], s[j, 1], vt[j, 0], cluster_tol)
         if full:
-            for i, result in zip(full, self._classify_full(np.array(full))):
-                out[i] = result
-        return out
+            self._classify_full(full, family, d, reason)
+        codes = np.array(family)
+        if _TYPE_I in family:
+            np.copyto(d, self.type1_d, where=(codes == _TYPE_I)[:, None])
+        return CanonicalStage(codes, d, reason)
 
-    def _classify_full(self, rows) -> list[CanonicalClass]:
-        """Families of the given rows, whose normal matrices do not vanish.
+    def _classify_full(self, full, family, d, reason) -> None:
+        """Write the families, the reasons and the Type-II d of the rows
+        ``full``, whose normal matrices do not vanish, into the stage's own.
 
         Eigenvalues are clustered at sqrt(tol) (relative to the normal
         matrix's own scale); a cluster whose geometric multiplicity (rank
@@ -386,24 +412,23 @@ class Analysis:
         defective (Type II), and anything in between is Indeterminate.
         """
         tol = self.tol
-        nmat, nnorm, lam, vecs, imag = (field[rows] for field in self.normal)
+        nmat, nnorm, lam, vecs, imag = (field[full] for field in self.normal)
         cluster_tol = float(np.sqrt(tol)) * nnorm
         geo_tol = tol * nnorm
         clipped = np.clip(lam, 0.0, None)
         ctol, lam_l, imag_l, clip_l = (
             cluster_tol.tolist(), lam.tolist(), imag.tolist(), clipped.tolist()
         )
-        out: list = [None] * len(rows)
 
         # Cluster each spectrum; collect every cluster of two or more.
-        clusters: list = [()] * len(rows)
+        clusters: list = [()] * len(full)
         centers = {}
-        for j, (lj, cj) in enumerate(zip(clip_l, ctol)):
+        for j, (i, lj, cj) in enumerate(zip(full, clip_l, ctol)):
             if imag_l[j] > cj:
-                out[j] = _indeterminate("Lorentz normal matrix has complex spectrum")
+                reason[i] = "Lorentz normal matrix has complex spectrum"
                 continue
             if lam_l[j][3] < -cj:
-                out[j] = _indeterminate("Lorentz normal matrix has a negative eigenvalue")
+                reason[i] = "Lorentz normal matrix has a negative eigenvalue"
                 continue
             bounds = [0, *(k for k in range(1, 4) if lj[k - 1] - lj[k] > cj), 4]
             clusters[j] = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo + 1]
@@ -425,9 +450,8 @@ class Analysis:
 
         top = vecs[:, :, 0]
         timelike = (_quadratic(top, LORENTZ_METRIC) > 0.0).tolist()
-        type_one = []
-        for j in range(len(rows)):
-            if out[j] is not None:
+        for j, i in enumerate(full):
+            if reason[i] is not None:
                 continue
             defective = False
             ambiguous = None
@@ -440,28 +464,22 @@ class Analysis:
                     break
                 ambiguous = centers[j, lo]
             if ambiguous is not None and not defective:
-                out[j] = _indeterminate(
+                reason[i] = (
                     f"eigenvalue cluster near {ambiguous:.6g} (input normalized): "
                     "cannot separate defective from nearly degenerate "
                     "diagonalizable structure"
                 )
             elif defective:
-                i = rows[j]
-                pattern = _matches_type2_pattern(self.unit[i], float(np.sqrt(tol)))
-                d = np.diag(self.m[i]).copy() if pattern else None
-                out[j] = CanonicalClass(Family.TYPE_II, d)
+                family[i] = _TYPE_II
+                if _matches_type2_pattern(self.unit[i], float(np.sqrt(tol))):
+                    d[i] = np.diag(self.m[i])
             elif (not clusters[j] or clusters[j][0][0] > 0) and not timelike[j]:
                 # The dominant eigenvalue is simple, so its eigenvector must
                 # be timelike.
-                out[j] = _indeterminate("dominant eigenvector is not timelike")
+                reason[i] = "dominant eigenvector is not timelike"
             else:
-                type_one.append(j)
-
-        # Type I: diagonalizable, nonnegative real spectrum.
-        if type_one:
-            for j, d in zip(type_one, self.type1_d[rows[type_one]]):
-                out[j] = CanonicalClass(Family.TYPE_I, d)
-        return out
+                # Type I: diagonalizable, nonnegative real spectrum.
+                family[i] = _TYPE_I
 
     def factor(self):
         """Type-I factorization ``(l_left, d, l_right)`` of the first matrix
@@ -517,31 +535,27 @@ class Analysis:
         return l_left, d, l_right
 
 
-def _indeterminate(diagnostics: str) -> CanonicalClass:
-    return CanonicalClass(Family.INDETERMINATE, diagnostics=diagnostics)
-
-
-def _rank_one_family(u, s1, v, cluster_tol) -> CanonicalClass:
-    """Family of a cone-preserving matrix with vanishing normal matrix from
-    its second singular value ``s1`` and leading singular vectors."""
+def _rank_one_family(u, s1, v, cluster_tol) -> tuple[int, str]:
+    """Family code and reason of a cone-preserving matrix with vanishing normal
+    matrix from its second singular value ``s1`` and leading singular vectors."""
     g = LORENTZ_METRIC
     if s1 > cluster_tol:
-        return _indeterminate("vanishing Lorentz normal matrix but rank above one")
+        return _INDETERMINATE, "vanishing Lorentz normal matrix but rank above one"
     if u[0] < 0.0:
         u, v = -u, -v
     if u[0] <= cluster_tol:
-        return _indeterminate("rank-one output direction is not future-pointing")
+        return _INDETERMINATE, "rank-one output direction is not future-pointing"
     if abs(float(u @ g @ u)) > cluster_tol:
-        return _indeterminate("rank-one output direction is not lightlike")
+        return _INDETERMINATE, "rank-one output direction is not lightlike"
     if v[0] <= cluster_tol:
-        return _indeterminate("rank-one input weight vector is not future-pointing")
+        return _INDETERMINATE, "rank-one input weight vector is not future-pointing"
     vgv = float(v @ g @ v)
     note = "canonical scale d0 is not a double-coset invariant"
     if abs(vgv) <= cluster_tol:
-        return CanonicalClass(Family.POLARIZER, diagnostics=note)
+        return _POLARIZER, note
     if vgv > 0.0:
-        return CanonicalClass(Family.PIN_MAP, diagnostics=note)
-    return _indeterminate("rank-one input weight vector is spacelike")
+        return _PIN_MAP, note
+    return _INDETERMINATE, "rank-one input weight vector is spacelike"
 
 
 def _matches_type2_pattern(mat: np.ndarray, atol: float) -> bool:

@@ -381,10 +381,25 @@ class TestDiagonalConstraints:
                 assert verdicts[-1] == (eig_min >= -1e-9 * d[0])
             assert verdicts[0] == verdicts[1]
 
-    def test_type2_constraints_tolerance_is_relative(self):
-        for scale in (1e-10, 1.0, 1e10):
-            assert type2_constraints(scale * np.array([2.0, 1.0, 1.0, 0.0])) is False
-            assert type2_constraints(scale * np.array([2.0, 1.0, 1.0, 1.0 + 1e-10])) is True
+    @pytest.mark.parametrize(
+        "constraints, holds, fails",
+        [
+            (type1_constraints, [1.0, 1.0, 1.0, 1.0 + 1e-10], [1.0, 1.0, 1.0, -1.0]),
+            (type2_constraints, [2.0, 1.0, 1.0, 1.0 + 1e-10], [2.0, 1.0, 1.0, 0.0]),
+        ],
+        ids=["type1_constraints", "type2_constraints"],
+    )
+    def test_constraints_tolerance_is_relative(self, constraints, holds, fails):
+        for scale in (1e-150, 1e-10, 1.0, 1e10, 1e150):
+            assert constraints(scale * np.array(holds), tol=1e-9) is True
+            assert constraints(scale * np.array(fails), tol=1e-9) is False
+
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("constraints", [type1_constraints, type2_constraints])
+    def test_bad_tol_is_rejected(self, constraints, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            constraints([2.0, 1.0, 1.0, 1.0], tol=tol)
 
 
 class TestHEigsDiagonal:

@@ -116,6 +116,19 @@ class TestSphereQuadraticMin:
                 assert abs(scaled_value / scale - value) <= 1e-13 * abs(value)
                 np.testing.assert_allclose(scaled_s, s, rtol=0.0, atol=1e-12)
 
+    def test_empty_problem_is_rejected(self):
+        with pytest.raises(ValueError, match="linear term b: expected at least one entry"):
+            sphere_quadratic_min(np.zeros((0, 0)), np.zeros(0))
+
+    def test_minimum_beyond_the_float_range_is_rejected(self):
+        # The minimum is -3e308 at s = (-1, 0, 0), although every entry is
+        # finite.
+        a, b = np.diag([-1e308, 0.0, 0.0]), np.array([1e308, 0.0, 0.0])
+        with pytest.raises(ValueError, match="minimum is beyond the float range"):
+            sphere_quadratic_min(a, b)
+        value, s = sphere_quadratic_min(a / 4.0, b / 4.0)
+        assert value == -0.75e308 and s.tolist() == [-1.0, 0.0, 0.0]
+
     @settings(max_examples=300, deadline=None)
     @given(_sphere_problems())
     # At and just above the hard-case threshold lam0 - mu is about 1e-14, so

@@ -29,6 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muellercert import (
+    DEFAULT_TOL,
+    TYPE1_CONSTRAINT_FORMS,
+    Family,
     certify_cone,
     classify,
     expectation,
@@ -38,6 +41,8 @@ from muellercert import (
     mueller_from_jones,
     mueller_jones_test,
     physicality,
+    type1_constraints,
+    type1_margins,
     witness_certificate,
     witness_input,
 )
@@ -279,6 +284,11 @@ def test_report_fields_are_the_public_verdicts(draws):
         ]
         assert report["canonical"]["family"] == canon.family.value
         assert report["canonical"]["d"] == (None if canon.d is None else canon.d.tolist())
+        binding = report["canonical"]["binding_constraint"]
+        if canon.family is not Family.TYPE_I or type1_constraints(canon.d, DEFAULT_TOL):
+            assert binding is None
+        else:
+            assert binding == TYPE1_CONSTRAINT_FORMS[np.argmin(type1_margins(canon.d))]
         assert report["witness"]["present"] is (witness is not None)
         if witness is not None:
             assert report["witness"]["vector"] == _complex(witness)
@@ -316,6 +326,27 @@ def test_one_witness_expectation_per_stack(monkeypatch):
         value = expectation(extended_action(m, witness_input()), vec)
         assert report["witness"]["expectation"] == value < 0.0
     assert witnessed >= 5
+
+
+def test_reports_read_the_binding_constraint_off_the_analysis(monkeypatch):
+    # the binding constraint is the kernel's Type-I rule on the canonical
+    # stage's d, so the report path runs no public type1_margins (and no
+    # second input boundary)
+    calls = {"type1_margins": 0}
+
+    def counted(*args):
+        calls["type1_margins"] += 1
+        return type1_margins(*args)
+
+    monkeypatch.setattr(cli, "type1_margins", counted)
+    stack = np.stack([np.diag([1.0, 0.5, 0.2, 0.1]), np.diag([1.0, 1.0, 1.0, -1.0]), np.eye(4)])
+    reports = analyze_stack(stack)
+    assert calls == {"type1_margins": 0}
+    assert [report["canonical"]["binding_constraint"] for report in reports] == [
+        None,
+        "d1 + d2 - d3 <= d0",
+        None,
+    ]
 
 
 def test_empty_stack():
