@@ -20,16 +20,23 @@ with 12 significant digits.
 
 A report costs about what its analysis costs.  :func:`analyze_stack` runs
 the spectral stages once over a stack, and the witness expectation once
-over its non-Mueller rows, and converts each stage array to Python lists
-once, one ``tolist`` per array, which each report slices;
+over its non-Mueller rows (the private cores of ``extended_action`` and
+``expectation``, on arrays already coerced), and converts each stage array
+to Python lists once, one ``tolist`` per array, which each report slices;
 :func:`analyze_matrix` is the stack of one.  :func:`render_report` is the
-only writer of report text: one recursive walk rounds and writes, with
-the bytes of ``json.dumps(indent=2, sort_keys=True)`` on the rounded
-document, whose pure-Python indent encoder it replaces.  A float is
-written as ``'%.12g' % x`` with ``.0`` after an integer, which for a
-normal float has the digits of ``repr(float('%.12g' % x))``; ``repr`` is
-called only at exponents e+12 to e+15 (positional in ``repr``) and below
-1e-300 (subnormals).
+only writer of report text, with the bytes of ``json.dumps(indent=2,
+sort_keys=True)`` on the rounded document, whose pure-Python indent
+encoder it replaces.  A report as :func:`analyze_stack` builds it, alone or
+as a value of ``batch``'s mapping, is written from the report's fixed
+schema: a ``%`` template per starting indent, built on first use, holds
+its keys in sorted order and its indents, and each list of floats is one
+``join``.  Every other document, and a report-shaped one with a key or a
+value that the schema does not have in its place, falls through to one
+recursive walk that dispatches on each value's type.  A float is written
+as ``'%.12g' % x`` with ``.0`` after an integer, which for a normal float
+has the digits of ``repr(float('%.12g' % x))``; ``repr`` is called only at
+exponents e+12 to e+15 (positional in ``repr``) and below 1e-300
+(subnormals).
 
 ``batch`` reads the files of DIR from one directory listing, symlinks
 followed and subdirectories skipped, in name order.  ``--tol`` belongs to
@@ -59,7 +66,7 @@ from .canonical import (
 )
 from .core import DEFAULT_TOL, as_mueller_matrix, as_mueller_stack, as_tolerance
 from .kernel import FAMILIES, Analysis
-from .witness import expectation, extended_action, witness_input
+from .witness import _expectation, _extended_action, witness_input
 
 #: Published canonical parameters of the van Zyl radar Mueller matrix.
 VAN_ZYL_D = (0.9735, 0.9112, 0.4640, -0.3838)
@@ -152,8 +159,8 @@ def _reports(analysis: Analysis) -> list[dict]:
     expectations = iter(())
     if not all(mueller_rows):
         unphysical = ~h.mueller
-        state = extended_action(m[unphysical], witness_input())
-        expectations = iter(expectation(state, h.vecs[unphysical, 0], tol).tolist())
+        state = _extended_action(m[unphysical], witness_input())
+        expectations = iter(_expectation(state, h.vecs[unphysical, 0], tol).tolist())
     reports = []
     for i, d in enumerate(d_rows):
         # The H stage's verdicts, as choi.physicality, mueller_jones_test,
@@ -274,8 +281,13 @@ def _float_text(x: float) -> str:
     double), so only the notation is fixed up: ``.0`` after an integer.
     ``repr`` is called in two cases only: exponents e+12 to e+15, which
     ``repr`` writes positionally, and |x| below 1e-300, where a subnormal
-    may round-trip with fewer digits."""
-    text = "%.12g" % x
+    may round-trip with fewer digits.
+
+    ``x`` must be a float (a subclass such as ``np.float64`` counts):
+    ``float.__format__``, which writes the same text as ``%.12g``, raises
+    TypeError for an int, a bool or any other type, and that is the type
+    check of every float field of :func:`_report_text`."""
+    text = float.__format__(x, ".12g")
     if "e" in text:
         if text[-4:] in _POSITIONAL or -1e-300 < x < 1e-300:
             return repr(float(text))
@@ -288,7 +300,9 @@ def _float_text(x: float) -> str:
 def _json(obj, newline: str) -> str:
     """JSON text of ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)``
     writes it, with every float first rounded to 12 significant digits.
-    ``newline`` starts the line that ``obj`` is on, with its indent."""
+    ``newline`` starts the line that ``obj`` is on, with its indent.  A dict
+    with a report's keys is written by :func:`_report_text`, unless it holds
+    a key or value that no report holds."""
     if isinstance(obj, float):
         return _float_text(obj)
     if isinstance(obj, str):
@@ -308,6 +322,11 @@ def _json(obj, newline: str) -> str:
         body = ("," + inner).join([_json(item, inner) for item in obj])
         return "[" + inner + body + newline + "]"
     if isinstance(obj, dict):
+        if obj.keys() == _REPORT_KEYS:
+            try:
+                return _report_text(obj, newline)
+            except TypeError:
+                pass
         if not obj:
             return "{}"
         body = ("," + inner).join(
@@ -320,12 +339,153 @@ def _json(obj, newline: str) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+# The schema of the report that _reports builds: the fields of each section
+# that is a dict, and the sections, every key list in sorted order.
+_CANONICAL = ("binding_constraint", "d", "family")
+_JONES_TEST = ("jones", "verdict")
+_PHYSICALITY = ("eigenvalues", "min_eigenvalue", "rank", "verdict")
+_PRE_MUELLER = ("intensity_margin", "lorentz_margin", "verdict", "worst_input")
+_WITNESS = ("expectation", "present", "vector")
+_REPORT_SECTIONS = (
+    ("canonical", _CANONICAL),
+    ("ensemble", ()),
+    ("input_echo", ()),
+    ("mueller_jones", _JONES_TEST),
+    ("physicality", _PHYSICALITY),
+    ("pre_mueller", _PRE_MUELLER),
+    ("witness", _WITNESS),
+)
+_REPORT_KEYS = frozenset(key for key, _ in _REPORT_SECTIONS)
+# An ensemble entry, and a complex array (a Jones matrix or vector).
+_ENTRY = ("jones", "weight")
+_COMPLEX = ("imag", "real")
+
+
+@functools.cache
+def _report_template(newline: str) -> str:
+    """The text of a report on a line begun by ``newline``, with ``%s`` for
+    each field: every key and indent of the schema's fixed part."""
+
+    def braces(items, inner, outer):
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+
+    one, two = newline + "  ", newline + "    "
+    sections = [
+        f'"{key}": ' + (braces([f'"{f}": %s' for f in fields], two, one) if fields else "%s")
+        for key, fields in _REPORT_SECTIONS
+    ]
+    return braces(sections, one, newline)
+
+
+def _report_text(report: dict, newline: str) -> str:
+    """``_json(report, newline)`` for a report whose keys are the schema's,
+    as :func:`_reports` builds it: the fields fill the template of the
+    report's indent, with no per-dict dispatch or key sort.  Raises
+    TypeError at a key or value that the schema does not have in its place
+    (an int, a bool or a numpy scalar other than ``np.float64`` where a
+    float belongs, a tuple for a list, a missing or extra key), on which
+    ``_json`` writes the document."""
+    one, two = newline + "  ", newline + "    "
+    canonical, ensemble, echo, jones_test, physicality, pre, witness = (
+        report[key] for key, _ in _REPORT_SECTIONS
+    )
+    binding, d, family = _fields(canonical, _CANONICAL)
+    jones, single_jones = _fields(jones_test, _JONES_TEST)
+    eigenvalues, min_eigenvalue, rank, mueller = _fields(physicality, _PHYSICALITY)
+    intensity, lorentz, pre_mueller, worst_input = _fields(pre, _PRE_MUELLER)
+    value, present, vector = _fields(witness, _WITNESS)
+    if type(rank) is not int:
+        raise TypeError("rank is not an int")
+    return _report_template(newline) % (
+        "null" if binding is None else encode_basestring_ascii(binding),
+        "null" if d is None else _array_text(d, two),
+        encode_basestring_ascii(family),
+        _ensemble_text(ensemble, one),
+        _array_text(echo, one),
+        "null" if jones is None else _complex_text(jones, two),
+        _bool_text(single_jones),
+        _array_text(eigenvalues, two),
+        _float_text(min_eigenvalue),
+        int.__repr__(rank),
+        _bool_text(mueller),
+        _float_text(intensity),
+        _float_text(lorentz),
+        _bool_text(pre_mueller),
+        _array_text(worst_input, two),
+        "null" if value is None else _float_text(value),
+        _bool_text(present),
+        "null" if vector is None else _complex_text(vector, two),
+    )
+
+
+def _fields(obj, keys: tuple) -> list:
+    """The values of a dict with exactly ``keys``, in their order; TypeError
+    for any other object."""
+    if type(obj) is dict and len(obj) == len(keys):
+        try:
+            return [obj[key] for key in keys]
+        except KeyError:
+            pass
+    raise TypeError(f"not a dict with the keys {keys}")
+
+
+def _bool_text(x) -> str:
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    raise TypeError(f"{x!r} is not a bool")
+
+
+def _array_text(rows, newline: str) -> str:
+    """A nonempty list of floats, or of such lists, as ``_json`` writes it:
+    each list of floats is one ``join`` over :func:`_float_text`."""
+    if type(rows) is not list or not rows:
+        raise TypeError("not a nonempty list")
+    inner = newline + "  "
+    if type(rows[0]) is list:
+        body = ("," + inner).join([_array_text(row, inner) for row in rows])
+    else:
+        body = ("," + inner).join(map(_float_text, rows))
+    return "[" + inner + body + newline + "]"
+
+
+def _complex_text(obj, newline: str) -> str:
+    """A ``{"imag": ..., "real": ...}`` array pair as ``_json`` writes it."""
+    imag, real = _fields(obj, _COMPLEX)
+    inner = newline + "  "
+    return (
+        "{" + inner + '"imag": ' + _array_text(imag, inner) + ","
+        + inner + '"real": ' + _array_text(real, inner) + newline + "}"
+    )
+
+
+def _ensemble_text(entries, newline: str) -> str:
+    """The Jones ensemble, a list of ``{"jones": ..., "weight": ...}``."""
+    if type(entries) is not list:
+        raise TypeError("ensemble is not a list")
+    if not entries:
+        return "[]"
+    inner, field = newline + "  ", newline + "    "
+    texts = []
+    for entry in entries:
+        jones, weight = _fields(entry, _ENTRY)
+        texts.append(
+            "{" + field + '"jones": ' + _complex_text(jones, field) + ","
+            + field + '"weight": ' + _float_text(weight) + inner + "}"
+        )
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
 def render_report(report: dict) -> str:
     """JSON text of a report, or of ``batch``'s file-name-to-report mapping:
     every float at 12 significant digits (-0.0 as 0.0), keys sorted,
     indent 2, ASCII only, the bytes that ``json.dumps(..., indent=2,
-    sort_keys=True)`` writes for the rounded document.  Keys must be
-    strings."""
+    sort_keys=True)`` writes for the rounded document, or the same
+    ``TypeError``.  Keys must be strings.  A report as :func:`analyze_stack`
+    builds it, alone or as a value of the mapping, is written from the
+    report's fixed schema; every other document, and a report-shaped one
+    with a value of another type, by the generic walk."""
     return _json(report, "\n") + "\n"
 
 

@@ -20,9 +20,11 @@ an ordinary Stokes map.
 :func:`coherency_transfer`, :func:`extended_action` and :func:`expectation`
 are stack-native, like the analysis kernel: they take a leading axis of N
 transfer matrices (N, 4, 4), states (N, 4, 4) or vectors (N, 4), and a
-single input is the stack of one on the same code.  A report's witness
-expectation is one call of each over all the rows of a stack that are not
-Mueller.
+single input is the stack of one on the same code.  Each coerces its
+arguments through ``core._array`` and hands them to a private core,
+``_extended_action`` or ``_expectation``; a report's witness expectation is
+one call of each core over all the rows of a stack that are not Mueller,
+whose arrays the analysis has already coerced.
 """
 
 import numpy as np
@@ -73,10 +75,17 @@ def extended_action(m, c) -> np.ndarray:
     4x4 otherwise, as the stack of one.
     """
     arr = _array(c, (4, 4), "two-mode state", complex, stack=True)
-    t = coherency_transfer(m)
-    t4, c4 = t.reshape(-1, 2, 2, 2, 2), arr.reshape(-1, 2, 2, 2, 2)
-    out = np.einsum("...jkpq,...pmqn->...jmkn", t4, c4).reshape(-1, 4, 4)
-    return out if arr.ndim == 3 or t.ndim == 3 else out[0]
+    mats = _array(m, (4, 4), "Mueller candidate", stack=True)
+    out = _extended_action(mats, arr)
+    return out if arr.ndim == 3 or mats.ndim == 3 else out[0]
+
+
+def _extended_action(m: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """:func:`extended_action` of coerced arrays (real ``m``, complex ``c``,
+    each 4x4 or a stack), always as an (N, 4, 4) stack."""
+    t = STOKES_TO_VEC @ m @ VEC_TO_STOKES
+    t4, c4 = t.reshape(-1, 2, 2, 2, 2), c.reshape(-1, 2, 2, 2, 2)
+    return np.einsum("...jkpq,...pmqn->...jmkn", t4, c4).reshape(-1, 4, 4)
 
 
 def two_mode_is_physical(c, tol: float = DEFAULT_TOL) -> bool:
@@ -101,11 +110,18 @@ def expectation(c, e, tol: float = DEFAULT_TOL) -> float | np.ndarray:
     """
     arr = _array(c, (4, 4), "two-mode state", complex, stack=True)
     vec = _array(e, (4,), "Jones vector", complex, stack=True)
-    if _not_hermitian(arr, tol):
-        raise NonHermitianInputError("two-mode state is not hermitian")
-    vecs = vec.reshape(-1, 4)
-    values = (vecs.conj()[:, None, :] @ arr.reshape(-1, 4, 4) @ vecs[:, :, None])[:, 0, 0].real
+    values = _expectation(arr, vec, tol)
     return values if arr.ndim == 3 or vec.ndim == 2 else float(values[0])
+
+
+def _expectation(c: np.ndarray, e: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`expectation` of coerced complex arrays (``c`` 4x4 or a stack,
+    ``e`` a 4-vector or a stack), always as an (N,) array; the same
+    hermiticity check."""
+    if _not_hermitian(c, tol):
+        raise NonHermitianInputError("two-mode state is not hermitian")
+    vecs = e.reshape(-1, 4)
+    return (vecs.conj()[:, None, :] @ c.reshape(-1, 4, 4) @ vecs[:, :, None])[:, 0, 0].real
 
 
 def witness_certificate(m, tol: float = DEFAULT_TOL):

@@ -66,3 +66,17 @@ def test_missing_report_counts_as_inf(tmp_path):
         "1 of 2 reports differ",
         "  <report missing>: 1 reports, max relative difference inf",
     ]
+
+
+def test_batch_document_paths_drop_the_file_names(tmp_path):
+    batch = {"batch/1/d000": {"a.txt": _REPORTS["exact/1/a"], "b.txt": _REPORTS["exact/1/b"]}}
+    change = json.loads(json.dumps(batch))
+    change["batch/1/d000"]["a.txt"]["canonical"]["d"][1] = 0.4
+    change["batch/1/d000"]["b.txt"]["margins"][0] = 0.2
+    code, lines = _compare(tmp_path, batch, change)
+    assert code == 1
+    assert lines == [
+        "1 of 1 reports differ",
+        "  batch.canonical.d: 1 reports, max relative difference 0.2",
+        "  batch.margins: 1 reports, max relative difference 0.2",
+    ]

@@ -10,9 +10,12 @@ threshold, the zero matrix and an Indeterminate near tie of the normal
 matrix's spectrum.  The bytes were captured before the analysis was
 stacked and must not change.
 
-``render_report`` writes JSON in one walk of the document; it is checked
-against the standard library's encoder applied to the rounded document
-(``helpers.reference_render_report``).
+``render_report`` writes a report from the report's fixed schema and any
+other document in one generic walk; both are checked against the standard
+library's encoder applied to the rounded document
+(``helpers.reference_render_report``), the schema writer on every report
+branch, on report-shaped documents with foreign values and on arbitrary
+floats in every float field.
 
 The input boundary of every public array-taking function is checked as
 one table at the end of the file.
@@ -22,6 +25,7 @@ import inspect
 import json
 import math
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -296,8 +300,9 @@ def test_report_fields_are_the_public_verdicts(draws):
 
 def test_one_witness_expectation_per_stack(monkeypatch):
     # one stacked extended action and one stacked expectation serve every
-    # witness row of the stack, with the values of each row alone
-    calls = {"extended_action": 0, "expectation": 0}
+    # witness row of the stack, with the values of each row alone; they are
+    # the private cores, which take the arrays the analysis has coerced
+    calls = {"_extended_action": 0, "_expectation": 0}
 
     def counted(name):
         fn = getattr(cli, name)
@@ -311,10 +316,10 @@ def test_one_witness_expectation_per_stack(monkeypatch):
     mats = [_mixed(kind, seed) for seed in range(4) for kind in _KINDS[:6]]
     stack = np.stack(mats + [np.eye(4)])
     assert len(stack) == 25
-    monkeypatch.setattr(cli, "extended_action", counted("extended_action"))
-    monkeypatch.setattr(cli, "expectation", counted("expectation"))
+    monkeypatch.setattr(cli, "_extended_action", counted("_extended_action"))
+    monkeypatch.setattr(cli, "_expectation", counted("_expectation"))
     reports = analyze_stack(stack)
-    assert calls == {"extended_action": 1, "expectation": 1}
+    assert calls == {"_extended_action": 1, "_expectation": 1}
     monkeypatch.undo()
     witnessed = 0
     for m, report in zip(stack, reports):
@@ -347,6 +352,171 @@ def test_reports_read_the_binding_constraint_off_the_analysis(monkeypatch):
         "d1 + d2 - d3 <= d0",
         None,
     ]
+
+
+# The schema writer.  render_report writes a report as analyze_stack builds
+# it from the report's fixed schema (cli._report_text), alone or nested in
+# batch's mapping, and any other document by the generic walk; both must
+# give the reference's bytes, or its TypeError.
+
+
+def _schema_reports():
+    """Reports of the golden inputs and seeded draws of every construction."""
+    stack = np.stack(
+        [np.array(case["m"]).reshape(4, 4) for case in GOLDEN]
+        + [_mixed(kind, seed) for seed in range(4) for kind in _KINDS]
+    )
+    return analyze_stack(stack)
+
+
+def _count_schema_writes(monkeypatch):
+    """Count the documents that cli._report_text writes without falling through."""
+    calls = []
+    write = cli._report_text
+
+    def counted(report, newline):
+        text = write(report, newline)
+        calls.append(newline)
+        return text
+
+    monkeypatch.setattr(cli, "_report_text", counted)
+    return calls
+
+
+def test_schema_writer_covers_every_report_branch(monkeypatch):
+    reports = _schema_reports()
+    assert {report["canonical"]["family"] for report in reports} == {f.value for f in Family}
+    assert {len(report["ensemble"]) for report in reports} == {0, 1, 2, 3, 4}
+    for section, field in [
+        ("witness", "vector"),
+        ("canonical", "d"),
+        ("canonical", "binding_constraint"),
+        ("mueller_jones", "jones"),
+    ]:
+        assert {report[section][field] is None for report in reports} == {True, False}
+    calls = _count_schema_writes(monkeypatch)
+    for report in reports:
+        assert render_report(report) == reference_render_report(report)
+    batch = {f"{k:02d}_m.txt": report for k, report in enumerate(reports)}
+    batch["13_unreadable.txt"] = {"error": "expected 16 numbers, found 3"}
+    batch["mesure_\u00e9t\u00e9_\u03bb.json"] = reports[0]
+    assert render_report(batch) == reference_render_report(batch)
+    assert calls == ["\n"] * len(reports) + ["\n  "] * (len(reports) + 1)
+
+
+def _full_report() -> dict:
+    """A report with every field set: a Mueller rank-one report (Jones matrix
+    and a one-entry ensemble) with the canonical section and the witness of
+    an unphysical Type I matrix."""
+    report = analyze_matrix(mueller_from_jones(np.array([[1.0, 0.3j], [0.2, 0.8]])))
+    unphysical = analyze_matrix(np.diag([1.0, 1.0, 1.0, -1.0]))
+    report["canonical"], report["witness"] = unphysical["canonical"], unphysical["witness"]
+    return report
+
+
+def _edit(path, edit):
+    """A mutation that applies ``edit(container, key)`` to the field at
+    ``path`` (keys and indices)."""
+
+    def mutate(report):
+        container = report
+        for key in path[:-1]:
+            container = container[key]
+        edit(container, path[-1])
+
+    return mutate
+
+
+def _set(path, value):
+    return _edit(path, lambda container, key: container.__setitem__(key, value))
+
+
+def _delete(*path):
+    return _edit(path, lambda container, key: container.__delitem__(key))
+
+
+def _retuple(*path):
+    return _edit(path, lambda container, key: container.__setitem__(key, tuple(container[key])))
+
+
+_FOREIGN = {
+    "int_margin": _set(("pre_mueller", "intensity_margin"), 0),
+    "int_in_echo": _set(("input_echo", 5), 1),
+    "int_weight": _set(("ensemble", 0, "weight"), 1),
+    "bool_eigenvalue": _set(("physicality", "eigenvalues", 0), True),
+    "int64_rank": _set(("physicality", "rank"), np.int64(1)),
+    "bool_rank": _set(("physicality", "rank"), True),
+    "float64_min_eigenvalue": _set(("physicality", "min_eigenvalue"), np.float64(-0.25)),
+    "float32_margin": _set(("pre_mueller", "lorentz_margin"), np.float32(0.5)),
+    "none_min_eigenvalue": _set(("physicality", "min_eigenvalue"), None),
+    "str_expectation": _set(("witness", "expectation"), "-1"),
+    "int_family": _set(("canonical", "family"), 3),
+    "int_verdict": _set(("physicality", "verdict"), 1),
+    "bool_verdict_numpy": _set(("pre_mueller", "verdict"), np.bool_(True)),
+    "tuple_echo": _retuple("input_echo"),
+    "tuple_jones_row": _retuple("mueller_jones", "jones", "real", 0),
+    "tuple_ensemble": _retuple("ensemble"),
+    "array_d": _set(("canonical", "d"), np.array([1.0, 1.0, 1.0, -1.0])),
+    "set_worst_input": _set(("pre_mueller", "worst_input"), {0.0, 1.0}),
+    "empty_echo": _set(("input_echo",), []),
+    "empty_jones_rows": _set(("mueller_jones", "jones", "imag"), [[], []]),
+    "ragged_jones_rows": _set(("mueller_jones", "jones", "real"), [[1.0, 0.0], 0.5]),
+    "list_in_float_list": _set(("witness", "vector", "real"), [1.0, [0.0], 0.0, 0.0]),
+    "list_for_section": _set(("canonical",), [1.0]),
+    "mapping_proxy_section": _edit(
+        ("witness",), lambda report, key: report.__setitem__(key, MappingProxyType(report[key]))
+    ),
+    "extra_key": _set(("provenance",), "muellercert"),
+    "extra_section_key": _set(("canonical", "note"), None),
+    "extra_entry_key": _set(("ensemble", 0, "rank"), 1),
+    "missing_key": _delete("ensemble"),
+    "missing_section_key": _delete("witness", "vector"),
+    "missing_jones_key": _delete("mueller_jones", "jones", "imag"),
+    "renamed_key": lambda report: report["canonical"].update(D=report["canonical"].pop("d")),
+}
+
+
+@pytest.mark.parametrize("mutate", _FOREIGN.values(), ids=_FOREIGN.keys())
+def test_foreign_values_give_the_reference_bytes_or_its_error(mutate):
+    report = _full_report()
+    mutate(report)
+    batch = {"a.txt": report, "b.txt": {"error": "x"}, "c.txt": _full_report()}
+    for doc in (report, batch):
+        try:
+            expected = reference_render_report(doc)
+        except TypeError:
+            with pytest.raises(TypeError):
+                render_report(doc)
+        else:
+            assert render_report(doc) == expected
+
+
+def _float_slots(doc, out: list) -> list:
+    """``(container, key)`` of every float in a document."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        if isinstance(value, float):
+            out.append((doc, key))
+        elif isinstance(value, (dict, list)):
+            _float_slots(value, out)
+    return out
+
+
+_FLOAT_SLOTS = len(_float_slots(_full_report(), []))
+_BIT_PATTERNS = st.integers(0, 2**64 - 1).map(
+    lambda bits: np.array(bits, dtype=np.uint64).view(np.float64).item()
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_SPECIAL_FLOATS, _BIT_PATTERNS), min_size=_FLOAT_SLOTS,
+                max_size=_FLOAT_SLOTS))
+def test_schema_writer_on_every_float_slot(values):
+    report = _full_report()
+    for (container, key), value in zip(_float_slots(report, []), values):
+        container[key] = value
+    expected = reference_render_report(report)
+    assert render_report(report) == expected
+    assert cli._report_text(report, "\n") + "\n" == expected
 
 
 def test_empty_stack():

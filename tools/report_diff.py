@@ -7,20 +7,26 @@ checkout this file belongs to (its ``src`` and ``bench/corpus.py``):
     python3 tools/report_diff.py compare PARENT CHANGE
 
 ``render`` writes the report of every input of the ``exact-library`` and
-``measured-batch`` corpora at seeds 1-3, 21,600 reports, one JSON line each:
-``{"key": ..., "report": TEXT}``, where TEXT is ``render_report``'s output.
-Each corpus is analyzed as its workload analyzes it: the exact inputs one
-by one with ``analyze_matrix``, the measured ones a directory at a time with
-``analyze_stack``.
+``measured-batch`` corpora at seeds 1-3, 21,600 reports, and the ``batch``
+document of each of the 144 measured directories: 21,744 records, one JSON
+line each, ``{"key": ..., "report": TEXT}``, where TEXT is
+``render_report``'s output.  Each corpus is analyzed as its workload
+analyzes it: the exact inputs one by one with ``analyze_matrix``, the
+measured ones a directory at a time with ``analyze_stack``.  A directory's
+``batch`` document, keyed ``batch/{seed}/dNNN``, is the mapping from file
+name (``{name}.txt``) to report that ``main`` renders for ``batch``, so the
+reports nested in it are compared at their own indent too.
 
-``compare`` prints how many reports differ and, for each JSON path that
-differs somewhere (list indices dropped, so ``canonical.d`` covers all four
-entries), the number of reports in which it differs and the largest
-relative difference |a - b| / max(|a|, |b|) of its numbers.  A difference
-that is not between two numbers (a verdict, a family, a missing value)
-counts as relative difference inf.  It exits 1 when any report differs
-and 0 when every report is byte-identical, so a script can check byte
-identity from the exit code alone.
+``compare`` prints how many reports differ (a ``batch`` document counts as
+one) and, for each JSON path that differs somewhere (list indices dropped,
+so ``canonical.d`` covers all four entries; in a ``batch`` document the
+file names are dropped too, and the path starts with ``batch``), the
+number of reports in which it differs and the largest relative difference
+|a - b| / max(|a|, |b|) of its numbers.  A difference that is not between
+two numbers (a verdict, a family, a missing value) counts as relative
+difference inf.  It exits 1 when any report differs and 0 when every
+report is byte-identical, so a script can check byte identity from the exit
+code alone.
 """
 
 import json
@@ -48,11 +54,15 @@ def render(out: Path) -> None:
             for entry in corpus.exact_corpus(seed, EXACT_PER_CLASS):
                 text = render_report(analyze_matrix(entry.m))
                 f.write(json.dumps({"key": f"exact/{seed}/{entry.name}", "report": text}) + "\n")
-            for entries in corpus.measured_corpus(seed, MEASURED_DIRS, MEASURED_PER_DIR):
+            directories = corpus.measured_corpus(seed, MEASURED_DIRS, MEASURED_PER_DIR)
+            for dnum, entries in enumerate(directories):
                 reports = analyze_stack(np.stack([entry.m for entry in entries]))
                 for entry, report in zip(entries, reports):
                     key = f"measured/{seed}/{entry.name}"
                     f.write(json.dumps({"key": key, "report": render_report(report)}) + "\n")
+                batch = {f"{entry.name}.txt": report for entry, report in zip(entries, reports)}
+                key = f"batch/{seed}/d{dnum:03d}"
+                f.write(json.dumps({"key": key, "report": render_report(batch)}) + "\n")
 
 
 def _load(path: Path) -> dict:
@@ -94,6 +104,10 @@ def compare(parent: Path, change: Path) -> int:
         found: dict = {}
         if a is None or b is None:
             found["<report missing>"] = math.inf
+        elif key.startswith("batch/"):
+            a, b = json.loads(a), json.loads(b)
+            for name in sorted(a.keys() | b.keys()):
+                _differences(a.get(name), b.get(name), "batch", found)
         else:
             _differences(json.loads(a), json.loads(b), "", found)
         for path, rel in found.items():
