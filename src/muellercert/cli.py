@@ -66,7 +66,7 @@ from .canonical import (
 )
 from .core import DEFAULT_TOL, as_mueller_matrix, as_mueller_stack, as_tolerance
 from .kernel import FAMILIES, Analysis
-from .witness import _expectation, _extended_action, witness_input
+from .witness import _WITNESS_INPUT, _expectation, _extended_action
 
 #: Published canonical parameters of the van Zyl radar Mueller matrix.
 VAN_ZYL_D = (0.9735, 0.9112, 0.4640, -0.3838)
@@ -98,6 +98,9 @@ def parse_matrix_text(text: str) -> np.ndarray:
             mat = as_mueller_matrix(np.asarray(obj["mueller"], dtype=float))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f'bad "mueller" value: {exc}') from exc
+        # A 4x4 array of scalars; numpy reads "1" and true as numbers too.
+        if any(type(x) not in (int, float) for row in obj["mueller"] for x in row):
+            raise ParseError('bad "mueller" value: entries must be JSON numbers')
     else:
         tokens: list[str] = []
         for line in text.splitlines():
@@ -118,7 +121,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
 
 def load_matrix(path) -> np.ndarray:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_matrix_text(text)
@@ -159,7 +162,7 @@ def _reports(analysis: Analysis) -> list[dict]:
     expectations = iter(())
     if not all(mueller_rows):
         unphysical = ~h.mueller
-        state = _extended_action(m[unphysical], witness_input())
+        state = _extended_action(m[unphysical], _WITNESS_INPUT)
         expectations = iter(_expectation(state, h.vecs[unphysical, 0], tol).tolist())
     reports = []
     for i, d in enumerate(d_rows):

@@ -13,9 +13,13 @@ over a whole (N, 4, 4) stack at a time:
   on the rows off the hard case.  It decides cone preservation.
 * **N stage**: the Lorentz normal matrix G M^T G M of M scaled to unit
   largest singular value, its spectral norm and one stacked ``eig``.  The
-  canonical family and the cluster rank tests read that ``eig``, the
-  latter only on the rows that need them.  With one stacked ``slogdet`` it
-  gives the Type-I parameters d (:attr:`Analysis.type1_d`).  The stacked
+  normal matrices are built once per stack, and the cone stage reads its
+  Lorentz form M^T G M off them as G N.  The N stage runs only when some
+  row gets classified, cone-preserving and nonzero: the other rows get
+  their family from the cone stage alone.  The canonical family and the
+  cluster rank tests read that ``eig``, the latter only on the rows that
+  need them.  With one stacked ``slogdet`` it gives the Type-I parameters
+  d (:attr:`Analysis.type1_d`).  The stacked
   :class:`CanonicalStage` holds a family code, d and a reason per row, and
   the one Type-I rule (:func:`worst_type1_constraint`) reads the binding
   constraints off its d (:attr:`Analysis.type1_binding`).  The Type-I
@@ -29,14 +33,17 @@ over a whole (N, 4, 4) stack at a time:
 
 The public functions of the layer modules are views on an analysis of a
 stack of one, and ``batch`` analyzes a whole directory as one stack, so
-both sizes take the same code path.  Row reductions are written as stacked
-matrix products (``x[:, None, :] @ y[:, :, None]``): those run the same
-BLAS routine per row as the 1-D products of a single matrix, so a row's
-result does not depend on the stack around it.
+both sizes take the same code path.  A stage is computed on its first read
+and kept in the analysis's ``__dict__`` by a descriptor that takes no lock,
+so threads analyzing different stacks never wait on each other.
+
+Row reductions are written as stacked matrix products
+(``x[:, None, :] @ y[:, :, None]``): those run the same BLAS routine per row
+as the 1-D products of a single matrix, so a row's result does not depend
+on the stack around it.
 """
 
 import enum
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +67,12 @@ _COUPLING_EPS = 1e-14
 # Input direction reported when no pure input is singled out.
 _POLE = np.array([0.0, 0.0, 1.0])
 _POLE.setflags(write=False)
+_EYE = np.eye(4)
+_EYE.setflags(write=False)
+_EPS = float(np.finfo(float).eps)
+# The signs of d1, d2 and d3 in the four Type-I margins, one row each.
+_MARGIN_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0], [1.0, -1.0, 1.0, -1.0]])
+_MARGIN_SIGNS.setflags(write=False)
 
 
 class Family(enum.Enum):
@@ -119,8 +132,9 @@ def _squares(x):
 
 
 def _spectral_norm(mats):
-    """Largest singular value of each matrix (as ``np.linalg.norm(m, 2)``)."""
-    return np.linalg.svd(mats, compute_uv=False).max(axis=-1)
+    """Largest singular value of each matrix (as ``np.linalg.norm(m, 2)``):
+    the first, as LAPACK returns them in descending order."""
+    return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
 def normal_matrices(mats):
@@ -131,9 +145,9 @@ def normal_matrices(mats):
 
 def type1_margins(d):
     """Slack of each Type-I physicality inequality of d, shape (..., 4)."""
-    d0, d1, d2, d3 = (d[..., k] for k in range(4))
-    margins = [d0 + d1 + d2 + d3, d0 + d1 - d2 - d3, d0 - d1 - d2 + d3, d0 - d1 + d2 - d3]
-    return np.stack(margins, axis=-1)
+    # d0 +- d1 +- d2 +- d3 summed left to right; x - y is exactly x + (-y).
+    signs = _MARGIN_SIGNS
+    return d[..., :1] + d[..., 1:2] * signs[0] + d[..., 2:3] * signs[1] + d[..., 3:] * signs[2]
 
 
 def worst_type1_constraint(d, tol):
@@ -163,10 +177,12 @@ def sphere_min(a, b):
     # Components off the bottom eigenspace at mu = lambda_min; the bottom
     # eigenspace is a prefix of the ascending spectrum, so zeros there leave
     # the row sums below unchanged.
-    s_eig = np.divide(-c, gap, out=np.zeros_like(c), where=~bottom)
+    s_eig = np.divide(-c, gap, out=np.zeros(c.shape), where=~bottom)
     tail_sq = _dot(s_eig, s_eig)
     c_bottom = np.where(bottom, c, 0.0)
-    hard = (_dot(c_bottom, c_bottom) <= _squares(_COUPLING_EPS * scale)) & (
+    # Both callers pass a problem of unit size (entries below 2), so this
+    # square cannot overflow.
+    hard = (_dot(c_bottom, c_bottom) <= np.float_power(_COUPLING_EPS * scale, 2)) & (
         tail_sq <= 1.0
     )
     # Hard case: multiplier pinned at lambda_min, completed on the bottom
@@ -193,14 +209,14 @@ def sphere_min(a, b):
         # Off the bottom eigenspace the components are -c / (gap + shift).
         # Only the direction of the bottom components is used, so there a
         # shift below rounding may be floored without changing the result.
-        floor = np.maximum(shift, np.finfo(float).eps * scale[easy])
+        floor = np.maximum(shift, _EPS * scale[easy])
         comp = -c / (gap + np.where(bottom, floor[:, None], shift[:, None]))
         s_easy = np.where(bottom, 0.0, comp)
         direction = np.where(bottom, comp, 0.0)
         length = _norm(direction)
         deficit = np.maximum(0.0, 1.0 - _dot(s_easy, s_easy))
         grow = length > 0.0
-        ratio = np.divide(np.sqrt(deficit), length, out=np.zeros_like(length), where=grow)
+        ratio = np.divide(np.sqrt(deficit), length, out=np.zeros(length.shape), where=grow)
         complete = bottom & grow[:, None]
         s_eig[easy] = np.where(complete, direction * ratio[:, None], s_easy)
 
@@ -208,6 +224,24 @@ def sphere_min(a, b):
     norm = _norm(s)
     s = np.divide(s, norm[:, None], out=s, where=norm[:, None] > 0.0)
     return _quadratic(s, a) + 2.0 * _dot(b, s), s
+
+
+class _stage:
+    """A stage of :class:`Analysis`, computed on first read and written into
+    the instance ``__dict__``, which later reads find first (this is a
+    non-data descriptor).  It takes no lock: ``functools.cached_property``
+    before Python 3.12 holds one lock per stage, shared by every analysis,
+    while the stage computes."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, analysis, owner=None):
+        if analysis is None:
+            return self
+        value = analysis.__dict__[self.compute.__name__] = self.compute(analysis)
+        return value
 
 
 class HermitianStage(NamedTuple):
@@ -267,8 +301,11 @@ class Analysis:
     ``mats`` is an (N, 4, 4) float stack with finite entries, coerced by the
     caller (:func:`~muellercert.core.as_mueller_stack`, or
     :func:`~muellercert.core.as_mueller_matrix` for a stack of one).  Each
-    stage is computed on first use and at most once; a stage that a verdict
-    does not need is never computed.  ``tol`` is the relative tolerance of
+    stage is computed on first use and kept in the instance, without a
+    lock: two threads reading the same stage of one analysis at once may
+    both compute it, with the same result.  A stage that a verdict does not
+    need is never computed; the N stage (:attr:`normal`) only where some row
+    is cone-preserving and nonzero.  ``tol`` is the relative tolerance of
     every verdict, a finite nonnegative number (else ``ValueError``).
     """
 
@@ -276,31 +313,31 @@ class Analysis:
         self.m = mats
         self.tol = as_tolerance(tol)
 
-    @cached_property
+    @_stage
     def hermitian(self) -> HermitianStage:
         w, v = np.linalg.eigh(_hermitian_of(self.m))
         thresh = self.tol * np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
         rank = np.count_nonzero(w > thresh[:, None], axis=1)
         return HermitianStage(w, _canonical_phase(_transpose(v)), thresh, w[:, 0] >= -thresh, rank)
 
-    @cached_property
+    @_stage
     def sigma(self) -> np.ndarray:
         """Largest singular value of each matrix."""
         return _spectral_norm(self.m)
 
-    @cached_property
+    @_stage
     def unit(self) -> np.ndarray:
         """Each matrix divided by its largest singular value (zero matrices
         are left as they are)."""
         return self.m / self._divisor[:, None, None]
 
-    @cached_property
+    @_stage
     def _divisor(self) -> np.ndarray:
         """The largest singular values, with 1 in place of zero."""
         sigma = self.sigma
         return np.where(sigma > 0.0, sigma, 1.0)
 
-    @cached_property
+    @_stage
     def cone(self) -> ConeStage:
         m, sigma, unit, tol = self.m, self.sigma, self.unit, self.tol
         nonzero = sigma > 0.0
@@ -312,7 +349,8 @@ class Analysis:
         worst_intensity[:] = _POLE
         np.divide(-row, row_norm[:, None], out=worst_intensity, where=row_norm[:, None] > 0.0)
 
-        quad = _transpose(unit) @ LORENTZ_METRIC @ unit
+        # unit^T G unit, bit for bit: G = diag(1, -1, -1, -1) only flips signs.
+        quad = LORENTZ_METRIC @ self._nmat
         quad = 0.5 * (quad + _transpose(quad))
         value, s_star = sphere_min(quad[:, 1:, 1:], quad[:, 0, 1:])
         unit_lorentz = quad[:, 0, 0] + value
@@ -329,9 +367,15 @@ class Analysis:
             worst[zero] = _POLE
         return ConeStage(ok, intensity, lorentz, worst)
 
-    @cached_property
+    @_stage
+    def _nmat(self) -> np.ndarray:
+        """Lorentz normal matrices of :attr:`unit`, read by the cone stage
+        and the N stage."""
+        return normal_matrices(self.unit)
+
+    @_stage
     def normal(self) -> NormalStage:
-        nmat = normal_matrices(self.unit)
+        nmat = self._nmat
         lam, vecs = np.linalg.eig(nmat)
         imag = np.abs(lam.imag).max(axis=-1, initial=0.0)
         order = np.argsort(-lam.real, axis=-1)
@@ -339,7 +383,7 @@ class Analysis:
         vecs = vecs.real[rows[:, :, None], np.arange(4)[:, None], order[:, None, :]]
         return NormalStage(nmat, _spectral_norm(nmat), lam.real[rows, order], vecs, imag)
 
-    @cached_property
+    @_stage
     def type1_d(self) -> np.ndarray:
         """Type-I parameters d of every matrix, shape (N, 4), read by both
         the classification (on Type-I rows only) and :meth:`factor`, whose
@@ -359,7 +403,7 @@ class Analysis:
         root[:, 3] *= sign
         return self.sigma[:, None] * root
 
-    @cached_property
+    @_stage
     def type1_binding(self) -> np.ndarray:
         """Per row, the index of the violated Type-I constraint with the
         smallest margin (:func:`worst_type1_constraint`), or -1 where there
@@ -371,22 +415,25 @@ class Analysis:
         worst, violated = worst_type1_constraint(canon.d, self.tol)
         return np.where(violated & type_one, worst, -1)
 
-    @cached_property
+    @_stage
     def canonical(self) -> CanonicalStage:
         """Canonical family, d and reason of every matrix of the stack."""
         family, reason = [_INDETERMINATE] * len(self.m), [None] * len(self.m)
         d = np.full((len(self.m), 4), np.nan)
-        low, full = [], []
-        vanishing = (self.normal.nnorm <= self.tol).tolist()
-        for i, (ok, sigma, vanishes) in enumerate(
-            zip(self.cone.ok.tolist(), self.sigma.tolist(), vanishing)
-        ):
+        classified = []
+        for i, (ok, sigma) in enumerate(zip(self.cone.ok.tolist(), self.sigma.tolist())):
             if not ok:
                 family[i], reason[i] = _NOT_PRE_MUELLER, "does not map the Stokes cone into itself"
             elif sigma == 0.0:
                 reason[i] = "zero matrix"
             else:
-                (low if vanishes else full).append(i)
+                classified.append(i)
+        # The N stage only where some row is cone-preserving and nonzero.
+        low, full = [], []
+        if classified:
+            vanishing = (self.normal.nnorm <= self.tol).tolist()
+            for i in classified:
+                (low if vanishing[i] else full).append(i)
         if low:
             # Vanishing normal matrix: Polarizer / Pin map, read off the
             # rank-one factors.
@@ -433,14 +480,14 @@ class Analysis:
             bounds = [0, *(k for k in range(1, 4) if lj[k - 1] - lj[k] > cj), 4]
             clusters[j] = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo + 1]
             for lo, hi in clusters[j]:
-                centers[j, lo] = float(clipped[j, lo:hi].mean())
+                centers[j, lo] = sum(lj[lo:hi]) / (hi - lo)
 
         # A genuine Jordan block leaves a machine-precision null direction of
         # (N - lambda I) next to an O(1) coupling; a nearly tied
         # diagonalizable pair leaves neither.
         ranks = {}
         if centers:
-            shifted = np.stack([nmat[j] - center * np.eye(4) for (j, _), center in centers.items()])
+            shifted = np.stack([nmat[j] - center * _EYE for (j, _), center in centers.items()])
             svals = np.linalg.svd(shifted, compute_uv=False)
             for (j, lo), sv in zip(centers, svals):
                 ranks[j, lo] = (

@@ -62,6 +62,11 @@ def witness_input() -> np.ndarray:
     return np.outer(e, e.conj())
 
 
+# The witness input of every report, built once.
+_WITNESS_INPUT = witness_input()
+_WITNESS_INPUT.setflags(write=False)
+
+
 def extended_action(m, c) -> np.ndarray:
     """Apply a transfer matrix to a two-mode state, polarization only.
 

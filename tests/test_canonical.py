@@ -310,6 +310,74 @@ def test_one_normal_matrix_stage_per_analysis(monkeypatch):
     assert calls == {"eig": 1, "normal_matrices": 1, "det": 0, "slogdet": 1}
 
 
+@pytest.mark.parametrize(
+    "mats",
+    [
+        np.diag([0.5, 3.0, 2.0, 1.0])[None],
+        np.stack([np.diag([0.5, 3.0, 2.0, 1.0]), np.diag([1.0, 1.2, 0.5, 0.5]), -np.eye(4)]),
+    ],
+    ids=["one", "stack"],
+)
+def test_no_normal_matrix_stage_without_a_classified_row(monkeypatch, mats):
+    # rows that are not pre-Mueller get their family from the cone stage, so
+    # the N stage (its eig and its SVD) never runs; the one SVD is sigma's
+    calls = {"eig": 0, "svd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    reports = analyze_stack(mats)
+    assert {report["canonical"]["family"] for report in reports} == {"NotPreMueller"}
+    assert calls == {"eig": 0, "svd": 1}
+
+
+def _scaled_stack(draw, shape):
+    """A stack of 1-30 arrays of ``shape`` at a scale in 1e-150..1e150, with
+    some entries zero of either sign, so that signed zeros are compared too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = 10.0 ** draw(st.floats(-150, 150)) * rng.normal(size=(draw(st.integers(1, 30)), *shape))
+    stack[rng.random(stack.shape) < 0.2] = 0.0
+    stack[rng.random(stack.shape) < 0.1] = -0.0
+    return stack
+
+
+# Bit-identity premises of the kernel: each rewrite below must give the bytes
+# of the expression it replaced.
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_metric_times_normal_matrix_is_the_cone_form(data):
+    # G N = G (G u^T G u) = u^T G u: G = diag(1, -1, -1, -1) only flips signs
+    u = _scaled_stack(data.draw, (4, 4))
+    g = LORENTZ_METRIC
+    expected = np.swapaxes(u, -1, -2) @ g @ u
+    assert (g @ kernel.normal_matrices(u)).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_type1_margins_are_the_written_out_sums(data):
+    d = _scaled_stack(data.draw, (4,))
+    d0, d1, d2, d3 = (d[:, k] for k in range(4))
+    sums = [d0 + d1 + d2 + d3, d0 + d1 - d2 - d3, d0 - d1 - d2 + d3, d0 - d1 + d2 - d3]
+    assert kernel.type1_margins(d).tobytes() == np.stack(sums, axis=-1).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_first_singular_value_is_the_largest(data):
+    mats = _scaled_stack(data.draw, (4, 4))
+    svals = np.linalg.svd(mats, compute_uv=False)
+    assert kernel._spectral_norm(mats).tobytes() == svals.max(axis=-1).tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(_near_face_type_one())
 def test_binding_constraint_agrees_with_physicality(case):

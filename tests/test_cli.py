@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import muellercert
 from muellercert import mueller_from_jones
 from muellercert.cli import (
     ParseError,
@@ -147,8 +152,10 @@ class TestMainCommand:
             b"\xff\xfe not UTF-8",
             b'{"mueller": [[1' + b"0" * 400 + b", 0, 0, 0]]}",
             b'{"mueller": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+            b'{"mueller": [["1", "0", "0", "0"], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+            b'{"mueller": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, true]]}',
         ],
-        ids=["not-utf8", "huge-integer", "deep-nesting"],
+        ids=["not-utf8", "huge-integer", "deep-nesting", "string-entry", "bool-entry"],
     )
     def test_unparseable_file_exit_code(self, tmp_path, capsys, content):
         path = tmp_path / "bad.txt"
@@ -157,6 +164,19 @@ class TestMainCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert main(["batch", str(tmp_path)]) == 2
         assert set(json.loads(capsys.readouterr().out)["bad.txt"]) == {"error"}
+
+    def test_utf8_file_under_an_ascii_locale(self, tmp_path):
+        # files are read as UTF-8 whatever the locale's encoding
+        path = tmp_path / "m.txt"
+        path.write_bytes("# r\u00e9sum\u00e9\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n".encode())
+        src = str(Path(muellercert.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "muellercert.cli", "analyze", str(path)],
+            capture_output=True, env=env, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["physicality"]["verdict"] is True
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_is_a_usage_error(self, tmp_path, capsys, tol):

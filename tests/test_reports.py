@@ -24,6 +24,8 @@ one table at the end of the file.
 import inspect
 import json
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import MappingProxyType
 
@@ -51,7 +53,7 @@ from muellercert import (
     witness_input,
 )
 import muellercert
-from muellercert import cli
+from muellercert import cli, kernel
 from muellercert.cli import analyze_matrix, analyze_stack, main, render_report
 
 from helpers import random_jones, random_lorentz, reference_render_report
@@ -252,6 +254,25 @@ def test_stack_rows_equal_single_analyses(draws):
     assert len(reports) == len(stack)
     for m, report in zip(stack, reports):
         assert report == analyze_matrix(m)
+
+
+def test_threads_do_not_wait_on_each_other(monkeypatch):
+    # each of two threads analyzes its own stack and waits, inside its H
+    # stage, for the other to reach its own; a stage cache holding one lock
+    # per stage for every analysis while the stage computes (as
+    # functools.cached_property does before Python 3.12) breaks the barrier
+    barrier = threading.Barrier(2, timeout=5)
+    hermitian_of = kernel._hermitian_of
+
+    def waiting(mats):
+        barrier.wait()
+        return hermitian_of(mats)
+
+    stacks = [np.stack([_mixed(kind, seed) for kind in _KINDS]) for seed in (0, 1)]
+    serial = [analyze_stack(stack) for stack in stacks]
+    monkeypatch.setattr(kernel, "_hermitian_of", waiting)
+    with ThreadPoolExecutor(2) as pool:
+        assert list(pool.map(analyze_stack, stacks)) == serial
 
 
 def _complex(arr):

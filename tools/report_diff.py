@@ -7,15 +7,18 @@ checkout this file belongs to (its ``src`` and ``bench/corpus.py``):
     python3 tools/report_diff.py compare PARENT CHANGE
 
 ``render`` writes the report of every input of the ``exact-library`` and
-``measured-batch`` corpora at seeds 1-3, 21,600 reports, and the ``batch``
-document of each of the 144 measured directories: 21,744 records, one JSON
-line each, ``{"key": ..., "report": TEXT}``, where TEXT is
-``render_report``'s output.  Each corpus is analyzed as its workload
-analyzes it: the exact inputs one by one with ``analyze_matrix``, the
-measured ones a directory at a time with ``analyze_stack``.  A directory's
-``batch`` document, keyed ``batch/{seed}/dNNN``, is the mapping from file
-name (``{name}.txt``) to report that ``main`` renders for ``batch``, so the
-reports nested in it are compared at their own indent too.
+``measured-batch`` corpora at seeds 1-3, 21,600 reports, the ``batch``
+document of each of the 144 measured directories, the ``vanzyl`` document
+and the ``tetra-scan`` document at seeds 0-2 (100,000 samples, the
+command's default): 21,748 records, one JSON line each, ``{"key": ...,
+"report": TEXT}``, where TEXT is ``render_report``'s output.  The last four
+are keyed ``vanzyl`` and ``tetra-scan/{seed}``.  Each corpus is analyzed as
+its workload analyzes it: the exact inputs one by one with
+``analyze_matrix``, the measured ones a directory at a time with
+``analyze_stack``.  A directory's ``batch`` document, keyed
+``batch/{seed}/dNNN``, is the mapping from file name (``{name}.txt``) to
+report that ``main`` renders for ``batch``, so the reports nested in it are
+compared at their own indent too.
 
 ``compare`` prints how many reports differ (a ``batch`` document counts as
 one) and, for each JSON path that differs somewhere (list indices dropped,
@@ -36,6 +39,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
+TETRA_SEEDS = (0, 1, 2)
+TETRA_SAMPLES = 100_000
 # The corpus sizes of the two workloads in bench/run.py.
 EXACT_PER_CLASS = 1000
 MEASURED_DIRS = 48
@@ -47,7 +52,13 @@ def render(out: Path) -> None:
     import numpy as np
 
     import corpus
-    from muellercert.cli import analyze_matrix, analyze_stack, render_report
+    from muellercert.cli import (
+        analyze_matrix,
+        analyze_stack,
+        render_report,
+        tetra_scan,
+        vanzyl_case,
+    )
 
     with out.open("w") as f:
         for seed in SEEDS:
@@ -63,6 +74,10 @@ def render(out: Path) -> None:
                 batch = {f"{entry.name}.txt": report for entry, report in zip(entries, reports)}
                 key = f"batch/{seed}/d{dnum:03d}"
                 f.write(json.dumps({"key": key, "report": render_report(batch)}) + "\n")
+        f.write(json.dumps({"key": "vanzyl", "report": render_report(vanzyl_case())}) + "\n")
+        for seed in TETRA_SEEDS:
+            text = render_report(tetra_scan(TETRA_SAMPLES, seed))
+            f.write(json.dumps({"key": f"tetra-scan/{seed}", "report": text}) + "\n")
 
 
 def _load(path: Path) -> dict:
