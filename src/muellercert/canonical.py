@@ -28,7 +28,7 @@ import dataclasses
 import numpy as np
 
 from . import kernel
-from .core import DEFAULT_TOL, _array, as_mueller_matrix, as_tolerance
+from .core import DEFAULT_TOL, _array, _unit_exponent, as_mueller_matrix, as_tolerance
 
 # The family and the Type-I errors are defined by the kernel, which builds them.
 from .kernel import DegenerateSpectrumError, Family, NotTypeIError  # noqa: F401
@@ -93,12 +93,14 @@ def type2_constraints(d, tol: float = DEFAULT_TOL) -> bool:
     """Physicality test for the Type-II canonical form.
 
     On the Type-II domain d0 > d1 > 0 the canonical form is physical iff
-    d3 == d2 and d2^2 <= d0 d1, both within tol relative to d0 (so the
-    verdict does not depend on the scale of d): |d3 - d2| <= tol d0 and
-    d2^2 <= d0 d1 + tol d0^2.  The equality is the constraint that appears
+    d3 == d2 and d2^2 <= d0 d1, both within tol relative to d0:
+    |d3 - d2| <= tol d0 and d2^2 <= d0 d1 + tol d0^2, evaluated on d
+    divided by a power of two (exactly), so the verdict does not depend on
+    the scale of d.  The equality is the constraint that appears
     only when spatially entangled inputs are considered.
     """
-    d0, d1, d2, d3 = _array(d, (4,), "canonical parameters")
+    d = _array(d, (4,), "canonical parameters")
+    d0, d1, d2, d3 = np.ldexp(d, -_unit_exponent(d))
     tol = as_tolerance(tol)
     return bool(abs(d3 - d2) <= tol * d0 and d2**2 <= d0 * d1 + tol * d0**2)
 

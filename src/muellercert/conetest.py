@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, _array, as_mueller_matrix
+from .core import DEFAULT_TOL, _array, _unit_exponent, as_mueller_matrix
 from .kernel import Analysis, sphere_min
 
 
@@ -83,8 +83,7 @@ def sphere_quadratic_min(a, b) -> tuple[float, np.ndarray]:
     if not len(b):
         raise ValueError("linear term b: expected at least one entry, got shape (0,)")
     a = _array(a, (len(b), len(b)), "quadratic form a")
-    peak = max(np.abs(a).max(), np.abs(b).max())
-    exponent = math.frexp(peak)[1] - 1  # peak / 2**exponent lies in [1, 2)
+    exponent = _unit_exponent(a, b)
     a, b = np.ldexp(a, -exponent), np.ldexp(b, -exponent)
     value, s = sphere_min(0.5 * (a + a.T)[None], b[None])
     try:

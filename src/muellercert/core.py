@@ -25,6 +25,8 @@ itself, with no extra permutation.
 All functions are pure and thread-safe; returned arrays are fresh copies.
 """
 
+import math
+
 import numpy as np
 
 #: Default relative tolerance for every predicate in the package.  Measured
@@ -215,15 +217,28 @@ def m_from_h(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.ascontiguousarray(np.einsum("jk,abkj->ab", arr, _PAIR_BASIS).real)
 
 
+def _unit_exponent(*arrays) -> int:
+    """The exponent e for which 2**-e brings the largest magnitude in the
+    arrays into [1, 2) (-1 when every entry is zero).  Dividing by 2**e is
+    exact wherever no entry underflows, so a verdict computed on the
+    divided arrays does not depend on their scale, and the square of the
+    largest entry neither under- nor overflows."""
+    return math.frexp(max(float(np.abs(a).max()) for a in arrays))[1] - 1
+
+
 def stokes_is_physical(s, tol: float = DEFAULT_TOL) -> bool:
-    """True when s lies in the solid forward light cone (closed cone)."""
+    """True when s lies in the solid forward light cone (closed cone),
+    whatever the scale of s."""
     arr = _array(s, (4,), "Stokes vector")
+    arr = np.ldexp(arr, -_unit_exponent(arr))
     return bool(arr[0] > 0.0 and arr @ LORENTZ_METRIC @ arr >= -tol * arr[0] ** 2)
 
 
 def stokes_is_pure(s, tol: float = DEFAULT_TOL) -> bool:
-    """True for fully polarized states, which live on the cone surface."""
+    """True for fully polarized states, which live on the cone surface,
+    whatever the scale of s."""
     arr = _array(s, (4,), "Stokes vector")
+    arr = np.ldexp(arr, -_unit_exponent(arr))
     return bool(arr[0] > 0.0 and abs(arr @ LORENTZ_METRIC @ arr) <= tol * arr[0] ** 2)
 
 

@@ -41,12 +41,23 @@ Row reductions are written as stacked matrix products
 (``x[:, None, :] @ y[:, :, None]``): those run the same BLAS routine per row
 as the 1-D products of a single matrix, so a row's result does not depend
 on the stack around it.
+
+Every LAPACK call goes straight to the gufunc of ``numpy.linalg`` that the
+public function would call (``_eigh``, ``_svdvals``, ``_svd``, ``_eig``,
+``_eigvals``, ``_slogdet``), so the results are the public function's, bit
+for bit, without its per-call wrapper: its ``errstate`` context, its
+finiteness and dtype checks.  The arrays are finite float64 or complex128
+stacks by construction (:func:`~muellercert.core._array` checked the
+input).  A failed LAPACK call still raises ``LinAlgError``: the gufunc
+fills the failed row with nan, and the helper raises where its eigenvalues
+or singular values hold one.
 """
 
 import enum
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .core import (
     DEFAULT_TOL,
@@ -131,10 +142,61 @@ def _squares(x):
         return np.float_power(x, 2)
 
 
+# numpy.linalg's gufuncs (numpy 2 names) on finite float64 / complex128
+# stacks, each giving the bits of the public function named in its docstring.
+
+
+def _converged(out, what):
+    """``out``, unless it holds a nan: a gufunc fills the row of a failed
+    LAPACK call with nan, and then ``LinAlgError`` is raised as the public
+    function raises it.  numpy also emits ``RuntimeWarning: invalid value
+    encountered in <gufunc>`` for that row (a ``FloatingPointError`` in
+    its place under ``np.errstate(invalid="raise")``)."""
+    if np.count_nonzero(out != out):
+        raise LinAlgError(f"{what} did not converge")
+    return out
+
+
+def _eigh(a):
+    """``np.linalg.eigh(a)`` of real symmetric or complex hermitian ``a``."""
+    w, v = _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+    return _converged(w, "Eigenvalues"), v
+
+
+def _svdvals(a):
+    """``np.linalg.svd(a, compute_uv=False)``: singular values, descending."""
+    return _converged(_umath_linalg.svd(a, signature="d->d"), "SVD")
+
+
+def _svd(a):
+    """``np.linalg.svd(a)``: ``(u, s, vh)`` with square ``u`` and ``vh``."""
+    u, s, vh = _umath_linalg.svd_f(a, signature="d->ddd")
+    return u, _converged(s, "SVD"), vh
+
+
+def _eig(a):
+    """``np.linalg.eig(a)`` of real ``a``, always complex (the public function
+    drops the zero imaginary parts of an all-real stack; the values are the
+    same)."""
+    w, v = _umath_linalg.eig(a, signature="d->DD")
+    return _converged(w, "Eigenvalues"), v
+
+
+def _eigvals(a):
+    """``np.linalg.eigvals(a)`` of real ``a``, always complex (as :func:`_eig`)."""
+    return _converged(_umath_linalg.eigvals(a, signature="d->D"), "Eigenvalues")
+
+
+def _slogdet(a):
+    """``np.linalg.slogdet(a)`` of real ``a``: sign and log |det|, which an LU
+    factorization always gives."""
+    return _umath_linalg.slogdet(a, signature="d->dd")
+
+
 def _spectral_norm(mats):
     """Largest singular value of each matrix (as ``np.linalg.norm(m, 2)``):
     the first, as LAPACK returns them in descending order."""
-    return np.linalg.svd(mats, compute_uv=False)[..., 0]
+    return _svdvals(mats)[..., 0]
 
 
 def normal_matrices(mats):
@@ -167,7 +229,7 @@ def sphere_min(a, b):
     :func:`muellercert.conetest.sphere_quadratic_min`.
     """
     n = b.shape[-1]
-    lam, q = np.linalg.eigh(a)
+    lam, q = _eigh(a)
     c = (b[:, None, :] @ q)[:, 0]
     # The spectrum is ascending, so its largest magnitude sits at an end.
     scale = np.maximum(np.maximum.reduce(np.abs(lam), axis=1), np.maximum(_norm(b), 1.0))
@@ -205,7 +267,7 @@ def sphere_min(a, b):
         flat = lifted.reshape(k, 4 * n * n)
         flat[:, :: 2 * n + 1] = np.concatenate((gap, gap), axis=1)
         flat[:, n : n * (2 * n + 2) : 2 * n + 1] = -abs_c
-        shift = np.maximum(0.0, -np.linalg.eigvals(lifted).real.min(axis=-1))
+        shift = np.maximum(0.0, -_eigvals(lifted).real.min(axis=-1))
         # Off the bottom eigenspace the components are -c / (gap + shift).
         # Only the direction of the bottom components is used, so there a
         # shift below rounding may be floored without changing the result.
@@ -315,7 +377,7 @@ class Analysis:
 
     @_stage
     def hermitian(self) -> HermitianStage:
-        w, v = np.linalg.eigh(_hermitian_of(self.m))
+        w, v = _eigh(_hermitian_of(self.m))
         thresh = self.tol * np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
         rank = np.count_nonzero(w > thresh[:, None], axis=1)
         return HermitianStage(w, _canonical_phase(_transpose(v)), thresh, w[:, 0] >= -thresh, rank)
@@ -376,7 +438,7 @@ class Analysis:
     @_stage
     def normal(self) -> NormalStage:
         nmat = self._nmat
-        lam, vecs = np.linalg.eig(nmat)
+        lam, vecs = _eig(nmat)
         imag = np.abs(lam.imag).max(axis=-1, initial=0.0)
         order = np.argsort(-lam.real, axis=-1)
         rows = np.arange(len(lam))[:, None]
@@ -397,7 +459,7 @@ class Analysis:
         tol * nnorm instead would drop every |d3| below about sqrt(tol) sigma.
         """
         with np.errstate(divide="ignore"):  # log 0 of a singular input
-            sign, logdet = np.linalg.slogdet(self.unit)
+            sign, logdet = _slogdet(self.unit)
         root = np.sqrt(np.maximum(self.normal.lam, 0.0))
         sign[np.exp(logdet) <= self.tol * root[:, :3].prod(axis=1)] = 0.0
         root[:, 3] *= sign
@@ -437,7 +499,7 @@ class Analysis:
         if low:
             # Vanishing normal matrix: Polarizer / Pin map, read off the
             # rank-one factors.
-            u, s, vt = np.linalg.svd(self.unit[low])
+            u, s, vt = _svd(self.unit[low])
             cluster_tol = float(np.sqrt(self.tol))
             for j, i in enumerate(low):
                 family[i], reason[i] = _rank_one_family(u[j, :, 0], s[j, 1], vt[j, 0], cluster_tol)
@@ -459,7 +521,9 @@ class Analysis:
         defective (Type II), and anything in between is Indeterminate.
         """
         tol = self.tol
-        nmat, nnorm, lam, vecs, imag = (field[full] for field in self.normal)
+        # Views, not copies, when every row is classified (always at N = 1).
+        rows = slice(None) if len(full) == len(self.m) else full
+        nmat, nnorm, lam, vecs, imag = (field[rows] for field in self.normal)
         cluster_tol = float(np.sqrt(tol)) * nnorm
         geo_tol = tol * nnorm
         clipped = np.clip(lam, 0.0, None)
@@ -488,7 +552,7 @@ class Analysis:
         ranks = {}
         if centers:
             shifted = np.stack([nmat[j] - center * _EYE for (j, _), center in centers.items()])
-            svals = np.linalg.svd(shifted, compute_uv=False)
+            svals = _svdvals(shifted)
             for (j, lo), sv in zip(centers, svals):
                 ranks[j, lo] = (
                     int(np.count_nonzero(sv <= geo_tol[j])),
@@ -568,7 +632,7 @@ class Analysis:
         pivot = basis[np.argmax(np.abs(basis), axis=0), np.arange(4)]
         pivot[0] = basis[0, 0]
         basis *= np.where(pivot < 0.0, -1.0, 1.0)
-        if np.linalg.slogdet(basis)[0] < 0.0:
+        if _slogdet(basis)[0] < 0.0:
             basis[:, 3] *= -1.0
 
         ortho_err = np.abs(basis.T @ g @ basis - g).max()

@@ -8,8 +8,19 @@ check.
 import json
 
 import numpy as np
+from hypothesis import strategies as st
 
 from muellercert import PAULI_BASIS, mueller_from_jones
+
+#: Vectors of four entries, each zero or of magnitude 2**-20..2**20, and an
+#: exponent k in -990..990: 2**k times such a vector is exact (every entry
+#: stays a normal float), so any verdict on it must be the unscaled one.
+EXACTLY_SCALABLE = st.lists(
+    st.one_of(st.just(0.0), st.floats(2.0**-20, 2.0**20)).flatmap(lambda x: st.sampled_from([x, -x])),
+    min_size=4,
+    max_size=4,
+)
+SCALE_EXPONENT = st.integers(-990, 990)
 
 
 def random_jones(rng, scale=1.0):

@@ -1,0 +1,47 @@
+"""``tools/ab_time.py``, the in-process A/B timer, with both sides set to
+this checkout on a tiny corpus."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "ab_time.py"
+
+
+@pytest.mark.parametrize(
+    "options, count",
+    [
+        (["--workload", "exact", "--per-class", "1"], "6 inputs"),
+        (["--workload", "batch", "--dirs", "2", "--per-dir", "3"], "2 directories"),
+    ],
+    ids=["exact", "batch"],
+)
+def test_same_checkout_on_both_sides(options, count):
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--rounds", "2", *options],
+        capture_output=True, text=True, check=False, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith(f"{options[1]}: {count} per pass, 2 rounds, seed 1")
+    assert re.fullmatch(r"parent: median pass \d+\.\d{4} s \(\d+\.\d us per \w+\)", lines[1])
+    assert lines[2].startswith("change: median pass ")
+    assert re.fullmatch(
+        r"change/parent: median \d+\.\d{3}, IQR \d+\.\d{3} \(q1 \d+\.\d{3}, q3 \d+\.\d{3}\), "
+        r"change faster in [012] of 2 rounds",
+        lines[3],
+    )
+    assert lines[4:] == [f"outputs differ: 0 of {count.split()[0]}"]
+
+
+def test_bad_round_count_is_a_usage_error():
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--rounds", "1"],
+        capture_output=True, text=True, check=False, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "--rounds must be at least 2" in done.stderr

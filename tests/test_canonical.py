@@ -25,6 +25,8 @@ from muellercert import kernel
 from muellercert.cli import analyze_stack
 
 from helpers import (
+    EXACTLY_SCALABLE,
+    SCALE_EXPONENT,
     boost_jones,
     pin_map,
     polarizer_map,
@@ -274,12 +276,9 @@ class TestType1Factor:
         np.testing.assert_allclose(rebuilt, m, rtol=0.0, atol=1e-10)
 
 
-def test_one_normal_matrix_stage_per_analysis(monkeypatch):
-    # one eig of the normal matrices serves the whole stack, and d comes
-    # from it and the one slogdet of type1_d, with no det; reports never
-    # factor, so the Type-I rows (a distinct and a tied spectrum) make no
-    # slogdet of their own
-    calls = {"eig": 0, "normal_matrices": 0, "det": 0, "slogdet": 0}
+def _count_kernel_calls(monkeypatch, names):
+    """Count the calls of the named kernel functions from here on."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -288,10 +287,17 @@ def test_one_normal_matrix_stage_per_analysis(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
-    monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
-    monkeypatch.setattr(np.linalg, "slogdet", counted("slogdet", np.linalg.slogdet))
-    monkeypatch.setattr(kernel, "normal_matrices", counted("normal_matrices", kernel.normal_matrices))
+    for name in names:
+        monkeypatch.setattr(kernel, name, counted(name, getattr(kernel, name)))
+    return calls
+
+
+def test_one_normal_matrix_stage_per_analysis(monkeypatch):
+    # one eig of the normal matrices serves the whole stack, and d comes
+    # from it and the one slogdet of type1_d; reports never factor, so the
+    # Type-I rows (a distinct and a tied spectrum) make no slogdet of their
+    # own
+    calls = _count_kernel_calls(monkeypatch, ["_eig", "_slogdet", "normal_matrices"])
     stack = np.stack(
         [
             np.diag([3.0, 2.0, 1.0, 0.5]),
@@ -307,7 +313,7 @@ def test_one_normal_matrix_stage_per_analysis(monkeypatch):
         "NotPreMueller",
         "TypeI",
     ]
-    assert calls == {"eig": 1, "normal_matrices": 1, "det": 0, "slogdet": 1}
+    assert calls == {"_eig": 1, "_slogdet": 1, "normal_matrices": 1}
 
 
 @pytest.mark.parametrize(
@@ -320,21 +326,41 @@ def test_one_normal_matrix_stage_per_analysis(monkeypatch):
 )
 def test_no_normal_matrix_stage_without_a_classified_row(monkeypatch, mats):
     # rows that are not pre-Mueller get their family from the cone stage, so
-    # the N stage (its eig and its SVD) never runs; the one SVD is sigma's
-    calls = {"eig": 0, "svd": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    # the N stage (its eig and its SVDs) never runs; the one SVD is sigma's
+    calls = _count_kernel_calls(monkeypatch, ["_eig", "_svd", "_svdvals"])
     reports = analyze_stack(mats)
     assert {report["canonical"]["family"] for report in reports} == {"NotPreMueller"}
-    assert calls == {"eig": 0, "svd": 1}
+    assert calls == {"_eig": 0, "_svd": 0, "_svdvals": 1}
+
+
+def test_analysis_makes_no_public_linalg_call(monkeypatch):
+    # every LAPACK call of the analysis goes through the kernel's gufunc
+    # helpers; the stack reaches every family, the rank-one SVD, the
+    # cluster rank tests, type1_d and the witness of a non-Mueller row
+    def public(name):
+        def call(*args, **kwargs):
+            pytest.fail(f"the analysis called np.linalg.{name}")
+
+        return call
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "slogdet", "det"):
+        monkeypatch.setattr(np.linalg, name, public(name))
+    stack = np.stack(
+        [
+            np.diag([3.0, 2.0, 1.0, 0.5]),
+            np.diag([1.0, 0.9, 0.9, -0.9]),
+            type2_canonical(2.0, 1.0, 1.0, 1.0),
+            np.diag([0.5, 3.0, 2.0, 1.0]),
+            polarizer_map(),
+            pin_map(),
+            np.zeros((4, 4)),
+        ]
+    )
+    families = [report["canonical"]["family"] for report in analyze_stack(stack)]
+    assert families == [
+        "TypeI", "TypeI", "TypeII", "NotPreMueller", "Polarizer", "PinMap", "Indeterminate",
+    ]
+    np.testing.assert_allclose(type1_factor(stack[0])[1], [3.0, 2.0, 1.0, 0.5], rtol=1e-12)
 
 
 def _scaled_stack(draw, shape):
@@ -376,6 +402,53 @@ def test_first_singular_value_is_the_largest(data):
     mats = _scaled_stack(data.draw, (4, 4))
     svals = np.linalg.svd(mats, compute_uv=False)
     assert kernel._spectral_norm(mats).tobytes() == svals.max(axis=-1).tobytes()
+
+
+def _same_bytes(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gufunc_helpers_give_the_public_results(data):
+    # the kernel's LAPACK calls skip numpy.linalg's wrappers, not its gufuncs
+    a = _scaled_stack(data.draw, (3, 3))
+    a = a + np.swapaxes(a, -1, -2)
+    _same_bytes(kernel._eigh(a), np.linalg.eigh(a))
+    h = kernel._hermitian_of(_scaled_stack(data.draw, (4, 4)))
+    _same_bytes(kernel._eigh(h), np.linalg.eigh(h))
+
+    mats = _scaled_stack(data.draw, (4, 4))
+    _same_bytes([kernel._svdvals(mats)], [np.linalg.svd(mats, compute_uv=False)])
+    _same_bytes(kernel._svd(mats), np.linalg.svd(mats))
+    _same_bytes(kernel._slogdet(mats), np.linalg.slogdet(mats))
+
+    # eig and eigvals: the public functions drop zero imaginary parts of an
+    # all-real stack (a symmetric one), so the real parts (in their order)
+    # are compared as bytes and the imaginary parts as values
+    for mats in (mats, mats + np.swapaxes(mats, -1, -2)):
+        w, v = kernel._eig(mats)
+        public_w, public_v = np.linalg.eig(mats)
+        _same_bytes([w.real, v.real], [np.real(public_w), np.real(public_v)])
+        assert np.array_equal(w.imag, np.imag(public_w))
+        assert np.array_equal(v.imag, np.imag(public_v))
+    lifted = _scaled_stack(data.draw, (6, 6))
+    w, public_w = kernel._eigvals(lifted), np.linalg.eigvals(lifted)
+    _same_bytes([w.real], [np.real(public_w)])
+    assert np.array_equal(w.imag, np.imag(public_w))
+
+
+@pytest.mark.parametrize("helper, n", [(kernel._eigh, 3), (kernel._svdvals, 4)])
+def test_gufunc_helpers_raise_on_a_failed_row(helper, n):
+    # numpy fills a failed row with nan and warns; the helper then raises
+    # as numpy.linalg does
+    stack = np.zeros((2, n, n))
+    stack[1] = np.nan
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        with pytest.raises(np.linalg.LinAlgError):
+            helper(stack)
 
 
 @settings(max_examples=300, deadline=None)
@@ -430,6 +503,20 @@ class TestDiagonalConstraints:
         assert type2_constraints([2.0, 1.0, 1.0, 1.0])
         assert not type2_constraints([2.0, 1.0, 1.5, 1.5])  # 2.25 > 2
         assert not type2_constraints([2.0, 1.0, 1.0, 0.5])  # d3 != d2
+
+    @settings(max_examples=300, deadline=None)
+    @given(EXACTLY_SCALABLE, st.booleans(), SCALE_EXPONENT)
+    def test_type2_verdict_does_not_depend_on_scale(self, entries, tied, k):
+        d = np.array(entries)
+        if tied:
+            d[3] = d[2]
+        assert type2_constraints(np.ldexp(d, k)) is type2_constraints(d)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e-200, 1e200])
+    def test_type2_verdict_at_extreme_scales(self, scale):
+        # d2**2 and d0 d1 under- or overflow at these scales
+        assert type2_constraints(scale * np.array([2.0, 1.0, 1.5, 1.5])) is False
+        assert type2_constraints(scale * np.array([2.0, 1.0, 1.0, 1.0])) is True
 
     def test_type2_constraints_match_numerical_psd(self):
         # The tolerances are relative to d0, so each draw is also checked at

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muellercert import (
     LORENTZ_METRIC,
@@ -20,7 +22,13 @@ from muellercert import (
     vectorize,
 )
 from muellercert.core import as_mueller_matrix, as_mueller_stack
-from helpers import explicit_h_table, random_jones, random_unit_det_jones
+from helpers import (
+    EXACTLY_SCALABLE,
+    SCALE_EXPONENT,
+    explicit_h_table,
+    random_jones,
+    random_unit_det_jones,
+)
 
 
 class TestConstants:
@@ -236,6 +244,24 @@ class TestPredicates:
         assert stokes_is_pure([1, 0, 0, 1]) is True
         assert stokes_is_pure([1, 0, 0, 0.5]) is False
         assert stokes_is_pure([1, 0, 0, 1.5]) is False
+
+    @settings(max_examples=300, deadline=None)
+    @given(EXACTLY_SCALABLE, st.booleans(), SCALE_EXPONENT)
+    def test_stokes_verdicts_do_not_depend_on_scale(self, entries, on_cone, k):
+        s = np.array(entries)
+        if on_cone:  # on the cone surface up to rounding
+            s[0] = np.sqrt(s[1:] @ s[1:])
+        scaled = np.ldexp(s, k)
+        assert stokes_is_physical(scaled) is stokes_is_physical(s)
+        assert stokes_is_pure(scaled) is stokes_is_pure(s)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e-200, 1e200])
+    def test_stokes_verdicts_at_extreme_scales(self, scale):
+        # squared at these scales, the entries under- or overflow
+        assert stokes_is_physical(scale * np.array([2.0, 1.0, 1.5, 1.5])) is False
+        assert stokes_is_physical(scale * np.array([2.0, 1.0, 1.0, 1.0])) is True
+        assert stokes_is_pure(scale * np.array([1.0, 0.6, 0.0, 0.0])) is False
+        assert stokes_is_pure(scale * np.array([1.0, 0.6, 0.0, 0.8])) is True
 
     def test_coherency_physical(self):
         assert coherency_is_physical(0.5 * np.eye(2)) is True

@@ -1,0 +1,149 @@
+"""Time two checkouts of muellercert against each other in one process.
+
+    python3 tools/ab_time.py PARENT CHANGE [--workload exact|batch]
+        [--seed N] [--rounds R] [--per-class K] [--dirs D] [--per-dir F]
+
+PARENT and CHANGE are the roots of two checkouts.  Each one's package (its
+``src/muellercert``) is loaded into this process as a separate module
+object, and the inputs come from the corpus generator of the checkout this
+file belongs to (its ``bench/corpus.py``, read, never written):
+
+* ``exact``: one pass is ``analyze_matrix`` once per input of
+  ``corpus.exact_corpus(seed, per_class)``;
+* ``batch``: one pass is ``cli.main(["batch", DIR])`` once per directory of
+  ``corpus.measured_corpus(seed, dirs, per_dir)``, written to a temporary
+  directory as the benchmark writes them (every fifth file JSON), with the
+  output going to an in-memory sink.
+
+After one untimed pass per side, each round times one pass of each side,
+the side that goes first alternating from round to round, so that drift in
+the host's speed falls on both sides alike; sequential runs of the two
+checkouts can differ by more than the change being measured.  It prints
+each side's median pass time, and the median of the per-round ratios
+change / parent with their interquartile range and the number of rounds in
+which the change was faster.  Last, it compares one pass of rendered
+output per side and exits 1 when any output differs, else 0.
+"""
+
+import os
+
+# BLAS on one thread, as in the benchmark.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import importlib.util  # noqa: E402
+import io  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_package(root: Path, alias: str):
+    """The ``muellercert`` package of the checkout at ``root``, imported as
+    the top-level package ``alias``; its relative imports resolve to its own
+    submodules."""
+    pkg = root / "src" / "muellercert"
+    spec = importlib.util.spec_from_file_location(
+        alias, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{alias}.cli")
+
+
+def _exact_pass(cli, mats):
+    return [cli.analyze_matrix(m) for m in mats]
+
+
+def _batch_pass(cli, dirs):
+    outputs = []
+    for path in dirs:
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.main(["batch", str(path)], out=out, err=err)
+        outputs.append((code, out.getvalue()))
+    return outputs
+
+
+def _args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", choices=("exact", "batch"), default="exact")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--per-class", type=int, default=100)
+    parser.add_argument("--dirs", type=int, default=8)
+    parser.add_argument("--per-dir", type=int, default=25)
+    args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2")
+    return args
+
+
+def main(argv=None) -> int:
+    args = _args(argv)
+    sys.path.insert(0, str(ROOT / "bench"))
+    import corpus
+
+    sides = {
+        "parent": load_package(args.parent.resolve(), "_ab_parent"),
+        "change": load_package(args.change.resolve(), "_ab_change"),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.workload == "exact":
+            items = [entry.m for entry in corpus.exact_corpus(args.seed, args.per_class)]
+            one_pass = _exact_pass
+            unit, units = "input", "inputs"
+        else:
+            items = []
+            for dnum, entries in enumerate(
+                corpus.measured_corpus(args.seed, args.dirs, args.per_dir)
+            ):
+                path = Path(tmp) / f"d{dnum:03d}"
+                path.mkdir()
+                for f, entry in enumerate(entries):
+                    as_json = f % 5 == 4
+                    name = entry.name + (".json" if as_json else ".txt")
+                    corpus.write_matrix(path / name, entry.m, as_json)
+                items.append(path)
+            one_pass = _batch_pass
+            unit, units = "directory", "directories"
+
+        outputs = {name: one_pass(cli, items) for name, cli in sides.items()}
+        times = {name: [] for name in sides}
+        for r in range(args.rounds):
+            order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+            for name in order:
+                start = time.perf_counter()
+                one_pass(sides[name], items)
+                times[name].append(time.perf_counter() - start)
+
+    print(f"{args.workload}: {len(items)} {units} per pass, {args.rounds} rounds, seed {args.seed}")
+    for name, passes in times.items():
+        median = statistics.median(passes)
+        per_item = 1e6 * median / len(items)
+        print(f"{name}: median pass {median:.4f} s ({per_item:.1f} us per {unit})")
+    ratios = [c / p for c, p in zip(times["change"], times["parent"])]
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    wins = sum(ratio < 1.0 for ratio in ratios)
+    print(
+        f"change/parent: median {median:.3f}, IQR {q3 - q1:.3f} "
+        f"(q1 {q1:.3f}, q3 {q3:.3f}), change faster in {wins} of {len(ratios)} rounds"
+    )
+
+    texts = outputs
+    if args.workload == "exact":
+        texts = {name: list(map(sides[name].render_report, out)) for name, out in outputs.items()}
+    differing = sum(a != b for a, b in zip(texts["parent"], texts["change"]))
+    print(f"outputs differ: {differing} of {len(items)}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
