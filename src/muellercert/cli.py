@@ -145,7 +145,6 @@ def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
 
 def _reports(analysis: Analysis) -> list[dict]:
     """The report documents of every matrix of an analysis."""
-    tol = analysis.tol
     m, h, canon = analysis.m, analysis.hermitian, analysis.canonical
 
     # One tolist per stage array; each row below slices the Python lists.
@@ -163,7 +162,7 @@ def _reports(analysis: Analysis) -> list[dict]:
     if not all(mueller_rows):
         unphysical = ~h.mueller
         state = _extended_action(m[unphysical], _WITNESS_INPUT)
-        expectations = iter(_expectation(state, h.vecs[unphysical, 0], tol).tolist())
+        expectations = iter(_expectation(state, h.vecs[unphysical, 0]).tolist())
     reports = []
     for i, d in enumerate(d_rows):
         # The H stage's verdicts, as choi.physicality, mueller_jones_test,

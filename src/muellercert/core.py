@@ -139,17 +139,12 @@ def devectorize(v) -> np.ndarray:
 def stokes_from_coherency(phi, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Stokes vector of a coherency matrix: S_a = tr(PAULI_BASIS[a] @ phi).
 
-    Non-hermitian input yields complex traces and raises
-    NonHermitianInputError.
+    Raises NonHermitianInputError when phi is not hermitian within tol.
     """
     arr = _array(phi, (2, 2), "coherency matrix", complex)
-    s = np.einsum("ajk,kj->a", PAULI_BASIS, arr)
-    scale = max(np.linalg.norm(arr), 1e-300)
-    if np.abs(s.imag).max() > tol * scale:
-        raise NonHermitianInputError(
-            "coherency matrix is not hermitian: traces have imaginary parts"
-        )
-    return np.ascontiguousarray(s.real)
+    if _not_hermitian(arr, tol):
+        raise NonHermitianInputError("coherency matrix is not hermitian")
+    return np.ascontiguousarray(np.einsum("ajk,kj->a", PAULI_BASIS, arr).real)
 
 
 def coherency_from_stokes(s) -> np.ndarray:
@@ -187,22 +182,15 @@ def _hermitian_of(mats) -> np.ndarray:
     return np.einsum("...ab,abjk->...jk", mats, _PAIR_BASIS)
 
 
-def _frobenius(arr: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of an (N, n, n) stack or of one n x n
-    matrix, shape (N,) or (1,): one real dot product per matrix."""
-    rows = np.ascontiguousarray(arr, dtype=complex).reshape(-1, arr.shape[-1] ** 2)
-    pairs = rows.view(np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", pairs, pairs))
-
-
-def _not_hermitian(arr: np.ndarray, tol: float, scale: float | None = None) -> bool:
-    """True when arr, one matrix or an (N, n, n) stack, holds a matrix that
-    deviates from hermiticity, in Frobenius norm, by more than tol times
-    ``scale`` (by default that matrix's own Frobenius norm)."""
-    if scale is None:
-        scale = np.maximum(_frobenius(arr), 1e-300)
-    skew = _frobenius(arr - arr.conj().swapaxes(-2, -1))
-    return bool(np.count_nonzero(skew > tol * scale))
+def _not_hermitian(arr: np.ndarray, tol: float) -> bool:
+    """The one hermiticity rule: True when arr, one n x n matrix or an
+    (N, n, n) stack, holds a matrix A with ||A - A^dag||_F > tol ||A||_F.
+    Each matrix is divided by its largest magnitude first, so no square
+    under- or overflows and the rule holds at every scale."""
+    peak = np.abs(arr).max(axis=(-2, -1), keepdims=True)
+    unit = arr / np.where(peak > 0.0, peak, 1.0)
+    skew = np.linalg.norm(unit - unit.conj().swapaxes(-2, -1), axis=(-2, -1))
+    return bool(np.count_nonzero(skew > tol * np.linalg.norm(unit, axis=(-2, -1))))
 
 
 def m_from_h(h, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -243,13 +231,14 @@ def stokes_is_pure(s, tol: float = DEFAULT_TOL) -> bool:
 
 
 def coherency_is_physical(phi, tol: float = DEFAULT_TOL) -> bool:
-    """True when phi is hermitian with positive trace and nonnegative det."""
+    """True when phi is hermitian with positive trace and nonnegative
+    determinant within tol, whatever the scale of phi: the Stokes cone test
+    of its Stokes vector at 4 tol, since tr phi = S0 and
+    4 det phi = S0^2 - |S|^2."""
     arr = _array(phi, (2, 2), "coherency matrix", complex)
     if _not_hermitian(arr, tol):
         return False
-    tr = arr.trace().real
-    det = (arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]).real
-    return bool(tr > 0.0 and det >= -tol * tr**2)
+    return stokes_is_physical(np.einsum("ajk,kj->a", PAULI_BASIS, arr).real, 4.0 * tol)
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:

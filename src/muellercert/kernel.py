@@ -401,7 +401,7 @@ class Analysis:
 
     @_stage
     def cone(self) -> ConeStage:
-        m, sigma, unit, tol = self.m, self.sigma, self.unit, self.tol
+        m, sigma, tol = self.m, self.sigma, self.tol
         nonzero = sigma > 0.0
 
         row = m[:, 0, 1:]

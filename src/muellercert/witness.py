@@ -24,7 +24,8 @@ single input is the stack of one on the same code.  Each coerces its
 arguments through ``core._array`` and hands them to a private core,
 ``_extended_action`` or ``_expectation``; a report's witness expectation is
 one call of each core over all the rows of a stack that are not Mueller,
-whose arrays the analysis has already coerced.
+whose arrays the analysis has already coerced and whose states are
+hermitian by construction, so only the public :func:`expectation` checks.
 """
 
 import numpy as np
@@ -94,12 +95,13 @@ def _extended_action(m: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def two_mode_is_physical(c, tol: float = DEFAULT_TOL) -> bool:
-    """True when a two-mode coefficient matrix is hermitian and PSD within tol."""
+    """True when a two-mode coefficient matrix is hermitian and PSD within
+    tol, relative to the largest eigenvalue magnitude."""
     arr = _array(c, (4, 4), "two-mode state", complex)
-    scale = max(np.linalg.norm(arr, 2), 1e-300)
-    if _not_hermitian(arr, tol, scale):
+    if _not_hermitian(arr, tol):
         return False
-    return bool(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[0] >= -tol * scale)
+    w = np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))
+    return bool(w[0] >= -tol * max(-w[0], w[-1]))
 
 
 def expectation(c, e, tol: float = DEFAULT_TOL) -> float | np.ndarray:
@@ -115,16 +117,16 @@ def expectation(c, e, tol: float = DEFAULT_TOL) -> float | np.ndarray:
     """
     arr = _array(c, (4, 4), "two-mode state", complex, stack=True)
     vec = _array(e, (4,), "Jones vector", complex, stack=True)
-    values = _expectation(arr, vec, tol)
+    if _not_hermitian(arr, tol):
+        raise NonHermitianInputError("two-mode state is not hermitian")
+    values = _expectation(arr, vec)
     return values if arr.ndim == 3 or vec.ndim == 2 else float(values[0])
 
 
-def _expectation(c: np.ndarray, e: np.ndarray, tol: float) -> np.ndarray:
+def _expectation(c: np.ndarray, e: np.ndarray) -> np.ndarray:
     """:func:`expectation` of coerced complex arrays (``c`` 4x4 or a stack,
-    ``e`` a 4-vector or a stack), always as an (N,) array; the same
-    hermiticity check."""
-    if _not_hermitian(c, tol):
-        raise NonHermitianInputError("two-mode state is not hermitian")
+    ``e`` a 4-vector or a stack), always as an (N,) array, with no
+    hermiticity check: the report path passes states built hermitian."""
     vecs = e.reshape(-1, 4)
     return (vecs.conj()[:, None, :] @ c.reshape(-1, 4, 4) @ vecs[:, :, None])[:, 0, 0].real
 

@@ -69,6 +69,12 @@ def _near_face_type_one(draw):
     return d, _lorentz_factor(draw) @ np.diag(d) @ _lorentz_factor(draw)
 
 
+def _outer(seed):
+    """The rank-one matrix a b^T of two standard normal 4-vectors."""
+    rng = np.random.default_rng(seed)
+    return np.outer(rng.normal(size=4), rng.normal(size=4))
+
+
 class TestNMatrix:
     def test_identity(self):
         np.testing.assert_array_equal(n_matrix(np.eye(4)), np.eye(4))
@@ -172,6 +178,35 @@ class TestClassify:
         assert classify(stack[1]).family is muellercert.Family.TYPE_I
         assert muellercert.canonical.Family is muellercert.Family
 
+    @pytest.mark.parametrize(
+        "m, tol, reason",
+        [
+            # a pin map u v^T (u lightlike, v timelike) plus noise: N is
+            # of the noise's size, and its spectrum can leave the real axis
+            (
+                pin_map() + 1e-6 * np.random.default_rng(2602).normal(size=(4, 4)),
+                1e-9,
+                "Lorentz normal matrix has complex spectrum",
+            ),
+            # at a loose tol, a rank-one u v^T with u timelike and v
+            # spacelike passes the cone test, and N's one nonzero
+            # eigenvalue (u^T G u)(v^T G v) is negative
+            (_outer(898), 0.5, "Lorentz normal matrix has a negative eigenvalue"),
+            (
+                np.random.default_rng(3).normal(size=(4, 4)),
+                0.5,
+                "rank-one output direction is not future-pointing",
+            ),
+            (_outer(628), 0.5, "rank-one input weight vector is not future-pointing"),
+        ],
+        ids=["complex-spectrum", "negative-eigenvalue", "output-not-future", "input-not-future"],
+    )
+    def test_indeterminate_reasons(self, m, tol, reason):
+        result = classify(m, tol)
+        assert result.family is Family.INDETERMINATE
+        assert result.d is None
+        assert result.diagnostics == reason
+
     def test_near_ties_are_indeterminate_not_guessed(self):
         # split sits between the rank-test and clustering thresholds, where
         # defective and diagonalizable structures cannot be told apart
@@ -256,6 +291,30 @@ class TestType1Factor:
         rejected = (NotTypeIError, DegenerateSpectrumError)
         with pytest.raises(rejected, match="not distinct within tol"):
             type1_factor(type2_canonical(2.0, 1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "m, tol, match",
+        [
+            (
+                np.random.default_rng(15).normal(size=(4, 4)),
+                1e-9,
+                "Lorentz normal matrix has complex spectrum",
+            ),
+            # two eigenvalues of N 6e-13 apart, distinct at this tol, whose
+            # eigenvectors LAPACK separates only to about 1e-5
+            (
+                mueller_from_jones(rotation_jones(3, 0.7) @ boost_jones(3, 0.5))
+                @ np.diag([1.0, 0.6, 0.3, 0.3 - 1e-12])
+                @ mueller_from_jones(boost_jones(1, 0.5) @ rotation_jones(2, 0.4)),
+                1e-14,
+                "eigenbasis fails Lorentz orthonormality",
+            ),
+        ],
+        ids=["complex-spectrum", "orthonormality"],
+    )
+    def test_rejection_reasons(self, m, tol, match):
+        with pytest.raises(NotTypeIError, match=match):
+            type1_factor(m, tol)
 
     def test_spacelike_top_eigenvector_rejected(self):
         with pytest.raises(NotTypeIError, match="top eigenvector is not timelike"):

@@ -287,6 +287,20 @@ class TestMainCommand:
         expected = {"c.txt": analyze_matrix(mixture), "d.txt": analyze_matrix(flip)}
         assert out == render_report(expected)
 
+    @pytest.mark.parametrize("target", ["missing", "m.txt"], ids=["missing", "file"])
+    def test_batch_on_a_non_directory_exit_code(self, tmp_path, capsys, target):
+        write_matrix(tmp_path, "m.txt", np.eye(4))
+        assert main(["batch", str(tmp_path / target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: not a directory: {tmp_path / target}\n"
+
+    def test_tetra_scan_without_samples_exit_code(self, capsys):
+        assert main(["tetra-scan", "--samples", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: samples must be positive\n"
+
     def test_calls_share_no_parser_state(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "m.txt", np.eye(4))
         with pytest.raises(SystemExit):

@@ -12,6 +12,7 @@ from muellercert import (
     coherency_from_stokes,
     coherency_is_physical,
     devectorize,
+    expectation,
     h_from_m,
     m_from_h,
     mueller_from_jones,
@@ -19,6 +20,7 @@ from muellercert import (
     stokes_from_coherency,
     stokes_is_physical,
     stokes_is_pure,
+    two_mode_is_physical,
     vectorize,
 )
 from muellercert.core import as_mueller_matrix, as_mueller_stack
@@ -231,6 +233,14 @@ class TestHermitianCorrespondence:
             assert abs(np.trace(h_from_m(m)).real - 2.0 * m[0, 0]) < 1e-14
 
 
+def _outcome(fn, *args):
+    """fn(*args), or the class NonHermitianInputError where it raises that."""
+    try:
+        return fn(*args)
+    except NonHermitianInputError:
+        return NonHermitianInputError
+
+
 class TestPredicates:
     # The predicates return Python bools, never numpy.bool: `is` compares.
     def test_stokes_physical(self):
@@ -246,22 +256,64 @@ class TestPredicates:
         assert stokes_is_pure([1, 0, 0, 1.5]) is False
 
     @settings(max_examples=300, deadline=None)
-    @given(EXACTLY_SCALABLE, st.booleans(), SCALE_EXPONENT)
-    def test_stokes_verdicts_do_not_depend_on_scale(self, entries, on_cone, k):
+    @given(
+        EXACTLY_SCALABLE,
+        st.booleans(),
+        SCALE_EXPONENT,
+        st.lists(EXACTLY_SCALABLE, min_size=8, max_size=8),
+        st.sampled_from(["indefinite", "psd", "skew"]),
+        st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=8, max_size=8),
+    )
+    def test_stokes_verdicts_do_not_depend_on_scale(self, entries, on_cone, k, rows, kind, e):
         s = np.array(entries)
         if on_cone:  # on the cone surface up to rounding
             s[0] = np.sqrt(s[1:] @ s[1:])
         scaled = np.ldexp(s, k)
         assert stokes_is_physical(scaled) is stokes_is_physical(s)
         assert stokes_is_pure(scaled) is stokes_is_pure(s)
+        # The functions that take hermitian input, on a complex 4x4 a with
+        # exactly scalable parts (so a + a^dag is exactly hermitian) and on
+        # the coherency matrix of s: 2**k times each input is exact, and
+        # each function raises, or answers 2**k times its answer at scale 1.
+        parts = np.array(rows).reshape(2, 4, 4)
+        a = parts[0] + 1j * parts[1]
+        c = {"indefinite": a + a.conj().T, "psd": a + a.conj().T + 2.0**24 * np.eye(4), "skew": a}
+        c = c[kind]
+        phi = a[:2, :2] if kind == "skew" else coherency_from_stokes(s)
+        vec = np.array(e[:4]) + 1j * np.array(e[4:])
+        for fn, args in [
+            (m_from_h, (c,)),
+            (expectation, (c, vec)),
+            (two_mode_is_physical, (c,)),
+            (stokes_from_coherency, (phi,)),
+            (coherency_is_physical, (phi,)),
+        ]:
+            at_one = _outcome(fn, *args)
+            at_scale = _outcome(fn, args[0] * 2.0**k, *args[1:])
+            if isinstance(at_one, (bool, type)):
+                assert at_scale is at_one, fn.__name__
+            else:
+                assert np.array_equal(at_scale, at_one * 2.0**k), fn.__name__
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e-200, 1e200])
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e-200, 1e170, 1e200])
     def test_stokes_verdicts_at_extreme_scales(self, scale):
         # squared at these scales, the entries under- or overflow
         assert stokes_is_physical(scale * np.array([2.0, 1.0, 1.5, 1.5])) is False
         assert stokes_is_physical(scale * np.array([2.0, 1.0, 1.0, 1.0])) is True
         assert stokes_is_pure(scale * np.array([1.0, 0.6, 0.0, 0.0])) is False
         assert stokes_is_pure(scale * np.array([1.0, 0.6, 0.0, 0.8])) is True
+        # so do the hermiticity and determinant tests of raw entries
+        lopsided = np.zeros((4, 4))
+        lopsided[0, 0] = lopsided[0, 1] = scale
+        with pytest.raises(NonHermitianInputError):
+            m_from_h(lopsided)
+        with pytest.raises(NonHermitianInputError):
+            expectation(lopsided, np.ones(4))
+        assert two_mode_is_physical(lopsided) is False
+        with pytest.raises(NonHermitianInputError):
+            stokes_from_coherency(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert coherency_is_physical(scale * np.diag([1.0, -0.1])) is False
+        assert coherency_is_physical(scale * np.diag([1.0, 0.1])) is True
 
     def test_coherency_physical(self):
         assert coherency_is_physical(0.5 * np.eye(2)) is True

@@ -53,7 +53,7 @@ from muellercert import (
     witness_input,
 )
 import muellercert
-from muellercert import cli, kernel
+from muellercert import cli, core, kernel
 from muellercert.cli import analyze_matrix, analyze_stack, main, render_report
 
 from helpers import random_jones, random_lorentz, reference_render_report
@@ -198,13 +198,31 @@ _TETRA_SCAN_REPORT = """\
 """
 
 
+_VANZYL_SUMMARY = """\
+van Zyl canonical parameters: 0.9735, 0.9112, 0.464, -0.3838
+physical: False
+violated constraint: d1 + d2 - d3 <= d0 (by 0.7855)
+diagonal-form spectrum: 0.98245, 0.90225, 0.45505, -0.39275
+note: spectrum shown is for the diagonal canonical form only; the measured \
+matrix's eigenvalues are not recoverable from d because spectra are not double-coset \
+invariants
+"""
+
+_TETRA_SCAN_SUMMARY = "samples 1000 seed 5: mueller fraction 0.315, pre-mueller fraction 1\n"
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
         (["vanzyl"], _VANZYL_REPORT),
         (["tetra-scan", "--samples", "1000", "--seed", "5"], _TETRA_SCAN_REPORT),
+        (["vanzyl", "--format", "summary"], _VANZYL_SUMMARY),
+        (
+            ["tetra-scan", "--samples", "1000", "--seed", "5", "--format", "summary"],
+            _TETRA_SCAN_SUMMARY,
+        ),
     ],
-    ids=["vanzyl", "tetra-scan"],
+    ids=["vanzyl", "tetra-scan", "vanzyl-summary", "tetra-scan-summary"],
 )
 def test_command_report_bytes_are_pinned(argv, expected, capsys):
     assert main(argv) == 0
@@ -322,12 +340,11 @@ def test_report_fields_are_the_public_verdicts(draws):
 def test_one_witness_expectation_per_stack(monkeypatch):
     # one stacked extended action and one stacked expectation serve every
     # witness row of the stack, with the values of each row alone; they are
-    # the private cores, which take the arrays the analysis has coerced
-    calls = {"_extended_action": 0, "_expectation": 0}
+    # the private cores, which take the arrays the analysis has coerced, and
+    # the hermiticity rule runs only at the public boundary, never here
+    calls = {"_extended_action": 0, "_expectation": 0, "_not_hermitian": 0}
 
-    def counted(name):
-        fn = getattr(cli, name)
-
+    def counted(name, fn):
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
@@ -337,10 +354,14 @@ def test_one_witness_expectation_per_stack(monkeypatch):
     mats = [_mixed(kind, seed) for seed in range(4) for kind in _KINDS[:6]]
     stack = np.stack(mats + [np.eye(4)])
     assert len(stack) == 25
-    monkeypatch.setattr(cli, "_extended_action", counted("_extended_action"))
-    monkeypatch.setattr(cli, "_expectation", counted("_expectation"))
+    monkeypatch.setattr(cli, "_extended_action", counted("_extended_action", cli._extended_action))
+    monkeypatch.setattr(cli, "_expectation", counted("_expectation", cli._expectation))
+    rule = counted("_not_hermitian", core._not_hermitian)
+    for module in vars(muellercert).values():
+        if hasattr(module, "_not_hermitian"):
+            monkeypatch.setattr(module, "_not_hermitian", rule)
     reports = analyze_stack(stack)
-    assert calls == {"_extended_action": 1, "_expectation": 1}
+    assert calls == {"_extended_action": 1, "_expectation": 1, "_not_hermitian": 0}
     monkeypatch.undo()
     witnessed = 0
     for m, report in zip(stack, reports):
