@@ -15,8 +15,13 @@ every cone-preserving real 4x4 matrix lands in exactly one of four orbits:
 The family is read off the Lorentz normal matrix N = G M^T G M: Type I has a
 diagonalizable N with real nonnegative spectrum (the squared canonical
 parameters), Type II a defective N, and the two rank-one families N = 0.
-Jordan structure is discontinuous, so gray-zone inputs are reported as
-Indeterminate rather than guessed.
+N is self-adjoint in the Lorentz form, so it is diagonalizable on the
+Lorentz-orthogonal complement of its top invariant subspace, where the form
+is negative definite: a Type-II Jordan block can only sit in N's top
+eigenvalue cluster, at d0 d1 >= d2^2 >= d3^2.  Only that cluster is
+rank-tested.  Jordan structure is discontinuous, so a nearly tied top
+cluster that the rank test cannot settle is reported as Indeterminate
+rather than guessed.
 
 Closed-form physicality tests for the diagonal and Type II canonical forms
 are provided as simple inequalities on the canonical parameters, equivalent
@@ -142,13 +147,15 @@ def classify(m, tol: float = DEFAULT_TOL) -> CanonicalClass:
 
     Cone preservation is certified first; everything else is read off the
     Lorentz normal matrix computed from the input normalized to unit
-    largest singular value.  Eigenvalues are clustered at sqrt(tol); a
-    cluster whose geometric multiplicity (rank test at tol) matches its
-    size is diagonalizable (Type I), one with a genuine null direction but
-    missing loose-rank dimensions is defective (Type II), and anything in
-    between comes back as Indeterminate with diagnostics, never as a
-    guess.  A Type-I result carries the factors of :func:`type1_factor`
-    when the factorization succeeds.
+    largest singular value.  Only its top eigenvalue cluster (the
+    eigenvalues within sqrt(tol) of the largest) is examined, since only it
+    can be defective.  A simple top eigenvalue with a timelike eigenvector
+    is Type I.  A tied top cluster whose geometric multiplicity (rank test
+    at tol) matches its size is diagonalizable (Type I), one with a genuine
+    null direction but missing loose-rank dimensions is defective (Type
+    II), and anything in between comes back as Indeterminate with
+    diagnostics, never as a guess.  A Type-I result carries the factors of
+    :func:`type1_factor` when the factorization succeeds.
     """
     analysis = kernel.Analysis(as_mueller_matrix(m)[None], tol)
     stage = analysis.canonical

@@ -16,10 +16,12 @@ over a whole (N, 4, 4) stack at a time:
   normal matrices are built once per stack, and the cone stage reads its
   Lorentz form M^T G M off them as G N.  The N stage runs only when some
   row gets classified, cone-preserving and nonzero: the other rows get
-  their family from the cone stage alone.  The canonical family and the
-  cluster rank tests read that ``eig``, the latter only on the rows that
-  need them.  With one stacked ``slogdet`` it gives the Type-I parameters
-  d (:attr:`Analysis.type1_d`).  The stacked
+  their family from the cone stage alone.  The canonical family reads that
+  ``eig``, plus one rank test of the top eigenvalue cluster on the rows
+  where it is tied: N is self-adjoint in the Lorentz form, so only that
+  cluster can be defective (:meth:`Analysis._classify_full`).  With one
+  stacked ``slogdet`` it gives the Type-I parameters d
+  (:attr:`Analysis.type1_d`).  The stacked
   :class:`CanonicalStage` holds a family code, d and a reason per row, and
   the one Type-I rule (:func:`worst_type1_constraint`) reads the binding
   constraints off its d (:attr:`Analysis.type1_binding`).  The Type-I
@@ -514,83 +516,72 @@ class Analysis:
         """Write the families, the reasons and the Type-II d of the rows
         ``full``, whose normal matrices do not vanish, into the stage's own.
 
-        Eigenvalues are clustered at sqrt(tol) (relative to the normal
-        matrix's own scale); a cluster whose geometric multiplicity (rank
-        test at tol) matches its size is diagonalizable (Type I), one with a
-        genuine null direction but missing loose-rank dimensions is
-        defective (Type II), and anything in between is Indeterminate.
+        Only the top eigenvalue cluster (eigenvalues within sqrt(tol) of the
+        largest, relative to the normal matrix's own scale) is examined.  N
+        is self-adjoint in the Lorentz form, and the Lorentz-orthogonal
+        complement of its top invariant subspace is negative definite, so
+        every lower cluster is diagonalizable; a Type-II Jordan block sits
+        in the top cluster, at d0 d1 >= d2^2 >= d3^2.  A simple top
+        eigenvalue with a timelike eigenvector is Type I.  A tied top
+        cluster whose geometric multiplicity (rank test at tol) matches its
+        size is diagonalizable (Type I), one with a genuine null direction
+        but missing loose-rank dimensions is defective (Type II), and
+        anything in between is Indeterminate.
         """
         tol = self.tol
         # Views, not copies, when every row is classified (always at N = 1).
         rows = slice(None) if len(full) == len(self.m) else full
         nmat, nnorm, lam, vecs, imag = (field[rows] for field in self.normal)
         cluster_tol = float(np.sqrt(tol)) * nnorm
-        geo_tol = tol * nnorm
-        clipped = np.clip(lam, 0.0, None)
         ctol, lam_l, imag_l, clip_l = (
-            cluster_tol.tolist(), lam.tolist(), imag.tolist(), clipped.tolist()
+            cluster_tol.tolist(), lam.tolist(), imag.tolist(), np.clip(lam, 0.0, None).tolist()
         )
+        timelike = (_quadratic(vecs[:, :, 0], LORENTZ_METRIC) > 0.0).tolist()
 
-        # Cluster each spectrum; collect every cluster of two or more.
-        clusters: list = [()] * len(full)
-        centers = {}
+        # The size and centre of each tied top cluster, by row.
+        tied = {}
         for j, (i, lj, cj) in enumerate(zip(full, clip_l, ctol)):
             if imag_l[j] > cj:
                 reason[i] = "Lorentz normal matrix has complex spectrum"
-                continue
-            if lam_l[j][3] < -cj:
+            elif lam_l[j][3] < -cj:
                 reason[i] = "Lorentz normal matrix has a negative eigenvalue"
-                continue
-            bounds = [0, *(k for k in range(1, 4) if lj[k - 1] - lj[k] > cj), 4]
-            clusters[j] = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo + 1]
-            for lo, hi in clusters[j]:
-                centers[j, lo] = sum(lj[lo:hi]) / (hi - lo)
+            elif lj[0] - lj[1] > cj:
+                if timelike[j]:
+                    family[i] = _TYPE_I
+                else:
+                    reason[i] = "dominant eigenvector is not timelike"
+            else:
+                size = next((k for k in (2, 3) if lj[k - 1] - lj[k] > cj), 4)
+                # Left to right, as Python 3.11's sum() adds (3.12's is
+                # compensated and can move the centre by an ulp).
+                total = 0.0
+                for x in lj[:size]:
+                    total += x
+                tied[j] = size, total / size
+        if not tied:
+            return
 
         # A genuine Jordan block leaves a machine-precision null direction of
         # (N - lambda I) next to an O(1) coupling; a nearly tied
         # diagonalizable pair leaves neither.
-        ranks = {}
-        if centers:
-            shifted = np.stack([nmat[j] - center * _EYE for (j, _), center in centers.items()])
-            svals = _svdvals(shifted)
-            for (j, lo), sv in zip(centers, svals):
-                ranks[j, lo] = (
-                    int(np.count_nonzero(sv <= geo_tol[j])),
-                    int(np.count_nonzero(sv <= cluster_tol[j])),
-                )
-
-        top = vecs[:, :, 0]
-        timelike = (_quadratic(top, LORENTZ_METRIC) > 0.0).tolist()
-        for j, i in enumerate(full):
-            if reason[i] is not None:
-                continue
-            defective = False
-            ambiguous = None
-            for lo, hi in clusters[j]:
-                strict, loose = ranks[j, lo]
-                if strict >= hi - lo:
-                    continue
-                if strict >= 1 and loose < hi - lo:
-                    defective = True
-                    break
-                ambiguous = centers[j, lo]
-            if ambiguous is not None and not defective:
-                reason[i] = (
-                    f"eigenvalue cluster near {ambiguous:.6g} (input normalized): "
-                    "cannot separate defective from nearly degenerate "
-                    "diagonalizable structure"
-                )
-            elif defective:
+        at = list(tied)
+        svals = _svdvals(np.stack([nmat[j] - center * _EYE for j, (_, center) in tied.items()]))
+        strict = np.count_nonzero(svals <= tol * nnorm[at, None], axis=1).tolist()
+        loose = np.count_nonzero(svals <= cluster_tol[at, None], axis=1).tolist()
+        for (j, (size, center)), n_strict, n_loose in zip(tied.items(), strict, loose):
+            i = full[j]
+            if n_strict >= size:
+                family[i] = _TYPE_I
+            elif n_strict >= 1 and n_loose < size:
                 family[i] = _TYPE_II
                 if _matches_type2_pattern(self.unit[i], float(np.sqrt(tol))):
                     d[i] = np.diag(self.m[i])
-            elif (not clusters[j] or clusters[j][0][0] > 0) and not timelike[j]:
-                # The dominant eigenvalue is simple, so its eigenvector must
-                # be timelike.
-                reason[i] = "dominant eigenvector is not timelike"
             else:
-                # Type I: diagonalizable, nonnegative real spectrum.
-                family[i] = _TYPE_I
+                reason[i] = (
+                    f"eigenvalue cluster near {center:.6g} (input normalized): "
+                    "cannot separate defective from nearly degenerate "
+                    "diagonalizable structure"
+                )
 
     def factor(self):
         """Type-I factorization ``(l_left, d, l_right)`` of the first matrix
@@ -608,14 +599,13 @@ class Analysis:
         stage = self.normal
         lam, vecs, d = stage.lam[0], stage.vecs[0], self.type1_d[0]
         # Singular first: for a singular input N can be rounding noise, and
-        # the noise would otherwise pick one of the spectrum's reasons.
+        # the noise would otherwise pick one of the spectrum's reasons.  A
+        # negative eigenvalue of N lands here too: type1_d clips it, d3 = 0.
         if d[3] == 0.0:
             raise NotTypeIError("factorization requires a nonsingular input")
         scale = self.tol * stage.nnorm[0]
         if stage.imag[0] > scale:
             raise NotTypeIError("Lorentz normal matrix has complex spectrum")
-        if lam[3] < -scale:
-            raise NotTypeIError("Lorentz normal matrix has a negative eigenvalue")
         if np.min(lam[:3] - lam[1:]) < scale:
             raise DegenerateSpectrumError(
                 "eigenvalues of the Lorentz normal matrix are not distinct within tol"
@@ -656,8 +646,8 @@ def _rank_one_family(u, s1, v, cluster_tol) -> tuple[int, str]:
         u, v = -u, -v
     if u[0] <= cluster_tol:
         return _INDETERMINATE, "rank-one output direction is not future-pointing"
-    if abs(float(u @ g @ u)) > cluster_tol:
-        return _INDETERMINATE, "rank-one output direction is not lightlike"
+    # u is lightlike within tol: u^T G u = v^T (G N) v, as M v = u at unit
+    # scale, so |u^T G u| <= |N| <= tol.
     if v[0] <= cluster_tol:
         return _INDETERMINATE, "rank-one input weight vector is not future-pointing"
     vgv = float(v @ g @ v)

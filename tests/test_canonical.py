@@ -36,11 +36,11 @@ from helpers import (
 )
 
 
-def _lorentz_factor(draw):
+def _lorentz_factor(draw, rapidity=1.0):
     """Proper orthochronous Lorentz matrix: a rotation after a boost of
-    rapidity at most 1, about drawn axes."""
+    rapidity at most ``rapidity``, about drawn axes."""
     rotation = rotation_jones(draw(st.integers(1, 3)), draw(st.floats(-np.pi, np.pi)))
-    boost = boost_jones(draw(st.integers(1, 3)), draw(st.floats(-1.0, 1.0)))
+    boost = boost_jones(draw(st.integers(1, 3)), draw(st.floats(-rapidity, rapidity)))
     return mueller_from_jones(rotation @ boost)
 
 
@@ -59,20 +59,89 @@ def _scaled_type_one(draw):
 def _near_face_type_one(draw):
     """Canonical parameters (1, d1, d2, d3) with margin eps on the face
     d1 + d2 - d3 <= 1 of the tetrahedron: on it (eps = 0) or 1e-10 to 1e-2
-    to either side, with |d3| from 1e-6 to 1 times min(d1, 1 - d1); and
-    the Lorentz-dressed matrix."""
+    to either side, with |d3| from 1e-6 to 1 times min(d1, 1 - d1), or with
+    a tie of N's lower eigenvalues, d2 = d1 or d3 = -d2 (d1 from 0.4 to
+    0.9); and the Lorentz-dressed matrix."""
     d1 = draw(st.floats(0.05, 0.95))
     d3 = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-6.0, 0.0))
     d3 *= min(d1, 1.0 - d1)
     eps = draw(st.sampled_from([1.0, 0.0, -1.0])) * 10.0 ** draw(st.floats(-10.0, -2.0))
-    d = np.array([1.0, d1, 1.0 - d1 + d3 - eps, d3])
+    tie = draw(st.sampled_from([None, "d2 = d1", "d3 = -d2"]))
+    if tie is None:
+        d = np.array([1.0, d1, 1.0 - d1 + d3 - eps, d3])
+    else:
+        d1 = draw(st.floats(0.4, 0.9))
+        if tie == "d2 = d1":
+            d = np.array([1.0, d1, d1, 2.0 * d1 - 1.0 + eps])
+        else:
+            d2 = (1.0 - d1 - eps) / 2.0
+            d = np.array([1.0, d1, d2, -d2])
     return d, _lorentz_factor(draw) @ np.diag(d) @ _lorentz_factor(draw)
+
+
+def _tied(a, ratio, tie, sign):
+    """Canonical parameters (1, d1, d2, d3) with tied magnitudes: a tied
+    with ``ratio * a`` below it as "d1 = d2" and "d2 = |d3|", or all three
+    equal to a ("all"); d3 carries ``sign``."""
+    b = ratio * a
+    d1, d2, d3 = {"d1 = d2": (a, a, b), "d2 = |d3|": (a, b, b), "all": (a, a, a)}[tie]
+    return np.array([1.0, d1, d2, sign * d3])
+
+
+@st.composite
+def _tied_type_one(draw):
+    """Tied canonical parameters (:func:`_tied`, a and the ratio from 0.1 to
+    0.9) and the matrix dressed by a Lorentz factor on the left and two of
+    rapidity at most 2.5 on the right: N is diag(d)^2 conjugated by the
+    right factor alone."""
+    d = _tied(
+        draw(st.floats(0.1, 0.9)),
+        draw(st.floats(0.1, 0.9)),
+        draw(st.sampled_from(["d1 = d2", "d2 = |d3|", "all"])),
+        draw(st.sampled_from([1.0, -1.0])),
+    )
+    right = _lorentz_factor(draw, 2.5) @ _lorentz_factor(draw, 2.5)
+    return d, _lorentz_factor(draw) @ np.diag(d) @ right
 
 
 def _outer(seed):
     """The rank-one matrix a b^T of two standard normal 4-vectors."""
     rng = np.random.default_rng(seed)
     return np.outer(rng.normal(size=4), rng.normal(size=4))
+
+
+def _rank_two_at_the_edge(seed):
+    """u e0^T + s1 e2 e1^T (u lightlike, s1 from 1e-6 to 0.1) between two
+    random rotations, and the smallest tol at which it is pre-Mueller with
+    a vanishing normal matrix.  |N| = s1^2 there, and |N| >= s1^2 for every
+    matrix of unit scale, so only rounding puts s1 above sqrt(tol)."""
+    rng = np.random.default_rng(seed)
+    s1 = 10.0 ** rng.uniform(-6.0, -1.0)
+    left, right = (
+        mueller_from_jones(rotation_jones(1, a) @ rotation_jones(3, b) @ rotation_jones(2, c))
+        for a, b, c in rng.uniform(-3.0, 3.0, size=(2, 3))
+    )
+    u = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
+    m = left @ (np.outer(u, np.eye(4)[0]) + s1 * np.outer(np.eye(4)[2], np.eye(4)[1])) @ right
+    analysis = kernel.Analysis(m[None], 0.0)
+    unit_margin = analysis.cone.lorentz_margin[0] / analysis.sigma[0] ** 2
+    return m, max(float(analysis.normal.nnorm[0]), -float(unit_margin))
+
+
+def _dressed_top_near_tie(seed):
+    """diag(1, 1 - delta, 0.5, 0.2), delta from 1e-15 to 1e-9, between a
+    mild Lorentz factor and a boost of rapidity 3 to 4.5, and a tol just
+    below N's smallest relative gap, so the spectrum counts as distinct:
+    at such a tol the top pair's eigenvectors mix by rounding."""
+    rng = np.random.default_rng(seed)
+    axes = rng.integers(1, 4, size=4)
+    angles, (mild, strong) = rng.uniform(-3.0, 3.0, size=2), rng.uniform([-1.0, 3.0], [1.0, 4.5])
+    left = mueller_from_jones(rotation_jones(axes[0], angles[0]) @ boost_jones(axes[1], mild))
+    right = mueller_from_jones(boost_jones(axes[2], strong) @ rotation_jones(axes[3], angles[1]))
+    m = left @ np.diag([1.0, 1.0 - 10.0 ** rng.uniform(-15.0, -9.0), 0.5, 0.2]) @ right
+    stage = kernel.Analysis(m[None], 0.0).normal
+    gap = np.min(stage.lam[0, :3] - stage.lam[0, 1:]) / stage.nnorm[0]
+    return m, float(gap) * rng.uniform(0.2, 1.0)
 
 
 class TestNMatrix:
@@ -198,8 +267,30 @@ class TestClassify:
                 "rank-one output direction is not future-pointing",
             ),
             (_outer(628), 0.5, "rank-one input weight vector is not future-pointing"),
+            # at these loose tols the cone test lets through matrices whose
+            # N has a simple top eigenvalue with a spacelike eigenvector, or
+            # that are near rank one with a spacelike input weight vector
+            (
+                0.1 * np.array([[5, 3, -3, 2], [4, 2, -3, 1], [-2, -2, 0, -1], [1, 0, -2, 0]]),
+                0.09,
+                "dominant eigenvector is not timelike",
+            ),
+            (
+                0.1 * np.array([[4, -5, 2, -2], [-1, 2, -1, 1], [2, -5, 3, -1], [-1, 1, 0, 1]]),
+                0.2,
+                "rank-one input weight vector is spacelike",
+            ),
+            (*_rank_two_at_the_edge(1), "vanishing Lorentz normal matrix but rank above one"),
         ],
-        ids=["complex-spectrum", "negative-eigenvalue", "output-not-future", "input-not-future"],
+        ids=[
+            "complex-spectrum",
+            "negative-eigenvalue",
+            "output-not-future",
+            "input-not-future",
+            "dominant-not-timelike",
+            "input-spacelike",
+            "rank-above-one",
+        ],
     )
     def test_indeterminate_reasons(self, m, tol, reason):
         result = classify(m, tol)
@@ -208,12 +299,42 @@ class TestClassify:
         assert result.diagnostics == reason
 
     def test_near_ties_are_indeterminate_not_guessed(self):
-        # split sits between the rank-test and clustering thresholds, where
+        # a top split between the rank-test and clustering thresholds, where
         # defective and diagonalizable structures cannot be told apart
-        d = np.array([1.0, 0.5 + 1e-6, 0.5, 0.2])
-        result = classify(np.diag(d))
+        result = classify(np.diag([1.0, 1.0 - 1e-6, 0.5, 0.2]))
         assert result.family is Family.INDETERMINATE
         assert "cluster" in result.diagnostics
+
+    def test_lower_near_tie_is_type_one(self):
+        # the same split below a simple top eigenvalue: only N's top cluster
+        # can be defective, so this one is diagonalizable
+        d = np.array([1.0, 0.5 + 1e-6, 0.5, 0.2])
+        result = classify(np.diag(d))
+        assert result.family is Family.TYPE_I
+        np.testing.assert_array_equal(result.d, d)
+
+    def test_lower_ties_of_dressed_diagonals_are_type_one(self):
+        # Lorentz dressing splits the tied eigenvalues of N by up to about
+        # sqrt(tol), where a rank test of the lower cluster cannot tell a
+        # defective pair from a diagonalizable one; none is needed there
+        rng = np.random.default_rng(7)
+        ds, mats = [], []
+        for _ in range(3000):
+            tie = ("d1 = d2", "d2 = |d3|", "all")[rng.integers(3)]
+            d = _tied(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9), tie, rng.choice([1.0, -1.0]))
+            ds.append(d)
+            mats.append(random_lorentz(rng) @ np.diag(d) @ random_lorentz(rng))
+        stage = kernel.Analysis(np.stack(mats)).canonical
+        assert [kernel.FAMILIES[code] for code in set(stage.family.tolist())] == [Family.TYPE_I]
+        np.testing.assert_allclose(stage.d, ds, rtol=0.0, atol=1e-6)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_tied_type_one())
+    def test_lower_ties_are_type_one(self, case):
+        d, m = case
+        result = classify(m)
+        assert result.family is Family.TYPE_I
+        np.testing.assert_allclose(result.d, d, rtol=0.0, atol=1e-6)
 
 
 class TestType1Factor:
@@ -309,8 +430,9 @@ class TestType1Factor:
                 1e-14,
                 "eigenbasis fails Lorentz orthonormality",
             ),
+            (*_dressed_top_near_tie(57), "subdominant eigenvector is not spacelike"),
         ],
-        ids=["complex-spectrum", "orthonormality"],
+        ids=["complex-spectrum", "orthonormality", "subdominant-not-spacelike"],
     )
     def test_rejection_reasons(self, m, tol, match):
         with pytest.raises(NotTypeIError, match=match):
@@ -520,6 +642,13 @@ def test_binding_constraint_agrees_with_physicality(case):
     tol = muellercert.DEFAULT_TOL
     report = analyze_stack(case[1][None])[0]
     canonical, physicality = report["canonical"], report["physicality"]
+    # Only N's top eigenvalue cluster can be defective, so every
+    # cone-preserving draw, lower ties included, is Type I; but a near tie
+    # with d0 (d2 close to 1, from eps < 0 or the largest d3) can be
+    # Indeterminate, as test_near_ties_are_indeterminate_not_guessed pins.
+    assume(report["pre_mueller"]["verdict"])
+    top_tie = 1.0 - np.sort(np.abs(case[0]))[-2] < 1e-3
+    assert canonical["family"] == "TypeI" or top_tie
     assume(canonical["family"] == "TypeI")
     d = np.array(canonical["d"])
     eigenvalues = physicality["eigenvalues"]

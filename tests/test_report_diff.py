@@ -55,7 +55,11 @@ def test_missing_key_counts_as_inf(tmp_path):
     del change["exact/1/b"]["verdict"]
     code, lines = _compare(tmp_path, _REPORTS, change)
     assert code == 1
-    assert lines == ["1 of 2 reports differ", "  verdict: 1 reports, max relative difference inf"]
+    assert lines == [
+        "1 of 2 reports differ",
+        "  verdict: 1 reports, max relative difference inf",
+        "    verdict: false -> null: 1",
+    ]
 
 
 def test_missing_report_counts_as_inf(tmp_path):
@@ -79,4 +83,41 @@ def test_batch_document_paths_drop_the_file_names(tmp_path):
         "1 of 1 reports differ",
         "  batch.canonical.d: 1 reports, max relative difference 0.2",
         "  batch.margins: 1 reports, max relative difference 0.2",
+    ]
+
+
+def test_non_number_differences_list_each_pair_with_its_count(tmp_path):
+    parent = {
+        f"exact/1/{name}": {"canonical": {"d": None, "family": "Indeterminate"}, "margin": 1.0}
+        for name in "abc"
+    }
+    change = json.loads(json.dumps(parent))
+    for name in "ab":
+        change[f"exact/1/{name}"]["canonical"] = {"d": [1.0, 0.5, 0.5, 0.2], "family": "TypeI"}
+    change["exact/1/c"]["canonical"]["family"] = "TypeII"
+    change["exact/1/c"]["margin"] = "nan"
+    code, lines = _compare(tmp_path, parent, change)
+    assert code == 1
+    assert lines == [
+        "3 of 3 reports differ",
+        "  canonical.d: 2 reports, max relative difference inf",
+        "    canonical.d: null -> list of 4: 2",
+        "  canonical.family: 3 reports, max relative difference inf",
+        '    canonical.family: "Indeterminate" -> "TypeI": 2',
+        '    canonical.family: "Indeterminate" -> "TypeII": 1',
+        "  margin: 1 reports, max relative difference inf",
+        '    margin: number -> "nan": 1',
+    ]
+
+
+def test_a_pair_counts_once_per_batch_document(tmp_path):
+    report = {"canonical": {"family": "Indeterminate"}}
+    parent = {"batch/1/d000": {"a.txt": report, "b.txt": report}}
+    changed = {"canonical": {"family": "TypeI"}}
+    code, lines = _compare(tmp_path, parent, {"batch/1/d000": {"a.txt": changed, "b.txt": changed}})
+    assert code == 1
+    assert lines == [
+        "1 of 1 reports differ",
+        "  batch.canonical.family: 1 reports, max relative difference inf",
+        '    batch.canonical.family: "Indeterminate" -> "TypeI": 1',
     ]

@@ -6,9 +6,13 @@ construction class (Jones, Type I inside and outside the tetrahedron,
 physical and unphysical Type II, polarizer, pin map, not pre-Mueller), a
 Type I input scaled by 1e40, three noisy mixtures of Jones systems, a near
 tie of the cone test's bottom eigenvalues just outside its degeneracy
-threshold, the zero matrix and an Indeterminate near tie of the normal
-matrix's spectrum.  The bytes were captured before the analysis was
-stacked and must not change.
+threshold, the zero matrix, and two near ties of the normal matrix's
+spectrum: a Type-I one below its simple top eigenvalue and an
+Indeterminate one in its top cluster.  The bytes must not change.  Most
+were captured before the analysis was stacked.  The lower near tie was
+captured again when the classification came to rank-test only the top
+cluster, which made it Type I with its d; the top near tie was added then,
+with bytes that the change left as they were.
 
 ``render_report`` writes a report from the report's fixed schema and any
 other document in one generic walk; both are checked against the standard

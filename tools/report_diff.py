@@ -27,9 +27,13 @@ file names are dropped too, and the path starts with ``batch``), the
 number of reports in which it differs and the largest relative difference
 |a - b| / max(|a|, |b|) of its numbers.  A difference that is not between
 two numbers (a verdict, a family, a missing value) counts as relative
-difference inf.  It exits 1 when any report differs and 0 when every
-report is byte-identical, so a script can check byte identity from the exit
-code alone.
+difference inf, and is listed under its path as each distinct
+``old -> new`` pair with the number of reports it occurs in, for example
+``canonical.family: "Indeterminate" -> "TypeI": 28``.  In a pair, strings,
+booleans and null are written as JSON, a number as ``number``, a list as
+``list of N`` and an object as ``object``.  It exits 1 when any report
+differs and 0 when every report is byte-identical, so a script can check
+byte identity from the exit code alone.
 """
 
 import json
@@ -89,8 +93,20 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _kind(x) -> str:
+    """A JSON value as a non-number difference pair shows it."""
+    if _is_number(x):
+        return "number"
+    if isinstance(x, list):
+        return f"list of {len(x)}"
+    if isinstance(x, dict):
+        return "object"
+    return json.dumps(x)
+
+
 def _differences(a, b, path: str, out: dict) -> None:
-    """Largest relative difference per path between two JSON values."""
+    """Largest relative difference per path between two JSON values, and
+    the pairs of values that are not both numbers."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(a.keys() | b.keys()):
             sub = f"{path}.{key}" if path else key
@@ -99,11 +115,13 @@ def _differences(a, b, path: str, out: dict) -> None:
         for x, y in zip(a, b):
             _differences(x, y, path, out)
     elif a != b:
+        rel, pairs = out.get(path, (0.0, set()))
         if _is_number(a) and _is_number(b):
-            rel = abs(a - b) / max(abs(a), abs(b))
+            rel = max(rel, abs(a - b) / max(abs(a), abs(b)))
         else:
             rel = math.inf
-        out[path] = max(out.get(path, 0.0), rel)
+            pairs.add(f"{_kind(a)} -> {_kind(b)}")
+        out[path] = rel, pairs
 
 
 def compare(parent: Path, change: Path) -> int:
@@ -111,6 +129,7 @@ def compare(parent: Path, change: Path) -> int:
     old, new = _load(parent), _load(change)
     differing = 0
     per_path: dict = {}
+    per_pair: dict = {}
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key), new.get(key)
         if a == b:
@@ -118,19 +137,24 @@ def compare(parent: Path, change: Path) -> int:
         differing += 1
         found: dict = {}
         if a is None or b is None:
-            found["<report missing>"] = math.inf
+            found["<report missing>"] = math.inf, ()
         elif key.startswith("batch/"):
             a, b = json.loads(a), json.loads(b)
             for name in sorted(a.keys() | b.keys()):
                 _differences(a.get(name), b.get(name), "batch", found)
         else:
             _differences(json.loads(a), json.loads(b), "", found)
-        for path, rel in found.items():
+        for path, (rel, pairs) in found.items():
             count, worst = per_path.get(path, (0, 0.0))
             per_path[path] = (count + 1, max(worst, rel))
+            pair_counts = per_pair.setdefault(path, {})
+            for pair in pairs:
+                pair_counts[pair] = pair_counts.get(pair, 0) + 1
     print(f"{differing} of {len(old.keys() | new.keys())} reports differ")
     for path, (count, worst) in sorted(per_path.items()):
         print(f"  {path}: {count} reports, max relative difference {worst:.3g}")
+        for pair, pair_count in sorted(per_pair[path].items()):
+            print(f"    {path}: {pair}: {pair_count}")
     return differing
 
 
