@@ -155,7 +155,8 @@ def classify(m, tol: float = DEFAULT_TOL) -> CanonicalClass:
     null direction but missing loose-rank dimensions is defective (Type
     II), and anything in between comes back as Indeterminate with
     diagnostics, never as a guess.  A Type-I result carries the factors of
-    :func:`type1_factor` when the factorization succeeds.
+    :func:`type1_factor` when the factorization succeeds.  A ``tol`` at or
+    below about 1e-15 lets rounding in N decide the family.
     """
     analysis = kernel.Analysis(as_mueller_matrix(m)[None], tol)
     stage = analysis.canonical

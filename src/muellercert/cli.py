@@ -25,18 +25,17 @@ over its non-Mueller rows (the private cores of ``extended_action`` and
 to Python lists once, one ``tolist`` per array, which each report slices;
 :func:`analyze_matrix` is the stack of one.  :func:`render_report` is the
 only writer of report text, with the bytes of ``json.dumps(indent=2,
-sort_keys=True)`` on the rounded document, whose pure-Python indent
-encoder it replaces.  A report as :func:`analyze_stack` builds it, alone or
-as a value of ``batch``'s mapping, is written from the report's fixed
-schema: a ``%`` template per starting indent, built on first use, holds
-its keys in sorted order and its indents, and each list of floats is one
-``join``.  Every other document, and a report-shaped one with a key or a
-value that the schema does not have in its place, falls through to one
-recursive walk that dispatches on each value's type.  A float is written
-as ``'%.12g' % x`` with ``.0`` after an integer, which for a normal float
-has the digits of ``repr(float('%.12g' % x))``; ``repr`` is called only at
-exponents e+12 to e+15 (positional in ``repr``) and below 1e-300
-(subnormals).
+sort_keys=True)`` on the rounded document.  The report schema is one table,
+``_REPORT_SCHEMA``: its sections and fields in sorted key order, each with
+the writer of its value.  A report as :func:`analyze_stack` builds it,
+alone or as a value of ``batch``'s mapping, is written from that table: a
+``%`` template per starting indent, built from it on first use, holds the
+keys and indents, and each list of floats is one ``join`` (a float is
+``'%.12g' % x`` with its notation fixed up).  A mapping with string keys is
+written in sorted key order, so that the reports in it are found; every
+other document, and a report-shaped one with a key or a value that the
+schema does not have in its place, is written by ``json.dumps`` after its
+floats are rounded.
 
 ``batch`` reads the files of DIR from one directory listing, symlinks
 followed and subdirectories skipped, in name order.  ``--tol`` belongs to
@@ -65,7 +64,7 @@ from .canonical import (
     type1_margins,
 )
 from .core import DEFAULT_TOL, as_mueller_matrix, as_mueller_stack, as_tolerance
-from .kernel import FAMILIES, Analysis
+from .kernel import FAMILIES, Analysis, worst_type1_constraint
 from .witness import _WITNESS_INPUT, _expectation, _extended_action
 
 #: Published canonical parameters of the van Zyl radar Mueller matrix.
@@ -249,11 +248,11 @@ def vanzyl_case() -> dict:
     """
     d = np.array(VAN_ZYL_D)
     margins = type1_margins(d)
-    worst = int(np.argmin(margins))
+    worst, violated = worst_type1_constraint(d, 0.0)
     eigs = h_eigs_diagonal(d)
     return {
         "d": d.tolist(),
-        "physical": type1_constraints(d),
+        "physical": not violated,
         "constraint_margins": margins.tolist(),
         "binding_constraint": TYPE1_CONSTRAINT_FORMS[worst],
         "violation": float(-margins[worst]),
@@ -275,7 +274,7 @@ _FLOAT_TEXT = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN", "-0": "0.0"
 _POSITIONAL = frozenset(("e+12", "e+13", "e+14", "e+15"))
 
 
-def _float_text(x: float) -> str:
+def _float_text(x: float, newline: str = "") -> str:
     """``repr(float('%.12g' % x))``, as ``json`` writes it (-0.0 as 0.0).
 
     For a normal float the ``%.12g`` digits are already the shortest
@@ -299,125 +298,42 @@ def _float_text(x: float) -> str:
     return _FLOAT_TEXT.get(text) or text + ".0"
 
 
+def _rounded(obj):
+    """``obj`` with every float rounded to 12 significant digits (-0.0 as
+    0.0) and every tuple made a list: the document that ``json`` writes."""
+    if isinstance(obj, float):
+        return float(float.__format__(obj, ".12g")) or 0.0
+    if isinstance(obj, dict):
+        return {key: _rounded(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(value) for value in obj]
+    return obj
+
+
 def _json(obj, newline: str) -> str:
     """JSON text of ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)``
     writes it, with every float first rounded to 12 significant digits.
     ``newline`` starts the line that ``obj`` is on, with its indent.  A dict
     with a report's keys is written by :func:`_report_text`, unless it holds
-    a key or value that no report holds."""
-    if isinstance(obj, float):
-        return _float_text(obj)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = ("," + inner).join([_json(item, inner) for item in obj])
-        return "[" + inner + body + newline + "]"
+    a key or value that no report holds; a dict with string keys is walked
+    in sorted key order, so that the reports in it are found; ``json``
+    writes anything else, and raises its ``TypeError``."""
     if isinstance(obj, dict):
         if obj.keys() == _REPORT_KEYS:
             try:
                 return _report_text(obj, newline)
             except TypeError:
                 pass
-        if not obj:
-            return "{}"
-        body = ("," + inner).join(
-            [
-                f"{encode_basestring_ascii(key)}: {_json(val, inner)}"
-                for key, val in sorted(obj.items())
-            ]
-        )
-        return "{" + inner + body + newline + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-# The schema of the report that _reports builds: the fields of each section
-# that is a dict, and the sections, every key list in sorted order.
-_CANONICAL = ("binding_constraint", "d", "family")
-_JONES_TEST = ("jones", "verdict")
-_PHYSICALITY = ("eigenvalues", "min_eigenvalue", "rank", "verdict")
-_PRE_MUELLER = ("intensity_margin", "lorentz_margin", "verdict", "worst_input")
-_WITNESS = ("expectation", "present", "vector")
-_REPORT_SECTIONS = (
-    ("canonical", _CANONICAL),
-    ("ensemble", ()),
-    ("input_echo", ()),
-    ("mueller_jones", _JONES_TEST),
-    ("physicality", _PHYSICALITY),
-    ("pre_mueller", _PRE_MUELLER),
-    ("witness", _WITNESS),
-)
-_REPORT_KEYS = frozenset(key for key, _ in _REPORT_SECTIONS)
-# An ensemble entry, and a complex array (a Jones matrix or vector).
-_ENTRY = ("jones", "weight")
-_COMPLEX = ("imag", "real")
-
-
-@functools.cache
-def _report_template(newline: str) -> str:
-    """The text of a report on a line begun by ``newline``, with ``%s`` for
-    each field: every key and indent of the schema's fixed part."""
-
-    def braces(items, inner, outer):
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-
-    one, two = newline + "  ", newline + "    "
-    sections = [
-        f'"{key}": ' + (braces([f'"{f}": %s' for f in fields], two, one) if fields else "%s")
-        for key, fields in _REPORT_SECTIONS
-    ]
-    return braces(sections, one, newline)
-
-
-def _report_text(report: dict, newline: str) -> str:
-    """``_json(report, newline)`` for a report whose keys are the schema's,
-    as :func:`_reports` builds it: the fields fill the template of the
-    report's indent, with no per-dict dispatch or key sort.  Raises
-    TypeError at a key or value that the schema does not have in its place
-    (an int, a bool or a numpy scalar other than ``np.float64`` where a
-    float belongs, a tuple for a list, a missing or extra key), on which
-    ``_json`` writes the document."""
-    one, two = newline + "  ", newline + "    "
-    canonical, ensemble, echo, jones_test, physicality, pre, witness = (
-        report[key] for key, _ in _REPORT_SECTIONS
-    )
-    binding, d, family = _fields(canonical, _CANONICAL)
-    jones, single_jones = _fields(jones_test, _JONES_TEST)
-    eigenvalues, min_eigenvalue, rank, mueller = _fields(physicality, _PHYSICALITY)
-    intensity, lorentz, pre_mueller, worst_input = _fields(pre, _PRE_MUELLER)
-    value, present, vector = _fields(witness, _WITNESS)
-    if type(rank) is not int:
-        raise TypeError("rank is not an int")
-    return _report_template(newline) % (
-        "null" if binding is None else encode_basestring_ascii(binding),
-        "null" if d is None else _array_text(d, two),
-        encode_basestring_ascii(family),
-        _ensemble_text(ensemble, one),
-        _array_text(echo, one),
-        "null" if jones is None else _complex_text(jones, two),
-        _bool_text(single_jones),
-        _array_text(eigenvalues, two),
-        _float_text(min_eigenvalue),
-        int.__repr__(rank),
-        _bool_text(mueller),
-        _float_text(intensity),
-        _float_text(lorentz),
-        _bool_text(pre_mueller),
-        _array_text(worst_input, two),
-        "null" if value is None else _float_text(value),
-        _bool_text(present),
-        "null" if vector is None else _complex_text(vector, two),
-    )
+        if obj and all(isinstance(key, str) for key in obj):
+            inner = newline + "  "
+            body = ("," + inner).join(
+                [
+                    f"{encode_basestring_ascii(key)}: {_json(val, inner)}"
+                    for key, val in sorted(obj.items())
+                ]
+            )
+            return "{" + inner + body + newline + "}"
+    return json.dumps(_rounded(obj), indent=2, sort_keys=True).replace("\n", newline)
 
 
 def _fields(obj, keys: tuple) -> list:
@@ -431,12 +347,16 @@ def _fields(obj, keys: tuple) -> list:
     raise TypeError(f"not a dict with the keys {keys}")
 
 
-def _bool_text(x) -> str:
+def _scalar_text(x, newline: str) -> str:
+    """A bool, an int or a string as ``json`` writes it; TypeError for any
+    other type."""
     if x is True:
         return "true"
     if x is False:
         return "false"
-    raise TypeError(f"{x!r} is not a bool")
+    if type(x) is int:
+        return int.__repr__(x)
+    return encode_basestring_ascii(x)
 
 
 def _array_text(rows, newline: str) -> str:
@@ -450,6 +370,11 @@ def _array_text(rows, newline: str) -> str:
     else:
         body = ("," + inner).join(map(_float_text, rows))
     return "[" + inner + body + newline + "]"
+
+
+# A complex array (a Jones matrix or vector), and an ensemble entry.
+_COMPLEX = ("imag", "real")
+_ENTRY = ("jones", "weight")
 
 
 def _complex_text(obj, newline: str) -> str:
@@ -479,15 +404,82 @@ def _ensemble_text(entries, newline: str) -> str:
     return "[" + inner + ("," + inner).join(texts) + newline + "]"
 
 
+# The schema of the reports of _reports, in sorted key order: a section has a
+# writer, or fields that each have one.  A writer takes a value and the start
+# of its line and writes it as ``json`` does, or raises TypeError.
+_REPORT_SCHEMA = (
+    ("canonical", (
+        ("binding_constraint", _scalar_text), ("d", _array_text), ("family", _scalar_text),
+    )),
+    ("ensemble", _ensemble_text),
+    ("input_echo", _array_text),
+    ("mueller_jones", (("jones", _complex_text), ("verdict", _scalar_text))),
+    ("physicality", (
+        ("eigenvalues", _array_text), ("min_eigenvalue", _float_text),
+        ("rank", _scalar_text), ("verdict", _scalar_text),
+    )),
+    ("pre_mueller", (
+        ("intensity_margin", _float_text), ("lorentz_margin", _float_text),
+        ("verdict", _scalar_text), ("worst_input", _array_text),
+    )),
+    ("witness", (
+        ("expectation", _float_text), ("present", _scalar_text), ("vector", _complex_text),
+    )),
+)
+_REPORT_KEYS = frozenset(key for key, _ in _REPORT_SCHEMA)
+
+
+@functools.cache
+def _report_template(newline: str) -> str:
+    """The text of a report on a line begun by ``newline``: every key and
+    indent of the schema, with ``%s`` for each value that a writer writes."""
+
+    def braces(items, inner, outer):
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+
+    one, two = newline + "  ", newline + "    "
+    sections = [
+        f'"{key}": '
+        + (braces([f'"{f}": %s' for f, _ in schema], two, one) if type(schema) is tuple else "%s")
+        for key, schema in _REPORT_SCHEMA
+    ]
+    return braces(sections, one, newline)
+
+
+def _report_text(report: dict, newline: str) -> str:
+    """``_json(report, newline)`` for a dict with the keys of the schema:
+    each value's writer fills the template of the report's indent (None is
+    null), with no per-dict dispatch or key sort.  Raises TypeError at a key
+    or value that the schema does not have in its place (an int or a numpy
+    scalar other than ``np.float64`` where a float belongs, a float where a
+    bool belongs, a tuple for a list, a missing or extra key)."""
+    one, two = newline + "  ", newline + "    "
+    texts = []
+    try:
+        for key, schema in _REPORT_SCHEMA:
+            section = report[key]
+            if type(schema) is not tuple:
+                texts.append("null" if section is None else schema(section, one))
+                continue
+            if type(section) is not dict or len(section) != len(schema):
+                raise TypeError(f"{key} does not have the schema's fields")
+            for field, write in schema:
+                value = section[field]
+                texts.append("null" if value is None else write(value, two))
+    except KeyError as exc:
+        raise TypeError(f"no key {exc} in the report") from None
+    return _report_template(newline) % tuple(texts)
+
+
 def render_report(report: dict) -> str:
-    """JSON text of a report, or of ``batch``'s file-name-to-report mapping:
-    every float at 12 significant digits (-0.0 as 0.0), keys sorted,
-    indent 2, ASCII only, the bytes that ``json.dumps(..., indent=2,
-    sort_keys=True)`` writes for the rounded document, or the same
-    ``TypeError``.  Keys must be strings.  A report as :func:`analyze_stack`
-    builds it, alone or as a value of the mapping, is written from the
-    report's fixed schema; every other document, and a report-shaped one
-    with a value of another type, by the generic walk."""
+    """JSON text of a report, or of any other document: every float at 12
+    significant digits (-0.0 as 0.0), keys sorted, indent 2, ASCII only,
+    the bytes that ``json.dumps(..., indent=2, sort_keys=True)`` writes for
+    the rounded document, or the same ``TypeError``.  A report as
+    :func:`analyze_stack` builds it, alone or as a value of ``batch``'s
+    file-name-to-report mapping, is written from the report schema; every
+    other document, and a report-shaped one with a value of another type,
+    by ``json.dumps``."""
     return _json(report, "\n") + "\n"
 
 

@@ -407,7 +407,10 @@ class Analysis:
         nonzero = sigma > 0.0
 
         row = m[:, 0, 1:]
-        row_norm = _norm(row)
+        # Taken on the row over 2**e, e the exponent of sigma: no square under-
+        # or overflows, and the exact power of two changes no other bit.
+        e = np.frexp(sigma)[1]
+        row_norm = np.ldexp(_norm(np.ldexp(row, -e[:, None])), e)
         intensity = m[:, 0, 0] - row_norm
         worst_intensity = np.empty_like(row)
         worst_intensity[:] = _POLE

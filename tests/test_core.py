@@ -9,6 +9,7 @@ from muellercert import (
     PAULI_BASIS,
     STOKES_TO_VEC,
     VEC_TO_STOKES,
+    certify_cone,
     coherency_from_stokes,
     coherency_is_physical,
     devectorize,
@@ -23,6 +24,7 @@ from muellercert import (
     two_mode_is_physical,
     vectorize,
 )
+from muellercert.cli import analyze_matrix
 from muellercert.core import as_mueller_matrix, as_mueller_stack
 from helpers import (
     EXACTLY_SCALABLE,
@@ -263,8 +265,9 @@ class TestPredicates:
         st.lists(EXACTLY_SCALABLE, min_size=8, max_size=8),
         st.sampled_from(["indefinite", "psd", "skew"]),
         st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=8, max_size=8),
+        st.integers(-990, 500),
     )
-    def test_stokes_verdicts_do_not_depend_on_scale(self, entries, on_cone, k, rows, kind, e):
+    def test_stokes_verdicts_do_not_depend_on_scale(self, entries, on_cone, k, rows, kind, e, j):
         s = np.array(entries)
         if on_cone:  # on the cone surface up to rounding
             s[0] = np.sqrt(s[1:] @ s[1:])
@@ -294,8 +297,14 @@ class TestPredicates:
                 assert at_scale is at_one, fn.__name__
             else:
                 assert np.array_equal(at_scale, at_one * 2.0**k), fn.__name__
+        # The cone's intensity margin on a real matrix with entries 0 or of
+        # magnitude 2**-31..2**9: 2**j times it is exact, and its largest
+        # singular value stays below 2**511, so its square is finite.
+        m = np.ldexp(parts[0], -11)
+        at_one = certify_cone(m).intensity_margin
+        assert certify_cone(np.ldexp(m, j)).intensity_margin == np.ldexp(at_one, j)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e-200, 1e170, 1e200])
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e-200, 1e-300, 1e170, 1e200])
     def test_stokes_verdicts_at_extreme_scales(self, scale):
         # squared at these scales, the entries under- or overflow
         assert stokes_is_physical(scale * np.array([2.0, 1.0, 1.5, 1.5])) is False
@@ -314,6 +323,22 @@ class TestPredicates:
             stokes_from_coherency(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
         assert coherency_is_physical(scale * np.diag([1.0, -0.1])) is False
         assert coherency_is_physical(scale * np.diag([1.0, 0.1])) is True
+        # and so does the norm of a matrix's first row in the cone test; the
+        # square of the largest singular value, in the Lorentz margin, still
+        # overflows from about 1.3e154 on
+        rank_one = np.outer([1.0, 1.0, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0])
+        with_m01 = np.diag([1.0, 0.5, 0.3, -0.2])
+        with_m01[0, 1] = 0.1
+        if scale > 1.0:
+            with pytest.raises(FloatingPointError):
+                analyze_matrix(scale * with_m01)
+            return
+        verdict = certify_cone(scale * rank_one)
+        assert not verdict.is_pre_mueller
+        assert verdict.intensity_margin == pytest.approx(-0.5 * scale, rel=1e-15)
+        verdict = certify_cone(scale * with_m01)
+        assert verdict.is_pre_mueller
+        assert verdict.intensity_margin == pytest.approx(0.9 * scale, rel=1e-15)
 
     def test_coherency_physical(self):
         assert coherency_is_physical(0.5 * np.eye(2)) is True

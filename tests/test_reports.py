@@ -14,12 +14,14 @@ captured again when the classification came to rank-test only the top
 cluster, which made it Type I with its d; the top near tie was added then,
 with bytes that the change left as they were.
 
-``render_report`` writes a report from the report's fixed schema and any
-other document in one generic walk; both are checked against the standard
-library's encoder applied to the rounded document
-(``helpers.reference_render_report``), the schema writer on every report
-branch, on report-shaped documents with foreign values and on arbitrary
-floats in every float field.
+``render_report`` writes a report from the report's schema, walks a
+mapping with string keys in sorted key order, and hands any other document
+to ``json.dumps``; all are checked against the standard library's encoder
+applied to the rounded document (``helpers.reference_render_report``), the
+schema writer on every report branch, on report-shaped documents with
+foreign values, on arbitrary floats in every float field, and on the
+special and random floats of the generic tests written into a report's
+``input_echo``.
 
 The input boundary of every public array-taking function is checked as
 one table at the end of the file.
@@ -28,6 +30,7 @@ one table at the end of the file.
 import inspect
 import json
 import math
+import pydoc
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -138,16 +141,43 @@ def test_special_float_text(value):
     assert render_report([value]) == reference_render_report([value])
 
 
-def test_render_matches_the_json_encoder_on_random_bit_patterns():
-    # every float64 class at its frequency among bit patterns: subnormals,
-    # nan and inf, and exponents across the whole range; 100 floats per
-    # document, each on its own line
+@pytest.mark.parametrize("value", _SPECIAL_VALUES, ids=repr)
+def test_special_float_text_in_a_report(value, monkeypatch):
+    # a bare list goes to json; in a report the schema writer writes it
+    report = _full_report()
+    report["input_echo"] = [value] * 16
+    calls = _count_schema_writes(monkeypatch)
+    assert render_report(report) == reference_render_report(report)
+    assert calls == ["\n"]
+
+
+def _random_bit_patterns() -> list:
+    """200,000 floats from uniform bit patterns: every float64 class at its
+    frequency among them, subnormals, nan and inf, and exponents across the
+    whole range."""
     rng = np.random.default_rng(20)
     bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64, endpoint=False)
-    floats = bits.view(np.float64).tolist()
+    return bits.view(np.float64).tolist()
+
+
+def test_render_matches_the_json_encoder_on_random_bit_patterns():
+    # 100 floats per document, each on its own line
+    floats = _random_bit_patterns()
     for start in range(0, len(floats), 100):
         doc = floats[start : start + 100]
         assert render_report(doc) == reference_render_report(doc)
+
+
+def test_report_text_on_random_bit_patterns(monkeypatch):
+    # the same floats, 16 at a time in a report's input_echo, so that the
+    # schema writer's float text writes them
+    floats = _random_bit_patterns()
+    report = _full_report()
+    calls = _count_schema_writes(monkeypatch)
+    for start in range(0, len(floats), 16):
+        report["input_echo"] = floats[start : start + 16]
+        assert render_report(report) == reference_render_report(report)
+    assert calls == ["\n"] * (len(floats) // 16)
 
 
 @pytest.mark.parametrize(
@@ -295,6 +325,14 @@ def test_threads_do_not_wait_on_each_other(monkeypatch):
     monkeypatch.setattr(kernel, "_hermitian_of", waiting)
     with ThreadPoolExecutor(2) as pool:
         assert list(pool.map(analyze_stack, stacks)) == serial
+
+
+def test_stage_read_on_the_class_is_its_descriptor():
+    # so that help(Analysis) lists each stage with its docstring
+    stage = kernel.Analysis.sigma
+    assert isinstance(stage, kernel._stage)
+    assert stage.__doc__ == "Largest singular value of each matrix."
+    assert "Largest singular value of each matrix." in pydoc.render_doc(kernel.Analysis)
 
 
 def _complex(arr):
