@@ -35,18 +35,10 @@ import numpy as np
 from . import kernel
 from .core import DEFAULT_TOL, _array, _unit_exponent, as_mueller_matrix, as_tolerance
 
-# The family and the Type-I errors are defined by the kernel, which builds them.
-from .kernel import DegenerateSpectrumError, Family, NotTypeIError  # noqa: F401
-
-
-#: The four inequalities, in fixed order, that make a diagonal canonical
-#: form physical.  Item k is violated exactly when type1_margins(d)[k] < 0.
-TYPE1_CONSTRAINT_FORMS = (
-    "-d1 - d2 - d3 <= d0",
-    "-d1 + d2 + d3 <= d0",
-    "d1 + d2 - d3 <= d0",
-    "d1 - d2 + d3 <= d0",
-)
+# The family, the Type-I inequalities and the Type-I errors are defined by
+# the kernel, which builds them.
+from .kernel import TYPE1_CONSTRAINT_FORMS  # noqa: F401
+from .kernel import DegenerateSpectrumError, Family, NotTypeIError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -160,7 +152,7 @@ def classify(m, tol: float = DEFAULT_TOL) -> CanonicalClass:
     """
     analysis = kernel.Analysis(as_mueller_matrix(m)[None], tol)
     stage = analysis.canonical
-    family, d = kernel.FAMILIES[stage.family[0]], stage.d[0]
+    family, d = stage.family[0], stage.d[0]
     l_left = l_right = None
     if family is Family.TYPE_I:
         try:

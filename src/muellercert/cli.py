@@ -38,12 +38,15 @@ schema does not have in its place, is written by ``json.dumps`` after its
 floats are rounded.
 
 ``batch`` reads the files of DIR from one directory listing, symlinks
-followed and subdirectories skipped, in name order.  ``--tol`` belongs to
-``analyze`` and ``batch``, the commands whose verdicts read it.
+followed and subdirectories skipped, in name order.  ``--tol`` and
+``--verdict-exit`` belong to ``analyze`` and ``batch``, the commands with
+verdicts.
 
 Exit codes: 0 success, 1 internal error, 2 parse/input failure (a bad
 ``--tol``, or ``--tol`` on ``tetra-scan`` or ``vanzyl``, included).  With
-``--verdict-exit``: 0 Mueller, 3 pre-Mueller only, 4 not pre-Mueller.
+``--verdict-exit``: 0 Mueller, 3 pre-Mueller only, 4 not pre-Mueller
+(:func:`verdict_exit_code`; ``batch`` exits with the worst tier of its
+files).
 """
 
 import argparse
@@ -57,14 +60,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .canonical import (
-    TYPE1_CONSTRAINT_FORMS,
-    h_eigs_diagonal,
-    type1_constraints,
-    type1_margins,
-)
+from .canonical import h_eigs_diagonal, type1_constraints, type1_margins
 from .core import DEFAULT_TOL, as_mueller_matrix, as_mueller_stack, as_tolerance
-from .kernel import FAMILIES, Analysis, worst_type1_constraint
+from .kernel import TYPE1_CONSTRAINT_FORMS, Analysis, worst_type1_constraint
 from .witness import _WITNESS_INPUT, _expectation, _extended_action
 
 #: Published canonical parameters of the van Zyl radar Mueller matrix.
@@ -74,6 +72,12 @@ _EXIT_PARSE = 2
 _EXIT_MUELLER = 0
 _EXIT_PRE_MUELLER_ONLY = 3
 _EXIT_NOT_PRE_MUELLER = 4
+# The summary's text of each verdict tier, keyed by its --verdict-exit code.
+_TIER_TEXT = {
+    _EXIT_MUELLER: "Mueller (physical)",
+    _EXIT_PRE_MUELLER_ONLY: "pre-Mueller only (cone-preserving but unphysical)",
+    _EXIT_NOT_PRE_MUELLER: "not pre-Mueller",
+}
 
 
 class ParseError(ValueError):
@@ -148,10 +152,7 @@ def _reports(analysis: Analysis) -> list[dict]:
 
     # One tolist per stage array; each row below slices the Python lists.
     echo = m.reshape(-1, 16).tolist()
-    families = [FAMILIES[k].value for k in canon.family.tolist()]
-    d_rows = canon.d.tolist()
-    forms = (*TYPE1_CONSTRAINT_FORMS, None)  # binding index -1 reads None
-    binding = [forms[k] for k in analysis.type1_binding.tolist()]
+    d_rows, binding = canon.d.tolist(), canon.binding
     cone_ok, intensity, lorentz, worst_input = (field.tolist() for field in analysis.cone)
     w_rows, mueller_rows, rank_rows = h.w.tolist(), h.mueller.tolist(), h.rank.tolist()
     vec_real, vec_imag = h.vecs.real.tolist(), h.vecs.imag.tolist()
@@ -203,7 +204,7 @@ def _reports(analysis: Analysis) -> list[dict]:
             "mueller_jones": {"verdict": jones is not None, "jones": jones},
             "ensemble": ensemble,
             "canonical": {
-                "family": families[i],
+                "family": canon.family[i].value,
                 "d": None if math.isnan(d[0]) else d,
                 "binding_constraint": binding[i],
             },
@@ -487,14 +488,8 @@ def summarize_report(report: dict) -> str:
     """Short human-readable digest of an analyze report."""
     pre = report["pre_mueller"]
     phys = report["physicality"]
-    if phys["verdict"]:
-        tier = "Mueller (physical)"
-    elif pre["verdict"]:
-        tier = "pre-Mueller only (cone-preserving but unphysical)"
-    else:
-        tier = "not pre-Mueller"
     lines = [
-        f"verdict: {tier}",
+        f"verdict: {_TIER_TEXT[verdict_exit_code(report)]}",
         f"cone margins: intensity {pre['intensity_margin']:.6g}, "
         f"lorentz {pre['lorentz_margin']:.6g}",
         f"hermitian spectrum: "
@@ -520,15 +515,13 @@ def summarize_report(report: dict) -> str:
 
 
 def verdict_exit_code(report: dict) -> int:
+    """The verdict tier of a report: 0 Mueller, 3 pre-Mueller only, 4 not
+    pre-Mueller."""
     if report["physicality"]["verdict"]:
         return _EXIT_MUELLER
     if report["pre_mueller"]["verdict"]:
         return _EXIT_PRE_MUELLER_ONLY
     return _EXIT_NOT_PRE_MUELLER
-
-
-def _emit(report: dict, fmt: str, out) -> None:
-    out.write(render_report(report) if fmt == "report" else summarize_report(report))
 
 
 def _tolerance(text: str) -> float:
@@ -540,10 +533,16 @@ def _tolerance(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # --tol only where a verdict reads it: analyze and batch.
+    # --tol and --verdict-exit only where a verdict reads it: analyze and batch.
     verdicts = argparse.ArgumentParser(add_help=False)
     verdicts.add_argument(
         "--tol", type=_tolerance, default=DEFAULT_TOL, help="relative verdict tolerance"
+    )
+    verdicts.add_argument(
+        "--verdict-exit",
+        action="store_true",
+        help="exit 0 = Mueller, 3 = pre-Mueller only, 4 = not pre-Mueller "
+        "(batch: the worst tier across files)",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -562,21 +561,11 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", parents=[verdicts, common], help="analyze one matrix file"
     )
     p_analyze.add_argument("file")
-    p_analyze.add_argument(
-        "--verdict-exit",
-        action="store_true",
-        help="exit 0 = Mueller, 3 = pre-Mueller only, 4 = not pre-Mueller",
-    )
 
     p_batch = sub.add_parser(
         "batch", parents=[verdicts, common], help="analyze every file in a directory"
     )
     p_batch.add_argument("dir")
-    p_batch.add_argument(
-        "--verdict-exit",
-        action="store_true",
-        help="exit with the worst verdict tier across files",
-    )
 
     p_scan = sub.add_parser(
         "tetra-scan",
@@ -610,7 +599,7 @@ def main(argv=None, out=None, err=None) -> int:
             err.write(f"error: {exc}\n")
             return _EXIT_PARSE
         report = analyze_matrix(mat, args.tol)
-        _emit(report, args.format, out)
+        out.write(render_report(report) if args.format == "report" else summarize_report(report))
         return verdict_exit_code(report) if args.verdict_exit else 0
 
     if args.command == "batch":

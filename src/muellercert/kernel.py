@@ -22,16 +22,17 @@ over a whole (N, 4, 4) stack at a time:
   cluster can be defective (:meth:`Analysis._classify_full`).  With one
   stacked ``slogdet`` it gives the Type-I parameters d
   (:attr:`Analysis.type1_d`).  The stacked
-  :class:`CanonicalStage` holds a family code, d and a reason per row, and
-  the one Type-I rule (:func:`worst_type1_constraint`) reads the binding
-  constraints off its d (:attr:`Analysis.type1_binding`).  The Type-I
+  :class:`CanonicalStage` holds a :class:`Family`, d, a reason and the
+  violated Type-I inequality per row, the last read off d by the one
+  Type-I rule (:func:`worst_type1_constraint`).  The Type-I
   factors are not part of the stage: only :func:`~muellercert.classify`
   and :func:`~muellercert.type1_factor` ask for them, one matrix at a time
   (:meth:`Analysis.factor`), so reports never factor.
 
-:class:`Family` and the Type-I errors are defined here and re-exported by
-:mod:`muellercert.canonical`, whose ``classify`` builds a
-:class:`~muellercert.CanonicalClass` from its row of the stage.
+:class:`Family`, :data:`TYPE1_CONSTRAINT_FORMS` and the Type-I errors are
+defined here and re-exported by :mod:`muellercert.canonical`, whose
+``classify`` builds a :class:`~muellercert.CanonicalClass` from its row of
+the stage.
 
 The public functions of the layer modules are views on an analysis of a
 stack of one, and ``batch`` analyzes a whole directory as one stack, so
@@ -86,6 +87,14 @@ _EPS = float(np.finfo(float).eps)
 # The signs of d1, d2 and d3 in the four Type-I margins, one row each.
 _MARGIN_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0], [1.0, -1.0, 1.0, -1.0]])
 _MARGIN_SIGNS.setflags(write=False)
+#: The four inequalities, in fixed order, that make a diagonal canonical
+#: form physical.  Item k is violated exactly when type1_margins(d)[k] < 0.
+TYPE1_CONSTRAINT_FORMS = (
+    "-d1 - d2 - d3 <= d0",
+    "-d1 + d2 + d3 <= d0",
+    "d1 + d2 - d3 <= d0",
+    "d1 - d2 + d3 <= d0",
+)
 
 
 class Family(enum.Enum):
@@ -97,9 +106,7 @@ class Family(enum.Enum):
     INDETERMINATE = "Indeterminate"
 
 
-#: The families in code order: :attr:`CanonicalStage.family` indexes it.
-FAMILIES = tuple(Family)
-_TYPE_I, _TYPE_II, _POLARIZER, _PIN_MAP, _NOT_PRE_MUELLER, _INDETERMINATE = range(len(FAMILIES))
+_TYPE_I, _TYPE_II, _POLARIZER, _PIN_MAP, _NOT_PRE_MUELLER, _INDETERMINATE = Family
 
 
 class DegenerateSpectrumError(ValueError):
@@ -349,14 +356,17 @@ class NormalStage(NamedTuple):
 
 
 class CanonicalStage(NamedTuple):
-    """Canonical families of a stack: ``family`` holds a code per row, an
-    index into :data:`FAMILIES`, ``d`` the canonical parameters, shape
-    (N, 4), nan where the family has none, and ``reason`` a list of each
-    row's diagnostics text, or None."""
+    """Canonical families of a stack: ``family`` holds each row's
+    :class:`Family`, ``d`` the canonical parameters, shape (N, 4), nan
+    where the family has none, ``reason`` each row's diagnostics text, or
+    None, and ``binding`` the violated Type-I inequality of each Type-I row
+    with the smallest margin (an item of :data:`TYPE1_CONSTRAINT_FORMS`),
+    or None."""
 
-    family: np.ndarray
+    family: list
     d: np.ndarray
     reason: list
+    binding: list
 
 
 class Analysis:
@@ -471,20 +481,10 @@ class Analysis:
         return self.sigma[:, None] * root
 
     @_stage
-    def type1_binding(self) -> np.ndarray:
-        """Per row, the index of the violated Type-I constraint with the
-        smallest margin (:func:`worst_type1_constraint`), or -1 where there
-        is none; computed on first read, which ``classify`` never does."""
-        canon = self.canonical
-        type_one = canon.family == _TYPE_I
-        if not type_one.any():
-            return np.full(len(self.m), -1)
-        worst, violated = worst_type1_constraint(canon.d, self.tol)
-        return np.where(violated & type_one, worst, -1)
-
-    @_stage
     def canonical(self) -> CanonicalStage:
-        """Canonical family, d and reason of every matrix of the stack."""
+        """Canonical family, d, reason and violated Type-I inequality of
+        every matrix of the stack: the Type-I rule
+        (:func:`worst_type1_constraint`) runs once, on the Type-I rows."""
         family, reason = [_INDETERMINATE] * len(self.m), [None] * len(self.m)
         d = np.full((len(self.m), 4), np.nan)
         classified = []
@@ -510,10 +510,15 @@ class Analysis:
                 family[i], reason[i] = _rank_one_family(u[j, :, 0], s[j, 1], vt[j, 0], cluster_tol)
         if full:
             self._classify_full(full, family, d, reason)
-        codes = np.array(family)
+        binding = [None] * len(self.m)
         if _TYPE_I in family:
-            np.copyto(d, self.type1_d, where=(codes == _TYPE_I)[:, None])
-        return CanonicalStage(codes, d, reason)
+            type_one = [i for i, f in enumerate(family) if f is _TYPE_I]
+            d[type_one] = d_one = self.type1_d[type_one]
+            worst, violated = worst_type1_constraint(d_one, self.tol)
+            for i, k, bad in zip(type_one, worst.tolist(), violated.tolist()):
+                if bad:
+                    binding[i] = TYPE1_CONSTRAINT_FORMS[k]
+        return CanonicalStage(family, d, reason, binding)
 
     def _classify_full(self, full, family, d, reason) -> None:
         """Write the families, the reasons and the Type-II d of the rows
@@ -639,8 +644,8 @@ class Analysis:
         return l_left, d, l_right
 
 
-def _rank_one_family(u, s1, v, cluster_tol) -> tuple[int, str]:
-    """Family code and reason of a cone-preserving matrix with vanishing normal
+def _rank_one_family(u, s1, v, cluster_tol) -> tuple[Family, str]:
+    """Family and reason of a cone-preserving matrix with vanishing normal
     matrix from its second singular value ``s1`` and leading singular vectors."""
     g = LORENTZ_METRIC
     if s1 > cluster_tol:

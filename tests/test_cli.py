@@ -253,6 +253,9 @@ class TestMainCommand:
         out = capsys.readouterr().out
         assert "pre-Mueller only" in out
         assert "witness expectation" in out
+        bad = write_matrix(tmp_path, "b.txt", np.diag([1.0, 1.5, 0, 0]))
+        assert main(["analyze", str(bad), "--format", "summary"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "verdict: not pre-Mueller"
 
     def test_batch(self, tmp_path, capsys):
         write_matrix(tmp_path, "a.txt", np.eye(4))
