@@ -18,24 +18,30 @@ order (lines starting with ``#`` ignored), or a JSON object with a
 input, flags, and seed produce byte-identical output.  Numbers are printed
 with 12 significant digits.
 
-A report costs about what its analysis costs.  :func:`analyze_stack` runs
-the spectral stages once over a stack, and the witness expectation once
-over its non-Mueller rows (the private cores of ``extended_action`` and
-``expectation``, on arrays already coerced), and converts each stage array
-to Python lists once, one ``tolist`` per array, which each report slices;
-:func:`analyze_matrix` is the stack of one.  :func:`render_report` is the
-only writer of report text, with the bytes of ``json.dumps(indent=2,
-sort_keys=True)`` on the rounded document.  The report schema is one table,
-``_REPORT_SCHEMA``: its sections and fields in sorted key order, each with
-the writer of its value.  A report as :func:`analyze_stack` builds it,
-alone or as a value of ``batch``'s mapping, is written from that table: a
-``%`` template per starting indent, built from it on first use, holds the
-keys and indents, and each list of floats is one ``join`` (a float is
-``'%.12g' % x`` with its notation fixed up).  A mapping with string keys is
-written in sorted key order, so that the reports in it are found; every
-other document, and a report-shaped one with a key or a value that the
-schema does not have in its place, is written by ``json.dumps`` after its
-floats are rounded.
+A report costs about what its analysis costs.  :func:`load_matrix` reads a
+file with one unbuffered binary read and one UTF-8 decode, and turns
+``\\r\\n`` and a lone ``\\r`` into ``\\n`` only when the text holds a
+``\\r``: the text that a text-mode read returns, without its wrapper.
+:func:`analyze_stack` runs the spectral stages once over a stack, and the
+witness expectation once over its non-Mueller rows (the private cores of
+``extended_action`` and ``expectation``, on arrays already coerced), and
+converts each stage array to Python lists once, one ``tolist`` per array,
+which each report slices; :func:`analyze_matrix` is the stack of one.
+:func:`render_report` is the only writer of report text, with the bytes of
+``json.dumps(indent=2, sort_keys=True)`` on the rounded document.  The
+report schema is one table, ``_REPORT_SCHEMA``: its sections and fields in
+sorted key order, each with the writer of its value.  A report as
+:func:`analyze_stack` builds it, alone or as a value of ``batch``'s
+mapping, is written from that table: a ``%`` template per starting indent,
+built from it on first use, holds the keys and indents, and each list of
+floats is one ``join`` (a float is ``'%.12g' % x`` with its notation fixed
+up).  The complex arrays have fixed shapes, a Jones matrix two 2x2 parts
+and the witness vector two parts of four, so each fills a cached template
+of its shape and indent with its eight floats in one ``%``.  A mapping with
+string keys is written in sorted key order, so that the reports in it are
+found; every other document, and a report-shaped one with a key, a value
+or a shape that the schema does not have in its place, is written by
+``json.dumps`` after its floats are rounded.
 
 ``batch`` reads the files of DIR from one directory listing, symlinks
 followed and subdirectories skipped, in name order.  ``--tol`` and
@@ -123,10 +129,18 @@ def parse_matrix_text(text: str) -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
+    """The matrix of a file: ``parse_matrix_text`` of the text that
+    ``Path(path).read_text(encoding="utf-8")`` returns, from one binary read
+    and one decode (``\\r\\n`` and a lone ``\\r`` read as ``\\n``, as text mode
+    reads them).  ``path`` is a path: an int, which ``open`` would take as a
+    file descriptor, is a TypeError as it is for ``Path``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(os.fspath(path), "rb", buffering=0) as file:
+            text = file.readall().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_matrix_text(text)
 
 
@@ -360,32 +374,62 @@ def _scalar_text(x, newline: str) -> str:
     return encode_basestring_ascii(x)
 
 
-def _array_text(rows, newline: str) -> str:
-    """A nonempty list of floats, or of such lists, as ``_json`` writes it:
-    each list of floats is one ``join`` over :func:`_float_text`."""
-    if type(rows) is not list or not rows:
+def _array_text(values, newline: str) -> str:
+    """A nonempty list of floats as ``_json`` writes it: one ``join`` over
+    :func:`_float_text`."""
+    if type(values) is not list or not values:
         raise TypeError("not a nonempty list")
     inner = newline + "  "
-    if type(rows[0]) is list:
-        body = ("," + inner).join([_array_text(row, inner) for row in rows])
-    else:
-        body = ("," + inner).join(map(_float_text, rows))
-    return "[" + inner + body + newline + "]"
+    return "[" + inner + ("," + inner).join(map(_float_text, values)) + newline + "]"
 
 
-# A complex array (a Jones matrix or vector), and an ensemble entry.
+# A complex array (a Jones matrix or the witness vector), and an ensemble entry.
 _COMPLEX = ("imag", "real")
 _ENTRY = ("jones", "weight")
 
 
-def _complex_text(obj, newline: str) -> str:
-    """A ``{"imag": ..., "real": ...}`` array pair as ``_json`` writes it."""
+def _block(items, inner: str, outer: str, brackets: str = "{}") -> str:
+    """``items`` between ``brackets``, each on a line begun by ``inner``, and
+    the closing bracket on a line begun by ``outer``."""
+    return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
+
+
+@functools.cache
+def _complex_template(newline: str, matrix: bool) -> str:
+    """The text of a complex array on a line begun by ``newline``: its
+    ``imag`` and ``real`` parts, each a 2x2 list of lists (``matrix``) or a
+    list of four, with ``%s`` for each of the eight floats."""
+    one, two, three = newline + "  ", newline + "    ", newline + "      "
+    row = _block(["%s"] * 2, three, two, "[]")
+    part = _block([row] * 2 if matrix else ["%s"] * 4, two, one, "[]")
+    return _block(['"imag": ' + part, '"real": ' + part], one, newline)
+
+
+def _matrix_values(rows) -> list:
+    """The four values of a 2x2 list of lists, row by row; TypeError for any
+    other object."""
+    if type(rows) is list and len(rows) == 2:
+        top, bottom = rows
+        if type(top) is list and type(bottom) is list and len(top) == 2 == len(bottom):
+            return top + bottom
+    raise TypeError("not a 2x2 list of lists")
+
+
+def _jones_text(obj, newline: str) -> str:
+    """A Jones matrix, ``{"imag": ..., "real": ...}`` with each part a 2x2
+    list of lists of floats, as ``_json`` writes it."""
     imag, real = _fields(obj, _COMPLEX)
-    inner = newline + "  "
-    return (
-        "{" + inner + '"imag": ' + _array_text(imag, inner) + ","
-        + inner + '"real": ' + _array_text(real, inner) + newline + "}"
-    )
+    values = _matrix_values(imag) + _matrix_values(real)
+    return _complex_template(newline, True) % tuple(map(_float_text, values))
+
+
+def _vector_text(obj, newline: str) -> str:
+    """The witness vector, ``{"imag": ..., "real": ...}`` with each part a
+    list of four floats, as ``_json`` writes it."""
+    imag, real = _fields(obj, _COMPLEX)
+    if type(imag) is not list or type(real) is not list or len(imag) != 4 or len(real) != 4:
+        raise TypeError("not two lists of four")
+    return _complex_template(newline, False) % tuple(map(_float_text, imag + real))
 
 
 def _ensemble_text(entries, newline: str) -> str:
@@ -399,7 +443,7 @@ def _ensemble_text(entries, newline: str) -> str:
     for entry in entries:
         jones, weight = _fields(entry, _ENTRY)
         texts.append(
-            "{" + field + '"jones": ' + _complex_text(jones, field) + ","
+            "{" + field + '"jones": ' + _jones_text(jones, field) + ","
             + field + '"weight": ' + _float_text(weight) + inner + "}"
         )
     return "[" + inner + ("," + inner).join(texts) + newline + "]"
@@ -414,7 +458,7 @@ _REPORT_SCHEMA = (
     )),
     ("ensemble", _ensemble_text),
     ("input_echo", _array_text),
-    ("mueller_jones", (("jones", _complex_text), ("verdict", _scalar_text))),
+    ("mueller_jones", (("jones", _jones_text), ("verdict", _scalar_text))),
     ("physicality", (
         ("eigenvalues", _array_text), ("min_eigenvalue", _float_text),
         ("rank", _scalar_text), ("verdict", _scalar_text),
@@ -424,7 +468,7 @@ _REPORT_SCHEMA = (
         ("verdict", _scalar_text), ("worst_input", _array_text),
     )),
     ("witness", (
-        ("expectation", _float_text), ("present", _scalar_text), ("vector", _complex_text),
+        ("expectation", _float_text), ("present", _scalar_text), ("vector", _vector_text),
     )),
 )
 _REPORT_KEYS = frozenset(key for key, _ in _REPORT_SCHEMA)
@@ -434,17 +478,13 @@ _REPORT_KEYS = frozenset(key for key, _ in _REPORT_SCHEMA)
 def _report_template(newline: str) -> str:
     """The text of a report on a line begun by ``newline``: every key and
     indent of the schema, with ``%s`` for each value that a writer writes."""
-
-    def braces(items, inner, outer):
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-
     one, two = newline + "  ", newline + "    "
     sections = [
         f'"{key}": '
-        + (braces([f'"{f}": %s' for f, _ in schema], two, one) if type(schema) is tuple else "%s")
+        + (_block([f'"{f}": %s' for f, _ in schema], two, one) if type(schema) is tuple else "%s")
         for key, schema in _REPORT_SCHEMA
     ]
-    return braces(sections, one, newline)
+    return _block(sections, one, newline)
 
 
 def _report_text(report: dict, newline: str) -> str:
@@ -476,12 +516,20 @@ def render_report(report: dict) -> str:
     """JSON text of a report, or of any other document: every float at 12
     significant digits (-0.0 as 0.0), keys sorted, indent 2, ASCII only,
     the bytes that ``json.dumps(..., indent=2, sort_keys=True)`` writes for
-    the rounded document, or the same ``TypeError``.  A report as
+    the rounded document, or the same error.  A report as
     :func:`analyze_stack` builds it, alone or as a value of ``batch``'s
     file-name-to-report mapping, is written from the report schema; every
     other document, and a report-shaped one with a value of another type,
-    by ``json.dumps``."""
-    return _json(report, "\n") + "\n"
+    by ``json.dumps``.  A document that holds itself, which the walk and the
+    rounding would recurse into without end, raises the ``ValueError`` of
+    ``json``'s circular-reference check."""
+    try:
+        return _json(report, "\n") + "\n"
+    except RecursionError:
+        # Called for its error only; a document too deep, not circular,
+        # keeps the RecursionError.
+        json.dumps(report, indent=2, sort_keys=True)
+        raise
 
 
 def summarize_report(report: dict) -> str:
@@ -536,7 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     # --tol and --verdict-exit only where a verdict reads it: analyze and batch.
     verdicts = argparse.ArgumentParser(add_help=False)
     verdicts.add_argument(
-        "--tol", type=_tolerance, default=DEFAULT_TOL, help="relative verdict tolerance"
+        "--tol", type=_tolerance, default=DEFAULT_TOL,
+        help="relative verdict tolerance (at or below 1e-16, 0 too: N's rounding sets the family)",
     )
     verdicts.add_argument(
         "--verdict-exit",

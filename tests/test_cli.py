@@ -13,6 +13,7 @@ from muellercert.cli import (
     ParseError,
     analyze_matrix,
     build_parser,
+    load_matrix,
     main,
     parse_matrix_text,
     render_report,
@@ -68,6 +69,76 @@ class TestParsing:
         text = '{"mueller": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, %s]]}'
         with pytest.raises(ParseError, match="non-finite"):
             parse_matrix_text(text % token)
+
+
+_IDENTITY_LINES = ["1 0 0 0", "0 1 0 0", "0 0 1 0", "0 0 0 1"]
+_JSON_LINES = ["{", '"mueller": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}']
+_BAD_JSON_LINES = ["{", '"mueller": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0] x [0, 0, 0, 1]]}']
+# File contents for load_matrix against a text-mode read.  The JSON syntax
+# error is at line 2 column 54: char 55 once CRLF reads as LF, 56 if not;
+# a lone CR not read as LF would put it on line 1.
+_FILE_CONTENTS = {
+    "lf_comment.txt": "\n".join(["# identity"] + _IDENTITY_LINES).encode(),
+    "crlf.txt": "\r\n".join(_IDENTITY_LINES).encode() + b"\r\n",
+    "lone_cr.txt": "\r".join(["# identity"] + _IDENTITY_LINES).encode(),
+    "crlf.json": "\r\n".join(_JSON_LINES).encode(),
+    "crlf_bad.json": "\r\n".join(_BAD_JSON_LINES).encode(),
+    "lone_cr_bad.json": "\r".join(_BAD_JSON_LINES).encode(),
+    "bom.txt": "\ufeff".encode() + " ".join(_IDENTITY_LINES).encode(),
+    "not_utf8.txt": b"1 0 0 0\xff",
+    "empty.txt": b"",
+}
+
+
+def _reference_load(path):
+    """load_matrix as a text-mode read: ``Path.read_text``, its read errors
+    wrapped as load_matrix wraps them."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return parse_matrix_text(text)
+
+
+def _load_outcome(load, path):
+    """The matrix's shape, dtype and bytes, or the ParseError's text."""
+    try:
+        m = load(path)
+    except ParseError as exc:
+        return str(exc)
+    return m.shape, m.dtype, m.tobytes()
+
+
+def test_load_matrix_reads_what_text_mode_reads(tmp_path, capsys):
+    for name, content in _FILE_CONTENTS.items():
+        (tmp_path / name).write_bytes(content)
+    (tmp_path / "subdir").mkdir()
+    bad_json = _load_outcome(_reference_load, tmp_path / "crlf_bad.json")
+    assert bad_json.endswith("line 2 column 54 (char 55)")
+    for name in [*_FILE_CONTENTS, "subdir", "missing.txt"]:
+        path = str(tmp_path / name)
+        assert _load_outcome(load_matrix, path) == _load_outcome(_reference_load, path), name
+    # batch writes each file's entry as the reference reads it; the
+    # subdirectory is skipped
+    expected = {}
+    for name in sorted(_FILE_CONTENTS):
+        try:
+            expected[name] = analyze_matrix(_reference_load(str(tmp_path / name)))
+        except ParseError as exc:
+            expected[name] = {"error": str(exc)}
+    assert main(["batch", str(tmp_path)]) == 2
+    assert capsys.readouterr().out == render_report(expected)
+
+
+def test_load_matrix_takes_no_file_descriptor(tmp_path):
+    # open() would read an int as a descriptor, and close it
+    fd = os.open(write_matrix(tmp_path, "m.txt", np.eye(4)), os.O_RDONLY)
+    try:
+        with pytest.raises(TypeError):
+            load_matrix(fd)
+        assert os.fstat(fd)
+    finally:
+        os.close(fd)
 
 
 class TestAnalyzeReport:

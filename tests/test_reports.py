@@ -192,6 +192,32 @@ def test_render_rejects_what_json_rejects(value):
         render_report({"a": [value]})
 
 
+def _circular_documents() -> dict:
+    """Documents that hold themselves, and a batch mapping whose report has a
+    section that holds itself."""
+    mapping, listing = {}, []
+    mapping["a"] = mapping
+    listing.append(listing)
+    report = _full_report()
+    report["witness"]["vector"] = report["witness"]
+    return {
+        "dict": mapping,
+        "list": listing,
+        "nested_list": {"x": [1.0, listing]},
+        "batch_section": {"a.txt": report, "b.txt": _full_report()},
+    }
+
+
+@pytest.mark.parametrize("name", ["dict", "list", "nested_list", "batch_section"])
+def test_circular_documents_raise_what_json_raises(name):
+    doc = _circular_documents()[name]
+    with pytest.raises(ValueError) as expected:
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(ValueError) as raised:
+        render_report(doc)
+    assert str(raised.value) == str(expected.value) == "Circular reference detected"
+
+
 _VANZYL_REPORT = """\
 {
   "binding_constraint": "d1 + d2 - d3 <= d0",
@@ -560,6 +586,11 @@ _FOREIGN = {
     "misspelled_jones_key": lambda report: report["mueller_jones"]["jones"].update(
         reel=report["mueller_jones"]["jones"].pop("real")
     ),
+    # shapes past the fixed 2x2 Jones parts and four-entry vector parts
+    "three_entry_jones_row": _set(("mueller_jones", "jones", "real", 0), [1.0, 0.0, 0.5]),
+    "three_jones_rows": _set(("mueller_jones", "jones", "imag"), [[0.0, 0.5]] * 3),
+    "three_float_vector": _set(("witness", "vector", "real"), [1.0, 0.0, 0.0]),
+    "five_float_vector": _set(("witness", "vector", "real"), [1.0, 0.0, 0.0, 0.0, 0.5]),
 }
 # The foreign values that the schema writer writes itself, as json does.
 _SCHEMA_WRITES = {
