@@ -36,12 +36,13 @@ mapping, is written from that table: a ``%`` template per starting indent,
 built from it on first use, holds the keys and indents, and each list of
 floats is one ``join`` (a float is ``'%.12g' % x`` with its notation fixed
 up).  The complex arrays have fixed shapes, a Jones matrix two 2x2 parts
-and the witness vector two parts of four, so each fills a cached template
-of its shape and indent with its eight floats in one ``%``.  A mapping with
-string keys is written in sorted key order, so that the reports in it are
-found; every other document, and a report-shaped one with a key, a value
+and the witness vector two parts of four, so one writer fills a cached
+template of the shape it is given and its indent with the eight floats in
+one ``%``.  Every other value, and a report-shaped one with a key, a value
 or a shape that the schema does not have in its place, is written by
-``json.dumps`` after its floats are rounded.
+``json``'s own pure-Python encoder (the private
+``json.encoder._make_iterencode`` that ``json.dumps`` runs under
+``indent``) with the same float text, started at the value's indent.
 
 ``batch`` reads the files of DIR from one directory listing, symlinks
 followed and subdirectories skipped, in name order.  ``--tol`` and
@@ -61,7 +62,7 @@ import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
+from json.encoder import _make_iterencode, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -313,42 +314,24 @@ def _float_text(x: float, newline: str = "") -> str:
     return _FLOAT_TEXT.get(text) or text + ".0"
 
 
-def _rounded(obj):
-    """``obj`` with every float rounded to 12 significant digits (-0.0 as
-    0.0) and every tuple made a list: the document that ``json`` writes."""
-    if isinstance(obj, float):
-        return float(float.__format__(obj, ".12g")) or 0.0
-    if isinstance(obj, dict):
-        return {key: _rounded(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(value) for value in obj]
-    return obj
+# json's error for a value that it cannot write.
+_DEFAULT = json.JSONEncoder().default
 
 
-def _json(obj, newline: str) -> str:
+def _json(obj, level: int) -> str:
     """JSON text of ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)``
-    writes it, with every float first rounded to 12 significant digits.
-    ``newline`` starts the line that ``obj`` is on, with its indent.  A dict
-    with a report's keys is written by :func:`_report_text`, unless it holds
-    a key or value that no report holds; a dict with string keys is walked
-    in sorted key order, so that the reports in it are found; ``json``
-    writes anything else, and raises its ``TypeError``."""
-    if isinstance(obj, dict):
-        if obj.keys() == _REPORT_KEYS:
-            try:
-                return _report_text(obj, newline)
-            except TypeError:
-                pass
-        if obj and all(isinstance(key, str) for key in obj):
-            inner = newline + "  "
-            body = ("," + inner).join(
-                [
-                    f"{encode_basestring_ascii(key)}: {_json(val, inner)}"
-                    for key, val in sorted(obj.items())
-                ]
-            )
-            return "{" + inner + body + newline + "}"
-    return json.dumps(_rounded(obj), indent=2, sort_keys=True).replace("\n", newline)
+    writes it, with every float (a float dict key too) written by
+    :func:`_float_text` and the lines indented from indent ``level``:
+    ``json``'s own pure-Python encoder, the one ``dumps`` runs under
+    ``indent``, with its errors (TypeError for a value that it cannot
+    write, ValueError for a document that holds itself)."""
+    # markers, default, string writer, indent, float writer, separators,
+    # sort_keys, skipkeys, one_shot: what json.dumps(indent=2) passes, but
+    # the float writer
+    encode = _make_iterencode(
+        {}, _DEFAULT, encode_basestring_ascii, "  ", _float_text, ": ", ",", True, False, True
+    )
+    return "".join(encode(obj, level))
 
 
 def _fields(obj, keys: tuple) -> list:
@@ -375,7 +358,7 @@ def _scalar_text(x, newline: str) -> str:
 
 
 def _array_text(values, newline: str) -> str:
-    """A nonempty list of floats as ``_json`` writes it: one ``join`` over
+    """A nonempty list of floats as ``json`` writes it: one ``join`` over
     :func:`_float_text`."""
     if type(values) is not list or not values:
         raise TypeError("not a nonempty list")
@@ -405,31 +388,20 @@ def _complex_template(newline: str, matrix: bool) -> str:
     return _block(['"imag": ' + part, '"real": ' + part], one, newline)
 
 
-def _matrix_values(rows) -> list:
-    """The four values of a 2x2 list of lists, row by row; TypeError for any
-    other object."""
-    if type(rows) is list and len(rows) == 2:
-        top, bottom = rows
-        if type(top) is list and type(bottom) is list and len(top) == 2 == len(bottom):
-            return top + bottom
-    raise TypeError("not a 2x2 list of lists")
-
-
-def _jones_text(obj, newline: str) -> str:
-    """A Jones matrix, ``{"imag": ..., "real": ...}`` with each part a 2x2
-    list of lists of floats, as ``_json`` writes it."""
+def _complex_text(obj, newline: str) -> str:
+    """A complex array, ``{"imag": ..., "real": ...}``, as ``json`` writes it:
+    each part a 2x2 list of lists of floats (a Jones matrix) or a list of
+    four floats (the witness vector), both parts of one shape; TypeError for
+    any other object."""
     imag, real = _fields(obj, _COMPLEX)
-    values = _matrix_values(imag) + _matrix_values(real)
-    return _complex_template(newline, True) % tuple(map(_float_text, values))
-
-
-def _vector_text(obj, newline: str) -> str:
-    """The witness vector, ``{"imag": ..., "real": ...}`` with each part a
-    list of four floats, as ``_json`` writes it."""
-    imag, real = _fields(obj, _COMPLEX)
-    if type(imag) is not list or type(real) is not list or len(imag) != 4 or len(real) != 4:
-        raise TypeError("not two lists of four")
-    return _complex_template(newline, False) % tuple(map(_float_text, imag + real))
+    if type(imag) is list and type(real) is list and len(imag) == len(real):
+        rows = imag + real
+        if len(imag) == 2 and all(type(row) is list and len(row) == 2 for row in rows):
+            values = rows[0] + rows[1] + rows[2] + rows[3]
+            return _complex_template(newline, True) % tuple(map(_float_text, values))
+        if len(imag) == 4:
+            return _complex_template(newline, False) % tuple(map(_float_text, rows))
+    raise TypeError("not two 2x2 lists of lists or two lists of four")
 
 
 def _ensemble_text(entries, newline: str) -> str:
@@ -443,7 +415,7 @@ def _ensemble_text(entries, newline: str) -> str:
     for entry in entries:
         jones, weight = _fields(entry, _ENTRY)
         texts.append(
-            "{" + field + '"jones": ' + _jones_text(jones, field) + ","
+            "{" + field + '"jones": ' + _complex_text(jones, field) + ","
             + field + '"weight": ' + _float_text(weight) + inner + "}"
         )
     return "[" + inner + ("," + inner).join(texts) + newline + "]"
@@ -458,7 +430,7 @@ _REPORT_SCHEMA = (
     )),
     ("ensemble", _ensemble_text),
     ("input_echo", _array_text),
-    ("mueller_jones", (("jones", _jones_text), ("verdict", _scalar_text))),
+    ("mueller_jones", (("jones", _complex_text), ("verdict", _scalar_text))),
     ("physicality", (
         ("eigenvalues", _array_text), ("min_eigenvalue", _float_text),
         ("rank", _scalar_text), ("verdict", _scalar_text),
@@ -468,7 +440,7 @@ _REPORT_SCHEMA = (
         ("verdict", _scalar_text), ("worst_input", _array_text),
     )),
     ("witness", (
-        ("expectation", _float_text), ("present", _scalar_text), ("vector", _vector_text),
+        ("expectation", _float_text), ("present", _scalar_text), ("vector", _complex_text),
     )),
 )
 _REPORT_KEYS = frozenset(key for key, _ in _REPORT_SCHEMA)
@@ -488,12 +460,13 @@ def _report_template(newline: str) -> str:
 
 
 def _report_text(report: dict, newline: str) -> str:
-    """``_json(report, newline)`` for a dict with the keys of the schema:
-    each value's writer fills the template of the report's indent (None is
-    null), with no per-dict dispatch or key sort.  Raises TypeError at a key
-    or value that the schema does not have in its place (an int or a numpy
-    scalar other than ``np.float64`` where a float belongs, a float where a
-    bool belongs, a tuple for a list, a missing or extra key)."""
+    """A dict with the keys of the schema on a line begun by ``newline``, as
+    ``json`` writes it: each value's writer fills the template of the
+    report's indent (None is null), with no per-dict dispatch or key sort.
+    Raises TypeError at a key or value that the schema does not have in its
+    place (an int or a numpy scalar other than ``np.float64`` where a float
+    belongs, a float where a bool belongs, a tuple for a list, a missing or
+    extra key)."""
     one, two = newline + "  ", newline + "    "
     texts = []
     try:
@@ -512,24 +485,43 @@ def _report_text(report: dict, newline: str) -> str:
     return _report_template(newline) % tuple(texts)
 
 
+def _value_text(obj, level: int) -> str:
+    """``obj`` at indent ``level``: a dict with the report's keys from the
+    schema, unless the schema rejects it, and anything else by
+    :func:`_json`."""
+    if isinstance(obj, dict) and obj.keys() == _REPORT_KEYS:
+        try:
+            return _report_text(obj, "\n" + "  " * level)
+        except TypeError:
+            pass
+    return _json(obj, level)
+
+
 def render_report(report: dict) -> str:
-    """JSON text of a report, or of any other document: every float at 12
-    significant digits (-0.0 as 0.0), keys sorted, indent 2, ASCII only,
-    the bytes that ``json.dumps(..., indent=2, sort_keys=True)`` writes for
-    the rounded document, or the same error.  A report as
-    :func:`analyze_stack` builds it, alone or as a value of ``batch``'s
-    file-name-to-report mapping, is written from the report schema; every
-    other document, and a report-shaped one with a value of another type,
-    by ``json.dumps``.  A document that holds itself, which the walk and the
-    rounding would recurse into without end, raises the ``ValueError`` of
-    ``json``'s circular-reference check."""
-    try:
-        return _json(report, "\n") + "\n"
-    except RecursionError:
-        # Called for its error only; a document too deep, not circular,
-        # keeps the RecursionError.
-        json.dumps(report, indent=2, sort_keys=True)
-        raise
+    """JSON text of a report, or of any other document: the bytes that
+    ``json.dumps(document, indent=2, sort_keys=True)`` writes, with every
+    float at 12 significant digits (-0.0 as 0.0), or the same error.  A
+    float dict key is a float too: ``{0.1234567890123456: 1}`` has the key
+    ``"0.123456789012"``, and a -0.0 key is ``"0.0"`` (no command writes a
+    float key).
+
+    The writer is chosen once per value.  A report as :func:`analyze_stack`
+    builds it, as the whole document (``analyze``) or as a value of a
+    mapping with string keys (``batch``'s file-name-to-report mapping), is
+    written from the report schema.  Every other value, and a report that
+    the schema rejects, is written by ``json``'s own pure-Python encoder,
+    ``json.encoder._make_iterencode`` (a private function of the standard
+    library), with :func:`_float_text` as its float writer: it nests as deep
+    as ``json.dumps`` does, and a document that holds itself raises its
+    ``ValueError`` ("Circular reference detected")."""
+    if (
+        isinstance(report, dict) and report and report.keys() != _REPORT_KEYS
+        and all(isinstance(key, str) for key in report)
+    ):
+        items = sorted(report.items())
+        texts = [encode_basestring_ascii(key) + ": " + _value_text(val, 1) for key, val in items]
+        return _block(texts, "\n  ", "\n") + "\n"
+    return _value_text(report, 0) + "\n"
 
 
 def summarize_report(report: dict) -> str:

@@ -318,16 +318,15 @@ class _stage:
 class HermitianStage(NamedTuple):
     """Spectrum of the associated hermitian matrices of a stack.
 
-    ``w`` holds the eigenvalues ascending, ``vecs[:, k]`` the unit
-    eigenvector of ``w[:, k]`` with its largest entry real and positive,
-    and ``thresh`` the verdict threshold tol times the spectral norm.
-    ``mueller`` is the verdict ``w[:, 0] >= -thresh`` and ``rank`` the
-    number of eigenvalues above ``thresh`` (the last ``rank`` of ``w``).
+    ``w`` holds the eigenvalues ascending and ``vecs[:, k]`` the unit
+    eigenvector of ``w[:, k]`` with its largest entry real and positive.
+    With the verdict threshold tol times the spectral norm, ``mueller`` is
+    the verdict ``w[:, 0] >= -threshold`` and ``rank`` the number of
+    eigenvalues above the threshold (the last ``rank`` of ``w``).
     """
 
     w: np.ndarray
     vecs: np.ndarray
-    thresh: np.ndarray
     mueller: np.ndarray
     rank: np.ndarray
 
@@ -392,7 +391,7 @@ class Analysis:
         w, v = _eigh(_hermitian_of(self.m))
         thresh = self.tol * np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
         rank = np.count_nonzero(w > thresh[:, None], axis=1)
-        return HermitianStage(w, _canonical_phase(_transpose(v)), thresh, w[:, 0] >= -thresh, rank)
+        return HermitianStage(w, _canonical_phase(_transpose(v)), w[:, 0] >= -thresh, rank)
 
     @_stage
     def sigma(self) -> np.ndarray:

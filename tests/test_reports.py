@@ -14,14 +14,15 @@ captured again when the classification came to rank-test only the top
 cluster, which made it Type I with its d; the top near tie was added then,
 with bytes that the change left as they were.
 
-``render_report`` writes a report from the report's schema, walks a
-mapping with string keys in sorted key order, and hands any other document
-to ``json.dumps``; all are checked against the standard library's encoder
-applied to the rounded document (``helpers.reference_render_report``), the
-schema writer on every report branch, on report-shaped documents with
+``render_report`` writes a report, alone or as a value of a mapping with
+string keys, from the report's schema, and hands every other value to
+``json``'s own encoder; all are checked against the standard library's
+encoder applied to the rounded document (``helpers.reference_render_report``),
+the schema writer on every report branch, on report-shaped documents with
 foreign values, on arbitrary floats in every float field, and on the
 special and random floats of the generic tests written into a report's
-``input_echo``.
+``input_echo``.  Circular documents and documents nested 900 deep are
+checked against ``json.dumps`` itself.
 
 The input boundary of every public array-taking function is checked as
 one table at the end of the file.
@@ -216,6 +217,29 @@ def test_circular_documents_raise_what_json_raises(name):
     with pytest.raises(ValueError) as raised:
         render_report(doc)
     assert str(raised.value) == str(expected.value) == "Circular reference detected"
+
+
+@pytest.mark.parametrize("leaf", [7, 0.25], ids=["int", "float"])
+@pytest.mark.parametrize("kind", ["list", "dict"])
+@pytest.mark.parametrize("placement", ["alone", "batch_value"])
+def test_deep_documents_render_as_json_writes_them(placement, kind, leaf):
+    # 900 levels, which json writes and a walk that recurses two frames a
+    # level would not; the leaf needs no rounding, so json.dumps itself is
+    # the reference (helpers._round12 recurses too)
+    doc = leaf
+    for _ in range(900):
+        doc = [doc] if kind == "list" else {"k": doc}
+    if placement == "batch_value":
+        doc = {"a.txt": doc, "b.txt": {"error": "x"}}
+    assert render_report(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_float_key_is_written_as_a_float():
+    # rounded to 12 significant digits and -0.0 as 0.0, as a float value is
+    doc = {0.1234567890123456: 1, -0.0: [2], 1e16: None}
+    assert render_report(doc) == (
+        '{\n  "0.0": [\n    2\n  ],\n  "0.123456789012": 1,\n  "1e+16": null\n}\n'
+    )
 
 
 _VANZYL_REPORT = """\
@@ -466,7 +490,7 @@ def test_reports_read_the_binding_constraint_off_the_analysis(monkeypatch):
 
 # The schema writer.  render_report writes a report as analyze_stack builds
 # it from the report's fixed schema (cli._report_text), alone or nested in
-# batch's mapping, and any other document by the generic walk; both must
+# batch's mapping, and any other value by json's own encoder; both must
 # give the reference's bytes, or its TypeError.
 
 
@@ -591,10 +615,21 @@ _FOREIGN = {
     "three_jones_rows": _set(("mueller_jones", "jones", "imag"), [[0.0, 0.5]] * 3),
     "three_float_vector": _set(("witness", "vector", "real"), [1.0, 0.0, 0.0]),
     "five_float_vector": _set(("witness", "vector", "real"), [1.0, 0.0, 0.0, 0.0, 0.5]),
+    # each complex slot takes either shape, both parts of one shape
+    "vector_as_2x2_parts": _set(
+        ("witness", "vector"),
+        {"imag": [[0.0, 0.5], [-0.25, 0.0]], "real": [[1.0, 0.0], [0.0, 0.5]]},
+    ),
+    "jones_as_lists_of_four": _set(
+        ("mueller_jones", "jones"), {"imag": [0.0, 0.5, -0.25, 0.0], "real": [1.0, 0.0, 0.0, 0.5]}
+    ),
+    "unequal_jones_parts": _set(("mueller_jones", "jones", "real"), [1.0, 0.0, 0.0, 0.5]),
+    "unequal_vector_parts": _set(("witness", "vector", "imag"), [[0.0, 0.5], [-0.25, 0.0]]),
 }
 # The foreign values that the schema writer writes itself, as json does.
 _SCHEMA_WRITES = {
     "bool_rank", "float64_min_eigenvalue", "none_min_eigenvalue", "int_family", "int_verdict",
+    "vector_as_2x2_parts", "jones_as_lists_of_four",
 }
 
 
