@@ -49,8 +49,16 @@ followed and subdirectories skipped, in name order.  ``--tol`` and
 ``--verdict-exit`` belong to ``analyze`` and ``batch``, the commands with
 verdicts.
 
+Each command is a function of the parsed arguments that does no I/O and
+returns its document, the writer of its summary and its exit code;
+:func:`main` dispatches once and writes the report or the summary, or one
+``error:`` line.
+
 Exit codes: 0 success, 1 internal error, 2 parse/input failure (a bad
-``--tol``, or ``--tol`` on ``tetra-scan`` or ``vanzyl``, included).  With
+``--tol``, or ``--tol`` on ``tetra-scan`` or ``vanzyl``, included), and an
+input whose analysis overflows: the Lorentz margin squares the largest
+singular value, which must stay below about 1.34e154 (the library raises
+``FloatingPointError`` there; ``batch`` then writes no document).  With
 ``--verdict-exit``: 0 Mueller, 3 pre-Mueller only, 4 not pre-Mueller
 (:func:`verdict_exit_code`; ``batch`` exits with the worst tier of its
 files).
@@ -124,8 +132,8 @@ def parse_matrix_text(text: str) -> np.ndarray:
         if len(values) != 16:
             raise ParseError(f"expected 16 numbers, found {len(values)}")
         mat = np.array(values, dtype=float).reshape(4, 4)
-    if not np.isfinite(mat).all():
-        raise ParseError("non-finite entry in input (nan or inf)")
+        if not np.isfinite(mat).all():
+            raise ParseError("non-finite entry in input (nan or inf)")
     return mat
 
 
@@ -554,6 +562,35 @@ def summarize_report(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def summarize_batch(results: dict) -> str:
+    """Digest of a batch document: each file's summary or error under its
+    name."""
+    return "".join(
+        f"== {name}\n"
+        + (f"error: {report['error']}\n" if "error" in report else summarize_report(report))
+        for name, report in results.items()
+    )
+
+
+def summarize_tetra_scan(result: dict) -> str:
+    """One-line digest of a tetra-scan document."""
+    return (
+        f"samples {result['samples']} seed {result['seed']}: "
+        f"mueller fraction {result['fraction_mueller']:.6g}, "
+        f"pre-mueller fraction {result['fraction_pre_mueller']:.6g}\n"
+    )
+
+
+def summarize_vanzyl(result: dict) -> str:
+    """Digest of the van Zyl document."""
+    d, spectrum = (", ".join(f"{x:.6g}" for x in result[k]) for k in ("d", "diagonal_h_spectrum"))
+    return (
+        f"van Zyl canonical parameters: {d}\nphysical: {result['physical']}\n"
+        f"violated constraint: {result['binding_constraint']} (by {result['violation']:.6g})\n"
+        f"diagonal-form spectrum: {spectrum}\nnote: {result['note']}\n"
+    )
+
+
 def verdict_exit_code(report: dict) -> int:
     """The verdict tier of a report: 0 Mueller, 3 pre-Mueller only, 4 not
     pre-Mueller."""
@@ -628,91 +665,84 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None, out=None, err=None) -> int:
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
-    args = _parser().parse_args(argv)
+# The analysis squares the largest singular value sigma, and kernel._squares
+# raises FloatingPointError where that square is above the float range.
+_SIGMA_LIMIT = math.sqrt(sys.float_info.max)
+_OVERFLOW = "analysis overflows: largest singular value above about 1.34e154"
 
-    if args.command == "analyze":
+
+def _in_range(mats: np.ndarray) -> np.ndarray:
+    """``mats``, or FloatingPointError where an entry is above the limit of
+    sigma: sigma is at least the largest entry, and past that limit the
+    hermitian stage and sigma itself may overflow before sigma is squared."""
+    if np.abs(mats).max() > _SIGMA_LIMIT:
+        raise FloatingPointError(_OVERFLOW)
+    return mats
+
+
+def _analyze(args) -> tuple:
+    report = analyze_matrix(_in_range(load_matrix(args.file)), args.tol)
+    return report, summarize_report, verdict_exit_code(report) if args.verdict_exit else 0
+
+
+def _batch(args) -> tuple:
+    directory = Path(args.dir)
+    if not directory.is_dir():
+        raise ParseError(f"not a directory: {directory}")
+    results: dict[str, dict | None] = {}
+    names, mats = [], []
+    # One listing; DirEntry.is_file follows symlinks, as Path.is_file does.
+    with os.scandir(directory) as listing:
+        files = sorted((entry.name, entry.path) for entry in listing if entry.is_file())
+    for name, path in files:
         try:
-            mat = load_matrix(args.file)
+            mats.append(load_matrix(path))
         except ParseError as exc:
-            err.write(f"error: {exc}\n")
-            return _EXIT_PARSE
-        report = analyze_matrix(mat, args.tol)
-        out.write(render_report(report) if args.format == "report" else summarize_report(report))
-        return verdict_exit_code(report) if args.verdict_exit else 0
+            results[name] = {"error": str(exc)}
+            continue
+        names.append(name)
+        results[name] = None  # keeps the sorted order
+    worst = 0
+    if mats:
+        for name, report in zip(names, analyze_stack(_in_range(np.stack(mats)), args.tol)):
+            results[name] = report
+            worst = max(worst, verdict_exit_code(report))
+    if len(names) < len(results):
+        return results, summarize_batch, _EXIT_PARSE
+    return results, summarize_batch, worst if args.verdict_exit else 0
 
-    if args.command == "batch":
-        directory = Path(args.dir)
-        if not directory.is_dir():
-            err.write(f"error: not a directory: {directory}\n")
-            return _EXIT_PARSE
-        results: dict[str, dict | None] = {}
-        names, mats = [], []
-        # One listing; DirEntry.is_file follows symlinks, as Path.is_file does.
-        with os.scandir(directory) as listing:
-            files = sorted((entry.name, entry.path) for entry in listing if entry.is_file())
-        for name, path in files:
-            try:
-                mats.append(load_matrix(path))
-            except ParseError as exc:
-                results[name] = {"error": str(exc)}
-                continue
-            names.append(name)
-            results[name] = None  # keeps the sorted order
-        failed = len(names) < len(results)
-        worst = 0
-        if mats:
-            for name, report in zip(names, analyze_stack(np.stack(mats), args.tol)):
-                results[name] = report
-                worst = max(worst, verdict_exit_code(report))
-        if args.format == "report":
-            out.write(render_report(results))
-        else:
-            for name, report in results.items():
-                out.write(f"== {name}\n")
-                if "error" in report:
-                    out.write(f"error: {report['error']}\n")
-                else:
-                    out.write(summarize_report(report))
-        if failed:
-            return _EXIT_PARSE
-        return worst if args.verdict_exit else 0
 
-    if args.command == "tetra-scan":
-        try:
-            result = tetra_scan(args.samples, args.seed)
-        except ValueError as exc:
-            err.write(f"error: {exc}\n")
-            return _EXIT_PARSE
-        if args.format == "report":
-            out.write(render_report(result))
-        else:
-            out.write(
-                f"samples {result['samples']} seed {result['seed']}: "
-                f"mueller fraction {result['fraction_mueller']:.6g}, "
-                f"pre-mueller fraction {result['fraction_pre_mueller']:.6g}\n"
-            )
-        return 0
+def _tetra_scan(args) -> tuple:
+    try:
+        return tetra_scan(args.samples, args.seed), summarize_tetra_scan, 0
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
-    result = vanzyl_case()
-    if args.format == "report":
-        out.write(render_report(result))
-    else:
-        out.write(
-            "van Zyl canonical parameters: "
-            + ", ".join(f"{x:.6g}" for x in result["d"])
-            + "\n"
-            + f"physical: {result['physical']}\n"
-            + f"violated constraint: {result['binding_constraint']} "
-            + f"(by {result['violation']:.6g})\n"
-            + "diagonal-form spectrum: "
-            + ", ".join(f"{x:.6g}" for x in result["diagonal_h_spectrum"])
-            + "\n"
-            + f"note: {result['note']}\n"
-        )
-    return 0
+
+# Each command maps the parsed arguments to its document, its summary writer
+# and its exit code, and does no I/O.
+_COMMANDS = {
+    "analyze": _analyze,
+    "batch": _batch,
+    "tetra-scan": _tetra_scan,
+    "vanzyl": lambda args: (vanzyl_case(), summarize_vanzyl, 0),
+}
+
+
+def main(argv=None, out=None, err=None) -> int:
+    """Run one command: its document goes to ``out`` as a report or its
+    summary, and a ParseError, or an analysis that overflows, to ``err`` as
+    one ``error:`` line with exit code 2."""
+    args = _parser().parse_args(argv)
+    try:
+        document, summarize, code = _COMMANDS[args.command](args)
+    except (ParseError, FloatingPointError) as exc:
+        message = _OVERFLOW if isinstance(exc, FloatingPointError) else exc
+        (sys.stderr if err is None else err).write(f"error: {message}\n")
+        return _EXIT_PARSE
+    text = render_report(document) if args.format == "report" else summarize(document)
+    (sys.stdout if out is None else out).write(text)
+    return code
 
 
 def run() -> None:

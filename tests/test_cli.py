@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import muellercert
 from muellercert import mueller_from_jones
@@ -385,6 +389,38 @@ class TestMainCommand:
         assert capsys.readouterr().out == render_report(analyze_matrix(np.eye(4)))
         assert build_parser() is not build_parser()
 
+    @pytest.mark.parametrize("scale", [1.34e154, 1e170, 1e200, sys.float_info.max])
+    def test_analysis_overflow_is_an_input_error(self, tmp_path, capsys, scale):
+        # sigma^2 overflows from about 1.34e154 on: at 1.34e154 the entries
+        # are below that and sigma is above it; past it, at the top of the
+        # float range, sigma itself overflows.  The library raises below the
+        # top; the commands exit 2 with one error line and no document.
+        m = np.diag([1.0, 0.5, 0.3, -0.2])
+        m[0, 1] = 0.1
+        m = np.clip(scale * m, -sys.float_info.max, sys.float_info.max)
+        if scale < sys.float_info.max:
+            with pytest.raises(FloatingPointError):
+                analyze_matrix(m)
+        path = tmp_path / "big.txt"
+        path.write_text(" ".join(repr(x) for x in m.ravel().tolist()))
+        write_matrix(tmp_path, "normal.txt", np.eye(4))
+        expected = "error: analysis overflows: largest singular value above about 1.34e154\n"
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr() == ("", expected)
+        assert main(["batch", str(tmp_path), "--format", "summary"]) == 2
+        assert capsys.readouterr() == ("", expected)
+
+    def test_analysis_overflow_prints_no_traceback(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text(" ".join(["1e170"] + ["0"] * 15))
+        src = str(Path(muellercert.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "muellercert.cli", "analyze", str(path)],
+            capture_output=True, env={**os.environ, "PYTHONPATH": src}, check=False,
+        )
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.startswith(b"error: ") and b"Traceback" not in done.stderr
+
     def test_tetra_scan_command(self, capsys):
         assert main(["tetra-scan", "--samples", "20000", "--seed", "7"]) == 0
         parsed = json.loads(capsys.readouterr().out)
@@ -444,3 +480,27 @@ class TestVanZyl:
             [0.98245, 0.90225, 0.45505, -0.39275],
             atol=1e-12,
         )
+
+
+# Any 16 finite floats, and 2^k times a unit-scale matrix over the whole
+# exponent range, subnormal results and overflowing analyses included.
+_ANY_MATRIX = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=16, max_size=16),
+    st.builds(
+        lambda k, unit: [math.ldexp(x, k) for x in unit],
+        st.integers(-1070, 1020),
+        st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)  # about 1 s
+@given(values=_ANY_MATRIX)
+def test_analyze_gives_a_verdict_or_an_input_error(tmp_path_factory, values):
+    # warnings are errors in the suite, so a numpy warning fails this too
+    path = tmp_path_factory.getbasetemp() / "any_finite.txt"
+    path.write_text(" ".join(map(repr, values)))
+    out, err = io.StringIO(), io.StringIO()
+    code = main(["analyze", str(path)], out=out, err=err)
+    assert code in (0, 2)
+    assert (code == 0) == (err.getvalue() == "") == (out.getvalue() != "")

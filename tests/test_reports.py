@@ -295,22 +295,48 @@ invariants
 _TETRA_SCAN_SUMMARY = "samples 1000 seed 5: mueller fraction 0.315, pre-mueller fraction 1\n"
 
 
+_FLIP_SUMMARY = """\
+verdict: pre-Mueller only (cone-preserving but unphysical)
+cone margins: intensity 1, lorentz 0
+hermitian spectrum: 1, 1, 1, -1 (rank 3)
+canonical family: TypeI
+canonical d: 1, 1, 1, -1
+violated constraint: d1 + d2 - d3 <= d0
+witness expectation: -1
+"""
+
+_BAD_BATCH_REPORT = '{\n  "bad.txt": {\n    "error": "expected 16 numbers, found 3"\n  }\n}\n'
+_BAD_BATCH_SUMMARY = "== bad.txt\nerror: expected 16 numbers, found 3\n"
+
+# Input files of the commands below, written to a temporary directory DIR.
+_FLIP_FILE = {"flip.txt": "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 -1\n"}
+_BAD_FILE = {"bad.txt": "1 2 3\n"}
+
+
 @pytest.mark.parametrize(
-    "argv, expected",
+    "argv, files, expected, code",
     [
-        (["vanzyl"], _VANZYL_REPORT),
-        (["tetra-scan", "--samples", "1000", "--seed", "5"], _TETRA_SCAN_REPORT),
-        (["vanzyl", "--format", "summary"], _VANZYL_SUMMARY),
+        (["vanzyl"], {}, _VANZYL_REPORT, 0),
+        (["tetra-scan", "--samples", "1000", "--seed", "5"], {}, _TETRA_SCAN_REPORT, 0),
+        (["vanzyl", "--format", "summary"], {}, _VANZYL_SUMMARY, 0),
         (
             ["tetra-scan", "--samples", "1000", "--seed", "5", "--format", "summary"],
-            _TETRA_SCAN_SUMMARY,
+            {}, _TETRA_SCAN_SUMMARY, 0,
         ),
+        (["analyze", "DIR/flip.txt", "--format", "summary"], _FLIP_FILE, _FLIP_SUMMARY, 0),
+        (["batch", "DIR"], _BAD_FILE, _BAD_BATCH_REPORT, 2),
+        (["batch", "DIR", "--format", "summary"], _BAD_FILE, _BAD_BATCH_SUMMARY, 2),
     ],
-    ids=["vanzyl", "tetra-scan", "vanzyl-summary", "tetra-scan-summary"],
+    ids=[
+        "vanzyl", "tetra-scan", "vanzyl-summary", "tetra-scan-summary",
+        "analyze-witness-summary", "batch-parse-failure", "batch-parse-failure-summary",
+    ],
 )
-def test_command_report_bytes_are_pinned(argv, expected, capsys):
-    assert main(argv) == 0
-    assert capsys.readouterr().out == expected
+def test_command_report_bytes_are_pinned(argv, files, expected, code, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([arg.replace("DIR", str(tmp_path)) for arg in argv]) == code
+    assert capsys.readouterr() == (expected, "")
 
 
 def _mixed(kind, seed):
