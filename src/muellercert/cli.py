@@ -56,9 +56,11 @@ returns its document, the writer of its summary and its exit code;
 
 Exit codes: 0 success, 1 internal error, 2 parse/input failure (a bad
 ``--tol``, or ``--tol`` on ``tetra-scan`` or ``vanzyl``, included), and an
-input whose analysis overflows: the Lorentz margin squares the largest
-singular value, which must stay below about 1.34e154 (the library raises
-``FloatingPointError`` there; ``batch`` then writes no document).  With
+input whose Lorentz margin, the unit margin times the square of the largest
+singular value, is beyond the float range: from a largest singular value
+between about 9.5e153 and 1.34e154 on, depending on the matrix.  The cone
+stage raises ``FloatingPointError`` there, :func:`main` writes its text,
+and ``batch`` then writes no document.  With
 ``--verdict-exit``: 0 Mueller, 3 pre-Mueller only, 4 not pre-Mueller
 (:func:`verdict_exit_code`; ``batch`` exits with the worst tier of its
 files).
@@ -170,8 +172,11 @@ def analyze_stack(mats, tol: float = DEFAULT_TOL) -> list[dict]:
 
 
 def _reports(analysis: Analysis) -> list[dict]:
-    """The report documents of every matrix of an analysis."""
-    m, h, canon = analysis.m, analysis.hermitian, analysis.canonical
+    """The report documents of every matrix of an analysis.  The canonical
+    stage goes first: it reads the cone stage, which raises
+    FloatingPointError where a Lorentz margin is beyond the float range,
+    before any other stage sees the input."""
+    canon, h, m = analysis.canonical, analysis.hermitian, analysis.m
 
     # One tolist per stage array; each row below slices the Python lists.
     echo = m.reshape(-1, 16).tolist()
@@ -665,23 +670,8 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# The analysis squares the largest singular value sigma, and kernel._squares
-# raises FloatingPointError where that square is above the float range.
-_SIGMA_LIMIT = math.sqrt(sys.float_info.max)
-_OVERFLOW = "analysis overflows: largest singular value above about 1.34e154"
-
-
-def _in_range(mats: np.ndarray) -> np.ndarray:
-    """``mats``, or FloatingPointError where an entry is above the limit of
-    sigma: sigma is at least the largest entry, and past that limit the
-    hermitian stage and sigma itself may overflow before sigma is squared."""
-    if np.abs(mats).max() > _SIGMA_LIMIT:
-        raise FloatingPointError(_OVERFLOW)
-    return mats
-
-
 def _analyze(args) -> tuple:
-    report = analyze_matrix(_in_range(load_matrix(args.file)), args.tol)
+    report = analyze_matrix(load_matrix(args.file), args.tol)
     return report, summarize_report, verdict_exit_code(report) if args.verdict_exit else 0
 
 
@@ -704,7 +694,7 @@ def _batch(args) -> tuple:
         results[name] = None  # keeps the sorted order
     worst = 0
     if mats:
-        for name, report in zip(names, analyze_stack(_in_range(np.stack(mats)), args.tol)):
+        for name, report in zip(names, analyze_stack(np.stack(mats), args.tol)):
             results[name] = report
             worst = max(worst, verdict_exit_code(report))
     if len(names) < len(results):
@@ -732,13 +722,12 @@ _COMMANDS = {
 def main(argv=None, out=None, err=None) -> int:
     """Run one command: its document goes to ``out`` as a report or its
     summary, and a ParseError, or an analysis that overflows, to ``err`` as
-    one ``error:`` line with exit code 2."""
+    one ``error:`` line with the error's text and exit code 2."""
     args = _parser().parse_args(argv)
     try:
         document, summarize, code = _COMMANDS[args.command](args)
     except (ParseError, FloatingPointError) as exc:
-        message = _OVERFLOW if isinstance(exc, FloatingPointError) else exc
-        (sys.stderr if err is None else err).write(f"error: {message}\n")
+        (sys.stderr if err is None else err).write(f"error: {exc}\n")
         return _EXIT_PARSE
     text = render_report(document) if args.format == "report" else summarize(document)
     (sys.stdout if out is None else out).write(text)

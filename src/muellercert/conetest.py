@@ -101,7 +101,10 @@ def certify_cone(m, tol: float = DEFAULT_TOL) -> ConeVerdict:
     singular value.  The Lorentz margin is computed on ``m / sigma`` and
     rescaled by ``sigma**2`` only for the report, so the verdict does not
     depend on the scale of ``m``.  A pure state mapped to the zero vector
-    counts as the cone apex and is allowed.
+    counts as the cone apex and is allowed.  Where the Lorentz margin is
+    beyond the float range, from sigma between about 9.5e153 and 1.34e154
+    on (the margin of m / sigma lies in [-2, 2]), FloatingPointError is
+    raised.
     """
     cone = Analysis(as_mueller_matrix(m)[None], tol).cone
     return ConeVerdict(

@@ -143,14 +143,6 @@ def _transpose(a):
     return np.swapaxes(a, -1, -2)
 
 
-def _squares(x):
-    """Squares of an array, taken as Python floats take them: ``pow``
-    (which differs from x * x in the last bit now and then), raising
-    FloatingPointError where a square overflows."""
-    with np.errstate(over="raise"):
-        return np.float_power(x, 2)
-
-
 # numpy.linalg's gufuncs (numpy 2 names) on finite float64 / complex128
 # stacks, each giving the bits of the public function named in its docstring.
 
@@ -412,9 +404,25 @@ class Analysis:
 
     @_stage
     def cone(self) -> ConeStage:
+        """Cone verdicts and margins of every matrix, or FloatingPointError
+        where the reported Lorentz margin, the unit margin times sigma**2, is
+        beyond the float range: there sigma**2 overflows, or sigma itself
+        does and the unit margin of m / inf is 0 (0 * inf is nan)."""
         m, sigma, tol = self.m, self.sigma, self.tol
-        nonzero = sigma > 0.0
 
+        # unit^T G unit, bit for bit: G = diag(1, -1, -1, -1) only flips signs.
+        quad = LORENTZ_METRIC @ self._nmat
+        quad = 0.5 * (quad + _transpose(quad))
+        value, s_star = sphere_min(quad[:, 1:, 1:], quad[:, 0, 1:])
+        unit_lorentz = quad[:, 0, 0] + value
+        # float_power squares as Python floats do (pow, which differs from
+        # sigma * sigma in the last bit now and then).
+        with np.errstate(over="ignore", invalid="ignore"):
+            lorentz = unit_lorentz * np.float_power(sigma, 2)
+        if not np.isfinite(lorentz).all():
+            raise FloatingPointError("analysis overflows: Lorentz margin beyond the float range")
+
+        nonzero = sigma > 0.0
         row = m[:, 0, 1:]
         # Taken on the row over 2**e, e the exponent of sigma: no square under-
         # or overflows, and the exact power of two changes no other bit.
@@ -425,16 +433,9 @@ class Analysis:
         worst_intensity[:] = _POLE
         np.divide(-row, row_norm[:, None], out=worst_intensity, where=row_norm[:, None] > 0.0)
 
-        # unit^T G unit, bit for bit: G = diag(1, -1, -1, -1) only flips signs.
-        quad = LORENTZ_METRIC @ self._nmat
-        quad = 0.5 * (quad + _transpose(quad))
-        value, s_star = sphere_min(quad[:, 1:, 1:], quad[:, 0, 1:])
-        unit_lorentz = quad[:, 0, 0] + value
-
         ok = (intensity >= -tol * sigma) & (unit_lorentz >= -tol)
         binding_lorentz = unit_lorentz <= intensity / self._divisor
         worst = np.where(binding_lorentz[:, None], s_star, worst_intensity)
-        lorentz = unit_lorentz * _squares(sigma)
         # A zero matrix maps every input to the cone apex.
         if np.count_nonzero(nonzero) < len(m):
             zero = ~nonzero

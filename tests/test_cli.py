@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import muellercert
@@ -26,6 +26,12 @@ from muellercert.cli import (
 )
 
 from helpers import boost_jones, random_lorentz, rotation_jones
+
+
+_OVERFLOW_TEXT = "analysis overflows: Lorentz margin beyond the float range"
+# m30 = m33 = 2**511, every other entry 0, row-major: sigma**2 = 2**1023 is
+# finite, and the Lorentz margin, -2 sigma**2, is not.
+_BEYOND_RANGE = [0.0] * 12 + [2.0**511, 0.0, 0.0, 2.0**511]
 
 
 def write_matrix(tmp_path, name, m):
@@ -393,22 +399,34 @@ class TestMainCommand:
     def test_analysis_overflow_is_an_input_error(self, tmp_path, capsys, scale):
         # sigma^2 overflows from about 1.34e154 on: at 1.34e154 the entries
         # are below that and sigma is above it; past it, at the top of the
-        # float range, sigma itself overflows.  The library raises below the
-        # top; the commands exit 2 with one error line and no document.
+        # float range, sigma itself overflows.  The library raises at every
+        # scale here; the commands exit 2 with one error line and no
+        # document.
         m = np.diag([1.0, 0.5, 0.3, -0.2])
         m[0, 1] = 0.1
         m = np.clip(scale * m, -sys.float_info.max, sys.float_info.max)
-        if scale < sys.float_info.max:
-            with pytest.raises(FloatingPointError):
-                analyze_matrix(m)
+        with pytest.raises(FloatingPointError):
+            analyze_matrix(m)
         path = tmp_path / "big.txt"
         path.write_text(" ".join(repr(x) for x in m.ravel().tolist()))
         write_matrix(tmp_path, "normal.txt", np.eye(4))
-        expected = "error: analysis overflows: largest singular value above about 1.34e154\n"
+        expected = f"error: {_OVERFLOW_TEXT}\n"
         assert main(["analyze", str(path)]) == 2
         assert capsys.readouterr() == ("", expected)
         assert main(["batch", str(tmp_path), "--format", "summary"]) == 2
         assert capsys.readouterr() == ("", expected)
+
+    def test_lorentz_margin_beyond_the_float_range_is_an_input_error(self, tmp_path, capsys):
+        # Every entry is below sqrt(float max), but the Lorentz margin is
+        # -2**1024 (warnings are errors in the suite, so none is raised).
+        path = tmp_path / "wide.txt"
+        path.write_text(" ".join(map(repr, _BEYOND_RANGE)))
+        write_matrix(tmp_path, "normal.txt", np.eye(4))
+        expected = ("", f"error: {_OVERFLOW_TEXT}\n")
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr() == expected
+        assert main(["batch", str(tmp_path)]) == 2
+        assert capsys.readouterr() == expected
 
     def test_analysis_overflow_prints_no_traceback(self, tmp_path):
         path = tmp_path / "big.txt"
@@ -496,6 +514,7 @@ _ANY_MATRIX = st.one_of(
 
 @settings(max_examples=200, deadline=None)  # about 1 s
 @given(values=_ANY_MATRIX)
+@example(values=_BEYOND_RANGE)
 def test_analyze_gives_a_verdict_or_an_input_error(tmp_path_factory, values):
     # warnings are errors in the suite, so a numpy warning fails this too
     path = tmp_path_factory.getbasetemp() / "any_finite.txt"

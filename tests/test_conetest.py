@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,10 +7,13 @@ from hypothesis import strategies as st
 
 from muellercert import (
     certify_cone,
+    classify,
     m_from_h,
     mueller_from_jones,
+    physicality,
     sphere_quadratic_min,
 )
+from muellercert.cli import analyze_matrix
 from helpers import (
     fibonacci_sphere,
     grid_quadratic_min,
@@ -268,3 +273,34 @@ class TestCertifyCone:
                 assert abs(attained - unit_lorentz) <= 1e-12, k
             else:
                 assert abs(out[0] - verdict.intensity_margin / sigma) <= 1e-12, k
+
+
+# m30 = m33 = 2**511, every other entry 0: every entry is below sqrt(float
+# max) and sigma**2 = 2**1023 is finite, but the Lorentz margin of m / sigma
+# is -2, so the reported margin -2 sigma**2 is -2**1024.
+_WIDE = np.zeros((4, 4))
+_WIDE[3, 0] = _WIDE[3, 3] = 2.0**511
+# The top of the float range, where sigma itself overflows.
+_TOP = np.diag([1.0, 0.5, 0.3, -0.2])
+_TOP[0, 1] = 0.1
+_TOP = np.clip(sys.float_info.max * _TOP, -sys.float_info.max, sys.float_info.max)
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("m", [_WIDE, _TOP], ids=["wide", "top"])
+    @pytest.mark.parametrize("fn", [analyze_matrix, certify_cone, classify])
+    def test_lorentz_margin_beyond_the_float_range_raises(self, fn, m):
+        with pytest.raises(FloatingPointError, match="Lorentz margin beyond the float range"):
+            fn(m)
+
+    def test_margin_just_inside_the_float_range_is_reported(self):
+        # half the wide input: the margin is -2 sigma**2 = -2**1022
+        verdict = certify_cone(0.5 * _WIDE)
+        assert not verdict.is_pre_mueller
+        assert verdict.lorentz_margin == pytest.approx(-(2.0**1022), rel=1e-15)
+        assert analyze_matrix(0.5 * _WIDE)["pre_mueller"]["verdict"] is False
+
+    def test_stages_that_do_not_square_sigma_still_answer(self):
+        # physicality reads the hermitian stage only
+        report = physicality(1e300 * np.diag([1.0, 0.5, 0.3, -0.2]))
+        assert report.is_mueller and report.rank == 3

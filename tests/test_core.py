@@ -324,8 +324,9 @@ class TestPredicates:
         assert coherency_is_physical(scale * np.diag([1.0, -0.1])) is False
         assert coherency_is_physical(scale * np.diag([1.0, 0.1])) is True
         # and so does the norm of a matrix's first row in the cone test; the
-        # square of the largest singular value, in the Lorentz margin, still
-        # overflows from about 1.3e154 on
+        # Lorentz margin, the unit margin times the square of the largest
+        # singular value, leaves the float range from between about 9.5e153
+        # and 1.34e154 on, and the cone stage raises there
         rank_one = np.outer([1.0, 1.0, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0])
         with_m01 = np.diag([1.0, 0.5, 0.3, -0.2])
         with_m01[0, 1] = 0.1
