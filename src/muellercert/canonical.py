@@ -46,10 +46,14 @@ class CanonicalClass:
     """Family verdict of :func:`classify` with canonical parameters and
     factors when determined.
 
-    ``d`` is None when the parameters are not determined by the orbit (the
-    rank-one families carry no invariant scale) or cannot be extracted.
-    Factors are attached to a Type-I result whose factorization succeeds;
-    they satisfy L^T G L = G with positive corner and unit determinant, and
+    ``d`` holds the canonical parameters of a Type-I result and is None for
+    every other family: only for Type I does the Lorentz orbit fix them.  A
+    pair of x-boosts maps the Type-II (d0, d1) to (e^t d0, e^-t d1), and
+    the rank-one families carry no invariant scale.  ``diagnostics`` says
+    why a result has no classified family (NotPreMueller, zero matrix,
+    Indeterminate), and is None for a classified one.  Factors are attached
+    to a Type-I result whose factorization succeeds; they satisfy
+    L^T G L = G with positive corner and unit determinant, and
     l_left @ diag(d) @ l_right reproduces the input.
     """
 

@@ -61,7 +61,10 @@ class JonesEnsemble:
 
 
 def physicality(m, tol: float = DEFAULT_TOL) -> PhysicalityReport:
-    """Eigendecompose the associated hermitian matrix and report the verdict."""
+    """Eigendecompose the associated hermitian matrix and report the verdict.
+
+    Holds at every scale: it raises FloatingPointError only where an
+    eigenvalue is beyond the float range, near float max."""
     h = Analysis(as_mueller_matrix(m)[None], tol).hermitian
     return PhysicalityReport(
         eigenvalues=h.w[0, ::-1].copy(),

@@ -4,7 +4,8 @@ Every verdict of the package is read off three spectral objects of a real
 4x4 matrix M, and :class:`Analysis` computes each of them once per matrix,
 over a whole (N, 4, 4) stack at a time:
 
-* **H stage**: the associated hermitian matrix H and one stacked ``eigh``.
+* **H stage**: the associated hermitian matrix H and one stacked ``eigh``,
+  both of M over a power of two.
   It decides physicality and the rank, which the Jones ensemble, the
   single-Jones test, the entanglement witness and the reports read.
 * **Cone stage**: the largest singular value, the closed-form intensity
@@ -348,8 +349,10 @@ class NormalStage(NamedTuple):
 
 class CanonicalStage(NamedTuple):
     """Canonical families of a stack: ``family`` holds each row's
-    :class:`Family`, ``d`` the canonical parameters, shape (N, 4), nan
-    where the family has none, ``reason`` each row's diagnostics text, or
+    :class:`Family`, ``d`` the canonical parameters, shape (N, 4), on the
+    Type-I rows and nan on every other (the field of
+    :class:`~muellercert.CanonicalClass`), ``reason`` why a row has no
+    classified family (NotPreMueller, zero matrix, Indeterminate), else
     None, and ``binding`` the violated Type-I inequality of each Type-I row
     with the smallest margin (an item of :data:`TYPE1_CONSTRAINT_FORMS`),
     or None."""
@@ -380,10 +383,28 @@ class Analysis:
 
     @_stage
     def hermitian(self) -> HermitianStage:
-        w, v = _eigh(_hermitian_of(self.m))
+        """H and its ``eigh`` of every matrix, taken on M over 2**e, e the
+        even exponent that brings max|M| into [1/2, 2): no entry of H or step
+        of ``eigh`` overflows.  The power is even because LAPACK's deflation
+        tests compare square roots, which an odd power does not scale
+        exactly; an even one changes no bit unless LAPACK rescales
+        internally (beyond about 1e+-122).  The verdict and the rank are
+        read off that spectrum, and the eigenvalues scaled back by 2**e, or
+        FloatingPointError where one of them is then beyond the float
+        range."""
+        e = (np.frexp(np.abs(self.m).max(axis=(1, 2)))[1] & -2)[:, None]
+        w, v = _eigh(_hermitian_of(np.ldexp(self.m, -e[:, :, None])))
         thresh = self.tol * np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
         rank = np.count_nonzero(w > thresh[:, None], axis=1)
-        return HermitianStage(w, _canonical_phase(_transpose(v)), w[:, 0] >= -thresh, rank)
+        mueller = w[:, 0] >= -thresh
+        # ||H||_F = ||M||_F < 8 * 2**e, so only e > 1020 can overflow.
+        if e.max(initial=0) > 1020:
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.ldexp(w, e)).all():
+                    raise FloatingPointError(
+                        "analysis overflows: hermitian eigenvalue beyond the float range"
+                    )
+        return HermitianStage(np.ldexp(w, e), _canonical_phase(_transpose(v)), mueller, rank)
 
     @_stage
     def sigma(self) -> np.ndarray:
@@ -509,7 +530,7 @@ class Analysis:
             for j, i in enumerate(low):
                 family[i], reason[i] = _rank_one_family(u[j, :, 0], s[j, 1], vt[j, 0], cluster_tol)
         if full:
-            self._classify_full(full, family, d, reason)
+            self._classify_full(full, family, reason)
         binding = [None] * len(self.m)
         if _TYPE_I in family:
             type_one = [i for i, f in enumerate(family) if f is _TYPE_I]
@@ -520,9 +541,9 @@ class Analysis:
                     binding[i] = TYPE1_CONSTRAINT_FORMS[k]
         return CanonicalStage(family, d, reason, binding)
 
-    def _classify_full(self, full, family, d, reason) -> None:
-        """Write the families, the reasons and the Type-II d of the rows
-        ``full``, whose normal matrices do not vanish, into the stage's own.
+    def _classify_full(self, full, family, reason) -> None:
+        """Write the families and the reasons of the rows ``full``, whose
+        normal matrices do not vanish, into the stage's own.
 
         Only the top eigenvalue cluster (eigenvalues within sqrt(tol) of the
         largest, relative to the normal matrix's own scale) is examined.  N
@@ -582,8 +603,6 @@ class Analysis:
                 family[i] = _TYPE_I
             elif n_strict >= 1 and n_loose < size:
                 family[i] = _TYPE_II
-                if _matches_type2_pattern(self.unit[i], float(np.sqrt(tol))):
-                    d[i] = np.diag(self.m[i])
             else:
                 reason[i] = (
                     f"eigenvalue cluster near {center:.6g} (input normalized): "
@@ -644,9 +663,10 @@ class Analysis:
         return l_left, d, l_right
 
 
-def _rank_one_family(u, s1, v, cluster_tol) -> tuple[Family, str]:
-    """Family and reason of a cone-preserving matrix with vanishing normal
-    matrix from its second singular value ``s1`` and leading singular vectors."""
+def _rank_one_family(u, s1, v, cluster_tol) -> tuple[Family, str | None]:
+    """Family and reason (None for Polarizer and Pin map) of a
+    cone-preserving matrix with vanishing normal matrix from its second
+    singular value ``s1`` and leading singular vectors."""
     g = LORENTZ_METRIC
     if s1 > cluster_tol:
         return _INDETERMINATE, "vanishing Lorentz normal matrix but rank above one"
@@ -659,18 +679,8 @@ def _rank_one_family(u, s1, v, cluster_tol) -> tuple[Family, str]:
     if v[0] <= cluster_tol:
         return _INDETERMINATE, "rank-one input weight vector is not future-pointing"
     vgv = float(v @ g @ v)
-    note = "canonical scale d0 is not a double-coset invariant"
     if abs(vgv) <= cluster_tol:
-        return _POLARIZER, note
+        return _POLARIZER, None
     if vgv > 0.0:
-        return _PIN_MAP, note
+        return _PIN_MAP, None
     return _INDETERMINATE, "rank-one input weight vector is spacelike"
-
-
-def _matches_type2_pattern(mat: np.ndarray, atol: float) -> bool:
-    off = mat.copy()
-    np.fill_diagonal(off, 0.0)
-    off[0, 1] = 0.0
-    if float(np.abs(off).max()) > atol:
-        return False
-    return abs(mat[0, 1] - (mat[0, 0] - mat[1, 1])) <= atol

@@ -187,7 +187,26 @@ class TestClassify:
     def test_type_two_canonical_form(self):
         result = classify(type2_canonical(2.0, 1.0, 1.0, 1.0))
         assert result.family is Family.TYPE_II
-        np.testing.assert_allclose(result.d, [2, 1, 1, 1], atol=1e-12)
+        assert result.d is None
+
+    def test_type_two_orbit_mates_carry_no_d(self):
+        # x-boosts of rapidities a and b with a + b = t map n+ = e0 + e1 to
+        # d0 e^t n+ + (d0 - d1) e^(b - a) n- and n- = e0 - e1 to d1 e^-t n-:
+        # K(2, 1) and K(2 e^t, e^-t) share one orbit, so d0 and d1 are not
+        # orbit invariants and neither form may report them.
+        t = 0.5
+        skew = np.log(2.0 * np.exp(t) - np.exp(-t))
+        k = type2_canonical(2.0, 1.0, 0.8, 0.5)
+        boost = [mueller_from_jones(boost_jones(1, r)) for r in ((t - skew) / 2, (t + skew) / 2)]
+        mate = boost[0] @ k @ boost[1]
+        np.testing.assert_allclose(
+            mate, type2_canonical(2.0 * np.exp(t), np.exp(-t), 0.8, 0.5), atol=1e-12
+        )
+        for m in (k, mate):
+            result = classify(m)
+            assert result.family is Family.TYPE_II
+            assert result.d is None
+            assert result.diagnostics is None
 
     def test_not_pre_mueller(self):
         result = classify(np.diag([1.0, 1.5, 0.0, 0.0]))
@@ -676,7 +695,10 @@ def test_type_one_binding_constraint_agrees_with_physicality_on_the_corpus():
     # row is skipped when its worst canonical margin is within tol d0 of
     # zero or its minimum H eigenvalue within the H threshold of zero.  The
     # band holds every exact single-Jones input (zero margins and zero
-    # eigenvalues) and measured seed 3 m008_005.
+    # eigenvalues) and measured seed 3 m008_005.  The paper's rank-one
+    # criterion, that every Polarizer and Pin map is Mueller, is checked on
+    # the same reports: H of a rank-one map has three zero eigenvalues, so
+    # no such row leaves the H threshold, and none is skipped.
     corpus, tol = _bench_corpus(), muellercert.DEFAULT_TOL
     reports = []
     for seed in (1, 2, 3):
@@ -684,9 +706,12 @@ def test_type_one_binding_constraint_agrees_with_physicality_on_the_corpus():
         reports += analyze_stack(np.stack([entry.m for entry in exact]))
         for entries in corpus.measured_corpus(seed, 48, 25):
             reports += analyze_stack(np.stack([entry.m for entry in entries]))
-    compared, disagreeing = {True: 0, False: 0}, []
+    compared, disagreeing, rank_one = {True: 0, False: 0}, [], []
     for report in reports:
         canonical, physicality = report["canonical"], report["physicality"]
+        if canonical["family"] in ("Polarizer", "PinMap"):
+            rank_one.append(physicality["verdict"])
+            continue
         if canonical["family"] != "TypeI":
             continue
         d, eigenvalues = np.array(canonical["d"]), physicality["eigenvalues"]
@@ -700,6 +725,7 @@ def test_type_one_binding_constraint_agrees_with_physicality_on_the_corpus():
             disagreeing.append(report["input_echo"])
     assert disagreeing == []
     assert min(compared.values()) > 1000, compared
+    assert rank_one.count(True) == len(rank_one) >= 3000, rank_one.count(False)
 
 
 class TestDiagonalConstraints:

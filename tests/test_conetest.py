@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -304,3 +305,25 @@ class TestFloatRange:
         # physicality reads the hermitian stage only
         report = physicality(1e300 * np.diag([1.0, 0.5, 0.3, -0.2]))
         assert report.is_mueller and report.rank == 3
+
+    def test_hermitian_stage_answers_or_raises_at_the_top_of_the_float_range(self):
+        # Entries drawn from values up to float max: H and its eigh are taken
+        # on m over a power of two, so each eigenvalue is finite, or the
+        # stage raises where one scaled back is beyond the float range.
+        # Neither LinAlgError, nor inf, nor a warning.
+        top = sys.float_info.max
+        values = [0.0, top, -top, 1e154, -1e154, 9e153, -9e153, 6.7e153, -6.7e153]
+        values += [1e-160, 5e-324, 1.0, top / 3, -top / 7]
+        rng = np.random.default_rng(1)
+        answered = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(1500):
+                try:
+                    eigenvalues = physicality(rng.choice(values, size=(4, 4))).eigenvalues
+                except FloatingPointError as exc:
+                    assert "hermitian eigenvalue beyond the float range" in str(exc)
+                    continue
+                assert np.isfinite(eigenvalues).all()
+                answered += 1
+        assert answered >= 600

@@ -6,20 +6,27 @@ complex B of 1 to 4 rows (rank-deficient H included), or a Type-I canonical
 form diag(d) dressed by two random Lorentz matrices.  Every input is divided
 by the power of two that brings its largest magnitude into [1/2, 1), and
 entries below 2**-32 are set to zero, so 2**k times it is exact for k in
--990..500.  The whole module runs in about 3 s (300 examples per
-property).
+-990..500.  The dressing property draws a canonical form of each family
+instead.  The whole module runs in about 4 s (300 examples per property).
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from muellercert import jones_ensemble, m_from_h, physicality
+from muellercert import jones_ensemble, m_from_h, mueller_from_jones, physicality
 from muellercert.cli import analyze_matrix, verdict_exit_code
 
-from helpers import random_lorentz
+from helpers import (
+    boost_jones,
+    pin_map,
+    polarizer_map,
+    random_lorentz,
+    rotation_jones,
+    type2_canonical,
+)
 
 _SEEDS = st.integers(0, 2**32 - 1)
 
@@ -94,3 +101,53 @@ def test_the_jones_ensemble_rebuilds_the_matrix(m):
     left_out = np.abs(physicality(m).eigenvalues[len(ensemble):]).sum()
     error = np.abs(ensemble.reconstruct() - m).max()
     assert error <= 1e-12 * np.abs(m).max() + left_out
+
+
+def _type_one_form(rng):
+    # Band, fixed before the run: |d1|, |d2|, |d3| at most 0.99 d0 and
+    # pairwise at least 1e-2 d0 apart, so N's eigenvalues are distinct.
+    while True:
+        d = rng.uniform(-0.99, 0.99, size=3)
+        if np.diff(np.sort(np.abs(d))).min() >= 1e-2:
+            return np.diag(np.concatenate(([1.0], d)))
+
+
+def _type_two_form(rng):
+    # Band, fixed before the run: d2 <= 0.9 sqrt(d0 d1), so N's top cluster
+    # is the Jordan block alone, and d1 from 0.05 to 0.95 d0, so its
+    # coupling d0 (d0 - d1) is far above the rank test's threshold.
+    d1 = rng.uniform(0.05, 0.95)
+    d2 = rng.uniform(0.0, 0.9 * np.sqrt(d1))
+    return type2_canonical(1.0, d1, d2, rng.uniform(-d2, d2))
+
+
+_CANONICAL_FORMS = {
+    "TypeI": _type_one_form,
+    "TypeII": _type_two_form,
+    "Polarizer": lambda rng: polarizer_map(),
+    "PinMap": lambda rng: pin_map(),
+}
+
+
+def _lorentz(rng):
+    """A rotation after a boost of rapidity at most 1, about random axes."""
+    rotation = rotation_jones(int(rng.integers(1, 4)), rng.uniform(-np.pi, np.pi))
+    boost = boost_jones(int(rng.integers(1, 4)), rng.uniform(-1.0, 1.0))
+    return mueller_from_jones(rotation @ boost)
+
+
+@settings(max_examples=300, deadline=None)  # under 1 s
+@given(family=st.sampled_from(sorted(_CANONICAL_FORMS)), seed=_SEEDS)
+@example(family="TypeII", seed=0)
+def test_family_and_d_do_not_change_under_dressing(family, seed):
+    # d is reported only where the Lorentz orbit fixes it (Type I), and
+    # there L1 K L2 gives K's d within 1e-6 d0, a bound fixed before the run.
+    rng = np.random.default_rng(seed)
+    k = _CANONICAL_FORMS[family](rng)
+    base = analyze_matrix(k)["canonical"]
+    dressed = analyze_matrix(_lorentz(rng) @ k @ _lorentz(rng))["canonical"]
+    assert base["family"] == dressed["family"] == family
+    if family == "TypeI":
+        np.testing.assert_allclose(dressed["d"], base["d"], rtol=0.0, atol=1e-6 * base["d"][0])
+    else:
+        assert base["d"] is None and dressed["d"] is None
