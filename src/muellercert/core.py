@@ -246,13 +246,3 @@ def coherency_is_physical(phi, tol: float = DEFAULT_TOL) -> bool:
         return False
     return stokes_is_physical(np.einsum("ajk,kj->a", PAULI_BASIS, arr).real, 4.0 * tol)
 
-
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase of complex vectors (on the last axis) so that
-    the largest entry of each is real and positive.  Deterministic output
-    for eigenvector-valued results; zero vectors are returned unchanged."""
-    flat = v.reshape(-1, v.shape[-1])
-    pivot = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=-1)]
-    pivot = pivot.reshape(v.shape[:-1] + (1,))
-    mag = np.hypot(pivot.real, pivot.imag)
-    return v * np.divide(pivot.conj(), mag, out=np.ones_like(pivot), where=mag > 0.0)

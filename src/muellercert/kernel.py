@@ -41,10 +41,13 @@ both sizes take the same code path.  A stage is computed on its first read
 and kept in the analysis's ``__dict__`` by a descriptor that takes no lock,
 so threads analyzing different stacks never wait on each other.
 
-Row reductions are written as stacked matrix products
-(``x[:, None, :] @ y[:, :, None]``): those run the same BLAS routine per row
-as the 1-D products of a single matrix, so a row's result does not depend
-on the stack around it.
+Row reductions of real stacks are numpy's gufuncs ``np.vecdot``,
+``np.matvec`` and ``np.vecmat`` (numpy >= 2.2).  They run the per-row BLAS
+``dot`` or ``gemv`` that the stacked matrix products they replaced
+(``x[:, None, :] @ y[:, :, None]``) run, so they keep every bit, and a
+row's result does not depend on the stack around it.  On complex stacks
+``np.vecdot`` conjugates its first argument, so the witness expectation
+keeps its matrix-product form.
 
 Every LAPACK call goes straight to the gufunc of ``numpy.linalg`` that the
 public function would call (``_eigh``, ``_svdvals``, ``_svd``, ``_eig``,
@@ -58,18 +61,13 @@ or singular values hold one.
 """
 
 import enum
+import functools
 from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .core import (
-    DEFAULT_TOL,
-    LORENTZ_METRIC,
-    _canonical_phase,
-    _hermitian_of,
-    as_tolerance,
-)
+from .core import DEFAULT_TOL, LORENTZ_METRIC, _hermitian_of, as_tolerance
 
 # Degenerate-structure thresholds of the sphere minimization (relative to the
 # problem scale).  Eigenvalues within _GAP_EPS of the smallest form the
@@ -81,13 +79,15 @@ _COUPLING_EPS = 1e-14
 
 # Input direction reported when no pure input is singled out.
 _POLE = np.array([0.0, 0.0, 1.0])
-_POLE.setflags(write=False)
 _EYE = np.eye(4)
-_EYE.setflags(write=False)
+_COLUMNS = np.arange(4)
+_SIGNED_ZEROS = np.array([0.0, -0.0])
 _EPS = float(np.finfo(float).eps)
-# The signs of d1, d2 and d3 in the four Type-I margins, one row each.
-_MARGIN_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0], [1.0, -1.0, 1.0, -1.0]])
-_MARGIN_SIGNS.setflags(write=False)
+# The signs of d0, d1, d2 and d3 in the four Type-I margins, one row each.
+_MARGIN_SIGNS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, -1, 1], [1, -1, 1, -1]], float)
+for _const in (_POLE, _EYE, _COLUMNS, _SIGNED_ZEROS, _MARGIN_SIGNS):
+    _const.setflags(write=False)
+del _const
 #: The four inequalities, in fixed order, that make a diagonal canonical
 #: form physical.  Item k is violated exactly when type1_margins(d)[k] < 0.
 TYPE1_CONSTRAINT_FORMS = (
@@ -120,28 +120,13 @@ class NotTypeIError(ValueError):
     diagonal canonical form (or is singular)."""
 
 
-def _dot(x, y):
-    """Row-wise dot product of two (N, n) stacks."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
 def _norm(x):
     """Row-wise Euclidean norm of an (N, n) stack."""
-    return np.sqrt(_dot(x, x))
-
-
-def _matvec(a, x):
-    """Row-wise product of an (N, n, n) stack with an (N, n) stack."""
-    return (a @ x[:, :, None])[:, :, 0]
-
-
-def _quadratic(s, a):
-    """Row-wise quadratic form s^T a s."""
-    return ((s[:, None, :] @ a) @ s[:, :, None])[:, 0, 0]
+    return np.sqrt(np.vecdot(x, x))
 
 
 def _transpose(a):
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 # numpy.linalg's gufuncs (numpy 2 names) on finite float64 / complex128
@@ -209,9 +194,9 @@ def normal_matrices(mats):
 
 def type1_margins(d):
     """Slack of each Type-I physicality inequality of d, shape (..., 4)."""
-    # d0 +- d1 +- d2 +- d3 summed left to right; x - y is exactly x + (-y).
-    signs = _MARGIN_SIGNS
-    return d[..., :1] + d[..., 1:2] * signs[0] + d[..., 2:3] * signs[1] + d[..., 3:] * signs[2]
+    # d0 +- d1 +- d2 +- d3 summed left to right from -0.0, which adds no
+    # bit (an all-zero sum keeps its sign); x - y is exactly x + (-y).
+    return np.add.reduce(d[..., :, None] * _MARGIN_SIGNS, axis=-2, initial=-0.0)
 
 
 def worst_type1_constraint(d, tol):
@@ -219,7 +204,36 @@ def worst_type1_constraint(d, tol):
     and whether it is below -tol d0: scale-free, and rounding in the three
     zero margins of a single Jones system, d ~ (1, 1, 1, 1), violates nothing."""
     margins = type1_margins(d)
-    return np.argmin(margins, axis=-1), margins.min(axis=-1) < -tol * d[..., 0]
+    return margins.argmin(axis=-1), np.minimum.reduce(margins, axis=-1) < -tol * d[..., 0]
+
+
+@functools.cache
+def _lifted_index(n):
+    """Where each entry of the 2n x 2n matrix of :func:`_lifted` sits in its
+    source row ``[gap, -|c|, -v v^T, 0.0, -0.0]``."""
+    eye, diag, zero = np.eye(n, dtype=bool), np.arange(n), n * (n + 2)
+    index = np.block([
+        [np.where(eye, diag, zero), np.where(eye, n + diag, zero + 1)],
+        [2 * n + np.arange(n * n).reshape(n, n), np.where(eye, diag, zero)],
+    ])
+    index.setflags(write=False)
+    return index
+
+
+def _lifted(gap, c):
+    """The lifted matrices of :func:`sphere_min`, one gather per stack from
+    (N, n) stacks of gaps and couplings: the blocks diag(gap), -diag(|c|),
+    -v v^T and diag(gap), v = sign(c) |c|^1/2, with 0.0 off the diagonal
+    of each diag(gap) and -0.0 off that of -diag(|c|) (the sign of each
+    zero is part of LAPACK's input)."""
+    k, n = c.shape
+    abs_c = np.abs(c)
+    v = np.sign(c) * np.sqrt(abs_c)
+    outer = (v[:, :, None] * v[:, None, :]).reshape(k, n * n)
+    source = np.empty((k, n * (n + 2) + 2))
+    source[:, -2:] = _SIGNED_ZEROS
+    np.concatenate((gap, -abs_c, -outer), axis=1, out=source[:, :-2])
+    return source[:, _lifted_index(n)]
 
 
 def sphere_min(a, b):
@@ -230,64 +244,64 @@ def sphere_min(a, b):
     shape (N, n).  The method is documented at
     :func:`muellercert.conetest.sphere_quadratic_min`.
     """
-    n = b.shape[-1]
     lam, q = _eigh(a)
-    c = (b[:, None, :] @ q)[:, 0]
+    c = np.vecmat(b, q)
     # The spectrum is ascending, so its largest magnitude sits at an end.
-    scale = np.maximum(np.maximum.reduce(np.abs(lam), axis=1), np.maximum(_norm(b), 1.0))
+    scale = np.maximum(np.maximum(-lam[:, 0], lam[:, -1]), np.maximum(_norm(b), 1.0))
 
     gap = lam - lam[:, :1]
     bottom = gap <= _GAP_EPS * scale[:, None]
     # Components off the bottom eigenspace at mu = lambda_min; the bottom
     # eigenspace is a prefix of the ascending spectrum, so zeros there leave
-    # the row sums below unchanged.
+    # the row sums below unchanged.  bottom[:, 0] always holds, so
+    # s_eig[:, 0] is 0.0 until the hard case completes it.
     s_eig = np.divide(-c, gap, out=np.zeros(c.shape), where=~bottom)
-    tail_sq = _dot(s_eig, s_eig)
+    tail_sq = np.vecdot(s_eig, s_eig)
     c_bottom = np.where(bottom, c, 0.0)
     # Both callers pass a problem of unit size (entries below 2), so this
     # square cannot overflow.
-    hard = (_dot(c_bottom, c_bottom) <= np.float_power(_COUPLING_EPS * scale, 2)) & (
+    hard = (np.vecdot(c_bottom, c_bottom) <= np.float_power(_COUPLING_EPS * scale, 2)) & (
         tail_sq <= 1.0
     )
-    # Hard case: multiplier pinned at lambda_min, completed on the bottom
-    # eigenspace to reach the sphere.
-    s_eig[:, 0] = np.where(hard, np.sqrt(np.maximum(1.0 - tail_sq, 0.0)), 0.0)
-
     n_hard = np.count_nonzero(hard)
+    if n_hard:
+        # Hard case: multiplier pinned at lambda_min, completed on the
+        # bottom eigenspace to reach the sphere.
+        s_eig[:, 0] = np.where(hard, np.sqrt(np.maximum(1.0 - tail_sq, 0.0)), 0.0)
+
     if n_hard < len(hard):
         easy = slice(None) if n_hard == 0 else ~hard
         c, gap, bottom = c[easy], gap[easy], bottom[easy]
-        k = len(c)
-        # The eigenvalues of `lifted` are mu - lambda_min; shift is
-        # lambda_min - mu, clamped so that mu <= lambda_min.  Its blocks are
-        # diag(gap), -diag(|c|), -v v^T and diag(gap).
-        abs_c = np.abs(c)
-        v = np.sign(c) * np.sqrt(abs_c)
-        lifted = np.zeros((k, 2 * n, 2 * n))
-        lifted[:, :n, n:] = -0.0
-        lifted[:, n:, :n] = -(v[:, :, None] * v[:, None, :])
-        flat = lifted.reshape(k, 4 * n * n)
-        flat[:, :: 2 * n + 1] = np.concatenate((gap, gap), axis=1)
-        flat[:, n : n * (2 * n + 2) : 2 * n + 1] = -abs_c
-        shift = np.maximum(0.0, -_eigvals(lifted).real.min(axis=-1))
+        # The eigenvalues of the lifted matrix are mu - lambda_min; shift is
+        # lambda_min - mu, clamped so that mu <= lambda_min.
+        shift = np.maximum(0.0, -_eigvals(_lifted(gap, c)).real.min(axis=-1))
         # Off the bottom eigenspace the components are -c / (gap + shift).
         # Only the direction of the bottom components is used, so there a
         # shift below rounding may be floored without changing the result.
         floor = np.maximum(shift, _EPS * scale[easy])
         comp = -c / (gap + np.where(bottom, floor[:, None], shift[:, None]))
         s_easy = np.where(bottom, 0.0, comp)
-        direction = np.where(bottom, comp, 0.0)
+        # comp on the bottom eigenspace, 0.0 off it (comp is finite there).
+        direction = comp - s_easy
         length = _norm(direction)
-        deficit = np.maximum(0.0, 1.0 - _dot(s_easy, s_easy))
+        deficit = np.maximum(0.0, 1.0 - np.vecdot(s_easy, s_easy))
         grow = length > 0.0
         ratio = np.divide(np.sqrt(deficit), length, out=np.zeros(length.shape), where=grow)
         complete = bottom & grow[:, None]
         s_eig[easy] = np.where(complete, direction * ratio[:, None], s_easy)
 
-    s = _matvec(q, s_eig)
+    s = np.matvec(q, s_eig)
     norm = _norm(s)
     s = np.divide(s, norm[:, None], out=s, where=norm[:, None] > 0.0)
-    return _quadratic(s, a) + 2.0 * _dot(b, s), s
+    return np.vecdot(np.vecmat(s, a), s) + 2.0 * np.vecdot(b, s), s
+
+
+def _unit_phase(v):
+    """The columns of an (N, 4, 4) stack of unit eigenvectors as rows, each
+    turned in global phase so that its largest entry is real and positive.
+    That entry of a unit vector is never zero."""
+    pivot = v[np.arange(len(v))[:, None], np.abs(v).argmax(axis=1), _COLUMNS]
+    return _transpose(v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))[:, None, :])
 
 
 class _stage:
@@ -391,11 +405,15 @@ class Analysis:
         internally (beyond about 1e+-122).  The verdict and the rank are
         read off that spectrum, and the eigenvalues scaled back by 2**e, or
         FloatingPointError where one of them is then beyond the float
-        range."""
-        e = (np.frexp(np.abs(self.m).max(axis=(1, 2)))[1] & -2)[:, None]
+        range.  That includes an eigenvalue within one rounding of float
+        max: it can round to +-1.0 in the scaled spectrum, and 1.0 * 2**1024
+        overflows, where an unscaled ``eigvalsh`` gives +-1.797e308."""
+        peak = np.maximum.reduce(np.abs(self.m).reshape(-1, 16), axis=1)
+        e = (np.frexp(peak)[1] & -2)[:, None]
         w, v = _eigh(_hermitian_of(np.ldexp(self.m, -e[:, :, None])))
-        thresh = self.tol * np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
-        rank = np.count_nonzero(w > thresh[:, None], axis=1)
+        # The spectrum is ascending, so its largest magnitude sits at an end.
+        thresh = self.tol * np.maximum(-w[:, 0], w[:, -1])
+        rank = (w > thresh[:, None]).sum(axis=1)
         mueller = w[:, 0] >= -thresh
         # ||H||_F = ||M||_F < 8 * 2**e, so only e > 1020 can overflow.
         if e.max(initial=0) > 1020:
@@ -404,7 +422,7 @@ class Analysis:
                     raise FloatingPointError(
                         "analysis overflows: hermitian eigenvalue beyond the float range"
                     )
-        return HermitianStage(np.ldexp(w, e), _canonical_phase(_transpose(v)), mueller, rank)
+        return HermitianStage(np.ldexp(w, e), _unit_phase(v), mueller, rank)
 
     @_stage
     def sigma(self) -> np.ndarray:
@@ -443,23 +461,21 @@ class Analysis:
         if not np.isfinite(lorentz).all():
             raise FloatingPointError("analysis overflows: Lorentz margin beyond the float range")
 
-        nonzero = sigma > 0.0
         row = m[:, 0, 1:]
         # Taken on the row over 2**e, e the exponent of sigma: no square under-
         # or overflows, and the exact power of two changes no other bit.
         e = np.frexp(sigma)[1]
         row_norm = np.ldexp(_norm(np.ldexp(row, -e[:, None])), e)
         intensity = m[:, 0, 0] - row_norm
-        worst_intensity = np.empty_like(row)
-        worst_intensity[:] = _POLE
+        worst_intensity = _POLE[None].repeat(len(m), axis=0)
         np.divide(-row, row_norm[:, None], out=worst_intensity, where=row_norm[:, None] > 0.0)
 
         ok = (intensity >= -tol * sigma) & (unit_lorentz >= -tol)
         binding_lorentz = unit_lorentz <= intensity / self._divisor
         worst = np.where(binding_lorentz[:, None], s_star, worst_intensity)
         # A zero matrix maps every input to the cone apex.
-        if np.count_nonzero(nonzero) < len(m):
-            zero = ~nonzero
+        if np.count_nonzero(sigma) < len(m):
+            zero = sigma == 0.0
             ok[zero] = True
             intensity[zero] = lorentz[zero] = 0.0
             worst[zero] = _POLE
@@ -475,10 +491,10 @@ class Analysis:
     def normal(self) -> NormalStage:
         nmat = self._nmat
         lam, vecs = _eig(nmat)
-        imag = np.abs(lam.imag).max(axis=-1, initial=0.0)
-        order = np.argsort(-lam.real, axis=-1)
+        imag = np.maximum.reduce(np.abs(lam.imag), axis=-1, initial=0.0)
+        order = (-lam.real).argsort(axis=-1)
         rows = np.arange(len(lam))[:, None]
-        vecs = vecs.real[rows[:, :, None], np.arange(4)[:, None], order[:, None, :]]
+        vecs = vecs.real[rows[:, :, None], _COLUMNS[:, None], order[:, None, :]]
         return NormalStage(nmat, _spectral_norm(nmat), lam.real[rows, order], vecs, imag)
 
     @_stage
@@ -558,24 +574,24 @@ class Analysis:
         anything in between is Indeterminate.
         """
         tol = self.tol
-        # Views, not copies, when every row is classified (always at N = 1).
-        rows = slice(None) if len(full) == len(self.m) else full
-        nmat, nnorm, lam, vecs, imag = (field[rows] for field in self.normal)
+        nmat, nnorm, lam, vecs, imag = self.normal
         cluster_tol = float(np.sqrt(tol)) * nnorm
         ctol, lam_l, imag_l, clip_l = (
-            cluster_tol.tolist(), lam.tolist(), imag.tolist(), np.clip(lam, 0.0, None).tolist()
+            cluster_tol.tolist(), lam.tolist(), imag.tolist(), np.maximum(lam, 0.0).tolist()
         )
-        timelike = (_quadratic(vecs[:, :, 0], LORENTZ_METRIC) > 0.0).tolist()
+        top = vecs[:, :, 0]
+        timelike = (np.vecdot(np.vecmat(top, LORENTZ_METRIC), top) > 0.0).tolist()
 
         # The size and centre of each tied top cluster, by row.
         tied = {}
-        for j, (i, lj, cj) in enumerate(zip(full, clip_l, ctol)):
-            if imag_l[j] > cj:
+        for i in full:
+            lj, cj = clip_l[i], ctol[i]
+            if imag_l[i] > cj:
                 reason[i] = "Lorentz normal matrix has complex spectrum"
-            elif lam_l[j][3] < -cj:
+            elif lam_l[i][3] < -cj:
                 reason[i] = "Lorentz normal matrix has a negative eigenvalue"
             elif lj[0] - lj[1] > cj:
-                if timelike[j]:
+                if timelike[i]:
                     family[i] = _TYPE_I
                 else:
                     reason[i] = "dominant eigenvector is not timelike"
@@ -586,7 +602,7 @@ class Analysis:
                 total = 0.0
                 for x in lj[:size]:
                     total += x
-                tied[j] = size, total / size
+                tied[i] = size, total / size
         if not tied:
             return
 
@@ -594,11 +610,11 @@ class Analysis:
         # (N - lambda I) next to an O(1) coupling; a nearly tied
         # diagonalizable pair leaves neither.
         at = list(tied)
-        svals = _svdvals(np.stack([nmat[j] - center * _EYE for j, (_, center) in tied.items()]))
-        strict = np.count_nonzero(svals <= tol * nnorm[at, None], axis=1).tolist()
-        loose = np.count_nonzero(svals <= cluster_tol[at, None], axis=1).tolist()
-        for (j, (size, center)), n_strict, n_loose in zip(tied.items(), strict, loose):
-            i = full[j]
+        centers = np.array([center for _, center in tied.values()])
+        svals = _svdvals(nmat[at] - centers[:, None, None] * _EYE)
+        strict = (svals <= tol * nnorm[at, None]).sum(axis=1).tolist()
+        loose = (svals <= cluster_tol[at, None]).sum(axis=1).tolist()
+        for (i, (size, center)), n_strict, n_loose in zip(tied.items(), strict, loose):
             if n_strict >= size:
                 family[i] = _TYPE_I
             elif n_strict >= 1 and n_loose < size:

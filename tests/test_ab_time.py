@@ -35,7 +35,11 @@ def test_same_checkout_on_both_sides(options, count):
         r"change faster in [012] of 2 rounds",
         lines[3],
     )
-    assert lines[4:] == [f"outputs differ: 0 of {count.split()[0]}"]
+    assert re.fullmatch(
+        r"fastest pass: parent \d+\.\d{4} s, change \d+\.\d{4} s, change/parent \d+\.\d{3}",
+        lines[4],
+    )
+    assert lines[5:] == [f"outputs differ: 0 of {count.split()[0]}"]
 
 
 def test_bad_round_count_is_a_usage_error():

@@ -653,6 +653,79 @@ def test_gufunc_helpers_raise_on_a_failed_row(helper, n):
             helper(stack)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_row_gufuncs_are_the_matmul_forms(data):
+    # vecdot, matvec and vecmat run the per-row BLAS dot or gemv that the
+    # stacked matmul forms run, on contiguous and strided real views alike;
+    # products of three scales of 1e150 overflow, to the same inf or nan
+    stack = _scaled_stack(data.draw, (4, 4))
+    g = LORENTZ_METRIC
+    for mats in (stack, stack[:1]):
+        x, a, col = mats[:, 0, 1:], mats[:, 1:, 1:], mats[:, :, 0]
+        y = np.resize(_scaled_stack(data.draw, (3,)), (len(mats), 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cases = [
+                (np.vecdot(x, y), (x[:, None, :] @ y[:, :, None])[:, 0, 0]),
+                (np.vecdot(x, x), (x[:, None, :] @ x[:, :, None])[:, 0, 0]),
+                (np.vecdot(col, col), (col[:, None, :] @ col[:, :, None])[:, 0, 0]),
+                (np.matvec(a, y), (a @ y[:, :, None])[:, :, 0]),
+                (np.matvec(mats, col), (mats @ col[:, :, None])[:, :, 0]),
+                (np.vecmat(x, a), (x[:, None, :] @ a)[:, 0]),
+                (np.vecmat(col, g), (col[:, None, :] @ g)[:, 0]),
+                (
+                    np.vecdot(np.vecmat(col, g), col),
+                    ((col[:, None, :] @ g) @ col[:, :, None])[:, 0, 0],
+                ),
+                (
+                    np.vecdot(np.vecmat(y, a), y),
+                    ((y[:, None, :] @ a) @ y[:, :, None])[:, 0, 0],
+                ),
+            ]
+        for got, want in cases:
+            _same_bytes([got], [want])
+
+
+def _assembled_lifted(gap, c):
+    # sphere_min's lifted matrices as they were assembled block by block
+    k, n = c.shape
+    abs_c = np.abs(c)
+    v = np.sign(c) * np.sqrt(abs_c)
+    lifted = np.zeros((k, 2 * n, 2 * n))
+    lifted[:, :n, n:] = -0.0
+    lifted[:, n:, :n] = -(v[:, :, None] * v[:, None, :])
+    flat = lifted.reshape(k, 4 * n * n)
+    flat[:, :: 2 * n + 1] = np.concatenate((gap, gap), axis=1)
+    flat[:, n : n * (2 * n + 2) : 2 * n + 1] = -abs_c
+    return lifted
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_lifted_gather_is_the_assembly(n, data):
+    c = _scaled_stack(data.draw, (n,))
+    gap = np.resize(_scaled_stack(data.draw, (n,)), c.shape)
+    _same_bytes([kernel._lifted(gap, c)], [_assembled_lifted(gap, c)])
+
+
+def _canonical_phase(v):
+    # the phase rule as written for any vector, zero vectors included
+    flat = v.reshape(-1, v.shape[-1])
+    pivot = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=-1)]
+    pivot = pivot.reshape(v.shape[:-1] + (1,))
+    mag = np.hypot(pivot.real, pivot.imag)
+    return v * np.divide(pivot.conj(), mag, out=np.ones_like(pivot), where=mag > 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_unit_phase_is_the_canonical_phase_on_unit_vectors(data):
+    # the columns of eigh's eigenvector stacks, which are unit vectors
+    _, v = np.linalg.eigh(kernel._hermitian_of(_scaled_stack(data.draw, (4, 4))))
+    _same_bytes([kernel._unit_phase(v)], [_canonical_phase(np.swapaxes(v, -1, -2))])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_near_face_type_one())
 def test_binding_constraint_agrees_with_physicality(case):

@@ -21,8 +21,10 @@ the host's speed falls on both sides alike; sequential runs of the two
 checkouts can differ by more than the change being measured.  It prints
 each side's median pass time, and the median of the per-round ratios
 change / parent with their interquartile range and the number of rounds in
-which the change was faster.  Last, it compares one pass of rendered
-output per side and exits 1 when any output differs, else 0.
+which the change was faster.  Next it prints each side's fastest pass and
+their ratio: host noise only slows a pass, so the fastest passes move less
+with it than the medians.  Last, it compares one pass of rendered output per
+side and exits 1 when any output differs, else 0.
 """
 
 import os
@@ -135,6 +137,11 @@ def main(argv=None) -> int:
     print(
         f"change/parent: median {median:.3f}, IQR {q3 - q1:.3f} "
         f"(q1 {q1:.3f}, q3 {q3:.3f}), change faster in {wins} of {len(ratios)} rounds"
+    )
+    fastest = {name: min(passes) for name, passes in times.items()}
+    print(
+        f"fastest pass: parent {fastest['parent']:.4f} s, change {fastest['change']:.4f} s, "
+        f"change/parent {fastest['change'] / fastest['parent']:.3f}"
     )
 
     texts = outputs
