@@ -163,4 +163,5 @@ def classify(m, tol: float = DEFAULT_TOL) -> CanonicalClass:
             l_left, _, l_right = analysis.factor()
         except (DegenerateSpectrumError, NotTypeIError):
             pass
-    return CanonicalClass(family, None if np.isnan(d[0]) else d, l_left, l_right, stage.reason[0])
+    d = None if d is None else np.array(d)
+    return CanonicalClass(family, d, l_left, l_right, stage.reason[0])

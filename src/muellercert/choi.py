@@ -67,11 +67,11 @@ def physicality(m, tol: float = DEFAULT_TOL) -> PhysicalityReport:
     eigenvalue is beyond the float range, near float max."""
     h = Analysis(as_mueller_matrix(m)[None], tol).hermitian
     return PhysicalityReport(
-        eigenvalues=h.w[0, ::-1].copy(),
-        min_eigenvalue=float(h.w[0, 0]),
+        eigenvalues=np.array(h.w[0][::-1]),
+        min_eigenvalue=h.w[0][0],
         min_eigenvector=h.vecs[0, 0].copy(),
-        is_mueller=bool(h.mueller[0]),
-        rank=int(h.rank[0]),
+        is_mueller=h.mueller[0],
+        rank=h.rank[0],
     )
 
 
@@ -91,7 +91,7 @@ def jones_ensemble(m, tol: float = DEFAULT_TOL) -> JonesEnsemble:
         )
     return JonesEnsemble(
         items=tuple(
-            (float(w[k]), devectorize(h.vecs[0, k])) for k in range(3, 3 - h.rank[0], -1)
+            (w[k], devectorize(h.vecs[0, k])) for k in range(3, 3 - h.rank[0], -1)
         )
     )
 
@@ -106,4 +106,4 @@ def mueller_jones_test(m, tol: float = DEFAULT_TOL):
     h = Analysis(as_mueller_matrix(m)[None], tol).hermitian
     if not h.mueller[0] or h.rank[0] != 1:
         return None
-    return np.sqrt(float(h.w[0, 3])) * devectorize(h.vecs[0, 3])
+    return np.sqrt(h.w[0][3]) * devectorize(h.vecs[0, 3])

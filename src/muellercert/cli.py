@@ -176,23 +176,23 @@ def _reports(analysis: Analysis) -> list[dict]:
     stage goes first: it reads the cone stage, which raises
     FloatingPointError where a Lorentz margin is beyond the float range,
     before any other stage sees the input."""
-    canon, h, m = analysis.canonical, analysis.hermitian, analysis.m
+    canon, m = analysis.canonical, analysis.m
+    cone_ok, intensity, lorentz, worst_input = analysis.cone
+    w_rows, vecs, mueller_rows, rank_rows = analysis.hermitian
 
-    # One tolist per stage array; each row below slices the Python lists.
+    # The stage fields are Python lists, except the input and the
+    # eigenvectors: one tolist each, and each row below slices the lists.
     echo = m.reshape(-1, 16).tolist()
-    d_rows, binding = canon.d.tolist(), canon.binding
-    cone_ok, intensity, lorentz, worst_input = (field.tolist() for field in analysis.cone)
-    w_rows, mueller_rows, rank_rows = h.w.tolist(), h.mueller.tolist(), h.rank.tolist()
-    vec_real, vec_imag = h.vecs.real.tolist(), h.vecs.imag.tolist()
+    vec_real, vec_imag = vecs.real.tolist(), vecs.imag.tolist()
     # One stacked witness expectation over the non-Mueller rows, which the
     # loop below reads in row order.
     expectations = iter(())
     if not all(mueller_rows):
-        unphysical = ~h.mueller
+        unphysical = [i for i, mueller in enumerate(mueller_rows) if not mueller]
         state = _extended_action(m[unphysical], _WITNESS_INPUT)
-        expectations = iter(_expectation(state, h.vecs[unphysical, 0]).tolist())
+        expectations = iter(_expectation(state, vecs[unphysical, 0]).tolist())
     reports = []
-    for i, d in enumerate(d_rows):
+    for i, d in enumerate(canon.d):
         # The H stage's verdicts, as choi.physicality, mueller_jones_test,
         # jones_ensemble and witness_certificate read them.
         w_i, mueller, rank = w_rows[i], mueller_rows[i], rank_rows[i]
@@ -233,8 +233,8 @@ def _reports(analysis: Analysis) -> list[dict]:
             "ensemble": ensemble,
             "canonical": {
                 "family": canon.family[i].value,
-                "d": None if math.isnan(d[0]) else d,
-                "binding_constraint": binding[i],
+                "d": d,
+                "binding_constraint": canon.binding[i],
             },
             "witness": witness,
         })

@@ -108,8 +108,5 @@ def certify_cone(m, tol: float = DEFAULT_TOL) -> ConeVerdict:
     """
     cone = Analysis(as_mueller_matrix(m)[None], tol).cone
     return ConeVerdict(
-        bool(cone.ok[0]),
-        float(cone.intensity_margin[0]),
-        float(cone.lorentz_margin[0]),
-        cone.worst_input[0].copy(),
+        cone.ok[0], cone.intensity_margin[0], cone.lorentz_margin[0], np.array(cone.worst_input[0])
     )

@@ -41,6 +41,24 @@ both sizes take the same code path.  A stage is computed on its first read
 and kept in the analysis's ``__dict__`` by a descriptor that takes no lock,
 so threads analyzing different stacks never wait on each other.
 
+What runs stacked and what runs per row: every LAPACK call, every
+BLAS-backed product (``matmul``, ``np.vecdot``, ``np.matvec``,
+``np.vecmat``, ``einsum``) and with them all of :func:`sphere_min` run on
+the whole stack, and so do ``_unit_phase`` (``np.hypot``) and
+:attr:`Analysis.type1_d` (``np.exp``).  The scalar tail of each stage runs
+in one Python loop over ``tolist()`` values: the H stage's threshold, rank,
+verdict and scaling back; the cone stage's margins, verdict, worst input
+and zero rows; the canonical stage's d and binding rows.  Those fields are
+Python lists.  Numpy dispatch on a 1-row array costs 0.4-2 us per call,
+where a Python float operation costs tens of nanoseconds, so the loops
+serve one matrix best, and every stack size takes them.  The loops use
+only +, -, *, /, ``**`` (C ``pow``, as ``np.float_power``),
+``math.ldexp``, ``max`` and comparisons, each of which gives the bits of
+the numpy operation it replaced.  Sums of products cannot move: numpy's
+BLAS kernels fuse multiply and add (FMA) on hosts that have it, and on an
+AVX-512 host ``np.vecdot`` of 3-vectors equals a left-to-right Python sum
+in only 66.7% of 200,000 random draws.
+
 Row reductions of real stacks are numpy's gufuncs ``np.vecdot``,
 ``np.matvec`` and ``np.vecmat`` (numpy >= 2.2).  They run the per-row BLAS
 ``dot`` or ``gemv`` that the stacked matrix products they replaced
@@ -62,6 +80,7 @@ or singular values hold one.
 
 import enum
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -78,14 +97,14 @@ _GAP_EPS = 1e-12
 _COUPLING_EPS = 1e-14
 
 # Input direction reported when no pure input is singled out.
-_POLE = np.array([0.0, 0.0, 1.0])
+_POLE = (0.0, 0.0, 1.0)
 _EYE = np.eye(4)
 _COLUMNS = np.arange(4)
 _SIGNED_ZEROS = np.array([0.0, -0.0])
 _EPS = float(np.finfo(float).eps)
 # The signs of d0, d1, d2 and d3 in the four Type-I margins, one row each.
 _MARGIN_SIGNS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, -1, 1], [1, -1, 1, -1]], float)
-for _const in (_POLE, _EYE, _COLUMNS, _SIGNED_ZEROS, _MARGIN_SIGNS):
+for _const in (_EYE, _COLUMNS, _SIGNED_ZEROS, _MARGIN_SIGNS):
     _const.setflags(write=False)
 del _const
 #: The four inequalities, in fixed order, that make a diagonal canonical
@@ -325,26 +344,30 @@ class _stage:
 class HermitianStage(NamedTuple):
     """Spectrum of the associated hermitian matrices of a stack.
 
-    ``w`` holds the eigenvalues ascending and ``vecs[:, k]`` the unit
-    eigenvector of ``w[:, k]`` with its largest entry real and positive.
-    With the verdict threshold tol times the spectral norm, ``mueller`` is
-    the verdict ``w[:, 0] >= -threshold`` and ``rank`` the number of
-    eigenvalues above the threshold (the last ``rank`` of ``w``).
+    ``w`` holds each row's eigenvalues ascending, a list of four floats per
+    row, and ``vecs[i, k]``, an (N, 4, 4) array, the unit eigenvector of
+    ``w[i][k]`` with its largest entry real and positive.  With the verdict
+    threshold tol times the spectral norm, ``mueller[i]`` is the verdict
+    ``w[i][0] >= -threshold``, a bool, and ``rank[i]`` the number of
+    eigenvalues above the threshold (the last ``rank[i]`` of ``w[i]``), an
+    int.  ``w``, ``mueller`` and ``rank`` are Python lists, one item per row.
     """
 
-    w: np.ndarray
+    w: list
     vecs: np.ndarray
-    mueller: np.ndarray
-    rank: np.ndarray
+    mueller: list
+    rank: list
 
 
 class ConeStage(NamedTuple):
-    """Cone-preservation verdicts and margins of a stack (see ConeVerdict)."""
+    """Cone-preservation verdicts and margins of a stack (see ConeVerdict):
+    Python lists, one item per row, of bools, floats, floats and lists of
+    three floats."""
 
-    ok: np.ndarray
-    intensity_margin: np.ndarray
-    lorentz_margin: np.ndarray
-    worst_input: np.ndarray
+    ok: list
+    intensity_margin: list
+    lorentz_margin: list
+    worst_input: list
 
 
 class NormalStage(NamedTuple):
@@ -362,17 +385,17 @@ class NormalStage(NamedTuple):
 
 
 class CanonicalStage(NamedTuple):
-    """Canonical families of a stack: ``family`` holds each row's
-    :class:`Family`, ``d`` the canonical parameters, shape (N, 4), on the
-    Type-I rows and nan on every other (the field of
-    :class:`~muellercert.CanonicalClass`), ``reason`` why a row has no
-    classified family (NotPreMueller, zero matrix, Indeterminate), else
-    None, and ``binding`` the violated Type-I inequality of each Type-I row
-    with the smallest margin (an item of :data:`TYPE1_CONSTRAINT_FORMS`),
-    or None."""
+    """Canonical families of a stack, Python lists with one item per row:
+    ``family`` holds each row's :class:`Family`, ``d`` the canonical
+    parameters of a Type-I row, a list of four floats, and None on every
+    other row (the field of :class:`~muellercert.CanonicalClass`),
+    ``reason`` why a row has no classified family (NotPreMueller, zero
+    matrix, Indeterminate), else None, and ``binding`` the violated Type-I
+    inequality of each Type-I row with the smallest margin (an item of
+    :data:`TYPE1_CONSTRAINT_FORMS`), or None."""
 
     family: list
-    d: np.ndarray
+    d: list
     reason: list
     binding: list
 
@@ -409,20 +432,24 @@ class Analysis:
         max: it can round to +-1.0 in the scaled spectrum, and 1.0 * 2**1024
         overflows, where an unscaled ``eigvalsh`` gives +-1.797e308."""
         peak = np.maximum.reduce(np.abs(self.m).reshape(-1, 16), axis=1)
-        e = (np.frexp(peak)[1] & -2)[:, None]
-        w, v = _eigh(_hermitian_of(np.ldexp(self.m, -e[:, :, None])))
-        # The spectrum is ascending, so its largest magnitude sits at an end.
-        thresh = self.tol * np.maximum(-w[:, 0], w[:, -1])
-        rank = (w > thresh[:, None]).sum(axis=1)
-        mueller = w[:, 0] >= -thresh
-        # ||H||_F = ||M||_F < 8 * 2**e, so only e > 1020 can overflow.
-        if e.max(initial=0) > 1020:
-            with np.errstate(over="ignore"):
-                if not np.isfinite(np.ldexp(w, e)).all():
-                    raise FloatingPointError(
-                        "analysis overflows: hermitian eigenvalue beyond the float range"
-                    )
-        return HermitianStage(np.ldexp(w, e), _unit_phase(v), mueller, rank)
+        e = np.frexp(peak)[1] & -2
+        w, v = _eigh(_hermitian_of(np.ldexp(self.m, -e[:, None, None])))
+        tol, ldexp = self.tol, math.ldexp
+        scaled, mueller, rank = [], [], []
+        try:
+            for (w0, w1, w2, w3), k in zip(w.tolist(), e.tolist()):
+                # The spectrum is ascending, so its largest magnitude sits at
+                # an end.  Of equal arguments max keeps the first and
+                # np.maximum(-w0, w3) the second: this order keeps its zero.
+                thresh = tol * max(w3, -w0)
+                mueller.append(w0 >= -thresh)
+                rank.append((w0 > thresh) + (w1 > thresh) + (w2 > thresh) + (w3 > thresh))
+                scaled.append([ldexp(w0, k), ldexp(w1, k), ldexp(w2, k), ldexp(w3, k)])
+        except OverflowError:
+            raise FloatingPointError(
+                "analysis overflows: hermitian eigenvalue beyond the float range"
+            ) from None
+        return HermitianStage(scaled, _unit_phase(v), mueller, rank)
 
     @_stage
     def sigma(self) -> np.ndarray:
@@ -433,13 +460,8 @@ class Analysis:
     def unit(self) -> np.ndarray:
         """Each matrix divided by its largest singular value (zero matrices
         are left as they are)."""
-        return self.m / self._divisor[:, None, None]
-
-    @_stage
-    def _divisor(self) -> np.ndarray:
-        """The largest singular values, with 1 in place of zero."""
         sigma = self.sigma
-        return np.where(sigma > 0.0, sigma, 1.0)
+        return self.m / np.where(sigma > 0.0, sigma, 1.0)[:, None, None]
 
     @_stage
     def cone(self) -> ConeStage:
@@ -453,32 +475,47 @@ class Analysis:
         quad = LORENTZ_METRIC @ self._nmat
         quad = 0.5 * (quad + _transpose(quad))
         value, s_star = sphere_min(quad[:, 1:, 1:], quad[:, 0, 1:])
-        unit_lorentz = quad[:, 0, 0] + value
-        # float_power squares as Python floats do (pow, which differs from
-        # sigma * sigma in the last bit now and then).
-        with np.errstate(over="ignore", invalid="ignore"):
-            lorentz = unit_lorentz * np.float_power(sigma, 2)
-        if not np.isfinite(lorentz).all():
-            raise FloatingPointError("analysis overflows: Lorentz margin beyond the float range")
+        sigmas = sigma.tolist()
+        unit_lorentz = [q + v for q, v in zip(quad[:, 0, 0].tolist(), value.tolist())]
+        # s ** 2.0 is pow, as np.float_power squares (s * s differs in the
+        # last bit now and then), and raises OverflowError where it overflows.
+        # So does a product beyond the float range, or 0 * inf = nan where
+        # sigma itself overflowed.
+        try:
+            lorentz = [u * s ** 2.0 for u, s in zip(unit_lorentz, sigmas)]
+            if not all(map(math.isfinite, lorentz)):
+                raise OverflowError
+        except OverflowError:
+            raise FloatingPointError(
+                "analysis overflows: Lorentz margin beyond the float range"
+            ) from None
 
         row = m[:, 0, 1:]
         # Taken on the row over 2**e, e the exponent of sigma: no square under-
         # or overflows, and the exact power of two changes no other bit.
         e = np.frexp(sigma)[1]
-        row_norm = np.ldexp(_norm(np.ldexp(row, -e[:, None])), e)
-        intensity = m[:, 0, 0] - row_norm
-        worst_intensity = _POLE[None].repeat(len(m), axis=0)
-        np.divide(-row, row_norm[:, None], out=worst_intensity, where=row_norm[:, None] > 0.0)
-
-        ok = (intensity >= -tol * sigma) & (unit_lorentz >= -tol)
-        binding_lorentz = unit_lorentz <= intensity / self._divisor
-        worst = np.where(binding_lorentz[:, None], s_star, worst_intensity)
-        # A zero matrix maps every input to the cone apex.
-        if np.count_nonzero(sigma) < len(m):
-            zero = sigma == 0.0
-            ok[zero] = True
-            intensity[zero] = lorentz[zero] = 0.0
-            worst[zero] = _POLE
+        scaled = _norm(np.ldexp(row, -e[:, None]))
+        ok, intensity, worst, ldexp = [], [], [], math.ldexp
+        rows = zip(
+            m[:, 0, 0].tolist(), row.tolist(), scaled.tolist(), e.tolist(), sigmas, unit_lorentz,
+            s_star.tolist(),
+        )
+        for i, (m00, r, rn, k, s, u, star) in enumerate(rows):
+            rn = ldexp(rn, k)
+            margin = m00 - rn
+            if s == 0.0:
+                # A zero matrix maps every input to the cone apex.
+                lorentz[i] = margin = 0.0
+                ok.append(True)
+                worst.append(list(_POLE))
+            else:
+                ok.append(margin >= -tol * s and u >= -tol)
+                # The input of the binding margin: the sphere minimizer, or
+                # the input opposite the first row (the pole where it is zero).
+                worst.append(
+                    star if u <= margin / s else [-x / rn for x in r] if rn > 0.0 else list(_POLE)
+                )
+            intensity.append(margin)
         return ConeStage(ok, intensity, lorentz, worst)
 
     @_stage
@@ -523,9 +560,8 @@ class Analysis:
         every matrix of the stack: the Type-I rule
         (:func:`worst_type1_constraint`) runs once, on the Type-I rows."""
         family, reason = [_INDETERMINATE] * len(self.m), [None] * len(self.m)
-        d = np.full((len(self.m), 4), np.nan)
         classified = []
-        for i, (ok, sigma) in enumerate(zip(self.cone.ok.tolist(), self.sigma.tolist())):
+        for i, (ok, sigma) in enumerate(zip(self.cone.ok, self.sigma.tolist())):
             if not ok:
                 family[i], reason[i] = _NOT_PRE_MUELLER, "does not map the Stokes cone into itself"
             elif sigma == 0.0:
@@ -547,12 +583,13 @@ class Analysis:
                 family[i], reason[i] = _rank_one_family(u[j, :, 0], s[j, 1], vt[j, 0], cluster_tol)
         if full:
             self._classify_full(full, family, reason)
-        binding = [None] * len(self.m)
+        d, binding = [None] * len(self.m), [None] * len(self.m)
         if _TYPE_I in family:
             type_one = [i for i, f in enumerate(family) if f is _TYPE_I]
-            d[type_one] = d_one = self.type1_d[type_one]
+            d_one = self.type1_d[type_one]
             worst, violated = worst_type1_constraint(d_one, self.tol)
-            for i, k, bad in zip(type_one, worst.tolist(), violated.tolist()):
+            for i, row, k, bad in zip(type_one, d_one.tolist(), worst.tolist(), violated.tolist()):
+                d[i] = row
                 if bad:
                     binding[i] = TYPE1_CONSTRAINT_FORMS[k]
         return CanonicalStage(family, d, reason, binding)

@@ -42,6 +42,33 @@ def test_same_checkout_on_both_sides(options, count):
     assert lines[5:] == [f"outputs differ: 0 of {count.split()[0]}"]
 
 
+def test_stage_times_on_the_same_checkout():
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--rounds", "2", "--stages",
+         "--per-class", "1"],
+        capture_output=True, text=True, check=False, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "exact stages: 6 inputs per pass, 2 rounds, seed 1"
+    stages = ("hermitian", "cone", "sphere_min", "canonical", "reports", "stages")
+    times = ", ".join(rf"{stage} \d+\.\d us" for stage in stages)
+    for line, side in zip(lines[1:3], ("parent", "change")):
+        assert re.fullmatch(rf"{side}: {times} per input", line), line
+    ratios = ", ".join(rf"{stage} \d+\.\d{{3}}" for stage in stages)
+    assert re.fullmatch(rf"change/parent: {ratios}", lines[3]), lines[3]
+    assert lines[4:] == ["outputs differ: 0 of 6"]
+
+
+def test_stages_time_the_exact_workload_only():
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--stages", "--workload", "batch"],
+        capture_output=True, text=True, check=False, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "--stages times the exact workload" in done.stderr
+
+
 def test_bad_round_count_is_a_usage_error():
     done = subprocess.run(
         [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--rounds", "1"],

@@ -1,4 +1,7 @@
 import importlib.util
+import itertools
+import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -724,6 +727,183 @@ def test_unit_phase_is_the_canonical_phase_on_unit_vectors(data):
     # the columns of eigh's eigenvector stacks, which are unit vectors
     _, v = np.linalg.eigh(kernel._hermitian_of(_scaled_stack(data.draw, (4, 4))))
     _same_bytes([kernel._unit_phase(v)], [_canonical_phase(np.swapaxes(v, -1, -2))])
+
+
+# Premises of the stage tails, which run per row on Python floats: each
+# expression gives the bits of the numpy operation it replaced, at the ends
+# of the float range too (signed zeros, subnormals, 1e+-300, float max).
+_TOP = sys.float_info.max
+_EDGES = [0.0, 5e-324, 1e-320, 2.5e-310, 2.2250738585072014e-308, 1e-300, 1e-150, 0.5, 1.0, 3.0]
+_EDGES += [1e150, 1.3407807929942596e154, 1e300, float(np.nextafter(_TOP, 0.0)), _TOP]
+_SIGNED = [v for x in _EDGES for v in (x, -x)]
+
+
+def _spread(n, seed):
+    """n floats of either sign at scales 10**U(-320, 308), subnormals included."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.uniform(-320.0, 308.0, size=n)
+
+
+def test_python_square_is_float_power():
+    # the cone stage's reported Lorentz margin: where numpy's product is not
+    # finite, s ** 2.0 raises OverflowError or the product is not finite
+    pairs = [(u, s) for u in _SIGNED for s in _EDGES]
+    pairs += zip(_spread(100_000, 1).tolist(), np.abs(_spread(100_000, 2)).tolist())
+    u, s = (np.array(column) for column in zip(*pairs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = u * np.float_power(s, 2)
+    got = []
+    for u_i, s_i in pairs:
+        try:
+            got.append(u_i * s_i ** 2.0)
+        except OverflowError:
+            got.append(math.inf)
+    got = np.array(got)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert got[finite].tobytes() == want[finite].tobytes()
+
+
+def test_math_ldexp_is_numpy_ldexp():
+    # both stages' scaling back by 2**k: math.ldexp raises OverflowError
+    # exactly where np.ldexp gives inf, and rounds subnormals alike
+    x = np.array(_SIGNED + _spread(200, 3).tolist())
+    for k in range(-1100, 1101):
+        with np.errstate(over="ignore"):
+            want = np.ldexp(x, k)
+        got = []
+        for x_i in x.tolist():
+            try:
+                got.append(math.ldexp(x_i, k))
+            except OverflowError:
+                got.append(math.copysign(math.inf, x_i))
+        assert np.array(got).tobytes() == want.tobytes(), k
+
+
+def test_python_max_is_numpy_maximum_on_signed_zeros():
+    # the H stage's threshold scale: max keeps the first of equal arguments,
+    # np.maximum the second, so the kernel writes max(w3, -w0)
+    w0, w3 = (np.array(column) for column in zip(*itertools.product(_SIGNED, repeat=2)))
+    want = np.maximum(-w0, w3).tobytes()
+    assert np.array([max(b, -a) for a, b in zip(w0.tolist(), w3.tolist())]).tobytes() == want
+    assert np.array([max(-a, b) for a, b in zip(w0.tolist(), w3.tolist())]).tobytes() != want
+
+
+def test_bool_sum_rank_is_the_numpy_count():
+    # the H stage's rank: four comparisons added as bools, an int
+    rng = np.random.default_rng(4)
+    w = np.sort(rng.choice(_SIGNED, size=(5000, 4)), axis=1)
+    thresh = rng.choice(_SIGNED, size=5000)
+    got = [
+        (w0 > t) + (w1 > t) + (w2 > t) + (w3 > t)
+        for (w0, w1, w2, w3), t in zip(w.tolist(), thresh.tolist())
+    ]
+    assert {type(rank) for rank in got} == {int}
+    assert got == (w > thresh[:, None]).sum(axis=1).tolist()
+
+
+def test_python_division_is_numpy_divide():
+    # the cone stage's worst input against the first row, -x / rn
+    rng = np.random.default_rng(5)
+    row = np.concatenate([rng.choice(_SIGNED, size=(3000, 3)), _spread(3000, 6).reshape(1000, 3)])
+    rn = np.abs(np.concatenate([rng.choice(_SIGNED, size=3000), _spread(1000, 7)]))
+    want = np.zeros(row.shape)
+    with np.errstate(over="ignore", under="ignore"):
+        np.divide(-row, rn[:, None], out=want, where=rn[:, None] > 0.0)
+    got = [
+        [-x / r for x in xs] if r > 0.0 else [0.0] * 3 for xs, r in zip(row.tolist(), rn.tolist())
+    ]
+    assert np.array(got).tobytes() == want.tobytes()
+
+
+def _numpy_hermitian(analysis):
+    # the H stage with its tail on (N,) arrays, as it was written before
+    m, tol = analysis.m, analysis.tol
+    peak = np.maximum.reduce(np.abs(m).reshape(-1, 16), axis=1)
+    e = (np.frexp(peak)[1] & -2)[:, None]
+    w, v = kernel._eigh(kernel._hermitian_of(np.ldexp(m, -e[:, :, None])))
+    thresh = tol * np.maximum(-w[:, 0], w[:, -1])
+    rank = (w > thresh[:, None]).sum(axis=1)
+    mueller = w[:, 0] >= -thresh
+    with np.errstate(over="ignore"):
+        w = np.ldexp(w, e)
+    if not np.isfinite(w).all():
+        raise FloatingPointError("analysis overflows: hermitian eigenvalue beyond the float range")
+    return w, kernel._unit_phase(v), mueller, rank
+
+
+def _numpy_cone(analysis):
+    # the cone stage with its tail on (N,) arrays, as it was written before
+    m, sigma, tol = analysis.m, analysis.sigma, analysis.tol
+    quad = LORENTZ_METRIC @ analysis._nmat
+    quad = 0.5 * (quad + np.swapaxes(quad, -1, -2))
+    value, s_star = kernel.sphere_min(quad[:, 1:, 1:], quad[:, 0, 1:])
+    unit_lorentz = quad[:, 0, 0] + value
+    with np.errstate(over="ignore", invalid="ignore"):
+        lorentz = unit_lorentz * np.float_power(sigma, 2)
+    if not np.isfinite(lorentz).all():
+        raise FloatingPointError("analysis overflows: Lorentz margin beyond the float range")
+    row = m[:, 0, 1:]
+    e = np.frexp(sigma)[1]
+    row_norm = np.ldexp(kernel._norm(np.ldexp(row, -e[:, None])), e)
+    intensity = m[:, 0, 0] - row_norm
+    worst_intensity = np.repeat([[0.0, 0.0, 1.0]], len(m), axis=0)
+    np.divide(-row, row_norm[:, None], out=worst_intensity, where=row_norm[:, None] > 0.0)
+    ok = (intensity >= -tol * sigma) & (unit_lorentz >= -tol)
+    binding_lorentz = unit_lorentz <= intensity / np.where(sigma > 0.0, sigma, 1.0)
+    worst = np.where(binding_lorentz[:, None], s_star, worst_intensity)
+    zero = sigma == 0.0
+    ok[zero] = True
+    intensity[zero] = lorentz[zero] = 0.0
+    worst[zero] = [0.0, 0.0, 1.0]
+    return ok, intensity, lorentz, worst
+
+
+def _outcome(read):
+    try:
+        return [np.asarray(field) for field in read()]
+    except FloatingPointError as exc:
+        return str(exc)
+
+
+def _tail_cases():
+    """Stacks that reach the ends of the float range: Gaussian matrices at
+    scales from subnormal to float max with zeros of either sign, the
+    top-of-range mixtures of the H-stage test, zero and subnormal diagonals,
+    and matrices whose sigma**2 rounds differently as sigma * sigma."""
+    rng = np.random.default_rng(8)
+    exponents = [-322, -318, -314, -310, -306, -300, 300, 305] + rng.uniform(-320, 307, 32).tolist()
+    exponents = np.array(exponents)
+    gaussian = rng.normal(size=(40, 4, 4)) * 10.0 ** exponents[:, None, None]
+    gaussian[rng.random(gaussian.shape) < 0.2] = 0.0
+    gaussian[rng.random(gaussian.shape) < 0.1] = -0.0
+    values = [0.0, _TOP, -_TOP, 1e154, -1e154, 9e153, -6.7e153, 1e-160, 5e-324, 1.0, _TOP / 3]
+    mixtures = rng.choice(values, size=(100, 4, 4))
+    tiny = np.stack([np.zeros((4, 4)), -np.zeros((4, 4)), 5e-324 * np.diag([1.0, 1.0, 1.0, -1.0])])
+    # sigma * sigma differs from sigma ** 2.0 in about 1 of 1,000 draws
+    draws = rng.normal(size=(20_000, 4, 4))
+    draws *= 10.0 ** rng.uniform(-150.0, 150.0, size=(20_000, 1, 1))
+    sigma = kernel._spectral_norm(draws)
+    misrounded = draws[sigma * sigma != np.float_power(sigma, 2)][:8]
+    assert len(misrounded) == 8
+    return {"gaussian": gaussian, "mixtures": mixtures, "tiny": tiny, "pow": misrounded}
+
+
+@pytest.mark.parametrize("name", ["gaussian", "mixtures", "tiny", "pow"])
+def test_stage_tails_give_the_numpy_tails_bits(name):
+    # per row and on the whole stack: the same bytes, or the same error
+    mats = _tail_cases()[name]
+    for stack in [mats[k : k + 1] for k in range(len(mats))] + [mats]:
+        new, old = kernel.Analysis(stack), kernel.Analysis(stack)
+        for read_new, read_old in [
+            (lambda: new.hermitian, lambda: _numpy_hermitian(old)),
+            (lambda: new.cone, lambda: _numpy_cone(old)),
+        ]:
+            got, want = _outcome(read_new), _outcome(read_old)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                _same_bytes(got, want)
 
 
 @settings(max_examples=300, deadline=None)

@@ -25,7 +25,9 @@ special and random floats of the generic tests written into a report's
 checked against ``json.dumps`` itself.
 
 The input boundary of every public array-taking function is checked as
-one table at the end of the file.
+one table at the end of the file, and so are the return types of the
+single-matrix views: the analysis stages hold Python lists, and the views
+convert their row.
 """
 
 import inspect
@@ -64,7 +66,7 @@ import muellercert
 from muellercert import cli, core, kernel
 from muellercert.cli import analyze_matrix, analyze_stack, main, render_report
 
-from helpers import random_jones, random_lorentz, reference_render_report
+from helpers import random_jones, random_lorentz, reference_render_report, type2_canonical
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_reports.json").read_text())
 
@@ -870,3 +872,53 @@ def test_non_finite_row_rejects_the_stack(value):
     stack[1, 0, 0] = value
     with pytest.raises(ValueError, match="non-finite"):
         analyze_stack(stack)
+
+
+# Return types of the single-matrix views of the analysis, one row per
+# branch: (view, input, the typed fields of its result).  An array field is
+# given by its dtype and shape, every other field by its exact type, so
+# that np.float64 (a float subclass) or a list in place of an array fails.
+_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])  # cone-preserving, not Mueller
+_JONES = mueller_from_jones(np.array([[1.0, 0.2j], [0.1, 0.5]]))
+_VIEW_TYPES = [
+    (certify_cone, _M, lambda r: [
+        (r.is_pre_mueller, bool), (r.intensity_margin, float), (r.lorentz_margin, float),
+        (r.worst_input, (float, (3,))),
+    ]),
+    (certify_cone, np.zeros((4, 4)), lambda r: [(r.worst_input, (float, (3,)))]),
+    (physicality, _M, lambda r: [
+        (r.eigenvalues, (float, (4,))), (r.min_eigenvalue, float),
+        (r.min_eigenvector, (complex, (4,))), (r.is_mueller, bool), (r.rank, int),
+    ]),
+    (jones_ensemble, _M, lambda r: [(r.items, tuple)] + [
+        typed for weight, jones in r.items
+        for typed in ((weight, float), (jones, (complex, (2, 2))))
+    ]),
+    (mueller_jones_test, _JONES, lambda r: [(r, (complex, (2, 2)))]),
+    (mueller_jones_test, _M, lambda r: [(r, type(None))]),
+    (witness_certificate, _FLIP, lambda r: [(r, (complex, (4,)))]),
+    (witness_certificate, _M, lambda r: [(r, type(None))]),
+    (classify, _M, lambda r: [
+        (r.family, Family), (r.d, (float, (4,))), (r.l_left, (float, (4, 4))),
+        (r.l_right, (float, (4, 4))), (r.diagnostics, type(None)),
+    ]),
+    (classify, type2_canonical(2.0, 1.0, 1.0, 1.0), lambda r: [
+        (r.family, Family), (r.d, type(None)), (r.diagnostics, type(None)),
+    ]),
+    (classify, _FLIP @ np.diag([1.0, 1.0, 1.0, 2.0]), lambda r: [
+        (r.family, Family), (r.d, type(None)), (r.diagnostics, str),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "view, m, fields", _VIEW_TYPES,
+    ids=[f"{view.__name__}-{k}" for k, (view, _, _) in enumerate(_VIEW_TYPES)],
+)
+def test_views_keep_their_return_types(view, m, fields):
+    for value, kind in fields(view(m)):
+        if isinstance(kind, tuple):
+            assert type(value) is np.ndarray
+            assert (value.dtype, value.shape) == (np.dtype(kind[0]), kind[1])
+        else:
+            assert type(value) is kind

@@ -1,6 +1,6 @@
 """Time two checkouts of muellercert against each other in one process.
 
-    python3 tools/ab_time.py PARENT CHANGE [--workload exact|batch]
+    python3 tools/ab_time.py PARENT CHANGE [--workload exact|batch] [--stages]
         [--seed N] [--rounds R] [--per-class K] [--dirs D] [--per-dir F]
 
 PARENT and CHANGE are the roots of two checkouts.  Each one's package (its
@@ -25,6 +25,15 @@ which the change was faster.  Next it prints each side's fastest pass and
 their ratio: host noise only slows a pass, so the fastest passes move less
 with it than the medians.  Last, it compares one pass of rendered output per
 side and exits 1 when any output differs, else 0.
+
+``--stages`` times the stages of ``analyze_matrix`` on the ``exact`` inputs
+instead, each on its first read of a fresh analysis of one matrix: the H
+stage, the cone stage (which computes sigma and the normal matrices), of
+it ``sphere_min`` apart, the canonical stage without the cone stage, and
+the report assembly (``cli._reports``) on the finished stages.  Rounds
+interleave the sides as above.  It prints each side's median time per
+input of every stage and of their sum (``stages``; ``sphere_min`` is in
+``cone``), then the ratio change / parent of those medians.
 """
 
 import os
@@ -63,6 +72,39 @@ def _exact_pass(cli, mats):
     return [cli.analyze_matrix(m) for m in mats]
 
 
+_STAGES = ("hermitian", "cone", "sphere_min", "canonical", "reports", "stages")
+
+
+def _stage_pass(cli, mats):
+    """Seconds spent in each stage of :data:`_STAGES` over one pass."""
+    kernel = sys.modules[cli.__package__ + ".kernel"]
+    sphere_min, clock = kernel.sphere_min, time.perf_counter
+    spent = dict.fromkeys(_STAGES, 0.0)
+
+    def timed_sphere_min(a, b):
+        start = clock()
+        try:
+            return sphere_min(a, b)
+        finally:
+            spent["sphere_min"] += clock() - start
+
+    kernel.sphere_min = timed_sphere_min  # the cone stage's global
+    try:
+        for m in mats:
+            analysis = cli.Analysis(cli.as_mueller_matrix(m)[None], cli.DEFAULT_TOL)
+            for name in ("hermitian", "cone", "canonical"):
+                start = clock()
+                getattr(analysis, name)
+                spent[name] += clock() - start
+            start = clock()
+            cli._reports(analysis)
+            spent["reports"] += clock() - start
+    finally:
+        kernel.sphere_min = sphere_min
+    spent["stages"] = sum(spent[name] for name in ("hermitian", "cone", "canonical", "reports"))
+    return spent
+
+
 def _batch_pass(cli, dirs):
     outputs = []
     for path in dirs:
@@ -77,6 +119,7 @@ def _args(argv):
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", choices=("exact", "batch"), default="exact")
+    parser.add_argument("--stages", action="store_true")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--per-class", type=int, default=100)
@@ -85,6 +128,8 @@ def _args(argv):
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
+    if args.stages and args.workload != "exact":
+        parser.error("--stages times the exact workload")
     return args
 
 
@@ -118,15 +163,32 @@ def main(argv=None) -> int:
             unit, units = "directory", "directories"
 
         outputs = {name: one_pass(cli, items) for name, cli in sides.items()}
+        if args.stages:
+            one_pass = _stage_pass
+            for cli in sides.values():
+                one_pass(cli, items)
         times = {name: [] for name in sides}
         for r in range(args.rounds):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
             for name in order:
                 start = time.perf_counter()
-                one_pass(sides[name], items)
-                times[name].append(time.perf_counter() - start)
+                spent = one_pass(sides[name], items)
+                times[name].append(spent if args.stages else time.perf_counter() - start)
 
-    print(f"{args.workload}: {len(items)} {units} per pass, {args.rounds} rounds, seed {args.seed}")
+    workload = "exact stages" if args.stages else args.workload
+    print(f"{workload}: {len(items)} {units} per pass, {args.rounds} rounds, seed {args.seed}")
+    if args.stages:
+        medians = {
+            name: {stage: statistics.median(p[stage] for p in passes) for stage in _STAGES}
+            for name, passes in times.items()
+        }
+        for name, median in medians.items():
+            each = (f"{stage} {1e6 * median[stage] / len(items):.1f} us" for stage in _STAGES)
+            print(f"{name}: {', '.join(each)} per input")
+        parent, change = medians["parent"], medians["change"]
+        ratios = (f"{stage} {change[stage] / parent[stage]:.3f}" for stage in _STAGES)
+        print(f"change/parent: {', '.join(ratios)}")
+        return _compare(args, sides, outputs, len(items))
     for name, passes in times.items():
         median = statistics.median(passes)
         per_item = 1e6 * median / len(items)
@@ -144,11 +206,16 @@ def main(argv=None) -> int:
         f"change/parent {fastest['change'] / fastest['parent']:.3f}"
     )
 
+    return _compare(args, sides, outputs, len(items))
+
+
+def _compare(args, sides, outputs, count) -> int:
+    """Print how many of the two sides' outputs differ; 1 if any does, else 0."""
     texts = outputs
     if args.workload == "exact":
         texts = {name: list(map(sides[name].render_report, out)) for name, out in outputs.items()}
     differing = sum(a != b for a, b in zip(texts["parent"], texts["change"]))
-    print(f"outputs differ: {differing} of {len(items)}")
+    print(f"outputs differ: {differing} of {count}")
     return 1 if differing else 0
 
 
