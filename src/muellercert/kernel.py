@@ -41,23 +41,28 @@ both sizes take the same code path.  A stage is computed on its first read
 and kept in the analysis's ``__dict__`` by a descriptor that takes no lock,
 so threads analyzing different stacks never wait on each other.
 
-What runs stacked and what runs per row: every LAPACK call, every
+What runs stacked and what runs per row: every LAPACK call and every
 BLAS-backed product (``matmul``, ``np.vecdot``, ``np.matvec``,
-``np.vecmat``, ``einsum``) and with them all of :func:`sphere_min` run on
-the whole stack, and so do ``_unit_phase`` (``np.hypot``) and
-:attr:`Analysis.type1_d` (``np.exp``).  The scalar tail of each stage runs
-in one Python loop over ``tolist()`` values: the H stage's threshold, rank,
-verdict and scaling back; the cone stage's margins, verdict, worst input
-and zero rows; the canonical stage's d and binding rows.  Those fields are
-Python lists.  Numpy dispatch on a 1-row array costs 0.4-2 us per call,
-where a Python float operation costs tens of nanoseconds, so the loops
-serve one matrix best, and every stack size takes them.  The loops use
-only +, -, *, /, ``**`` (C ``pow``, as ``np.float_power``),
-``math.ldexp``, ``max`` and comparisons, each of which gives the bits of
-the numpy operation it replaced.  Sums of products cannot move: numpy's
-BLAS kernels fuse multiply and add (FMA) on hosts that have it, and on an
-AVX-512 host ``np.vecdot`` of 3-vectors equals a left-to-right Python sum
-in only 66.7% of 200,000 random draws.
+``np.vecmat``, ``einsum``) run on the whole stack, and so do
+``_unit_phase`` (``np.hypot``) and :attr:`Analysis.type1_d` (``np.exp``).
+The scalar tail of each stage runs in one Python loop over ``tolist()``
+values: the H stage's threshold, rank, verdict and scaling back; the cone
+stage's margins, verdict, worst input and zero rows; the canonical stage's
+d and binding rows.  Those fields are Python lists.  :func:`sphere_min`
+is split the same way: its ``eigh``, its ``eigvals`` of the lifted
+matrices and its sums of products run stacked, and the elementwise steps
+between them per row.  Numpy dispatch on a 1-row array costs 0.4-2 us per
+call, where a Python float operation costs tens of nanoseconds, so the
+loops serve one matrix best, and every stack size takes them.  The loops
+use only +, -, *, /, ``**`` (C ``pow``, as ``np.float_power``), ``abs``,
+``math.sqrt``, ``math.copysign``, ``math.ldexp``, ``max`` and comparisons,
+each of which gives the bits of the numpy operation it replaced: ``max``
+keeps the first of equal arguments and ``np.maximum`` the second, and
+``np.sign(-0.0)`` is 0.0, so the loops order and guard those calls to
+match.  Sums of products cannot move: numpy's BLAS kernels fuse multiply
+and add (FMA) on hosts that have it, and on an AVX-512 host ``np.vecdot``
+of 3-vectors equals a left-to-right Python sum in only 66.7% of 200,000
+random draws.
 
 Row reductions of real stacks are numpy's gufuncs ``np.vecdot``,
 ``np.matvec`` and ``np.vecmat`` (numpy >= 2.2).  They run the per-row BLAS
@@ -100,11 +105,10 @@ _COUPLING_EPS = 1e-14
 _POLE = (0.0, 0.0, 1.0)
 _EYE = np.eye(4)
 _COLUMNS = np.arange(4)
-_SIGNED_ZEROS = np.array([0.0, -0.0])
 _EPS = float(np.finfo(float).eps)
 # The signs of d0, d1, d2 and d3 in the four Type-I margins, one row each.
 _MARGIN_SIGNS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, -1, 1], [1, -1, 1, -1]], float)
-for _const in (_EYE, _COLUMNS, _SIGNED_ZEROS, _MARGIN_SIGNS):
+for _const in (_EYE, _COLUMNS, _MARGIN_SIGNS):
     _const.setflags(write=False)
 del _const
 #: The four inequalities, in fixed order, that make a diagonal canonical
@@ -241,18 +245,19 @@ def _lifted_index(n):
 
 def _lifted(gap, c):
     """The lifted matrices of :func:`sphere_min`, one gather per stack from
-    (N, n) stacks of gaps and couplings: the blocks diag(gap), -diag(|c|),
+    lists of rows of gaps and couplings: the blocks diag(gap), -diag(|c|),
     -v v^T and diag(gap), v = sign(c) |c|^1/2, with 0.0 off the diagonal
     of each diag(gap) and -0.0 off that of -diag(|c|) (the sign of each
     zero is part of LAPACK's input)."""
-    k, n = c.shape
-    abs_c = np.abs(c)
-    v = np.sign(c) * np.sqrt(abs_c)
-    outer = (v[:, :, None] * v[:, None, :]).reshape(k, n * n)
-    source = np.empty((k, n * (n + 2) + 2))
-    source[:, -2:] = _SIGNED_ZEROS
-    np.concatenate((gap, -abs_c, -outer), axis=1, out=source[:, :-2])
-    return source[:, _lifted_index(n)]
+    source = []
+    for g, x in zip(gap, c):
+        # np.sign(c) * np.sqrt(|c|), whose sign of a zero c is 0.0.
+        v = [math.copysign(math.sqrt(abs(y)), y) if y else 0.0 for y in x]
+        source += g
+        source += [-abs(y) for y in x]
+        source += [-(s * t) for s in v for t in v]
+        source += 0.0, -0.0
+    return np.array(source).reshape(len(c), -1).take(_lifted_index(len(c[0])), axis=1)
 
 
 def sphere_min(a, b):
@@ -262,56 +267,83 @@ def sphere_min(a, b):
     stack.  Returns the minimum values, shape (N,), and unit minimizers,
     shape (N, n).  The method is documented at
     :func:`muellercert.conetest.sphere_quadratic_min`.
+
+    The LAPACK calls (``eigh`` of A, ``eigvals`` of the lifted matrices)
+    and the sums of products (``np.vecmat``, ``np.vecdot``, ``np.matvec``)
+    run on the whole stack; where a step needs two sums of squares, one
+    ``np.vecdot`` takes both over a (2N, n) stack.  The elementwise steps
+    between them run per row on Python floats: the spectral scale, the
+    gaps, the bottom eigenspace, the hard-case test and completion, the
+    source rows of the lifted matrices, the shift and its floor, the
+    components, the deficit, the ratio that completes the bottom
+    components and the divisors of the final normalization.  A row's
+    result does not depend on the stack around it.
     """
+    n = a.shape[-1]
     lam, q = _eigh(a)
     c = np.vecmat(b, q)
-    # The spectrum is ascending, so its largest magnitude sits at an end.
-    scale = np.maximum(np.maximum(-lam[:, 0], lam[:, -1]), np.maximum(_norm(b), 1.0))
+    rows, tails, coupled = [], [], []
+    for lr, cr, bb in zip(lam.tolist(), c.tolist(), np.vecdot(b, b).tolist()):
+        # The spectrum is ascending, so its largest magnitude sits at an end.
+        # The maximum is at least 1.0, so which of equal arguments max keeps
+        # changes no bit.
+        scale = max(-lr[0], lr[-1], math.sqrt(bb), 1.0)
+        limit, gap = _GAP_EPS * scale, [x - lr[0] for x in lr]
+        # The bottom eigenspace, the gaps within limit, is the first k of the
+        # ascending spectrum (k >= 1).
+        k = 1
+        while k < n and gap[k] <= limit:
+            k += 1
+        # Components off the bottom eigenspace at mu = lambda_min, 0.0 on it
+        # until the hard case completes the first; and c on it, 0.0 off it.
+        tail = [0.0] * k + [-x / g for x, g in zip(cr[k:], gap[k:])]
+        rows.append((scale, k, gap, cr, tail))
+        tails += tail
+        coupled += cr[:k] + [0.0] * (n - k)
+    squares = np.array(tails + coupled).reshape(-1, n)
+    squares = np.vecdot(squares, squares).tolist()
+    s_eig, easy = [], []
+    for i, (scale, k, gap, cr, tail) in enumerate(rows):
+        tail_sq = squares[i]
+        # Both callers pass a problem of unit size (entries below 2), so this
+        # square cannot overflow; ** 2.0 is C pow, as np.float_power.
+        if squares[len(rows) + i] <= (_COUPLING_EPS * scale) ** 2.0 and tail_sq <= 1.0:
+            # Hard case: multiplier pinned at lambda_min, completed on the
+            # bottom eigenspace to reach the sphere (1.0 - tail_sq >= 0.0).
+            tail[0] = math.sqrt(1.0 - tail_sq)
+        else:
+            easy.append(i)
+        s_eig.append(tail)
 
-    gap = lam - lam[:, :1]
-    bottom = gap <= _GAP_EPS * scale[:, None]
-    # Components off the bottom eigenspace at mu = lambda_min; the bottom
-    # eigenspace is a prefix of the ascending spectrum, so zeros there leave
-    # the row sums below unchanged.  bottom[:, 0] always holds, so
-    # s_eig[:, 0] is 0.0 until the hard case completes it.
-    s_eig = np.divide(-c, gap, out=np.zeros(c.shape), where=~bottom)
-    tail_sq = np.vecdot(s_eig, s_eig)
-    c_bottom = np.where(bottom, c, 0.0)
-    # Both callers pass a problem of unit size (entries below 2), so this
-    # square cannot overflow.
-    hard = (np.vecdot(c_bottom, c_bottom) <= np.float_power(_COUPLING_EPS * scale, 2)) & (
-        tail_sq <= 1.0
-    )
-    n_hard = np.count_nonzero(hard)
-    if n_hard:
-        # Hard case: multiplier pinned at lambda_min, completed on the
-        # bottom eigenspace to reach the sphere.
-        s_eig[:, 0] = np.where(hard, np.sqrt(np.maximum(1.0 - tail_sq, 0.0)), 0.0)
+    if easy:
+        # The eigenvalues of the lifted matrix are mu - lambda_min.
+        lifted = _lifted([rows[i][2] for i in easy], [rows[i][3] for i in easy])
+        directions, s_easy = [], []
+        for i, low in zip(easy, _eigvals(lifted).real.min(axis=-1).tolist()):
+            scale, k, gap, cr, _ = rows[i]
+            # shift is lambda_min - mu, clamped so that mu <= lambda_min: of
+            # equal arguments max keeps the first, np.maximum the second.
+            shift = max(-low, 0.0)
+            # Off the bottom eigenspace the components are -c / (gap + shift).
+            # Only the direction of the bottom components is used, so there a
+            # shift below rounding may be floored without changing the result.
+            floor = max(shift, _EPS * scale)
+            directions += [-x / (g + floor) for x, g in zip(cr[:k], gap[:k])] + [0.0] * (n - k)
+            s_easy += [0.0] * k + [-x / (g + shift) for x, g in zip(cr[k:], gap[k:])]
+        squares = np.array(directions + s_easy).reshape(-1, n)
+        squares = np.vecdot(squares, squares).tolist()
+        for j, i in enumerate(easy):
+            row, length = s_easy[j * n : j * n + n], math.sqrt(squares[j])
+            if length > 0.0:
+                # The bottom components rescaled to complete the unit length.
+                ratio = math.sqrt(max(1.0 - squares[len(easy) + j], 0.0)) / length
+                k = rows[i][1]
+                row[:k] = [x * ratio for x in directions[j * n : j * n + k]]
+            s_eig[i] = row
 
-    if n_hard < len(hard):
-        easy = slice(None) if n_hard == 0 else ~hard
-        c, gap, bottom = c[easy], gap[easy], bottom[easy]
-        # The eigenvalues of the lifted matrix are mu - lambda_min; shift is
-        # lambda_min - mu, clamped so that mu <= lambda_min.
-        shift = np.maximum(0.0, -_eigvals(_lifted(gap, c)).real.min(axis=-1))
-        # Off the bottom eigenspace the components are -c / (gap + shift).
-        # Only the direction of the bottom components is used, so there a
-        # shift below rounding may be floored without changing the result.
-        floor = np.maximum(shift, _EPS * scale[easy])
-        comp = -c / (gap + np.where(bottom, floor[:, None], shift[:, None]))
-        s_easy = np.where(bottom, 0.0, comp)
-        # comp on the bottom eigenspace, 0.0 off it (comp is finite there).
-        direction = comp - s_easy
-        length = _norm(direction)
-        deficit = np.maximum(0.0, 1.0 - np.vecdot(s_easy, s_easy))
-        grow = length > 0.0
-        ratio = np.divide(np.sqrt(deficit), length, out=np.zeros(length.shape), where=grow)
-        complete = bottom & grow[:, None]
-        s_eig[easy] = np.where(complete, direction * ratio[:, None], s_easy)
-
-    s = np.matvec(q, s_eig)
-    norm = _norm(s)
-    s = np.divide(s, norm[:, None], out=s, where=norm[:, None] > 0.0)
+    s = np.matvec(q, np.array([x for row in s_eig for x in row]).reshape(-1, n))
+    # x / 1.0 is x, so a zero row stays as it is.
+    s /= np.array([math.sqrt(x) or 1.0 for x in np.vecdot(s, s).tolist()])[:, None]
     return np.vecdot(np.vecmat(s, a), s) + 2.0 * np.vecdot(b, s), s
 
 

@@ -5,7 +5,9 @@ brute-force grids) so they share no code path with the implementations they
 check.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -243,3 +245,36 @@ def reference_render_report(report) -> str:
     """Reference for ``render_report``: round, then the standard library's
     JSON encoder (pure Python under ``indent``)."""
     return json.dumps(_round12(report), indent=2, sort_keys=True) + "\n"
+
+
+def bench_corpus():
+    """The benchmark's corpus generator, ``bench/corpus.py``, read only."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("_bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# An eigenvalue gap: a tie, a near tie on either side of the solver's
+# degeneracy threshold, or a well-separated level.
+_GAPS = st.one_of(
+    st.just(0.0),
+    st.floats(-16.0, -8.0).map(lambda e: 10.0**e),
+    st.floats(0.0, 2.0),
+)
+
+
+@st.composite
+def sphere_problems(draw):
+    """(A, b) = (Q diag(lam) Q^T, Q c) with clustered or tied eigenvalues and
+    a coupling of b to the bottom eigenvector between 1e-16 and 1."""
+    lam0 = draw(st.floats(-1.0, 1.0))
+    gap1, gap2 = draw(_GAPS), draw(_GAPS)
+    lam = lam0 + np.array([0.0, gap1, gap1 + gap2])
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    coupling = sign * 10.0 ** draw(st.floats(-16.0, 0.0))
+    c = np.array([coupling, draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q @ np.diag(lam) @ q.T, q @ c

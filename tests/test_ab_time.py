@@ -60,13 +60,23 @@ def test_stage_times_on_the_same_checkout():
     assert lines[4:] == ["outputs differ: 0 of 6"]
 
 
-def test_stages_time_the_exact_workload_only():
+def test_stage_times_of_the_batch_stacks():
+    # one analysis per directory, its times per matrix: 2 stacks of 3
     done = subprocess.run(
-        [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--stages", "--workload", "batch"],
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--rounds", "2", "--stages",
+         "--workload", "batch", "--dirs", "2", "--per-dir", "3"],
         capture_output=True, text=True, check=False, timeout=120,
     )
-    assert done.returncode == 2
-    assert "--stages times the exact workload" in done.stderr
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "batch stages: 2 directories per pass, 2 rounds, seed 1"
+    stages = ("hermitian", "cone", "sphere_min", "canonical", "reports", "stages")
+    times = ", ".join(rf"{stage} \d+\.\d us" for stage in stages)
+    for line, side in zip(lines[1:3], ("parent", "change")):
+        assert re.fullmatch(rf"{side}: {times} per matrix", line), line
+    ratios = ", ".join(rf"{stage} \d+\.\d{{3}}" for stage in stages)
+    assert re.fullmatch(rf"change/parent: {ratios}", lines[3]), lines[3]
+    assert lines[4:] == ["outputs differ: 0 of 2"]
 
 
 def test_bad_round_count_is_a_usage_error():

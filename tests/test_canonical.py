@@ -1,9 +1,7 @@
-import importlib.util
 import itertools
 import math
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +30,7 @@ from muellercert.cli import analyze_stack
 from helpers import (
     EXACTLY_SCALABLE,
     SCALE_EXPONENT,
+    bench_corpus,
     boost_jones,
     pin_map,
     polarizer_map,
@@ -703,13 +702,14 @@ def _assembled_lifted(gap, c):
     return lifted
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_lifted_gather_is_the_assembly(n, data):
+    # the source rows are built per row on Python floats, from lists
     c = _scaled_stack(data.draw, (n,))
     gap = np.resize(_scaled_stack(data.draw, (n,)), c.shape)
-    _same_bytes([kernel._lifted(gap, c)], [_assembled_lifted(gap, c)])
+    _same_bytes([kernel._lifted(gap.tolist(), c.tolist())], [_assembled_lifted(gap, c)])
 
 
 def _canonical_phase(v):
@@ -932,15 +932,6 @@ def test_binding_constraint_agrees_with_physicality(case):
     assert physicality["verdict"] is (canonical["binding_constraint"] is None)
 
 
-def _bench_corpus():
-    """The benchmark's corpus generator, ``bench/corpus.py``, read only."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("_bench_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_type_one_binding_constraint_agrees_with_physicality_on_the_corpus():
     # The paper's Type-I criterion against the H stage over the benchmark
     # corpus at seeds 1-3: the exact inputs as one stack, the measured ones
@@ -952,7 +943,7 @@ def test_type_one_binding_constraint_agrees_with_physicality_on_the_corpus():
     # criterion, that every Polarizer and Pin map is Mueller, is checked on
     # the same reports: H of a rank-one map has three zero eigenvalues, so
     # no such row leaves the H threshold, and none is skipped.
-    corpus, tol = _bench_corpus(), muellercert.DEFAULT_TOL
+    corpus, tol = bench_corpus(), muellercert.DEFAULT_TOL
     reports = []
     for seed in (1, 2, 3):
         exact = corpus.exact_corpus(seed, 1000)

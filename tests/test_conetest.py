@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from muellercert import (
     certify_cone,
@@ -24,34 +23,11 @@ from helpers import (
     random_psd_h,
     random_unit_det_jones,
     reference_sphere_quadratic_min,
+    sphere_problems,
     type2_canonical,
 )
 
 _GRID_20K = fibonacci_sphere(20_000)
-
-
-# An eigenvalue gap: a tie, a near tie on either side of the solver's
-# degeneracy threshold, or a well-separated level.
-_gaps = st.one_of(
-    st.just(0.0),
-    st.floats(-16.0, -8.0).map(lambda e: 10.0**e),
-    st.floats(0.0, 2.0),
-)
-
-
-@st.composite
-def _sphere_problems(draw):
-    """(A, b) = (Q diag(lam) Q^T, Q c) with clustered or tied eigenvalues and
-    a coupling of b to the bottom eigenvector between 1e-16 and 1."""
-    lam0 = draw(st.floats(-1.0, 1.0))
-    gap1, gap2 = draw(_gaps), draw(_gaps)
-    lam = lam0 + np.array([0.0, gap1, gap1 + gap2])
-    sign = draw(st.sampled_from([-1.0, 1.0]))
-    coupling = sign * 10.0 ** draw(st.floats(-16.0, 0.0))
-    c = np.array([coupling, draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))])
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    return q @ np.diag(lam) @ q.T, q @ c
 
 
 class TestSphereQuadraticMin:
@@ -136,7 +112,7 @@ class TestSphereQuadraticMin:
         assert value == -0.75e308 and s.tolist() == [-1.0, 0.0, 0.0]
 
     @settings(max_examples=300, deadline=None)
-    @given(_sphere_problems())
+    @given(sphere_problems())
     # At and just above the hard-case threshold lam0 - mu is about 1e-14, so
     # the bottom component must come from completing the unit length rather
     # than from -c0 / (lam0 - mu).
@@ -161,6 +137,66 @@ class TestSphereQuadraticMin:
         assert value <= grid_value + 1e-12
         assert abs(np.linalg.norm(s) - 1.0) <= 1e-12
         assert abs(s @ a @ s + 2 * b @ s - value) <= 1e-12 * scale
+
+    @staticmethod
+    def _assert_no_worse_than_the_reference(a, b):
+        # a unit minimizer that attains the value, which is no worse than
+        # the secular solve's, all within 1e-12 of the problem scale
+        value, s = sphere_quadratic_min(a, b)
+        lam = np.linalg.eigvalsh(0.5 * (a + a.T))
+        scale = max(abs(lam[0]), abs(lam[-1]), np.linalg.norm(b), 1.0)
+        reference, _ = reference_sphere_quadratic_min(a, b)
+        assert s.shape == b.shape
+        assert abs(np.linalg.norm(s) - 1.0) <= 1e-12
+        assert abs(s @ a @ s + 2 * b @ s - value) <= 1e-12 * scale
+        assert value <= reference + 1e-12 * scale
+        return value, s
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_matches_reference_at_other_sizes(self, n):
+        # 200 problems per size: Gaussian ones, and spectra with ties and
+        # near ties under a random rotation with the bottom coupling from
+        # 1e-16 to 1
+        rng = np.random.default_rng(40 + n)
+        for k in range(200):
+            if k % 2 == 0:
+                a = rng.normal(size=(n, n))
+                a, b = a + a.T, rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 0.0)
+            else:
+                steps = rng.choice([0.0, 1e-13, 1e-9, 0.5], size=n)
+                steps[0] = rng.uniform(-1.0, 1.0)
+                c = rng.uniform(-1.0, 1.0, size=n)
+                c[0] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, 0.0)
+                q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                a, b = q @ np.diag(np.cumsum(steps)) @ q.T, q @ c
+            self._assert_no_worse_than_the_reference(a, b)
+
+    @pytest.mark.parametrize(
+        "lam, c",
+        [
+            # n = 2: the whole spectrum tied, so only b = 0 is a hard case
+            ([0.3, 0.3], [0.0, 0.0]),
+            ([0.3, 0.3 + 1e-13], [0.0, 0.0]),
+            # n = 4: a tied bottom pair off which b pulls too weakly to leave it
+            ([0.0, 0.0, 1.0, 2.0], [0.0, 0.0, 0.1, 0.1]),
+            ([-0.5, -0.5, 0.5, 0.5], [0.0, 0.0, 0.2, -0.3]),
+        ],
+    )
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_tied_hard_case_at_other_sizes(self, lam, c, rotate):
+        lam, c = np.array(lam), np.array(c)
+        q = np.linalg.qr(np.random.default_rng(len(lam)).normal(size=(len(lam),) * 2))[0]
+        if not rotate:
+            q = np.eye(len(lam))
+        a, b = q @ np.diag(lam) @ q.T, q @ c
+        value, s = self._assert_no_worse_than_the_reference(a, b)
+        # Off the tied bottom pair s is -c / gap, completed on the pair to
+        # unit length.
+        bottom = lam - lam[0] <= 1e-12
+        tail = np.divide(-c, lam - lam[0], out=np.zeros_like(c), where=~bottom)
+        expected = tail @ np.diag(lam) @ tail + 2 * c @ tail + lam[0] * (1.0 - tail @ tail)
+        assert abs(value - expected) <= 1e-12
+        np.testing.assert_allclose((q.T @ s)[~bottom], tail[~bottom], rtol=0.0, atol=1e-12)
 
 
 def _scale_cases():

@@ -7,17 +7,23 @@ form diag(d) dressed by two random Lorentz matrices.  Every input is divided
 by the power of two that brings its largest magnitude into [1/2, 1), and
 entries below 2**-32 are set to zero, so 2**k times it is exact for k in
 -990..500.  The dressing property draws a canonical form of each family
-instead.  The whole module runs in about 4 s (300 examples per property).
+instead.  The last two properties run ``analyze`` and ``batch`` on files of
+drawn bytes and check the CLI's exit-code contract.  The whole module runs
+in about 5 s (300 examples per property, 100 for ``batch``).
 """
 
+import io
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from muellercert import jones_ensemble, m_from_h, mueller_from_jones, physicality
-from muellercert.cli import analyze_matrix, verdict_exit_code
+from muellercert.cli import analyze_matrix, main, render_report, verdict_exit_code
 
 from helpers import (
     boost_jones,
@@ -151,3 +157,72 @@ def test_family_and_d_do_not_change_under_dressing(family, seed):
         np.testing.assert_allclose(dressed["d"], base["d"], rtol=0.0, atol=1e-6 * base["d"][0])
     else:
         assert base["d"] is None and dressed["d"] is None
+
+
+# File contents: arbitrary bytes, text made of the tokens a matrix file holds
+# and of spellings the parser must refuse (1e309, nan, 0x10, 1_0, a BOM, NUL,
+# a lone carriage return), and 16 numbers, which parse; about one in four
+# such matrices holds a 1e200 and overflows the analysis.
+_TOKENS = ["0", "-1", "0.5", "3e-2", "1e200", "1e309", "nan", "-inf", "0x10", "1_0", "#"]
+_TOKENS += ["[", "]", ",", "{", "}", ":", '"mueller"', "\ufeff", "\x00", "\r", "\n", " "]
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.sampled_from(_TOKENS), max_size=40).map(lambda tokens: " ".join(tokens).encode()),
+    st.lists(
+        st.sampled_from(["0", "1", "-1", "0.5", "-0.25", "2e-3"] * 10 + ["1e200"]),
+        min_size=16,
+        max_size=16,
+    ).map(lambda numbers: "\n".join(numbers).encode()),
+)
+
+
+def _write(path, content):
+    with open(path, "wb") as file:
+        file.write(content)
+
+
+def _assert_one_error_line(code, out, err):
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert err.getvalue().endswith("\n")
+
+
+@settings(max_examples=300, deadline=None)  # about 1 s
+@given(content=_FILE_BYTES, verdict_exit=st.booleans())
+def test_analyze_exits_with_its_contract_on_any_file_bytes(content, verdict_exit):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.txt")
+        _write(path, content)
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["analyze", path] + ["--verdict-exit"] * verdict_exit, out=out, err=err)
+    assert code in ((0, 2, 3, 4) if verdict_exit else (0, 2))
+    if code == 2:
+        _assert_one_error_line(code, out, err)
+    else:
+        assert err.getvalue() == "" and "physicality" in json.loads(out.getvalue())
+
+
+_VALID = np.diag([1.0, 0.5, 0.25, -0.125])
+
+
+@settings(max_examples=100, deadline=None)  # about 1 s
+@given(contents=st.lists(_FILE_BYTES, min_size=1, max_size=4), verdict_exit=st.booleans())
+@example(contents=[b"\xff", b"", b"1 2 3"], verdict_exit=False)
+def test_batch_reports_each_file_or_its_error(contents, verdict_exit):
+    # A file that fails to parse gets an error entry and the batch exits 2;
+    # an analysis beyond the float range writes one error line instead.
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, content in enumerate(contents):
+            _write(os.path.join(tmp, f"drawn{k}.txt"), content)
+        _write(os.path.join(tmp, "valid.txt"), " ".join(map(repr, _VALID.ravel().tolist())).encode())
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["batch", tmp] + ["--verdict-exit"] * verdict_exit, out=out, err=err)
+    if err.getvalue():
+        _assert_one_error_line(code, out, err)
+        return
+    document = json.loads(out.getvalue())
+    assert sorted(document) == sorted([f"drawn{k}.txt" for k in range(len(contents))] + ["valid.txt"])
+    assert document["valid.txt"] == json.loads(render_report(analyze_matrix(_VALID)))
+    failed = [name for name, entry in document.items() if list(entry) == ["error"]]
+    worst = max(verdict_exit_code(entry) for entry in document.values() if list(entry) != ["error"])
+    assert code == (2 if failed else worst if verdict_exit else 0)

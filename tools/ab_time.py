@@ -26,14 +26,16 @@ their ratio: host noise only slows a pass, so the fastest passes move less
 with it than the medians.  Last, it compares one pass of rendered output per
 side and exits 1 when any output differs, else 0.
 
-``--stages`` times the stages of ``analyze_matrix`` on the ``exact`` inputs
-instead, each on its first read of a fresh analysis of one matrix: the H
-stage, the cone stage (which computes sigma and the normal matrices), of
-it ``sphere_min`` apart, the canonical stage without the cone stage, and
-the report assembly (``cli._reports``) on the finished stages.  Rounds
-interleave the sides as above.  It prints each side's median time per
-input of every stage and of their sum (``stages``; ``sphere_min`` is in
-``cone``), then the ratio change / parent of those medians.
+``--stages`` times the analysis stages instead, each on its first read of
+a fresh analysis: of one matrix per ``exact`` input, or of one stack per
+``batch`` directory, its matrices in the order ``batch`` reads the files.
+The stages are the H stage, the cone stage (which computes sigma and the
+normal matrices), of it ``sphere_min`` apart, the canonical stage without
+the cone stage, and the report assembly (``cli._reports``) on the finished
+stages.  Rounds interleave the sides as above.  It prints each side's
+median time per input (per matrix for ``batch``) of every stage and of
+their sum (``stages``; ``sphere_min`` is in ``cone``), then the ratio
+change / parent of those medians.
 """
 
 import os
@@ -75,8 +77,9 @@ def _exact_pass(cli, mats):
 _STAGES = ("hermitian", "cone", "sphere_min", "canonical", "reports", "stages")
 
 
-def _stage_pass(cli, mats):
-    """Seconds spent in each stage of :data:`_STAGES` over one pass."""
+def _stage_pass(cli, stacks):
+    """Seconds spent in each stage of :data:`_STAGES` over one pass, one
+    analysis per stack of 4x4 matrices."""
     kernel = sys.modules[cli.__package__ + ".kernel"]
     sphere_min, clock = kernel.sphere_min, time.perf_counter
     spent = dict.fromkeys(_STAGES, 0.0)
@@ -90,8 +93,8 @@ def _stage_pass(cli, mats):
 
     kernel.sphere_min = timed_sphere_min  # the cone stage's global
     try:
-        for m in mats:
-            analysis = cli.Analysis(cli.as_mueller_matrix(m)[None], cli.DEFAULT_TOL)
+        for stack in stacks:
+            analysis = cli.Analysis(cli.as_mueller_stack(stack), cli.DEFAULT_TOL)
             for name in ("hermitian", "cone", "canonical"):
                 start = clock()
                 getattr(analysis, name)
@@ -128,8 +131,6 @@ def _args(argv):
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
-    if args.stages and args.workload != "exact":
-        parser.error("--stages times the exact workload")
     return args
 
 
@@ -145,26 +146,31 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         if args.workload == "exact":
             items = [entry.m for entry in corpus.exact_corpus(args.seed, args.per_class)]
+            stacks = [m[None] for m in items]
             one_pass = _exact_pass
-            unit, units = "input", "inputs"
+            unit, units, per = "input", "inputs", "input"
         else:
-            items = []
+            items, stacks = [], []
             for dnum, entries in enumerate(
                 corpus.measured_corpus(args.seed, args.dirs, args.per_dir)
             ):
                 path = Path(tmp) / f"d{dnum:03d}"
                 path.mkdir()
+                files = {}
                 for f, entry in enumerate(entries):
                     as_json = f % 5 == 4
                     name = entry.name + (".json" if as_json else ".txt")
                     corpus.write_matrix(path / name, entry.m, as_json)
+                    files[name] = entry.m
                 items.append(path)
+                # The files' matrices in name order, as batch reads them back.
+                stacks.append([files[name] for name in sorted(files)])
             one_pass = _batch_pass
-            unit, units = "directory", "directories"
+            unit, units, per = "directory", "directories", "matrix"
 
         outputs = {name: one_pass(cli, items) for name, cli in sides.items()}
         if args.stages:
-            one_pass = _stage_pass
+            one_pass, items = _stage_pass, stacks
             for cli in sides.values():
                 one_pass(cli, items)
         times = {name: [] for name in sides}
@@ -175,16 +181,17 @@ def main(argv=None) -> int:
                 spent = one_pass(sides[name], items)
                 times[name].append(spent if args.stages else time.perf_counter() - start)
 
-    workload = "exact stages" if args.stages else args.workload
+    workload = f"{args.workload} stages" if args.stages else args.workload
     print(f"{workload}: {len(items)} {units} per pass, {args.rounds} rounds, seed {args.seed}")
     if args.stages:
+        count = sum(map(len, stacks))
         medians = {
             name: {stage: statistics.median(p[stage] for p in passes) for stage in _STAGES}
             for name, passes in times.items()
         }
         for name, median in medians.items():
-            each = (f"{stage} {1e6 * median[stage] / len(items):.1f} us" for stage in _STAGES)
-            print(f"{name}: {', '.join(each)} per input")
+            each = (f"{stage} {1e6 * median[stage] / count:.1f} us" for stage in _STAGES)
+            print(f"{name}: {', '.join(each)} per {per}")
         parent, change = medians["parent"], medians["change"]
         ratios = (f"{stage} {change[stage] / parent[stage]:.3f}" for stage in _STAGES)
         print(f"change/parent: {', '.join(ratios)}")
