@@ -43,12 +43,20 @@ so threads analyzing different stacks never wait on each other.
 
 What runs stacked and what runs per row: every LAPACK call and every
 BLAS-backed product (``matmul``, ``np.vecdot``, ``np.matvec``,
-``np.vecmat``, ``einsum``) run on the whole stack, and so do
-``_unit_phase`` (``np.hypot``) and :attr:`Analysis.type1_d` (``np.exp``).
-The scalar tail of each stage runs in one Python loop over ``tolist()``
-values: the H stage's threshold, rank, verdict and scaling back; the cone
-stage's margins, verdict, worst input and zero rows; the canonical stage's
-d and binding rows.  Those fields are Python lists.  :func:`sphere_min`
+``np.vecmat``, ``einsum``) run on the whole stack, and so do the H stage's
+head (the peak, ``np.frexp`` and ``np.ldexp``), ``_unit_phase``
+(``np.hypot``), the N stage's ``argsort`` (numpy's sort does not keep ties
+in the order Python's ``sorted`` does) and its gather of the top
+eigenvectors for the timelike test, :attr:`Analysis.type1_d`'s
+``np.exp`` and the Type-I rule (:func:`worst_type1_constraint`), which
+:func:`~muellercert.type1_constraints` and ``tetra-scan`` run on large
+stacks.  The scalar tail of each stage runs in one Python loop over
+``tolist()`` values: the H stage's threshold, rank, verdict and scaling
+back; the cone stage's margins, verdict, worst input and zero rows; the N
+stage's sorted real parts, largest imaginary part and norm; ``type1_d``'s
+clip, roots, zero screen on d3 and scaling by sigma; the canonical stage's
+vanishing test, cluster size and centre, rank counts, d and binding rows.
+Those fields are Python lists.  :func:`sphere_min`
 is split the same way: its ``eigh``, its ``eigvals`` of the lifted
 matrices and its sums of products run stacked, and the elementwise steps
 between them per row.  Numpy dispatch on a 1-row array costs 0.4-2 us per
@@ -59,10 +67,13 @@ use only +, -, *, /, ``**`` (C ``pow``, as ``np.float_power``), ``abs``,
 each of which gives the bits of the numpy operation it replaced: ``max``
 keeps the first of equal arguments and ``np.maximum`` the second, and
 ``np.sign(-0.0)`` is 0.0, so the loops order and guard those calls to
-match.  Sums of products cannot move: numpy's BLAS kernels fuse multiply
+match.  No loop calls ``sum()``: Python 3.12's is compensated.  Sums of
+products cannot move: numpy's BLAS kernels fuse multiply
 and add (FMA) on hosts that have it, and on an AVX-512 host ``np.vecdot``
 of 3-vectors equals a left-to-right Python sum in only 66.7% of 200,000
-random draws.
+random draws.  For the same reason the memory layout of a BLAS operand
+stays as it was: OpenBLAS sums a dot product of strided vectors in another
+order than of contiguous ones.
 
 Row reductions of real stacks are numpy's gufuncs ``np.vecdot``,
 ``np.matvec`` and ``np.vecmat`` (numpy >= 2.2).  They run the per-row BLAS
@@ -78,9 +89,11 @@ public function would call (``_eigh``, ``_svdvals``, ``_svd``, ``_eig``,
 for bit, without its per-call wrapper: its ``errstate`` context, its
 finiteness and dtype checks.  The arrays are finite float64 or complex128
 stacks by construction (:func:`~muellercert.core._array` checked the
-input).  A failed LAPACK call still raises ``LinAlgError``: the gufunc
-fills the failed row with nan, and the helper raises where its eigenvalues
-or singular values hold one.
+input).  A failed LAPACK call still raises ``LinAlgError``, with the text
+and in the order of the public function's check: the gufunc fills the
+failed row with nan, the stage loop that reads the output tests each row
+for it, and sigma's SVD, which the ``unit`` stage divides by first, is
+tested at the call (:func:`_converged`).
 """
 
 import enum
@@ -154,47 +167,56 @@ def _transpose(a):
 
 # numpy.linalg's gufuncs (numpy 2 names) on finite float64 / complex128
 # stacks, each giving the bits of the public function named in its docstring.
+# A helper returns the gufunc's outputs as they are, failed rows included
+# (see _converged).
 
 
 def _converged(out, what):
-    """``out``, unless it holds a nan: a gufunc fills the row of a failed
-    LAPACK call with nan, and then ``LinAlgError`` is raised as the public
-    function raises it.  numpy also emits ``RuntimeWarning: invalid value
-    encountered in <gufunc>`` for that row (a ``FloatingPointError`` in
-    its place under ``np.errstate(invalid="raise")``)."""
+    """``out``, unless it holds a nan: a gufunc fills every output of the
+    row of a failed LAPACK call with nan, and then ``LinAlgError`` is raised
+    as the public function raises it.  numpy also emits ``RuntimeWarning:
+    invalid value encountered in <gufunc>`` for that row (a
+    ``FloatingPointError`` in its place under ``np.errstate(invalid="raise")``).
+
+    A stage loop tests the first value of each row it reads (``x != x``,
+    tens of nanoseconds: a failed row is all nan) and calls this on a hit,
+    so the text and the order of the errors are those of a check at the
+    call.  Sigma's SVD, which the ``unit`` stage divides by before any loop
+    reads it, is checked at the call (:func:`_spectral_norm`)."""
     if np.count_nonzero(out != out):
         raise LinAlgError(f"{what} did not converge")
     return out
 
 
 def _eigh(a):
-    """``np.linalg.eigh(a)`` of real symmetric or complex hermitian ``a``."""
-    w, v = _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
-    return _converged(w, "Eigenvalues"), v
+    """``np.linalg.eigh(a)`` of real symmetric or complex hermitian ``a``.
+    Unchecked: the caller tests each row it reads (:func:`_converged`)."""
+    return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
 
 
 def _svdvals(a):
-    """``np.linalg.svd(a, compute_uv=False)``: singular values, descending."""
-    return _converged(_umath_linalg.svd(a, signature="d->d"), "SVD")
+    """``np.linalg.svd(a, compute_uv=False)``: singular values, descending.
+    Unchecked: the caller tests each row it reads (:func:`_converged`)."""
+    return _umath_linalg.svd(a, signature="d->d")
 
 
 def _svd(a):
-    """``np.linalg.svd(a)``: ``(u, s, vh)`` with square ``u`` and ``vh``."""
-    u, s, vh = _umath_linalg.svd_f(a, signature="d->ddd")
-    return u, _converged(s, "SVD"), vh
+    """``np.linalg.svd(a)``: ``(u, s, vh)`` with square ``u`` and ``vh``.
+    Unchecked: the caller tests each row it reads (:func:`_converged`)."""
+    return _umath_linalg.svd_f(a, signature="d->ddd")
 
 
 def _eig(a):
     """``np.linalg.eig(a)`` of real ``a``, always complex (the public function
     drops the zero imaginary parts of an all-real stack; the values are the
-    same)."""
-    w, v = _umath_linalg.eig(a, signature="d->DD")
-    return _converged(w, "Eigenvalues"), v
+    same).  Unchecked: the caller tests each row it reads (:func:`_converged`)."""
+    return _umath_linalg.eig(a, signature="d->DD")
 
 
 def _eigvals(a):
-    """``np.linalg.eigvals(a)`` of real ``a``, always complex (as :func:`_eig`)."""
-    return _converged(_umath_linalg.eigvals(a, signature="d->D"), "Eigenvalues")
+    """``np.linalg.eigvals(a)`` of real ``a``, always complex (as :func:`_eig`).
+    Unchecked: the caller tests each row it reads (:func:`_converged`)."""
+    return _umath_linalg.eigvals(a, signature="d->D")
 
 
 def _slogdet(a):
@@ -206,7 +228,7 @@ def _slogdet(a):
 def _spectral_norm(mats):
     """Largest singular value of each matrix (as ``np.linalg.norm(m, 2)``):
     the first, as LAPACK returns them in descending order."""
-    return _svdvals(mats)[..., 0]
+    return _converged(_svdvals(mats), "SVD")[..., 0]
 
 
 def normal_matrices(mats):
@@ -284,6 +306,8 @@ def sphere_min(a, b):
     c = np.vecmat(b, q)
     rows, tails, coupled = [], [], []
     for lr, cr, bb in zip(lam.tolist(), c.tolist(), np.vecdot(b, b).tolist()):
+        if lr[0] != lr[0]:
+            _converged(lam, "Eigenvalues")
         # The spectrum is ascending, so its largest magnitude sits at an end.
         # The maximum is at least 1.0, so which of equal arguments max keeps
         # changes no bit.
@@ -318,8 +342,10 @@ def sphere_min(a, b):
     if easy:
         # The eigenvalues of the lifted matrix are mu - lambda_min.
         lifted = _lifted([rows[i][2] for i in easy], [rows[i][3] for i in easy])
-        directions, s_easy = [], []
-        for i, low in zip(easy, _eigvals(lifted).real.min(axis=-1).tolist()):
+        directions, s_easy, mu = [], [], _eigvals(lifted)
+        for i, low in zip(easy, mu.real.min(axis=-1).tolist()):
+            if low != low:
+                _converged(mu, "Eigenvalues")
             scale, k, gap, cr, _ = rows[i]
             # shift is lambda_min - mu, clamped so that mu <= lambda_min: of
             # equal arguments max keeps the first, np.maximum the second.
@@ -404,16 +430,21 @@ class ConeStage(NamedTuple):
 
 class NormalStage(NamedTuple):
     """Lorentz normal matrices ``nmat`` of a stack scaled to unit largest
-    singular value, with their spectral norms ``nnorm``, the real parts of
-    their eigenvalues ``lam`` sorted descending, the matching real parts of
-    the eigenvectors ``vecs[:, :, k]``, and the largest imaginary part
-    ``imag`` dropped per matrix."""
+    singular value, an (N, 4, 4) array, and per row: the spectral norm
+    ``nnorm[i]``, a float; the real parts of the eigenvalues ``lam[i]``, a
+    list of four floats sorted descending; and the largest imaginary part
+    ``imag[i]`` dropped, a float.  ``vecs`` is ``eig``'s (N, 4, 4) complex
+    eigenvector stack as it came, unsorted, and ``order`` the (N, 4) array
+    that sorts it: ``lam[i][k]`` is the real part of the eigenvalue of
+    ``vecs[i, :, order[i, k]]``.  A reader gathers only the columns it reads.
+    ``nnorm``, ``lam`` and ``imag`` are Python lists, one item per row."""
 
     nmat: np.ndarray
-    nnorm: np.ndarray
-    lam: np.ndarray
+    nnorm: list
+    lam: list
     vecs: np.ndarray
-    imag: np.ndarray
+    order: np.ndarray
+    imag: list
 
 
 class CanonicalStage(NamedTuple):
@@ -470,6 +501,8 @@ class Analysis:
         scaled, mueller, rank = [], [], []
         try:
             for (w0, w1, w2, w3), k in zip(w.tolist(), e.tolist()):
+                if w0 != w0:
+                    _converged(w, "Eigenvalues")
                 # The spectrum is ascending, so its largest magnitude sits at
                 # an end.  Of equal arguments max keeps the first and
                 # np.maximum(-w0, w3) the second: this order keeps its zero.
@@ -478,6 +511,9 @@ class Analysis:
                 rank.append((w0 > thresh) + (w1 > thresh) + (w2 > thresh) + (w3 > thresh))
                 scaled.append([ldexp(w0, k), ldexp(w1, k), ldexp(w2, k), ldexp(w3, k)])
         except OverflowError:
+            # A failed eigh of a later row raises first, as a check at the
+            # call did.
+            _converged(w, "Eigenvalues")
             raise FloatingPointError(
                 "analysis overflows: hermitian eigenvalue beyond the float range"
             ) from None
@@ -560,31 +596,48 @@ class Analysis:
     def normal(self) -> NormalStage:
         nmat = self._nmat
         lam, vecs = _eig(nmat)
-        imag = np.maximum.reduce(np.abs(lam.imag), axis=-1, initial=0.0)
+        svals = _svdvals(nmat)
+        # numpy's argsort, not sorted(): the two order tied values apart.
         order = (-lam.real).argsort(axis=-1)
-        rows = np.arange(len(lam))[:, None]
-        vecs = vecs.real[rows[:, :, None], _COLUMNS[:, None], order[:, None, :]]
-        return NormalStage(nmat, _spectral_norm(nmat), lam.real[rows, order], vecs, imag)
+        nnorm, real, imag = svals[:, 0].tolist(), [], []
+        for re, im, (a, b, c, e), norm in zip(
+            lam.real.tolist(), lam.imag.tolist(), order.tolist(), nnorm
+        ):
+            if re[0] != re[0] or norm != norm:
+                _converged(lam, "Eigenvalues")
+                _converged(svals, "SVD")
+            real.append([re[a], re[b], re[c], re[e]])
+            # Each |x| >= 0.0, so which of equal arguments max keeps, and
+            # the reduction's initial 0.0, change no bit.
+            imag.append(max(abs(im[0]), abs(im[1]), abs(im[2]), abs(im[3])))
+        return NormalStage(nmat, nnorm, real, vecs, order, imag)
 
     @_stage
-    def type1_d(self) -> np.ndarray:
-        """Type-I parameters d of every matrix, shape (N, 4), read by both
-        the classification (on Type-I rows only) and :meth:`factor`, whose
-        singular-input screen is d3 == 0.
+    def type1_d(self) -> list:
+        """Type-I parameters d of every matrix, a list of four floats per
+        row, read by both the classification (on Type-I rows only) and
+        :meth:`factor`, whose singular-input screen is d3 == 0.
 
         d is sigma times the square roots r of the clipped N-stage
         eigenvalues; d3 takes the sign of det(M) and is zero where
         |det(M / sigma)| = r0 r1 r2 |d3| / sigma is at most tol r0 r1 r2.
-        One stacked ``slogdet`` of M / sigma gives that determinant without
-        under- or overflow.  Zeroing d3 where the last eigenvalue is at most
+        One stacked ``slogdet`` of M / sigma and ``np.exp`` of its log give
+        that determinant without under- or overflow; the rest runs per row
+        on Python floats.  Zeroing d3 where the last eigenvalue is at most
         tol * nnorm instead would drop every |d3| below about sqrt(tol) sigma.
         """
         with np.errstate(divide="ignore"):  # log 0 of a singular input
             sign, logdet = _slogdet(self.unit)
-        root = np.sqrt(np.maximum(self.normal.lam, 0.0))
-        sign[np.exp(logdet) <= self.tol * root[:, :3].prod(axis=1)] = 0.0
-        root[:, 3] *= sign
-        return self.sigma[:, None] * root
+        tol, sqrt, d = self.tol, math.sqrt, []
+        rows = zip(self.normal.lam, self.sigma.tolist(), sign.tolist(), np.exp(logdet).tolist())
+        for (l0, l1, l2, l3), s, sg, det in rows:
+            # np.maximum(x, 0.0) keeps the second of equal arguments and max
+            # the first: 0.0 first turns -0.0 into 0.0 as numpy does.
+            r0, r1, r2 = sqrt(max(0.0, l0)), sqrt(max(0.0, l1)), sqrt(max(0.0, l2))
+            if det <= tol * (r0 * r1 * r2):
+                sg = 0.0
+            d.append([s * r0, s * r1, s * r2, s * (sqrt(max(0.0, l3)) * sg)])
+        return d
 
     @_stage
     def canonical(self) -> CanonicalStage:
@@ -603,24 +656,28 @@ class Analysis:
         # The N stage only where some row is cone-preserving and nonzero.
         low, full = [], []
         if classified:
-            vanishing = (self.normal.nnorm <= self.tol).tolist()
+            nnorm, tol = self.normal.nnorm, self.tol
             for i in classified:
-                (low if vanishing[i] else full).append(i)
+                # A vanishing normal matrix goes to the rank-one test.
+                (low if nnorm[i] <= tol else full).append(i)
         if low:
             # Vanishing normal matrix: Polarizer / Pin map, read off the
             # rank-one factors.
             u, s, vt = _svd(self.unit[low])
-            cluster_tol = float(np.sqrt(self.tol))
-            for j, i in enumerate(low):
-                family[i], reason[i] = _rank_one_family(u[j, :, 0], s[j, 1], vt[j, 0], cluster_tol)
+            cluster_tol = math.sqrt(self.tol)
+            for j, (i, sv) in enumerate(zip(low, s.tolist())):
+                if sv[0] != sv[0]:
+                    _converged(s, "SVD")
+                family[i], reason[i] = _rank_one_family(u[j, :, 0], sv[1], vt[j, 0], cluster_tol)
         if full:
             self._classify_full(full, family, reason)
         d, binding = [None] * len(self.m), [None] * len(self.m)
         if _TYPE_I in family:
+            type1_d = self.type1_d
             type_one = [i for i, f in enumerate(family) if f is _TYPE_I]
-            d_one = self.type1_d[type_one]
-            worst, violated = worst_type1_constraint(d_one, self.tol)
-            for i, row, k, bad in zip(type_one, d_one.tolist(), worst.tolist(), violated.tolist()):
+            d_one = [type1_d[i] for i in type_one]
+            worst, violated = worst_type1_constraint(np.array(d_one), self.tol)
+            for i, row, k, bad in zip(type_one, d_one, worst.tolist(), violated.tolist()):
                 d[i] = row
                 if bad:
                     binding[i] = TYPE1_CONSTRAINT_FORMS[k]
@@ -634,44 +691,53 @@ class Analysis:
         largest, relative to the normal matrix's own scale) is examined.  N
         is self-adjoint in the Lorentz form, and the Lorentz-orthogonal
         complement of its top invariant subspace is negative definite, so
-        every lower cluster is diagonalizable; a Type-II Jordan block sits
-        in the top cluster, at d0 d1 >= d2^2 >= d3^2.  A simple top
-        eigenvalue with a timelike eigenvector is Type I.  A tied top
-        cluster whose geometric multiplicity (rank test at tol) matches its
-        size is diagonalizable (Type I), one with a genuine null direction
-        but missing loose-rank dimensions is defective (Type II), and
-        anything in between is Indeterminate.
+        every lower cluster is diagonalizable (Gohberg, Lancaster & Rodman,
+        *Indefinite Linear Algebra*, 2005); a Type-II Jordan block sits in
+        the top cluster, at d0 d1 >= d2^2 >= d3^2.  A simple top eigenvalue
+        with a timelike eigenvector is Type I.  A tied top cluster whose
+        geometric multiplicity (rank test at tol) matches its size is
+        diagonalizable (Type I), one with a genuine null direction but
+        missing loose-rank dimensions is defective (Type II), and anything
+        in between is Indeterminate.
+
+        The timelike test of the top eigenvectors and the rank tests' SVD
+        run stacked; the cluster, its size and centre and the rank counts
+        per row on Python floats.
         """
         tol = self.tol
-        nmat, nnorm, lam, vecs, imag = self.normal
-        cluster_tol = float(np.sqrt(tol)) * nnorm
-        ctol, lam_l, imag_l, clip_l = (
-            cluster_tol.tolist(), lam.tolist(), imag.tolist(), np.maximum(lam, 0.0).tolist()
-        )
-        top = vecs[:, :, 0]
+        nmat, nnorm, lam, vecs, order, imag = self.normal
+        # The top columns as a strided view of eig's complex stack: BLAS
+        # sums a strided dot product in another order than a contiguous one.
+        top = vecs[np.arange(len(vecs)), :, order[:, 0]].real
         timelike = (np.vecdot(np.vecmat(top, LORENTZ_METRIC), top) > 0.0).tolist()
+        root_tol = math.sqrt(tol)
 
         # The size and centre of each tied top cluster, by row.
         tied = {}
         for i in full:
-            lj, cj = clip_l[i], ctol[i]
-            if imag_l[i] > cj:
+            cj = root_tol * nnorm[i]
+            l0, l1, l2, l3 = lam[i]
+            if imag[i] > cj:
                 reason[i] = "Lorentz normal matrix has complex spectrum"
-            elif lam_l[i][3] < -cj:
+                continue
+            if l3 < -cj:
                 reason[i] = "Lorentz normal matrix has a negative eigenvalue"
-            elif lj[0] - lj[1] > cj:
+                continue
+            # Clipped at 0.0 as np.maximum(x, 0.0) clips (see type1_d).  A
+            # tied cluster's centre is summed left to right, as Python 3.11's
+            # sum() adds (3.12's is compensated and can move it by an ulp).
+            l0, l1, l2, l3 = max(0.0, l0), max(0.0, l1), max(0.0, l2), max(0.0, l3)
+            if l0 - l1 > cj:
                 if timelike[i]:
                     family[i] = _TYPE_I
                 else:
                     reason[i] = "dominant eigenvector is not timelike"
+            elif l1 - l2 > cj:
+                tied[i] = 2, (l0 + l1) / 2
+            elif l2 - l3 > cj:
+                tied[i] = 3, (l0 + l1 + l2) / 3
             else:
-                size = next((k for k in (2, 3) if lj[k - 1] - lj[k] > cj), 4)
-                # Left to right, as Python 3.11's sum() adds (3.12's is
-                # compensated and can move the centre by an ulp).
-                total = 0.0
-                for x in lj[:size]:
-                    total += x
-                tied[i] = size, total / size
+                tied[i] = 4, (l0 + l1 + l2 + l3) / 4
         if not tied:
             return
 
@@ -681,9 +747,13 @@ class Analysis:
         at = list(tied)
         centers = np.array([center for _, center in tied.values()])
         svals = _svdvals(nmat[at] - centers[:, None, None] * _EYE)
-        strict = (svals <= tol * nnorm[at, None]).sum(axis=1).tolist()
-        loose = (svals <= cluster_tol[at, None]).sum(axis=1).tolist()
-        for (i, (size, center)), n_strict, n_loose in zip(tied.items(), strict, loose):
+        for (i, (size, center)), (s0, s1, s2, s3) in zip(tied.items(), svals.tolist()):
+            if s0 != s0:
+                _converged(svals, "SVD")
+            # The strict and loose rank counts, each a sum of four bools.
+            strict, loose = tol * nnorm[i], root_tol * nnorm[i]
+            n_strict = (s0 <= strict) + (s1 <= strict) + (s2 <= strict) + (s3 <= strict)
+            n_loose = (s0 <= loose) + (s1 <= loose) + (s2 <= loose) + (s3 <= loose)
             if n_strict >= size:
                 family[i] = _TYPE_I
             elif n_strict >= 1 and n_loose < size:
@@ -709,7 +779,7 @@ class Analysis:
         """
         g = LORENTZ_METRIC
         stage = self.normal
-        lam, vecs, d = stage.lam[0], stage.vecs[0], self.type1_d[0]
+        lam, d = stage.lam[0], self.type1_d[0]
         # Singular first: for a singular input N can be rounding noise, and
         # the noise would otherwise pick one of the spectrum's reasons.  A
         # negative eigenvalue of N lands here too: type1_d clips it, d3 = 0.
@@ -718,10 +788,12 @@ class Analysis:
         scale = self.tol * stage.nnorm[0]
         if stage.imag[0] > scale:
             raise NotTypeIError("Lorentz normal matrix has complex spectrum")
-        if np.min(lam[:3] - lam[1:]) < scale:
+        if min(lam[0] - lam[1], lam[1] - lam[2], lam[2] - lam[3]) < scale:
             raise DegenerateSpectrumError(
                 "eigenvalues of the Lorentz normal matrix are not distinct within tol"
             )
+        # The real parts of the eigenvectors in the order of lam, columns.
+        vecs = stage.vecs[0].real[:, stage.order[0]]
         quad = np.einsum("ia,ij,ja->a", vecs, g, vecs)
         if quad[0] <= 0.0:
             raise NotTypeIError("top eigenvector is not timelike")
@@ -742,6 +814,7 @@ class Analysis:
             raise NotTypeIError(f"eigenbasis fails Lorentz orthonormality by {ortho_err:.3g}")
         l_right = g @ basis.T @ g
         # unit is m / sigma, so its columns are divided by d / sigma.
+        d = np.array(d)
         l_left = (self.unit[0] @ basis) * (self.sigma[0] / d)
         if not (l_left[0, 0] > 0.0 and np.abs(l_left.T @ g @ l_left - g).max() <= 1e-6):
             raise NotTypeIError("left factor is not proper orthochronous Lorentz")

@@ -51,7 +51,7 @@ def test_stage_times_on_the_same_checkout():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "exact stages: 6 inputs per pass, 2 rounds, seed 1"
-    stages = ("hermitian", "cone", "sphere_min", "canonical", "reports", "stages")
+    stages = ("hermitian", "cone", "sphere_min", "normal", "canonical", "reports", "stages")
     times = ", ".join(rf"{stage} \d+\.\d us" for stage in stages)
     for line, side in zip(lines[1:3], ("parent", "change")):
         assert re.fullmatch(rf"{side}: {times} per input", line), line
@@ -70,7 +70,7 @@ def test_stage_times_of_the_batch_stacks():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "batch stages: 2 directories per pass, 2 rounds, seed 1"
-    stages = ("hermitian", "cone", "sphere_min", "canonical", "reports", "stages")
+    stages = ("hermitian", "cone", "sphere_min", "normal", "canonical", "reports", "stages")
     times = ", ".join(rf"{stage} \d+\.\d us" for stage in stages)
     for line, side in zip(lines[1:3], ("parent", "change")):
         assert re.fullmatch(rf"{side}: {times} per matrix", line), line

@@ -144,7 +144,8 @@ def _dressed_top_near_tie(seed):
     right = mueller_from_jones(boost_jones(axes[2], strong) @ rotation_jones(axes[3], angles[1]))
     m = left @ np.diag([1.0, 1.0 - 10.0 ** rng.uniform(-15.0, -9.0), 0.5, 0.2]) @ right
     stage = kernel.Analysis(m[None], 0.0).normal
-    gap = np.min(stage.lam[0, :3] - stage.lam[0, 1:]) / stage.nnorm[0]
+    lam = np.array(stage.lam[0])
+    gap = np.min(lam[:3] - lam[1:]) / stage.nnorm[0]
     return m, float(gap) * rng.uniform(0.2, 1.0)
 
 
@@ -644,15 +645,100 @@ def test_gufunc_helpers_give_the_public_results(data):
     assert np.array_equal(w.imag, np.imag(public_w))
 
 
-@pytest.mark.parametrize("helper, n", [(kernel._eigh, 3), (kernel._svdvals, 4)])
-def test_gufunc_helpers_raise_on_a_failed_row(helper, n):
-    # numpy fills a failed row with nan and warns; the helper then raises
-    # as numpy.linalg does
+@pytest.mark.parametrize("call, n", [(kernel.sphere_min, 3), (kernel._spectral_norm, 4)])
+def test_a_failed_lapack_row_raises(call, n):
+    # numpy fills a failed row with nan and warns; sphere_min's loop, which
+    # reads its eigh, and sigma's check at the call then raise as
+    # numpy.linalg does
     stack = np.zeros((2, n, n))
     stack[1] = np.nan
+    args = (stack, np.zeros((2, n))) if call is kernel.sphere_min else (stack,)
     with pytest.warns(RuntimeWarning, match="invalid value"):
         with pytest.raises(np.linalg.LinAlgError):
-            helper(stack)
+            call(*args)
+
+
+class _FailingLinalg:
+    """numpy's ``_umath_linalg`` whose ``call``-th call of the gufunc
+    ``name`` returns its outputs with row ``row`` all nan, as numpy returns
+    the row of a failed LAPACK call; ``sites`` records every call."""
+
+    def __init__(self, name=None, call=0, row=0):
+        self.name, self.call, self.row, self.sites = name, call, row, []
+
+    def __getattr__(self, attr):
+        gufunc = getattr(np.linalg._umath_linalg, attr)
+
+        def run(a, **kwargs):
+            out = gufunc(a, **kwargs)
+            self.sites.append(attr)
+            if attr == self.name and self.sites.count(attr) == self.call:
+                for field in out if isinstance(out, tuple) else (out,):
+                    field[self.row] = np.nan
+            return out
+
+        return run
+
+
+# Each LAPACK call of a report, in the order the stages make them on
+# _lapack_stack(): the cone stage's sigma, sphere eigh and eigvals, the N
+# stage's eig and norm, the rank-one SVD of the polarizer, the rank test of
+# the identity's tied top cluster, type1_d's slogdet (an LU factorization,
+# which does not fail) and last the H stage's eigh.
+_LAPACK_SITES = {
+    "sigma-svd": ("svd", 1),
+    "sphere-eigh": ("eigh_lo", 1),
+    "sphere-eigvals": ("eigvals", 1),
+    "normal-eig": ("eig", 1),
+    "normal-norm-svd": ("svd", 2),
+    "rank-one-svd": ("svd_f", 1),
+    "tied-svd": ("svd", 3),
+    "hermitian-eigh": ("eigh_lo", 2),
+}
+_FAILURE_TEXT = {
+    "svd": "SVD", "svd_f": "SVD", "eigh_lo": "Eigenvalues", "eig": "Eigenvalues",
+    "eigvals": "Eigenvalues",
+}
+
+
+def _lapack_stack():
+    d = np.diag([1.0, 0.6, 0.4, 0.2])
+    left, right = rotation_jones(3, 0.7), boost_jones(1, 0.4)
+    dressed = mueller_from_jones(left) @ d @ mueller_from_jones(right)
+    return np.stack([dressed, np.eye(4), polarizer_map(), type2_canonical(2.0, 1.0, 1.0, 1.0)])
+
+
+def test_lapack_sites_are_the_calls_of_a_report(monkeypatch):
+    linalg = _FailingLinalg()
+    monkeypatch.setattr(kernel, "_umath_linalg", linalg)
+    analyze_stack(_lapack_stack())
+    assert linalg.sites == [
+        "svd", "eigh_lo", "eigvals", "eig", "svd", "svd_f", "svd", "slogdet", "eigh_lo",
+    ]
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["first-row", "last-row"])
+@pytest.mark.parametrize("site", list(_LAPACK_SITES))
+def test_a_failed_lapack_row_raises_where_the_stage_reads_it(monkeypatch, site, row):
+    # whichever row of whichever call fails, the analysis raises the text of
+    # numpy.linalg's check at the call
+    name, call = _LAPACK_SITES[site]
+    monkeypatch.setattr(kernel, "_umath_linalg", _FailingLinalg(name, call, row))
+    with pytest.raises(np.linalg.LinAlgError, match=f"^{_FAILURE_TEXT[name]} did not converge$"):
+        analyze_stack(_lapack_stack())
+
+
+def test_a_failed_hermitian_row_raises_before_an_overflow(monkeypatch):
+    # the H stage's loop meets an eigenvalue beyond the float range in row 0
+    # before the failed row 1: the check at the call raised first, and so
+    # does the loop
+    stack = np.stack([np.eye(4) * _TOP, np.eye(4)])
+    monkeypatch.setattr(kernel, "_umath_linalg", _FailingLinalg("eigh_lo", 1, 1))
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        kernel.Analysis(stack).hermitian
+    monkeypatch.undo()
+    with pytest.raises(FloatingPointError, match="hermitian eigenvalue beyond the float range"):
+        kernel.Analysis(stack).hermitian
 
 
 @settings(max_examples=100, deadline=None)
@@ -816,12 +902,67 @@ def test_python_division_is_numpy_divide():
     assert np.array(got).tobytes() == want.tobytes()
 
 
+def test_python_clip_is_numpy_maximum_at_zero():
+    # type1_d's and the cluster's clip: np.maximum(x, 0.0) keeps the second
+    # of equal arguments and max the first, so the kernel writes
+    # max(0.0, x); max(x, 0.0) keeps -0.0, whose square root is -0.0
+    x = np.array(_SIGNED + _spread(2000, 8).tolist())
+    want = np.maximum(x, 0.0)
+    assert np.array([max(0.0, v) for v in x.tolist()]).tobytes() == want.tobytes()
+    assert np.array([max(v, 0.0) for v in x.tolist()]).tobytes() != want.tobytes()
+    roots = [math.sqrt(max(0.0, v)) for v in x.tolist()]
+    assert np.array(roots).tobytes() == np.sqrt(want).tobytes()
+
+
+def test_python_product_is_numpy_prod():
+    # type1_d's zero screen on d3: r0 * r1 * r2, left to right, as prod
+    # multiplies a row, and tol times it
+    rng = np.random.default_rng(9)
+    r = np.concatenate([rng.choice(_SIGNED, size=(6000, 3)), _spread(6000, 10).reshape(-1, 3)])
+    r = np.abs(r)
+    for tol in (muellercert.DEFAULT_TOL, 0.0, 0.5):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            want = tol * r.prod(axis=1)
+        got = [tol * (r0 * r1 * r2) for r0, r1, r2 in r.tolist()]
+        assert np.array(got).tobytes() == want.tobytes()
+
+
+def test_bool_sum_counts_are_the_numpy_counts():
+    # the cluster rank tests: four comparisons <= added as bools, an int
+    rng = np.random.default_rng(13)
+    s = -np.sort(-np.abs(rng.choice(_SIGNED, size=(5000, 4))), axis=1)
+    thresh = np.abs(rng.choice(_SIGNED, size=5000))
+    got = [
+        (s0 <= t) + (s1 <= t) + (s2 <= t) + (s3 <= t)
+        for (s0, s1, s2, s3), t in zip(s.tolist(), thresh.tolist())
+    ]
+    assert {type(count) for count in got} == {int}
+    assert got == (s <= thresh[:, None]).sum(axis=1).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gathered_top_columns_give_the_sorted_stack_quad(data):
+    # the timelike test reads the top columns gathered from eig's complex
+    # stack, .real after the gather: a strided view, as column 0 of the
+    # sorted real stack was.  OpenBLAS sums a dot product of strided vectors
+    # in another order than of contiguous ones, so a contiguous gather can
+    # change bits.
+    stage = kernel.Analysis(_scaled_stack(data.draw, (4, 4))).normal
+    rows = np.arange(len(stage.vecs))
+    top = stage.vecs[rows, :, stage.order[:, 0]].real
+    column = _normal_arrays(stage)[3][:, :, 0]
+    g = LORENTZ_METRIC
+    _same_bytes([np.vecdot(np.vecmat(top, g), top)], [np.vecdot(np.vecmat(column, g), column)])
+
+
 def _numpy_hermitian(analysis):
     # the H stage with its tail on (N,) arrays, as it was written before
     m, tol = analysis.m, analysis.tol
     peak = np.maximum.reduce(np.abs(m).reshape(-1, 16), axis=1)
     e = (np.frexp(peak)[1] & -2)[:, None]
     w, v = kernel._eigh(kernel._hermitian_of(np.ldexp(m, -e[:, :, None])))
+    kernel._converged(w, "Eigenvalues")
     thresh = tol * np.maximum(-w[:, 0], w[:, -1])
     rank = (w > thresh[:, None]).sum(axis=1)
     mueller = w[:, 0] >= -thresh
@@ -859,11 +1000,185 @@ def _numpy_cone(analysis):
     return ok, intensity, lorentz, worst
 
 
+def _numpy_normal(analysis):
+    # the N stage with its tail on arrays, as it was written before: the
+    # sorted real parts and eigenvector columns gathered, (N,) norms
+    nmat = analysis._nmat
+    lam, vecs = kernel._eig(nmat)
+    kernel._converged(lam, "Eigenvalues")
+    imag = np.maximum.reduce(np.abs(lam.imag), axis=-1, initial=0.0)
+    order = (-lam.real).argsort(axis=-1)
+    rows = np.arange(len(lam))[:, None]
+    vecs = vecs.real[rows[:, :, None], np.arange(4)[:, None], order[:, None, :]]
+    return nmat, kernel._spectral_norm(nmat), lam.real[rows, order], vecs, imag
+
+
+def _numpy_type1_d(analysis, normal):
+    # type1_d on (N, 4) arrays, as it was written before.  Where sigma
+    # overflows numpy warns on inf * 0 and the Python floats do not: only
+    # this reference runs under errstate, the bytes are compared
+    with np.errstate(divide="ignore"):
+        sign, logdet = kernel._slogdet(analysis.unit)
+    root = np.sqrt(np.maximum(normal[2], 0.0))
+    sign[np.exp(logdet) <= analysis.tol * root[:, :3].prod(axis=1)] = 0.0
+    root[:, 3] *= sign
+    with np.errstate(over="ignore", invalid="ignore"):
+        return analysis.sigma[:, None] * root
+
+
+def _numpy_classify_full(analysis, normal, full, family, reason):
+    # _classify_full with its tail on arrays, as it was written before
+    tol = analysis.tol
+    nmat, nnorm, lam, vecs, imag = normal
+    cluster_tol = float(np.sqrt(tol)) * nnorm
+    ctol, lam_l, imag_l, clip_l = (
+        cluster_tol.tolist(), lam.tolist(), imag.tolist(), np.maximum(lam, 0.0).tolist()
+    )
+    top = vecs[:, :, 0]
+    timelike = (np.vecdot(np.vecmat(top, LORENTZ_METRIC), top) > 0.0).tolist()
+    tied = {}
+    for i in full:
+        lj, cj = clip_l[i], ctol[i]
+        if imag_l[i] > cj:
+            reason[i] = "Lorentz normal matrix has complex spectrum"
+        elif lam_l[i][3] < -cj:
+            reason[i] = "Lorentz normal matrix has a negative eigenvalue"
+        elif lj[0] - lj[1] > cj:
+            if timelike[i]:
+                family[i] = Family.TYPE_I
+            else:
+                reason[i] = "dominant eigenvector is not timelike"
+        else:
+            size = next((k for k in (2, 3) if lj[k - 1] - lj[k] > cj), 4)
+            total = 0.0
+            for x in lj[:size]:
+                total += x
+            tied[i] = size, total / size
+    if not tied:
+        return
+    at = list(tied)
+    centers = np.array([center for _, center in tied.values()])
+    svals = kernel._converged(kernel._svdvals(nmat[at] - centers[:, None, None] * np.eye(4)), "SVD")
+    strict = (svals <= tol * nnorm[at, None]).sum(axis=1).tolist()
+    loose = (svals <= cluster_tol[at, None]).sum(axis=1).tolist()
+    for (i, (size, center)), n_strict, n_loose in zip(tied.items(), strict, loose):
+        if n_strict >= size:
+            family[i] = Family.TYPE_I
+        elif n_strict >= 1 and n_loose < size:
+            family[i] = Family.TYPE_II
+        else:
+            reason[i] = (
+                f"eigenvalue cluster near {center:.6g} (input normalized): "
+                "cannot separate defective from nearly degenerate "
+                "diagonalizable structure"
+            )
+
+
+def _numpy_canonical(analysis):
+    # the canonical stage with its tail on arrays, as it was written before
+    n, tol = len(analysis.m), analysis.tol
+    family, reason = [Family.INDETERMINATE] * n, [None] * n
+    classified = []
+    for i, (ok, sigma) in enumerate(zip(analysis.cone.ok, analysis.sigma.tolist())):
+        if not ok:
+            family[i] = Family.NOT_PRE_MUELLER
+            reason[i] = "does not map the Stokes cone into itself"
+        elif sigma == 0.0:
+            reason[i] = "zero matrix"
+        else:
+            classified.append(i)
+    low, full, normal = [], [], None
+    if classified:
+        normal = _numpy_normal(analysis)
+        vanishing = (normal[1] <= tol).tolist()
+        for i in classified:
+            (low if vanishing[i] else full).append(i)
+    if low:
+        u, s, vt = kernel._svd(analysis.unit[low])
+        kernel._converged(s, "SVD")
+        cluster_tol = float(np.sqrt(tol))
+        for j, i in enumerate(low):
+            family[i], reason[i] = kernel._rank_one_family(
+                u[j, :, 0], s[j, 1], vt[j, 0], cluster_tol
+            )
+    if full:
+        _numpy_classify_full(analysis, normal, full, family, reason)
+    d, binding = [None] * n, [None] * n
+    if Family.TYPE_I in family:
+        type_one = [i for i, f in enumerate(family) if f is Family.TYPE_I]
+        d_one = _numpy_type1_d(analysis, normal)[type_one]
+        worst, violated = kernel.worst_type1_constraint(d_one, tol)
+        for i, row, k, bad in zip(type_one, d_one.tolist(), worst.tolist(), violated.tolist()):
+            d[i] = row
+            if bad:
+                binding[i] = kernel.TYPE1_CONSTRAINT_FORMS[k]
+    return family, d, reason, binding
+
+
+def _numpy_factor(analysis):
+    # Analysis.factor on the N stage and type1_d as they were written before
+    g = LORENTZ_METRIC
+    normal = _numpy_normal(analysis)
+    _, nnorm, lam, vecs, imag = normal
+    lam, vecs, d = lam[0], vecs[0], _numpy_type1_d(analysis, normal)[0]
+    if d[3] == 0.0:
+        raise NotTypeIError("factorization requires a nonsingular input")
+    scale = analysis.tol * nnorm[0]
+    if imag[0] > scale:
+        raise NotTypeIError("Lorentz normal matrix has complex spectrum")
+    if np.min(lam[:3] - lam[1:]) < scale:
+        raise DegenerateSpectrumError(
+            "eigenvalues of the Lorentz normal matrix are not distinct within tol"
+        )
+    quad = np.einsum("ia,ij,ja->a", vecs, g, vecs)
+    if quad[0] <= 0.0:
+        raise NotTypeIError("top eigenvector is not timelike")
+    if quad[1:].max() >= 0.0:
+        raise NotTypeIError("subdominant eigenvector is not spacelike")
+    basis = vecs / np.sqrt(np.abs(quad))
+    pivot = basis[np.argmax(np.abs(basis), axis=0), np.arange(4)]
+    pivot[0] = basis[0, 0]
+    basis *= np.where(pivot < 0.0, -1.0, 1.0)
+    if kernel._slogdet(basis)[0] < 0.0:
+        basis[:, 3] *= -1.0
+    ortho_err = np.abs(basis.T @ g @ basis - g).max()
+    if ortho_err > 1e-6:
+        raise NotTypeIError(f"eigenbasis fails Lorentz orthonormality by {ortho_err:.3g}")
+    l_right = g @ basis.T @ g
+    l_left = (analysis.unit[0] @ basis) * (analysis.sigma[0] / d)
+    if not (l_left[0, 0] > 0.0 and np.abs(l_left.T @ g @ l_left - g).max() <= 1e-6):
+        raise NotTypeIError("left factor is not proper orthochronous Lorentz")
+    return l_left, d, l_right
+
+
+def _normal_arrays(stage):
+    # the N stage's fields as the arrays of _numpy_normal: the eigenvector
+    # columns gathered in the order of lam
+    nmat, nnorm, lam, vecs, order, imag = stage
+    rows = np.arange(len(vecs))[:, None, None]
+    sorted_vecs = vecs.real[rows, np.arange(4)[:, None], order[:, None, :]]
+    return nmat, np.array(nnorm), np.array(lam).reshape(-1, 4), sorted_vecs, np.array(imag)
+
+
+def _canonical_arrays(stage):
+    # a canonical stage's lists as arrays whose bytes can be compared: d
+    # with its None rows as nan next to a mask, the texts with None as "None"
+    family, d, reason, binding = stage
+    rows = np.array([[math.nan] * 4 if row is None else row for row in d]).reshape(-1, 4)
+    return (
+        np.array([f.value for f in family]),
+        rows,
+        np.array([row is None for row in d]),
+        np.array([str(text) for text in reason]),
+        np.array([str(text) for text in binding]),
+    )
+
+
 def _outcome(read):
     try:
         return [np.asarray(field) for field in read()]
-    except FloatingPointError as exc:
-        return str(exc)
+    except (FloatingPointError, NotTypeIError, DegenerateSpectrumError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _tail_cases():
@@ -889,21 +1204,109 @@ def _tail_cases():
     return {"gaussian": gaussian, "mixtures": mixtures, "tiny": tiny, "pow": misrounded}
 
 
-@pytest.mark.parametrize("name", ["gaussian", "mixtures", "tiny", "pow"])
+def _canonical_cases():
+    """Stacks for the N stage, type1_d and the canonical stage: tied top
+    clusters (exact, dressed, and near ties that are Indeterminate), lower
+    ties, Type II (canonical and dressed), rank-one rows (Polarizer, Pin map
+    and a b^T), singular rows (the d3 = 0 screen: a zero, a subnormal entry,
+    a rank-one and a rank-two input, d3 at the screen's threshold, signed
+    zeros in N's spectrum), and all of them again at 1e+-300."""
+    rng = np.random.default_rng(27)
+
+    def dressed(m):
+        return random_lorentz(rng) @ m @ random_lorentz(rng)
+
+    top = [np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0]), np.diag([1.0, 1.0, 0.5, 0.2])]
+    top += [np.diag([1.0, 1.0, 1.0, 0.3]), np.diag([1.0, 1.0 - 1e-6, 0.5, 0.2])]
+    top += [np.diag([1.0, 1.0 - 1e-9, 0.5, -0.2]), np.diag([1.0, 1.0 - 1e-12, 1.0 - 2e-12, 0.2])]
+    top += [dressed(m) for m in list(top)] + [_dressed_top_near_tie(seed)[0] for seed in range(4)]
+    ties = itertools.product(("d1 = d2", "d2 = |d3|", "all"), (1.0, -1.0))
+    lower = [np.diag(_tied(0.7, 0.4, tie, sign)) for tie, sign in ties]
+    lower += [dressed(m) for m in list(lower)]
+    type2 = [type2_canonical(2.0, 1.0, 1.0, 1.0), type2_canonical(2.0, 1.0, 0.8, 0.5)]
+    type2 += [type2_canonical(1.0, 0.5, 0.5, -0.5)] + [dressed(m) for m in type2 for _ in range(3)]
+    rank_one = [polarizer_map(), polarizer_map(0.7), pin_map(), pin_map(0.4)]
+    rank_one += [dressed(m) for m in list(rank_one)] + [_outer(seed) for seed in (628, 898, 3)]
+    subnormal = np.diag([1.0, 0.5, 0.0, -0.5])
+    subnormal[3, 2] = -1.11253693e-311
+    singular = [np.diag([1.0, 0.5, 0.25, 0.0]), np.diag([1.0, 0.0, 0.0, 0.0]), subnormal]
+    singular += [np.diag([1.0, 0.5, 0.3, 1e-20]), np.diag([1.0, 0.5, 0.0, 0.0])]
+    singular += [dressed(m) for m in list(singular)]
+    singular += [_rank_two_at_the_edge(seed)[0] for seed in (1, 2)]
+    # d3 within an ulp of the screen's threshold at the default tol, where
+    # tol * (r0 * r1 * r2) and (tol * r0) * r1 * r2 screen differently
+    for d1, d2, d3 in [
+        (0.5492905166149105, 0.49432337117308955, 9.99999999999999e-10),
+        (0.5787987373129461, 0.44495032333893647, 1.0000000000000003e-09),
+        (0.6563205129820778, 0.26064483202904204, 9.99999999999999e-10),
+    ]:
+        singular.append(np.diag([1.0, d1, d2, d3]))
+    # N-stage eigenvalues of -0.0: the last, third, second and first
+    tiny = 1e-200
+    singular += [
+        np.array(m)
+        for m in (
+            [[-0.0, tiny, 0, -1], [-0.0, -1, 0, -0.0], [0, -0.0, 0, 1], [tiny, 0, 0.5, 0]],
+            [[-0.0, 1, 0, -0.0], [0, 1, 0, -0.0], [0.5, -0.0, tiny, 1], [tiny, 0, 0, 0]],
+            [[0, tiny, 0, 0], [0, -tiny, 0, -1], [0, -0.0, -tiny, 1], [-tiny, -0.0, -tiny, -1]],
+            [[0, 0, 1, 0], [0, -0.0, -0.0, 0], [0, tiny, -0.0, tiny], [tiny, 0, 0, tiny]],
+        )
+    ]
+    cases = {"top-tie": top, "lower-tie": lower, "type-two": type2, "rank-one": rank_one}
+    cases = {name: np.stack(mats) for name, mats in {**cases, "singular": singular}.items()}
+    everything = np.concatenate(list(cases.values()))
+    return {**cases, "1e300": 1e300 * everything, "1e-300": 1e-300 * everything}
+
+
+_ALL_CASES = ["gaussian", "mixtures", "tiny", "pow"]
+_ALL_CASES += ["top-tie", "lower-tie", "type-two", "rank-one", "singular", "1e300", "1e-300"]
+
+
+@pytest.mark.parametrize("name", _ALL_CASES)
 def test_stage_tails_give_the_numpy_tails_bits(name):
-    # per row and on the whole stack: the same bytes, or the same error
-    mats = _tail_cases()[name]
-    for stack in [mats[k : k + 1] for k in range(len(mats))] + [mats]:
-        new, old = kernel.Analysis(stack), kernel.Analysis(stack)
+    # per row and on the whole stack, at the default tol and at tol 0: the
+    # same bytes, or the same error
+    cases = _tail_cases() if name in ("gaussian", "mixtures", "tiny", "pow") else _canonical_cases()
+    mats = cases[name]
+    for tol, stack in itertools.product(
+        [muellercert.DEFAULT_TOL, 0.0], [mats[k : k + 1] for k in range(len(mats))] + [mats]
+    ):
+        new, old = kernel.Analysis(stack, tol), kernel.Analysis(stack, tol)
         for read_new, read_old in [
             (lambda: new.hermitian, lambda: _numpy_hermitian(old)),
             (lambda: new.cone, lambda: _numpy_cone(old)),
+            (lambda: _normal_arrays(new.normal), lambda: _numpy_normal(old)),
+            (lambda: [new.type1_d], lambda: [_numpy_type1_d(old, _numpy_normal(old))]),
+            (
+                lambda: _canonical_arrays(new.canonical),
+                lambda: _canonical_arrays(_numpy_canonical(old)),
+            ),
+            (lambda: new.factor(), lambda: _numpy_factor(old)),
         ]:
             got, want = _outcome(read_new), _outcome(read_old)
             if isinstance(want, str):
                 assert got == want
             else:
                 _same_bytes(got, want)
+
+
+def test_canonical_cases_reach_every_branch():
+    # the stacks above reach each family and reason of the canonical stage
+    # and each outcome of the factorization, at the default tol
+    reached, factored = set(), set()
+    for name, mats in _canonical_cases().items():
+        if name.startswith("1e"):
+            continue  # there the cone stage raises FloatingPointError
+        stage = kernel.Analysis(mats).canonical
+        for f, r in zip(stage.family, stage.reason):
+            reached.add((f.value, r.split(" near")[0] if r else r))
+        for m in mats:
+            factored.add(_outcome(lambda: kernel.Analysis(m[None]).factor()).__class__.__name__)
+    assert {family for family, _ in reached} == {
+        "TypeI", "TypeII", "Polarizer", "PinMap", "NotPreMueller", "Indeterminate",
+    }
+    assert ("Indeterminate", "eigenvalue cluster") in reached
+    assert factored == {"list", "str"}
 
 
 @settings(max_examples=300, deadline=None)

@@ -36,6 +36,7 @@ def _stacked_lifted(gap, c):
 def _stacked_sphere_min(a, b):
     # sphere_min with every step on the whole stack, as it was written
     lam, q = kernel._eigh(a)
+    kernel._converged(lam, "Eigenvalues")
     c = np.vecmat(b, q)
     scale = np.maximum(np.maximum(-lam[:, 0], lam[:, -1]), np.maximum(kernel._norm(b), 1.0))
     gap = lam - lam[:, :1]
@@ -52,7 +53,8 @@ def _stacked_sphere_min(a, b):
     if n_hard < len(hard):
         easy = slice(None) if n_hard == 0 else ~hard
         c, gap, bottom = c[easy], gap[easy], bottom[easy]
-        shift = np.maximum(0.0, -kernel._eigvals(_stacked_lifted(gap, c)).real.min(axis=-1))
+        mu = kernel._converged(kernel._eigvals(_stacked_lifted(gap, c)), "Eigenvalues")
+        shift = np.maximum(0.0, -mu.real.min(axis=-1))
         floor = np.maximum(shift, kernel._EPS * scale[easy])
         comp = -c / (gap + np.where(bottom, floor[:, None], shift[:, None]))
         s_easy = np.where(bottom, 0.0, comp)

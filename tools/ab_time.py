@@ -30,12 +30,15 @@ side and exits 1 when any output differs, else 0.
 a fresh analysis: of one matrix per ``exact`` input, or of one stack per
 ``batch`` directory, its matrices in the order ``batch`` reads the files.
 The stages are the H stage, the cone stage (which computes sigma and the
-normal matrices), of it ``sphere_min`` apart, the canonical stage without
-the cone stage, and the report assembly (``cli._reports``) on the finished
-stages.  Rounds interleave the sides as above.  It prints each side's
-median time per input (per matrix for ``batch``) of every stage and of
-their sum (``stages``; ``sphere_min`` is in ``cone``), then the ratio
-change / parent of those medians.
+normal matrices), of it ``sphere_min`` apart, the N stage with
+``type1_d`` (``normal``: both are computed inside the canonical stage, and
+timed there on their first read), the rest of the canonical stage
+(``canonical``: the cone stage, ``normal`` and ``type1_d`` not counted),
+and the report assembly (``cli._reports``) on the finished stages.  Rounds
+interleave the sides as above.  It prints each side's median time per
+input (per matrix for ``batch``) of every stage and of their sum
+(``stages``; ``sphere_min`` is in ``cone``), then the ratio change / parent
+of those medians.
 """
 
 import os
@@ -74,7 +77,7 @@ def _exact_pass(cli, mats):
     return [cli.analyze_matrix(m) for m in mats]
 
 
-_STAGES = ("hermitian", "cone", "sphere_min", "canonical", "reports", "stages")
+_STAGES = ("hermitian", "cone", "sphere_min", "normal", "canonical", "reports", "stages")
 
 
 def _stage_pass(cli, stacks):
@@ -91,20 +94,42 @@ def _stage_pass(cli, stacks):
         finally:
             spent["sphere_min"] += clock() - start
 
+    def timed(compute):
+        def run(analysis):
+            start = clock()
+            try:
+                return compute(analysis)
+            finally:
+                spent["normal"] += clock() - start
+
+        run.__name__ = compute.__name__  # the key the stage is kept under
+        return run
+
+    # The N stage and type1_d are the canonical stage's first reads of
+    # stages of their own; each computes once per analysis, neither inside
+    # the other.
+    stages = [vars(kernel.Analysis)[name] for name in ("normal", "type1_d")]
+    computes = [stage.compute for stage in stages]
     kernel.sphere_min = timed_sphere_min  # the cone stage's global
     try:
+        for stage, compute in zip(stages, computes):
+            stage.compute = timed(compute)
         for stack in stacks:
             analysis = cli.Analysis(cli.as_mueller_stack(stack), cli.DEFAULT_TOL)
             for name in ("hermitian", "cone", "canonical"):
-                start = clock()
+                normal, start = spent["normal"], clock()
                 getattr(analysis, name)
-                spent[name] += clock() - start
+                spent[name] += clock() - start - (spent["normal"] - normal)
             start = clock()
             cli._reports(analysis)
             spent["reports"] += clock() - start
     finally:
         kernel.sphere_min = sphere_min
-    spent["stages"] = sum(spent[name] for name in ("hermitian", "cone", "canonical", "reports"))
+        for stage, compute in zip(stages, computes):
+            stage.compute = compute
+    spent["stages"] = sum(
+        spent[name] for name in ("hermitian", "cone", "normal", "canonical", "reports")
+    )
     return spent
 
 
