@@ -128,8 +128,10 @@ def type1_factor(m, tol: float = DEFAULT_TOL):
     sigma times the signed square roots of the eigenvalues of the normal
     matrix of m/sigma, the last one carrying the sign of det(m).
 
-    Raises NotTypeIError when the input is singular (d3 is zero), before
-    any other screen, since the normal matrix of a singular input can be
+    Raises FloatingPointError when sigma is beyond the float range, which
+    entries within a factor of about 4 of float max can reach.  Raises
+    NotTypeIError when the input is singular (d3 is zero), before any
+    other screen, since the normal matrix of a singular input can be
     rounding noise.  Otherwise raises DegenerateSpectrumError when
     eigenvalue gaps fall below tol (callers should fall back to
     classification only) and NotTypeIError when the spectrum or

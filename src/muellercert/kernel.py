@@ -37,9 +37,10 @@ the stage.
 
 The public functions of the layer modules are views on an analysis of a
 stack of one, and ``batch`` analyzes a whole directory as one stack, so
-both sizes take the same code path.  A stage is computed on its first read
-and kept in the analysis's ``__dict__`` by a descriptor that takes no lock,
-so threads analyzing different stacks never wait on each other.
+both sizes take the same code, but for the form of :func:`sphere_min`,
+which the stack size selects (below).  A stage is computed on its first
+read and kept in the analysis's ``__dict__`` by a descriptor that takes no
+lock, so threads analyzing different stacks never wait on each other.
 
 What runs stacked and what runs per row: every LAPACK call and every
 BLAS-backed product (``matmul``, ``np.vecdot``, ``np.matvec``,
@@ -56,20 +57,25 @@ back; the cone stage's margins, verdict, worst input and zero rows; the N
 stage's sorted real parts, largest imaginary part and norm; ``type1_d``'s
 clip, roots, zero screen on d3 and scaling by sigma; the canonical stage's
 vanishing test, cluster size and centre, rank counts, d and binding rows.
-Those fields are Python lists.  :func:`sphere_min`
-is split the same way: its ``eigh``, its ``eigvals`` of the lifted
-matrices and its sums of products run stacked, and the elementwise steps
-between them per row.  Numpy dispatch on a 1-row array costs 0.4-2 us per
-call, where a Python float operation costs tens of nanoseconds, so the
-loops serve one matrix best, and every stack size takes them.  The loops
-use only +, -, *, /, ``**`` (C ``pow``, as ``np.float_power``), ``abs``,
-``math.sqrt``, ``math.copysign``, ``math.ldexp``, ``max`` and comparisons,
-each of which gives the bits of the numpy operation it replaced: ``max``
-keeps the first of equal arguments and ``np.maximum`` the second, and
-``np.sign(-0.0)`` is 0.0, so the loops order and guard those calls to
-match.  No loop calls ``sum()``: Python 3.12's is compensated.  Sums of
-products cannot move: numpy's BLAS kernels fuse multiply
-and add (FMA) on hosts that have it, and on an AVX-512 host ``np.vecdot``
+Those fields are Python lists.  Numpy dispatch on a 1-row array costs
+0.4-2 us per call, where a Python float operation costs tens of
+nanoseconds, so the loops serve one matrix best; at 25 rows each stage's
+loop costs what its numpy form costs, to 0.1 us per matrix, so each stage
+has one form for every stack size.  :func:`sphere_min`, whose
+elementwise steps are many more per row, has two, chosen by the stack
+size: below ``_STACKED_FROM`` (4) rows those steps run per row on Python
+floats, between its ``eigh``, its ``eigvals`` of the lifted matrices and
+its sums of products, which run stacked; from 4 rows on every step runs
+as a numpy operation on the whole stack, and at 25 rows takes 10.3 us per
+row against the loops' 17.7.  The loops use only +, -, *, /, ``**`` (C
+``pow``, as ``np.float_power``), ``abs``, ``math.sqrt``,
+``math.copysign``, ``math.ldexp``, ``max`` and comparisons, each of which
+gives the bits of the numpy operation it replaced: ``max`` keeps the first
+of equal arguments and ``np.maximum`` the second, and ``np.sign(-0.0)`` is
+0.0, so the loops order and guard those calls to match.  No loop calls
+``sum()``: Python 3.12's is compensated.  Sums of products cannot move:
+numpy's BLAS kernels fuse multiply and add (FMA) on hosts that have it,
+and on an AVX-512 host ``np.vecdot``
 of 3-vectors equals a left-to-right Python sum in only 66.7% of 200,000
 random draws.  For the same reason the memory layout of a BLAS operand
 stays as it was: OpenBLAS sums a dot product of strided vectors in another
@@ -92,8 +98,9 @@ stacks by construction (:func:`~muellercert.core._array` checked the
 input).  A failed LAPACK call still raises ``LinAlgError``, with the text
 and in the order of the public function's check: the gufunc fills the
 failed row with nan, the stage loop that reads the output tests each row
-for it, and sigma's SVD, which the ``unit`` stage divides by first, is
-tested at the call (:func:`_converged`).
+for it, and sigma's SVD, which the ``unit`` stage divides by first, and
+the LAPACK calls of :func:`_sphere_min_stacked`, whose outputs no loop
+reads, are tested at the call (:func:`_converged`).
 """
 
 import enum
@@ -182,7 +189,8 @@ def _converged(out, what):
     tens of nanoseconds: a failed row is all nan) and calls this on a hit,
     so the text and the order of the errors are those of a check at the
     call.  Sigma's SVD, which the ``unit`` stage divides by before any loop
-    reads it, is checked at the call (:func:`_spectral_norm`)."""
+    reads it, is checked at the call (:func:`_spectral_norm`), and so are
+    the LAPACK calls of :func:`_sphere_min_stacked`, which has no loop."""
     if np.count_nonzero(out != out):
         raise LinAlgError(f"{what} did not converge")
     return out
@@ -282,6 +290,24 @@ def _lifted(gap, c):
     return np.array(source).reshape(len(c), -1).take(_lifted_index(len(c[0])), axis=1)
 
 
+def _stacked_lifted(gap, c):
+    """The lifted matrices of :func:`_sphere_min_stacked`, gathered from
+    (N, n) arrays of gaps and couplings (as :func:`_lifted` from lists)."""
+    k, n = c.shape
+    abs_c = np.abs(c)
+    v = np.sign(c) * np.sqrt(abs_c)
+    outer = (v[:, :, None] * v[:, None, :]).reshape(k, n * n)
+    source = np.empty((k, n * (n + 2) + 2))
+    source[:, -2:] = [0.0, -0.0]
+    np.concatenate((gap, -abs_c, -outer), axis=1, out=source[:, :-2])
+    return source[:, _lifted_index(n)]
+
+
+# The smallest stack that takes sphere_min's stacked form: where the two
+# forms cross (see sphere_min).
+_STACKED_FROM = 4
+
+
 def sphere_min(a, b):
     """Stacked global minimum of s^T A s + 2 b^T s over the unit sphere.
 
@@ -290,17 +316,75 @@ def sphere_min(a, b):
     shape (N, n).  The method is documented at
     :func:`muellercert.conetest.sphere_quadratic_min`.
 
-    The LAPACK calls (``eigh`` of A, ``eigvals`` of the lifted matrices)
-    and the sums of products (``np.vecmat``, ``np.vecdot``, ``np.matvec``)
-    run on the whole stack; where a step needs two sums of squares, one
-    ``np.vecdot`` takes both over a (2N, n) stack.  The elementwise steps
-    between them run per row on Python floats: the spectral scale, the
-    gaps, the bottom eigenspace, the hard-case test and completion, the
-    source rows of the lifted matrices, the shift and its floor, the
-    components, the deficit, the ratio that completes the bottom
-    components and the divisors of the final normalization.  A row's
-    result does not depend on the stack around it.
+    Two forms, chosen by the stack size, run the same LAPACK calls
+    (``eigh`` of A, ``eigvals`` of the lifted matrices) and the same sums
+    of products (``np.vecmat``, ``np.vecdot``, ``np.matvec``) on the whole
+    stack, and give each row the same bytes, whatever the stack around it.
+    They differ in the elementwise steps between those calls.  A stack of
+    fewer than ``_STACKED_FROM`` rows (one matrix: ``analyze_matrix``,
+    ``analyze``, :func:`~muellercert.conetest.sphere_quadratic_min`) takes
+    :func:`_sphere_min_per_row`, which runs them on Python floats: a numpy
+    call on a 1-row array costs 0.4-2 us, a float operation tens of
+    nanoseconds.  A larger stack (``batch``) takes
+    :func:`_sphere_min_stacked`, which runs them as numpy operations on
+    the whole stack, whose fixed cost per call the rows share.  Per row,
+    per-row against stacked form, on the cone stage's problems of the 400
+    matrices of ``bench/corpus.py``'s ``measured_corpus(6, 16, 25)``
+    (median of 15 interleaved passes, BLAS on one thread): 42.2 against
+    71.1 us at 1 row, 26.0 against 28.7 at 3, 23.5 against 23.1 at 4, 20.4
+    against 15.8 at 8 and 17.7 against 10.3 at 25.
     """
+    if len(a) < _STACKED_FROM:
+        return _sphere_min_per_row(a, b)
+    return _sphere_min_stacked(a, b)
+
+
+def _sphere_min_stacked(a, b):
+    """:func:`sphere_min` with every step on the whole stack."""
+    lam, q = _eigh(a)
+    _converged(lam, "Eigenvalues")
+    c = np.vecmat(b, q)
+    scale = np.maximum(np.maximum(-lam[:, 0], lam[:, -1]), np.maximum(_norm(b), 1.0))
+    gap = lam - lam[:, :1]
+    bottom = gap <= _GAP_EPS * scale[:, None]
+    s_eig = np.divide(-c, gap, out=np.zeros(c.shape), where=~bottom)
+    tail_sq = np.vecdot(s_eig, s_eig)
+    c_bottom = np.where(bottom, c, 0.0)
+    hard = (
+        np.vecdot(c_bottom, c_bottom) <= np.float_power(_COUPLING_EPS * scale, 2)
+    ) & (tail_sq <= 1.0)
+    n_hard = np.count_nonzero(hard)
+    if n_hard:
+        s_eig[:, 0] = np.where(hard, np.sqrt(np.maximum(1.0 - tail_sq, 0.0)), 0.0)
+    if n_hard < len(hard):
+        easy = slice(None) if n_hard == 0 else ~hard
+        c, gap, bottom = c[easy], gap[easy], bottom[easy]
+        mu = _converged(_eigvals(_stacked_lifted(gap, c)), "Eigenvalues")
+        shift = np.maximum(0.0, -mu.real.min(axis=-1))
+        floor = np.maximum(shift, _EPS * scale[easy])
+        comp = -c / (gap + np.where(bottom, floor[:, None], shift[:, None]))
+        s_easy = np.where(bottom, 0.0, comp)
+        direction = comp - s_easy
+        length = _norm(direction)
+        deficit = np.maximum(0.0, 1.0 - np.vecdot(s_easy, s_easy))
+        grow = length > 0.0
+        ratio = np.divide(np.sqrt(deficit), length, out=np.zeros(length.shape), where=grow)
+        complete = bottom & grow[:, None]
+        s_eig[easy] = np.where(complete, direction * ratio[:, None], s_easy)
+    s = np.matvec(q, s_eig)
+    norm = _norm(s)
+    s = np.divide(s, norm[:, None], out=s, where=norm[:, None] > 0.0)
+    return np.vecdot(np.vecmat(s, a), s) + 2.0 * np.vecdot(b, s), s
+
+
+def _sphere_min_per_row(a, b):
+    """:func:`sphere_min` with the elementwise steps per row on Python
+    floats: the spectral scale, the gaps, the bottom eigenspace, the
+    hard-case test and completion, the source rows of the lifted matrices,
+    the shift and its floor, the components, the deficit, the ratio that
+    completes the bottom components and the divisors of the final
+    normalization.  Where a step needs two sums of squares, one
+    ``np.vecdot`` takes both over a (2N, n) stack."""
     n = a.shape[-1]
     lam, q = _eigh(a)
     c = np.vecmat(b, q)
@@ -771,12 +855,17 @@ class Analysis:
         :func:`muellercert.canonical.type1_factor`; d is its row of
         :attr:`type1_d`.
 
-        Raises :class:`NotTypeIError` when the input is singular (d3 == 0,
-        screened first), :class:`DegenerateSpectrumError` when the
-        eigenvalues are too close to separate and :class:`NotTypeIError`
-        when the spectrum, the eigenvector causality or the factors rule the
-        family out.
+        Raises ``FloatingPointError`` when the largest singular value is
+        beyond the float range (checked first: d is then inf * 0 = nan),
+        :class:`NotTypeIError` when the input is singular (d3 == 0),
+        :class:`DegenerateSpectrumError` when the eigenvalues are too close
+        to separate and :class:`NotTypeIError` when the spectrum, the
+        eigenvector causality or the factors rule the family out.
         """
+        if self.sigma[0] == math.inf:
+            raise FloatingPointError(
+                "analysis overflows: largest singular value beyond the float range"
+            )
         g = LORENTZ_METRIC
         stage = self.normal
         lam, d = stage.lam[0], self.type1_d[0]

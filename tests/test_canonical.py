@@ -645,14 +645,22 @@ def test_gufunc_helpers_give_the_public_results(data):
     assert np.array_equal(w.imag, np.imag(public_w))
 
 
-@pytest.mark.parametrize("call, n", [(kernel.sphere_min, 3), (kernel._spectral_norm, 4)])
-def test_a_failed_lapack_row_raises(call, n):
-    # numpy fills a failed row with nan and warns; sphere_min's loop, which
-    # reads its eigh, and sigma's check at the call then raise as
+@pytest.mark.parametrize(
+    "call, n, rows",
+    [
+        pytest.param(kernel.sphere_min, 3, kernel._STACKED_FROM - 1, id="sphere_min-3"),
+        pytest.param(kernel.sphere_min, 3, kernel._STACKED_FROM, id="sphere_min-3-stacked"),
+        pytest.param(kernel._spectral_norm, 4, 2, id="_spectral_norm-4"),
+    ],
+)
+def test_a_failed_lapack_row_raises(call, n, rows):
+    # numpy fills a failed row with nan and warns; sphere_min's per-row loop,
+    # which reads its eigh, the stacked form's check at the call (a stack at
+    # the size that selects it) and sigma's check at the call then raise as
     # numpy.linalg does
-    stack = np.zeros((2, n, n))
-    stack[1] = np.nan
-    args = (stack, np.zeros((2, n))) if call is kernel.sphere_min else (stack,)
+    stack = np.zeros((rows, n, n))
+    stack[-1] = np.nan
+    args = (stack, np.zeros((rows, n))) if call is kernel.sphere_min else (stack,)
     with pytest.warns(RuntimeWarning, match="invalid value"):
         with pytest.raises(np.linalg.LinAlgError):
             call(*args)
@@ -726,6 +734,23 @@ def test_a_failed_lapack_row_raises_where_the_stage_reads_it(monkeypatch, site, 
     monkeypatch.setattr(kernel, "_umath_linalg", _FailingLinalg(name, call, row))
     with pytest.raises(np.linalg.LinAlgError, match=f"^{_FAILURE_TEXT[name]} did not converge$"):
         analyze_stack(_lapack_stack())
+
+
+@pytest.mark.parametrize(
+    "rows", [kernel._STACKED_FROM - 1, kernel._STACKED_FROM], ids=["per-row", "stacked"]
+)
+@pytest.mark.parametrize("name", ["eigh_lo", "eigvals"])
+def test_a_failed_sphere_min_row_raises_in_either_form(monkeypatch, name, rows):
+    # the report stacks above reach one form of sphere_min: each form raises
+    # numpy.linalg's text whichever of its LAPACK calls fails on its first
+    # or last row (every row here is off the hard case, so reaches eigvals)
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(rows, 3, 3))
+    a, b = a + np.swapaxes(a, -1, -2), rng.normal(size=(rows, 3))
+    for row in (0, -1):
+        monkeypatch.setattr(kernel, "_umath_linalg", _FailingLinalg(name, 1, row))
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            kernel.sphere_min(a, b)
 
 
 def test_a_failed_hermitian_row_raises_before_an_overflow(monkeypatch):
@@ -1116,7 +1141,12 @@ def _numpy_canonical(analysis):
 
 
 def _numpy_factor(analysis):
-    # Analysis.factor on the N stage and type1_d as they were written before
+    # Analysis.factor on the N stage and type1_d as they were written before,
+    # with the factor's own screen of an overflowed sigma
+    if analysis.sigma[0] == math.inf:
+        raise FloatingPointError(
+            "analysis overflows: largest singular value beyond the float range"
+        )
     g = LORENTZ_METRIC
     normal = _numpy_normal(analysis)
     _, nnorm, lam, vecs, imag = normal

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 
 from muellercert import (
+    NotTypeIError,
     certify_cone,
     classify,
     m_from_h,
     mueller_from_jones,
     physicality,
     sphere_quadratic_min,
+    type1_factor,
 )
 from muellercert.cli import analyze_matrix
 from helpers import (
@@ -321,6 +323,9 @@ _WIDE[3, 0] = _WIDE[3, 3] = 2.0**511
 _TOP = np.diag([1.0, 0.5, 0.3, -0.2])
 _TOP[0, 1] = 0.1
 _TOP = np.clip(sys.float_info.max * _TOP, -sys.float_info.max, sys.float_info.max)
+# Another input whose sigma overflows: its entries are finite, its norm not.
+_DIAGONAL_TOP = np.diag([1.7e308, 1.6e308, 1.5e308, 1.4e308])
+_DIAGONAL_TOP[0, 1] = 1.7e308
 
 
 class TestFloatRange:
@@ -329,6 +334,25 @@ class TestFloatRange:
     def test_lorentz_margin_beyond_the_float_range_raises(self, fn, m):
         with pytest.raises(FloatingPointError, match="Lorentz margin beyond the float range"):
             fn(m)
+
+    @pytest.mark.parametrize("m", [_TOP, _DIAGONAL_TOP], ids=["top", "diagonal-top"])
+    def test_factor_with_sigma_beyond_the_float_range_raises(self, m):
+        # m / inf is 0, so N is 0 and d = inf * 0 is nan, which the singular
+        # screen d3 == 0 lets through; classify raises from the cone stage
+        with pytest.raises(FloatingPointError, match="^analysis overflows: largest singular"):
+            type1_factor(m)
+        with pytest.raises(FloatingPointError, match="Lorentz margin beyond the float range"):
+            classify(m)
+
+    def test_factor_at_1e300_answers(self):
+        # the same shapes at 1e300: the top one factors, and the diagonal
+        # one gets the reason of its spectrum, not of the float range
+        scale = 1e300 / sys.float_info.max
+        l_left, d, l_right = type1_factor(scale * _TOP)
+        rebuilt = l_left @ np.diag(d) @ l_right
+        np.testing.assert_allclose(rebuilt, scale * _TOP, rtol=0.0, atol=1e-12 * 1e300)
+        with pytest.raises(NotTypeIError, match="complex spectrum"):
+            type1_factor(1e300 / 1.7e308 * _DIAGONAL_TOP)
 
     def test_margin_just_inside_the_float_range_is_reported(self):
         # half the wide input: the margin is -2 sigma**2 = -2**1022

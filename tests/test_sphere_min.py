@@ -1,12 +1,17 @@
-"""``kernel.sphere_min`` against the stacked routine it replaced.
+"""``kernel.sphere_min``'s two forms against the stacked routine they came
+from.
 
-``sphere_min`` keeps its LAPACK calls and its sums of products on the whole
-stack, and runs the elementwise steps between them per row on Python
-floats.  :func:`_stacked_sphere_min` is the routine with every step on the
-whole stack, kept here as the reference: the new one must give its bytes,
-value and minimizer, alone and inside stacks.  The per-step premises below
-it compare each Python expression with the numpy step it replaced, at
-signed zeros, subnormals and the thresholds of the method.
+``sphere_min`` takes its per-row form, which runs the elementwise steps
+between its LAPACK calls and its sums of products on Python floats, on
+stacks below ``kernel._STACKED_FROM`` rows, and its stacked form, which runs
+every step on the whole stack, on larger ones.  :func:`_stacked_sphere_min`
+is the routine with every step on the whole stack as first written, frozen
+here as the reference: each form, called directly at every stack size from
+0 through twice that constant and at 25 rows, and ``sphere_min`` on the
+whole stack must give its bytes, value and minimizer.  The per-step premises
+below it compare each Python expression of the per-row form with the numpy
+step it replaced, at signed zeros, subnormals and the thresholds of the
+method.
 """
 
 import math
@@ -76,14 +81,20 @@ def _same_bytes(got, want):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+_FORMS = (kernel._sphere_min_per_row, kernel._sphere_min_stacked)
+
+
 def _assert_stacked_bytes(a, b):
-    """The reference's bytes for the whole stack, for each row alone and for
-    stacks of 3 and 25 rows."""
+    """The reference's bytes from ``sphere_min`` on the whole stack, and from
+    each form on consecutive stacks of every size on both sides of the one
+    that selects the stacked form (an empty one for size 0), and of 25."""
     _same_bytes(kernel.sphere_min(a, b), _stacked_sphere_min(a, b))
-    for size in (1, 3, 25):
-        for k in range(0, len(a), size):
+    for size in [*range(2 * kernel._STACKED_FROM + 1), 25]:
+        for k in range(0, len(a), size) if size else [0]:
             part = a[k : k + size], b[k : k + size]
-            _same_bytes(kernel.sphere_min(*part), _stacked_sphere_min(*part))
+            want = _stacked_sphere_min(*part)
+            for form in _FORMS:
+                _same_bytes(form(*part), want)
 
 
 def _rotated(rng, lam, c):
@@ -213,6 +224,46 @@ def test_sphere_min_gives_the_stacked_bytes_on_the_cone_inputs():
     quad = LORENTZ_METRIC @ kernel.Analysis(mats)._nmat
     quad = 0.5 * (quad + np.swapaxes(quad, -1, -2))
     _assert_stacked_bytes(quad[:, 1:, 1:], quad[:, 0, 1:])
+
+
+def _tetra_scan_problems(samples, seed):
+    """The cone stage's problems of diag(1, d), d drawn as ``tetra-scan``
+    draws it: diagonal, so every coupling is zero and every row is the hard
+    case."""
+    rng = np.random.default_rng(seed)
+    d = np.empty((samples, 4))
+    d[:, 0] = 1.0
+    d[:, 1:] = rng.uniform(-1.0, 1.0, size=(samples, 3))
+    quad = LORENTZ_METRIC @ kernel.Analysis(d[:, :, None] * np.eye(4))._nmat
+    quad = 0.5 * (quad + np.swapaxes(quad, -1, -2))
+    return quad[:, 1:, 1:], quad[:, 0, 1:]
+
+
+def test_sphere_min_gives_the_stacked_bytes_on_a_tetra_scan_stack():
+    _assert_stacked_bytes(*_tetra_scan_problems(2000, 0))
+
+
+def test_stack_size_selects_the_form(monkeypatch):
+    # one matrix (analyze_matrix, sphere_quadratic_min) and a stack one row
+    # short of the constant take the per-row form; a stack at the constant,
+    # a batch-size stack and a tetra-scan-size stack the stacked form
+    ran = []
+
+    def spy(form):
+        def run(a, b):
+            ran.append((form.__name__, len(a)))
+            return form(a, b)
+
+        return run
+
+    for form in _FORMS:
+        monkeypatch.setattr(kernel, form.__name__, spy(form))
+    a, b = _tetra_scan_problems(2000, 1)
+    sizes = [1, kernel._STACKED_FROM - 1, kernel._STACKED_FROM, 25, 2000]
+    for rows in sizes:
+        kernel.sphere_min(a[:rows], b[:rows])
+    per_row, stacked = (form.__name__ for form in _FORMS)
+    assert ran == [(per_row, 1), (per_row, sizes[1])] + [(stacked, n) for n in sizes[2:]]
 
 
 def test_sphere_min_of_an_empty_stack():
