@@ -29,18 +29,18 @@ converts each stage array to Python lists once, one ``tolist`` per array,
 which each report slices; :func:`analyze_matrix` is the stack of one.
 :func:`render_report` is the only writer of report text, with the bytes of
 ``json.dumps(indent=2, sort_keys=True)`` on the rounded document.  The
-report schema is one table, ``_REPORT_SCHEMA``: its sections and fields in
-sorted key order, each with the writer of its value.  A report as
+report schema is one table, ``_REPORT_SCHEMA``: its sections and slots in
+sorted key order, each slot with the kind of value it holds.  A report as
 :func:`analyze_stack` builds it, alone or as a value of ``batch``'s
-mapping, is written from that table: a ``%`` template per starting indent,
-built from it on first use, holds the keys and indents, and each list of
-floats is one ``join`` (a float is ``'%.12g' % x`` with its notation fixed
-up).  The complex arrays have fixed shapes, a Jones matrix two 2x2 parts
-and the witness vector two parts of four, so one writer fills a cached
-template of the shape it is given and its indent with the eight floats in
-one ``%``.  Every other value, and a report-shaped one with a key, a value
-or a shape that the schema does not have in its place, is written by
-``json``'s own pure-Python encoder (the private
+mapping, is written from that table in three steps: one walk collects its
+floats in template order and its shape (per slot: null, a scalar's text, a
+list's length, a complex array's shape, or the ensemble's entry shapes);
+a ``%`` template per shape and indent, built from the table on first use
+and kept in a bounded cache, holds every key, indent, bracket and scalar;
+and one ``%`` fills it with the floats' text (``format(x, ".12")`` with
+its rare tokens fixed up).  Every other value, and a report-shaped one
+with a key, a value or a shape that the schema does not have in its place,
+is written by ``json``'s own pure-Python encoder (the private
 ``json.encoder._make_iterencode`` that ``json.dumps`` runs under
 ``indent``) with the same float text, started at the value's indent.
 
@@ -72,6 +72,7 @@ import json
 import math
 import os
 import sys
+from itertools import repeat
 from json.encoder import _make_iterencode, encode_basestring_ascii
 from pathlib import Path
 
@@ -303,12 +304,13 @@ _FLOAT_TEXT = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN", "-0": "0.0"
 _POSITIONAL = frozenset(("e+12", "e+13", "e+14", "e+15"))
 
 
-def _float_text(x: float, newline: str = "") -> str:
+def _float_text(x: float, _format=float.__format__) -> str:
     """``repr(float('%.12g' % x))``, as ``json`` writes it (-0.0 as 0.0).
 
     For a normal float the ``%.12g`` digits are already the shortest
     round-trip digits (a decimal of at most 15 digits maps to a distinct
     double), so only the notation is fixed up: ``.0`` after an integer.
+    The common text, a decimal point and no exponent, is tested first.
     ``repr`` is called in two cases only: exponents e+12 to e+15, which
     ``repr`` writes positionally, and |x| below 1e-300, where a subnormal
     may round-trip with fewer digits.
@@ -316,15 +318,17 @@ def _float_text(x: float, newline: str = "") -> str:
     ``x`` must be a float (a subclass such as ``np.float64`` counts):
     ``float.__format__``, which writes the same text as ``%.12g``, raises
     TypeError for an int, a bool or any other type, and that is the type
-    check of every float field of :func:`_report_text`."""
-    text = float.__format__(x, ".12g")
-    if "e" in text:
-        if text[-4:] in _POSITIONAL or -1e-300 < x < 1e-300:
-            return repr(float(text))
-        return text
+    check of every float that :func:`_json` writes (:func:`_float_texts`,
+    the report's float writer, has the same check)."""
+    text = _format(x, ".12g")
     if "." in text:
-        return text
-    return _FLOAT_TEXT.get(text) or text + ".0"
+        if "e" not in text:
+            return text
+    elif "e" not in text:
+        return _FLOAT_TEXT.get(text) or text + ".0"
+    if text[-4:] in _POSITIONAL or -1e-300 < x < 1e-300:
+        return repr(float(text))
+    return text
 
 
 # json's error for a value that it cannot write.
@@ -358,30 +362,80 @@ def _fields(obj, keys: tuple) -> list:
     raise TypeError(f"not a dict with the keys {keys}")
 
 
-def _scalar_text(x, newline: str) -> str:
-    """A bool, an int or a string as ``json`` writes it; TypeError for any
-    other type."""
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if type(x) is int:
-        return int.__repr__(x)
-    return encode_basestring_ascii(x)
-
-
-def _array_text(values, newline: str) -> str:
-    """A nonempty list of floats as ``json`` writes it: one ``join`` over
-    :func:`_float_text`."""
-    if type(values) is not list or not values:
-        raise TypeError("not a nonempty list")
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join(map(_float_text, values)) + newline + "]"
-
-
 # A complex array (a Jones matrix or the witness vector), and an ensemble entry.
 _COMPLEX = ("imag", "real")
-_ENTRY = ("jones", "weight")
+_ENTRY = (("jones", "complex"), ("weight", "float"))
+
+
+def _complex_shape(obj, floats: list) -> int:
+    """The shape of a complex array, ``{"imag": ..., "real": ...}``: 2 for
+    two 2x2 lists of lists (a Jones matrix), 4 for two lists of four (the
+    witness vector).  Its eight values go to ``floats``; TypeError for any
+    other object."""
+    imag, real = _fields(obj, _COMPLEX)
+    if type(imag) is list and type(real) is list and len(imag) == len(real):
+        if len(imag) == 4:
+            floats += imag + real
+            return 4
+        if len(imag) == 2:
+            (a, b), (c, d) = imag, real
+            if type(a) is type(b) is type(c) is type(d) is list and (
+                len(a) == len(b) == len(c) == len(d) == 2
+            ):
+                floats += a + b + c + d
+                return 2
+    raise TypeError("not two 2x2 lists of lists or two lists of four")
+
+
+def _slot_shape(value, kind: str, floats: list):
+    """The shape of a slot's value: None for null, 1 for a float, the text
+    of a scalar (a bool, an int or a string, as ``json`` writes it), a
+    float list's length, a complex array's shape, or the tuple of the
+    shapes of the ensemble's Jones matrices.  The values to be written as
+    floats go to ``floats``; TypeError for a value that the slot does not
+    hold."""
+    if value is None:
+        return None
+    if kind == "float":
+        floats.append(value)
+        return 1
+    if kind == "scalar":
+        if value is True or value is False:
+            return "true" if value else "false"
+        return int.__repr__(value) if type(value) is int else encode_basestring_ascii(value)
+    if kind == "array":
+        if type(value) is not list or not value:
+            raise TypeError("not a nonempty list")
+        floats += value
+        return len(value)
+    if kind == "complex":
+        return _complex_shape(value, floats)
+    if type(value) is not list:
+        raise TypeError("ensemble is not a list")
+    shapes = []
+    for entry in value:
+        jones, weight = _fields(entry, ("jones", "weight"))
+        shapes.append(_complex_shape(jones, floats))
+        floats.append(weight)
+    return tuple(shapes)
+
+
+# The schema of the reports of _reports, in sorted key order: a section is a
+# slot, or fields that each are one.  A slot's kind says what it holds: a
+# float, a scalar, a nonempty list of floats (an array), a complex array, or
+# the ensemble, a list of entries.
+_REPORT_SCHEMA = (
+    ("canonical", (("binding_constraint", "scalar"), ("d", "array"), ("family", "scalar"))),
+    ("ensemble", "ensemble"),
+    ("input_echo", "array"),
+    ("mueller_jones", (("jones", "complex"), ("verdict", "scalar"))),
+    ("physicality", (("eigenvalues", "array"), ("min_eigenvalue", "float"),
+                     ("rank", "scalar"), ("verdict", "scalar"))),
+    ("pre_mueller", (("intensity_margin", "float"), ("lorentz_margin", "float"),
+                     ("verdict", "scalar"), ("worst_input", "array"))),
+    ("witness", (("expectation", "float"), ("present", "scalar"), ("vector", "complex"))),
+)
+_REPORT_KEYS = frozenset(key for key, _ in _REPORT_SCHEMA)
 
 
 def _block(items, inner: str, outer: str, brackets: str = "{}") -> str:
@@ -390,112 +444,81 @@ def _block(items, inner: str, outer: str, brackets: str = "{}") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
 
 
-@functools.cache
-def _complex_template(newline: str, matrix: bool) -> str:
-    """The text of a complex array on a line begun by ``newline``: its
-    ``imag`` and ``real`` parts, each a 2x2 list of lists (``matrix``) or a
-    list of four, with ``%s`` for each of the eight floats."""
-    one, two, three = newline + "  ", newline + "    ", newline + "      "
-    row = _block(["%s"] * 2, three, two, "[]")
-    part = _block([row] * 2 if matrix else ["%s"] * 4, two, one, "[]")
-    return _block(['"imag": ' + part, '"real": ' + part], one, newline)
-
-
-def _complex_text(obj, newline: str) -> str:
-    """A complex array, ``{"imag": ..., "real": ...}``, as ``json`` writes it:
-    each part a 2x2 list of lists of floats (a Jones matrix) or a list of
-    four floats (the witness vector), both parts of one shape; TypeError for
-    any other object."""
-    imag, real = _fields(obj, _COMPLEX)
-    if type(imag) is list and type(real) is list and len(imag) == len(real):
-        rows = imag + real
-        if len(imag) == 2 and all(type(row) is list and len(row) == 2 for row in rows):
-            values = rows[0] + rows[1] + rows[2] + rows[3]
-            return _complex_template(newline, True) % tuple(map(_float_text, values))
-        if len(imag) == 4:
-            return _complex_template(newline, False) % tuple(map(_float_text, rows))
-    raise TypeError("not two 2x2 lists of lists or two lists of four")
-
-
-def _ensemble_text(entries, newline: str) -> str:
-    """The Jones ensemble, a list of ``{"jones": ..., "weight": ...}``."""
-    if type(entries) is not list:
-        raise TypeError("ensemble is not a list")
-    if not entries:
-        return "[]"
-    inner, field = newline + "  ", newline + "    "
-    texts = []
-    for entry in entries:
-        jones, weight = _fields(entry, _ENTRY)
-        texts.append(
-            "{" + field + '"jones": ' + _complex_text(jones, field) + ","
-            + field + '"weight": ' + _float_text(weight) + inner + "}"
-        )
-    return "[" + inner + ("," + inner).join(texts) + newline + "]"
-
-
-# The schema of the reports of _reports, in sorted key order: a section has a
-# writer, or fields that each have one.  A writer takes a value and the start
-# of its line and writes it as ``json`` does, or raises TypeError.
-_REPORT_SCHEMA = (
-    ("canonical", (
-        ("binding_constraint", _scalar_text), ("d", _array_text), ("family", _scalar_text),
-    )),
-    ("ensemble", _ensemble_text),
-    ("input_echo", _array_text),
-    ("mueller_jones", (("jones", _complex_text), ("verdict", _scalar_text))),
-    ("physicality", (
-        ("eigenvalues", _array_text), ("min_eigenvalue", _float_text),
-        ("rank", _scalar_text), ("verdict", _scalar_text),
-    )),
-    ("pre_mueller", (
-        ("intensity_margin", _float_text), ("lorentz_margin", _float_text),
-        ("verdict", _scalar_text), ("worst_input", _array_text),
-    )),
-    ("witness", (
-        ("expectation", _float_text), ("present", _scalar_text), ("vector", _complex_text),
-    )),
-)
-_REPORT_KEYS = frozenset(key for key, _ in _REPORT_SCHEMA)
-
-
-@functools.cache
-def _report_template(newline: str) -> str:
-    """The text of a report on a line begun by ``newline``: every key and
-    indent of the schema, with ``%s`` for each value that a writer writes."""
+def _value_template(kind, shapes, newline: str) -> str:
+    """The text of a value of ``kind``, a slot kind or the fields of a
+    section, on a line begun by ``newline``: ``%s`` for each float, and each
+    slot of the shape that ``shapes`` yields next."""
     one, two = newline + "  ", newline + "    "
-    sections = [
-        f'"{key}": '
-        + (_block([f'"{f}": %s' for f, _ in schema], two, one) if type(schema) is tuple else "%s")
-        for key, schema in _REPORT_SCHEMA
-    ]
-    return _block(sections, one, newline)
+    if type(kind) is tuple:
+        fields = [f'"{key}": ' + _value_template(k, shapes, one) for key, k in kind]
+        return _block(fields, one, newline)
+    shape = next(shapes)
+    if shape is None:
+        return "null"
+    if kind == "float":
+        return "%s"
+    if kind == "scalar":
+        return shape.replace("%", "%%")
+    if kind == "array":
+        return _block(["%s"] * shape, one, newline, "[]")
+    if kind == "complex":
+        part = _block(["%s"] * 4, two, one, "[]")
+        if shape == 2:
+            part = _block([_block(["%s"] * 2, two + "  ", two, "[]")] * 2, two, one, "[]")
+        return _block(['"imag": ' + part, '"real": ' + part], one, newline)
+    entries = [_value_template(_ENTRY, iter((jones, 1)), one) for jones in shape]
+    return _block(entries, one, newline, "[]") if entries else "[]"
+
+
+# Bounded: a report's shape holds its scalars' text, and the measured
+# corpus has about ten shapes.
+@functools.lru_cache(maxsize=64)
+def _template(shape: tuple, newline: str) -> str:
+    """The text of a report of ``shape`` on a line begun by ``newline``:
+    every key, indent, bracket and scalar, with ``%s`` for each float."""
+    return _value_template(_REPORT_SCHEMA, iter(shape), newline)
+
+
+def _float_texts(floats: list) -> list:
+    """:func:`_float_text` of each float, and its TypeError for any other
+    value.  ``format(x, ".12")`` writes the ``%.12g`` digits with ``.0``
+    after an integer, the text of :func:`_float_text` for all but -0.0,
+    inf and nan, and the exponents from e+11 (where ``.12`` turns to
+    exponent notation) and from e-300 on: -0.0 is then written as 0.0, and
+    a list with any of the others (an ``n``, ``e+1`` or ``e-3`` in its
+    text) by :func:`_float_text`."""
+    texts = list(map(float.__format__, floats, repeat(".12")))
+    joined = ",".join(texts) + ","
+    if "n" in joined or "e+1" in joined or "e-3" in joined:
+        return list(map(_float_text, floats))
+    if "-0.0," in joined:
+        return ["0.0" if text == "-0.0" else text for text in texts]
+    return texts
 
 
 def _report_text(report: dict, newline: str) -> str:
     """A dict with the keys of the schema on a line begun by ``newline``, as
-    ``json`` writes it: each value's writer fills the template of the
-    report's indent (None is null), with no per-dict dispatch or key sort.
-    Raises TypeError at a key or value that the schema does not have in its
-    place (an int or a numpy scalar other than ``np.float64`` where a float
+    ``json`` writes it: one walk collects the report's floats in template
+    order and its shape, one entry per slot, and the template of that shape
+    and indent is filled with the floats' text in one ``%``.  Raises
+    TypeError at a key or value that the schema does not have in its place
+    (an int or a numpy scalar other than ``np.float64`` where a float
     belongs, a float where a bool belongs, a tuple for a list, a missing or
     extra key)."""
-    one, two = newline + "  ", newline + "    "
-    texts = []
+    floats, shape = [], []
     try:
-        for key, schema in _REPORT_SCHEMA:
+        for key, kind in _REPORT_SCHEMA:
             section = report[key]
-            if type(schema) is not tuple:
-                texts.append("null" if section is None else schema(section, one))
+            if type(kind) is str:
+                shape.append(_slot_shape(section, kind, floats))
                 continue
-            if type(section) is not dict or len(section) != len(schema):
+            if type(section) is not dict or len(section) != len(kind):
                 raise TypeError(f"{key} does not have the schema's fields")
-            for field, write in schema:
-                value = section[field]
-                texts.append("null" if value is None else write(value, two))
+            for field, field_kind in kind:
+                shape.append(_slot_shape(section[field], field_kind, floats))
     except KeyError as exc:
         raise TypeError(f"no key {exc} in the report") from None
-    return _report_template(newline) % tuple(texts)
+    return _template(tuple(shape), newline) % tuple(_float_texts(floats))
 
 
 def _value_text(obj, level: int) -> str:
@@ -521,12 +544,14 @@ def render_report(report: dict) -> str:
     The writer is chosen once per value.  A report as :func:`analyze_stack`
     builds it, as the whole document (``analyze``) or as a value of a
     mapping with string keys (``batch``'s file-name-to-report mapping), is
-    written from the report schema.  Every other value, and a report that
-    the schema rejects, is written by ``json``'s own pure-Python encoder,
-    ``json.encoder._make_iterencode`` (a private function of the standard
-    library), with :func:`_float_text` as its float writer: it nests as deep
-    as ``json.dumps`` does, and a document that holds itself raises its
-    ``ValueError`` ("Circular reference detected")."""
+    written from the report schema: the template of its shape and indent,
+    filled with its floats' text in one ``%``.  Every other value, and a
+    report that the schema rejects, is written by ``json``'s own
+    pure-Python encoder, ``json.encoder._make_iterencode`` (a private
+    function of the standard library), with :func:`_float_text` as its
+    float writer: it nests as deep as ``json.dumps`` does, and a document
+    that holds itself raises its ``ValueError`` ("Circular reference
+    detected")."""
     if (
         isinstance(report, dict) and report and report.keys() != _REPORT_KEYS
         and all(isinstance(key, str) for key in report)

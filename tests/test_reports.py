@@ -706,6 +706,94 @@ def test_schema_writer_on_every_float_slot(values):
     assert cli._report_text(report, "\n") + "\n" == expected
 
 
+def test_template_cache_is_bounded(monkeypatch):
+    # more than twice as many report shapes as the cache keeps: input_echo
+    # of every length from 1 to 600, and fields that are None on odd lengths
+    maxsize = cli._template.cache_info().maxsize
+    rng = np.random.default_rng(29)
+    report = _full_report()
+    calls = _count_schema_writes(monkeypatch)
+    for length in range(1, 601):
+        report["input_echo"] = rng.normal(size=length).tolist()
+        odd = length % 2 == 1
+        report["canonical"]["d"] = None if odd else [1.0, 0.5, 0.25, -0.125]
+        report["witness"]["expectation"] = None if odd else -0.5
+        assert render_report(report) == reference_render_report(report)
+        assert cli._template.cache_info().currsize <= maxsize
+    assert 600 >= 2 * maxsize
+    assert calls == ["\n"] * 600
+
+
+# The values a report's float slots are drawn from, and its scalar slots:
+# a family string with a % in it too, which the template keeps as text.
+_SLOT_FLOATS = st.one_of(st.floats(), _SPECIAL_FLOATS)
+_SLOT_SCALARS = st.one_of(
+    st.booleans(), st.integers(), st.none(), st.text(max_size=6),
+    st.sampled_from(["Type%I", "100%", "%s", "%%d", "%(x)s"]),
+)
+
+
+@st.composite
+def _report_shapes(draw) -> dict:
+    """A report with every optional slot None or set, 0-4 ensemble entries,
+    each complex slot a pair of 2x2 lists of lists or of lists of four, and
+    float lists of 1-20 entries."""
+
+    def optional(value):
+        return None if draw(st.booleans()) else value
+
+    def floats(size):
+        return draw(st.lists(_SLOT_FLOATS, min_size=size, max_size=size))
+
+    def array():
+        return draw(st.lists(_SLOT_FLOATS, min_size=1, max_size=20))
+
+    def complex_array():
+        if draw(st.booleans()):
+            return {"imag": [floats(2), floats(2)], "real": [floats(2), floats(2)]}
+        return {"imag": floats(4), "real": floats(4)}
+
+    def scalar():
+        return draw(_SLOT_SCALARS)
+
+    def number():
+        return optional(draw(_SLOT_FLOATS))
+
+    entries = draw(st.integers(0, 4))
+    return {
+        "canonical": {"binding_constraint": scalar(), "d": optional(array()), "family": scalar()},
+        "ensemble": optional(
+            [{"jones": complex_array(), "weight": draw(_SLOT_FLOATS)} for _ in range(entries)]
+        ),
+        "input_echo": optional(array()),
+        "mueller_jones": {"jones": optional(complex_array()), "verdict": scalar()},
+        "physicality": {
+            "eigenvalues": optional(array()), "min_eigenvalue": number(),
+            "rank": scalar(), "verdict": scalar(),
+        },
+        "pre_mueller": {
+            "intensity_margin": number(), "lorentz_margin": number(),
+            "verdict": scalar(), "worst_input": optional(array()),
+        },
+        "witness": {
+            "expectation": number(), "present": scalar(), "vector": optional(complex_array()),
+        },
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(_report_shapes())
+def test_schema_writer_on_drawn_report_shapes(report):
+    # the schema writer writes every drawn shape itself, alone and at
+    # batch's indent, with the reference's bytes
+    expected = reference_render_report(report)
+    assert cli._report_text(report, "\n") + "\n" == expected
+    assert render_report(report) == expected
+    batch = {"a.txt": report, "b.txt": {"error": "x"}}
+    assert render_report(batch) == reference_render_report(batch)
+    assert cli._report_text(report, "\n  ") == "\n  ".join(expected[:-1].split("\n"))
+
+
 def test_empty_stack():
     assert analyze_stack(np.zeros((0, 4, 4))) == []
 

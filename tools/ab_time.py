@@ -34,10 +34,13 @@ normal matrices), of it ``sphere_min`` apart, the N stage with
 ``type1_d`` (``normal``: both are computed inside the canonical stage, and
 timed there on their first read), the rest of the canonical stage
 (``canonical``: the cone stage, ``normal`` and ``type1_d`` not counted),
-and the report assembly (``cli._reports``) on the finished stages.  Rounds
-interleave the sides as above.  It prints each side's median time per
-input (per matrix for ``batch``) of every stage and of their sum
-(``stages``; ``sphere_min`` is in ``cone``), then the ratio change / parent
+the report assembly (``cli._reports``) on the finished stages, and
+``render_report`` on the finished reports, rendered as the command renders
+them (``render``): each report alone for ``exact``, and each directory's
+mapping from file name to report for ``batch``.  Rounds interleave the
+sides as above.  It prints each side's median time per input (per matrix
+for ``batch``) of every stage and of their sum (``stages``, ``render``
+included; ``sphere_min`` is in ``cone``), then the ratio change / parent
 of those medians.
 """
 
@@ -77,12 +80,14 @@ def _exact_pass(cli, mats):
     return [cli.analyze_matrix(m) for m in mats]
 
 
-_STAGES = ("hermitian", "cone", "sphere_min", "normal", "canonical", "reports", "stages")
+_STAGES = ("hermitian", "cone", "sphere_min", "normal", "canonical", "reports", "render", "stages")
 
 
 def _stage_pass(cli, stacks):
     """Seconds spent in each stage of :data:`_STAGES` over one pass, one
-    analysis per stack of 4x4 matrices."""
+    analysis per stack of 4x4 matrices.  A stack is a pair of its matrices
+    and its file names: with names, its reports are rendered as one mapping
+    from name to report, and without (None), each report alone."""
     kernel = sys.modules[cli.__package__ + ".kernel"]
     sphere_min, clock = kernel.sphere_min, time.perf_counter
     spent = dict.fromkeys(_STAGES, 0.0)
@@ -114,21 +119,28 @@ def _stage_pass(cli, stacks):
     try:
         for stage, compute in zip(stages, computes):
             stage.compute = timed(compute)
-        for stack in stacks:
+        for stack, names in stacks:
             analysis = cli.Analysis(cli.as_mueller_stack(stack), cli.DEFAULT_TOL)
             for name in ("hermitian", "cone", "canonical"):
                 normal, start = spent["normal"], clock()
                 getattr(analysis, name)
                 spent[name] += clock() - start - (spent["normal"] - normal)
             start = clock()
-            cli._reports(analysis)
+            reports = cli._reports(analysis)
             spent["reports"] += clock() - start
+            start = clock()
+            if names is None:
+                for report in reports:
+                    cli.render_report(report)
+            else:
+                cli.render_report(dict(zip(names, reports)))
+            spent["render"] += clock() - start
     finally:
         kernel.sphere_min = sphere_min
         for stage, compute in zip(stages, computes):
             stage.compute = compute
     spent["stages"] = sum(
-        spent[name] for name in ("hermitian", "cone", "normal", "canonical", "reports")
+        spent[name] for name in ("hermitian", "cone", "normal", "canonical", "reports", "render")
     )
     return spent
 
@@ -171,7 +183,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         if args.workload == "exact":
             items = [entry.m for entry in corpus.exact_corpus(args.seed, args.per_class)]
-            stacks = [m[None] for m in items]
+            stacks = [(m[None], None) for m in items]
             one_pass = _exact_pass
             unit, units, per = "input", "inputs", "input"
         else:
@@ -189,7 +201,8 @@ def main(argv=None) -> int:
                     files[name] = entry.m
                 items.append(path)
                 # The files' matrices in name order, as batch reads them back.
-                stacks.append([files[name] for name in sorted(files)])
+                names = sorted(files)
+                stacks.append(([files[name] for name in names], names))
             one_pass = _batch_pass
             unit, units, per = "directory", "directories", "matrix"
 
@@ -209,7 +222,7 @@ def main(argv=None) -> int:
     workload = f"{args.workload} stages" if args.stages else args.workload
     print(f"{workload}: {len(items)} {units} per pass, {args.rounds} rounds, seed {args.seed}")
     if args.stages:
-        count = sum(map(len, stacks))
+        count = sum(len(stack) for stack, _ in stacks)
         medians = {
             name: {stage: statistics.median(p[stage] for p in passes) for stage in _STAGES}
             for name, passes in times.items()
