@@ -252,6 +252,11 @@ def tetra_scan(samples: int, seed: int) -> dict:
 
     Uses numpy's seeded default generator (PCG64), so fractions are
     reproducible bit for bit per seed.
+
+    Known defect (ROADMAP item 6): ``fraction_pre_mueller`` is 1 by
+    construction.  Every sample is drawn inside the cube, so ``in_cube`` is
+    always true and the fraction tests nothing; it should come from the
+    kernel's cone verdict on the sampled stack.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -296,39 +301,21 @@ def vanzyl_case() -> dict:
     }
 
 
-# ``%.12g`` texts without a decimal point that a report spells otherwise:
-# the non-finite ones as ``json`` writes them, and -0 as 0.0.
-_FLOAT_TEXT = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN", "-0": "0.0"}
-# Exponents at which ``%g`` (from e+12) writes exponent notation and
-# ``repr`` (up to e+15) writes the number positionally.
-_POSITIONAL = frozenset(("e+12", "e+13", "e+14", "e+15"))
+# ``repr`` texts that a report spells otherwise: the non-finite ones as
+# ``json`` writes them, and -0.0 as 0.0.
+_FLOAT_TEXT = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN", "-0.0": "0.0"}
 
 
 def _float_text(x: float, _format=float.__format__) -> str:
     """``repr(float('%.12g' % x))``, as ``json`` writes it (-0.0 as 0.0).
-
-    For a normal float the ``%.12g`` digits are already the shortest
-    round-trip digits (a decimal of at most 15 digits maps to a distinct
-    double), so only the notation is fixed up: ``.0`` after an integer.
-    The common text, a decimal point and no exponent, is tested first.
-    ``repr`` is called in two cases only: exponents e+12 to e+15, which
-    ``repr`` writes positionally, and |x| below 1e-300, where a subnormal
-    may round-trip with fewer digits.
 
     ``x`` must be a float (a subclass such as ``np.float64`` counts):
     ``float.__format__``, which writes the same text as ``%.12g``, raises
     TypeError for an int, a bool or any other type, and that is the type
     check of every float that :func:`_json` writes (:func:`_float_texts`,
     the report's float writer, has the same check)."""
-    text = _format(x, ".12g")
-    if "." in text:
-        if "e" not in text:
-            return text
-    elif "e" not in text:
-        return _FLOAT_TEXT.get(text) or text + ".0"
-    if text[-4:] in _POSITIONAL or -1e-300 < x < 1e-300:
-        return repr(float(text))
-    return text
+    text = repr(float(_format(x, ".12g")))
+    return _FLOAT_TEXT.get(text, text)
 
 
 # json's error for a value that it cannot write.

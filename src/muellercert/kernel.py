@@ -37,10 +37,11 @@ the stage.
 
 The public functions of the layer modules are views on an analysis of a
 stack of one, and ``batch`` analyzes a whole directory as one stack, so
-both sizes take the same code, but for the form of :func:`sphere_min`,
-which the stack size selects (below).  A stage is computed on its first
-read and kept in the analysis's ``__dict__`` by a descriptor that takes no
-lock, so threads analyzing different stacks never wait on each other.
+both sizes take the same code, but for the form of :func:`sphere_min`:
+one for a stack of one and one for every other stack (below).  A stage is
+computed on its first read and kept in the analysis's ``__dict__`` by a
+descriptor that takes no lock, so threads analyzing different stacks never
+wait on each other.
 
 What runs stacked and what runs per row: every LAPACK call and every
 BLAS-backed product (``matmul``, ``np.vecdot``, ``np.matvec``,
@@ -62,17 +63,19 @@ Those fields are Python lists.  Numpy dispatch on a 1-row array costs
 nanoseconds, so the loops serve one matrix best; at 25 rows each stage's
 loop costs what its numpy form costs, to 0.1 us per matrix, so each stage
 has one form for every stack size.  :func:`sphere_min`, whose
-elementwise steps are many more per row, has two, chosen by the stack
-size: below ``_STACKED_FROM`` (4) rows those steps run per row on Python
-floats, between its ``eigh``, its ``eigvals`` of the lifted matrices and
-its sums of products, which run stacked; from 4 rows on every step runs
-as a numpy operation on the whole stack, and at 25 rows takes 10.3 us per
-row against the loops' 17.7.  The loops use only +, -, *, /, ``**`` (C
-``pow``, as ``np.float_power``), ``abs``, ``math.sqrt``,
-``math.copysign``, ``math.ldexp``, ``max`` and comparisons, each of which
-gives the bits of the numpy operation it replaced: ``max`` keeps the first
-of equal arguments and ``np.maximum`` the second, and ``np.sign(-0.0)`` is
-0.0, so the loops order and guard those calls to match.  No loop calls
+elementwise steps are many more per row, has two: on a stack of one those
+steps run on Python floats in a straight-line solve of one problem,
+between its ``eigh``, its ``eigvals`` of the lifted matrix and its sums of
+products, which run as numpy calls on that stack of one; on every other
+stack every step runs as a numpy operation on the whole stack.  Per row
+that is 35.5 us at 1 row (65.8 stacked), and stacked 36.9 us at 2 rows,
+27.0 at 3 and 9.9 at 25 (:func:`sphere_min` has the conditions).  The
+loops use only +, -, *, /, ``**`` (C ``pow``, as ``np.float_power``),
+``abs``, ``math.sqrt``, ``math.copysign``, ``math.ldexp``, ``max`` and
+comparisons, each of which gives the bits of the numpy operation it
+replaced: ``max`` keeps the first of equal arguments and ``np.maximum``
+the second, and ``np.sign(-0.0)`` is 0.0, so the loops order and guard
+those calls to match.  No loop calls
 ``sum()``: Python 3.12's is compensated.  Sums of products cannot move:
 numpy's BLAS kernels fuse multiply and add (FMA) on hosts that have it,
 and on an AVX-512 host ``np.vecdot``
@@ -85,7 +88,9 @@ Row reductions of real stacks are numpy's gufuncs ``np.vecdot``,
 ``np.matvec`` and ``np.vecmat`` (numpy >= 2.2).  They run the per-row BLAS
 ``dot`` or ``gemv`` that the stacked matrix products they replaced
 (``x[:, None, :] @ y[:, :, None]``) run, so they keep every bit, and a
-row's result does not depend on the stack around it.  On complex stacks
+row's result does not depend on the stack around it.  Nor does a row's
+result of a LAPACK gufunc: so :func:`_sphere_min_one` gives a problem the
+bytes of its row in :func:`_sphere_min_stacked`.  On complex stacks
 ``np.vecdot`` conjugates its first argument, so the witness expectation
 keeps its matrix-product form.
 
@@ -274,20 +279,15 @@ def _lifted_index(n):
 
 
 def _lifted(gap, c):
-    """The lifted matrices of :func:`sphere_min`, one gather per stack from
-    lists of rows of gaps and couplings: the blocks diag(gap), -diag(|c|),
-    -v v^T and diag(gap), v = sign(c) |c|^1/2, with 0.0 off the diagonal
-    of each diag(gap) and -0.0 off that of -diag(|c|) (the sign of each
-    zero is part of LAPACK's input)."""
-    source = []
-    for g, x in zip(gap, c):
-        # np.sign(c) * np.sqrt(|c|), whose sign of a zero c is 0.0.
-        v = [math.copysign(math.sqrt(abs(y)), y) if y else 0.0 for y in x]
-        source += g
-        source += [-abs(y) for y in x]
-        source += [-(s * t) for s in v for t in v]
-        source += 0.0, -0.0
-    return np.array(source).reshape(len(c), -1).take(_lifted_index(len(c[0])), axis=1)
+    """The lifted matrix of :func:`_sphere_min_one`, a stack of one, in one
+    gather from a list of gaps and one of couplings: the blocks diag(gap),
+    -diag(|c|), -v v^T and diag(gap), v = sign(c) |c|^1/2, with 0.0 off the
+    diagonal of each diag(gap) and -0.0 off that of -diag(|c|) (the sign of
+    each zero is part of LAPACK's input)."""
+    # np.sign(c) * np.sqrt(|c|), whose sign of a zero c is 0.0.
+    v = [math.copysign(math.sqrt(abs(y)), y) if y else 0.0 for y in c]
+    source = gap + [-abs(y) for y in c] + [-(s * t) for s in v for t in v] + [0.0, -0.0]
+    return np.array([source]).take(_lifted_index(len(c)), axis=1)
 
 
 def _stacked_lifted(gap, c):
@@ -303,11 +303,6 @@ def _stacked_lifted(gap, c):
     return source[:, _lifted_index(n)]
 
 
-# The smallest stack that takes sphere_min's stacked form: where the two
-# forms cross (see sphere_min).
-_STACKED_FROM = 4
-
-
 def sphere_min(a, b):
     """Stacked global minimum of s^T A s + 2 b^T s over the unit sphere.
 
@@ -316,26 +311,27 @@ def sphere_min(a, b):
     shape (N, n).  The method is documented at
     :func:`muellercert.conetest.sphere_quadratic_min`.
 
-    Two forms, chosen by the stack size, run the same LAPACK calls
-    (``eigh`` of A, ``eigvals`` of the lifted matrices) and the same sums
-    of products (``np.vecmat``, ``np.vecdot``, ``np.matvec``) on the whole
-    stack, and give each row the same bytes, whatever the stack around it.
-    They differ in the elementwise steps between those calls.  A stack of
-    fewer than ``_STACKED_FROM`` rows (one matrix: ``analyze_matrix``,
-    ``analyze``, :func:`~muellercert.conetest.sphere_quadratic_min`) takes
-    :func:`_sphere_min_per_row`, which runs them on Python floats: a numpy
-    call on a 1-row array costs 0.4-2 us, a float operation tens of
-    nanoseconds.  A larger stack (``batch``) takes
-    :func:`_sphere_min_stacked`, which runs them as numpy operations on
-    the whole stack, whose fixed cost per call the rows share.  Per row,
-    per-row against stacked form, on the cone stage's problems of the 400
-    matrices of ``bench/corpus.py``'s ``measured_corpus(6, 16, 25)``
-    (median of 15 interleaved passes, BLAS on one thread): 42.2 against
-    71.1 us at 1 row, 26.0 against 28.7 at 3, 23.5 against 23.1 at 4, 20.4
-    against 15.8 at 8 and 17.7 against 10.3 at 25.
+    Two forms, one for one problem and one for a stack, run the same LAPACK
+    calls (``eigh`` of A, ``eigvals`` of the lifted matrices) and the same
+    sums of products (``np.vecmat``, ``np.vecdot``, ``np.matvec``), and give
+    each row the same bytes, whatever the stack around it.  They differ in
+    the elementwise steps between those calls.  A stack of one
+    (``analyze_matrix``, ``analyze``,
+    :func:`~muellercert.conetest.sphere_quadratic_min`) takes
+    :func:`_sphere_min_one`, which runs them on Python floats: a numpy call
+    on a 1-row array costs 0.4-2 us, a float operation tens of nanoseconds.
+    Every other stack (``batch``, the empty one too) takes
+    :func:`_sphere_min_stacked`, which runs them as numpy operations on the
+    whole stack, whose fixed cost per call the rows share.  Per row, on the
+    cone stage's problems of the 400 matrices of ``bench/corpus.py``'s
+    ``measured_corpus(6, 16, 25)`` (median of 15 interleaved passes, BLAS
+    on one thread): 35.5 us at 1 row, where the stacked form takes 65.8;
+    and in the stacked form 36.9 us at 2 rows, 27.0 at 3 and 9.9 at 25.
+    Python-float steps per row would take 29.6 and 25.4 us at 2 and 3
+    rows, but only a ``batch`` of two or three files runs such a stack.
     """
-    if len(a) < _STACKED_FROM:
-        return _sphere_min_per_row(a, b)
+    if len(a) == 1:
+        return _sphere_min_one(a, b)
     return _sphere_min_stacked(a, b)
 
 
@@ -377,83 +373,66 @@ def _sphere_min_stacked(a, b):
     return np.vecdot(np.vecmat(s, a), s) + 2.0 * np.vecdot(b, s), s
 
 
-def _sphere_min_per_row(a, b):
-    """:func:`sphere_min` with the elementwise steps per row on Python
-    floats: the spectral scale, the gaps, the bottom eigenspace, the
-    hard-case test and completion, the source rows of the lifted matrices,
-    the shift and its floor, the components, the deficit, the ratio that
-    completes the bottom components and the divisors of the final
+def _sphere_min_one(a, b):
+    """:func:`sphere_min` of a stack of one, with the elementwise steps on
+    Python floats: the spectral scale, the gaps, the bottom eigenspace, the
+    hard-case test and completion, the source row of the lifted matrix, the
+    shift and its floor, the components, the deficit, the ratio that
+    completes the bottom components and the divisor of the final
     normalization.  Where a step needs two sums of squares, one
-    ``np.vecdot`` takes both over a (2N, n) stack."""
+    ``np.vecdot`` takes both over a (2, n) stack."""
     n = a.shape[-1]
     lam, q = _eigh(a)
     c = np.vecmat(b, q)
-    rows, tails, coupled = [], [], []
-    for lr, cr, bb in zip(lam.tolist(), c.tolist(), np.vecdot(b, b).tolist()):
-        if lr[0] != lr[0]:
-            _converged(lam, "Eigenvalues")
-        # The spectrum is ascending, so its largest magnitude sits at an end.
-        # The maximum is at least 1.0, so which of equal arguments max keeps
-        # changes no bit.
-        scale = max(-lr[0], lr[-1], math.sqrt(bb), 1.0)
-        limit, gap = _GAP_EPS * scale, [x - lr[0] for x in lr]
-        # The bottom eigenspace, the gaps within limit, is the first k of the
-        # ascending spectrum (k >= 1).
-        k = 1
-        while k < n and gap[k] <= limit:
-            k += 1
-        # Components off the bottom eigenspace at mu = lambda_min, 0.0 on it
-        # until the hard case completes the first; and c on it, 0.0 off it.
-        tail = [0.0] * k + [-x / g for x, g in zip(cr[k:], gap[k:])]
-        rows.append((scale, k, gap, cr, tail))
-        tails += tail
-        coupled += cr[:k] + [0.0] * (n - k)
-    squares = np.array(tails + coupled).reshape(-1, n)
-    squares = np.vecdot(squares, squares).tolist()
-    s_eig, easy = [], []
-    for i, (scale, k, gap, cr, tail) in enumerate(rows):
-        tail_sq = squares[i]
-        # Both callers pass a problem of unit size (entries below 2), so this
-        # square cannot overflow; ** 2.0 is C pow, as np.float_power.
-        if squares[len(rows) + i] <= (_COUPLING_EPS * scale) ** 2.0 and tail_sq <= 1.0:
-            # Hard case: multiplier pinned at lambda_min, completed on the
-            # bottom eigenspace to reach the sphere (1.0 - tail_sq >= 0.0).
-            tail[0] = math.sqrt(1.0 - tail_sq)
-        else:
-            easy.append(i)
-        s_eig.append(tail)
-
-    if easy:
+    (bb,), (lr,), (cr,) = np.vecdot(b, b).tolist(), lam.tolist(), c.tolist()
+    if lr[0] != lr[0]:
+        _converged(lam, "Eigenvalues")
+    # The spectrum is ascending, so its largest magnitude sits at an end.  The
+    # maximum is at least 1.0, so which of equal arguments max keeps changes
+    # no bit.
+    scale = max(-lr[0], lr[-1], math.sqrt(bb), 1.0)
+    limit, gap = _GAP_EPS * scale, [x - lr[0] for x in lr]
+    # The bottom eigenspace, the gaps within limit, is the first k of the
+    # ascending spectrum (k >= 1).
+    k = 1
+    while k < n and gap[k] <= limit:
+        k += 1
+    # Components off the bottom eigenspace at mu = lambda_min, 0.0 on it
+    # until the hard case completes the first; and c on it, 0.0 off it.
+    s_eig = [0.0] * k + [-x / g for x, g in zip(cr[k:], gap[k:])]
+    squares = np.array([s_eig, cr[:k] + [0.0] * (n - k)])
+    tail_sq, coupled_sq = np.vecdot(squares, squares).tolist()
+    # Both callers pass a problem of unit size (entries below 2), so this
+    # square cannot overflow; ** 2.0 is C pow, as np.float_power.
+    if coupled_sq <= (_COUPLING_EPS * scale) ** 2.0 and tail_sq <= 1.0:
+        # Hard case: multiplier pinned at lambda_min, completed on the bottom
+        # eigenspace to reach the sphere (1.0 - tail_sq >= 0.0).
+        s_eig[0] = math.sqrt(1.0 - tail_sq)
+    else:
         # The eigenvalues of the lifted matrix are mu - lambda_min.
-        lifted = _lifted([rows[i][2] for i in easy], [rows[i][3] for i in easy])
-        directions, s_easy, mu = [], [], _eigvals(lifted)
-        for i, low in zip(easy, mu.real.min(axis=-1).tolist()):
-            if low != low:
-                _converged(mu, "Eigenvalues")
-            scale, k, gap, cr, _ = rows[i]
-            # shift is lambda_min - mu, clamped so that mu <= lambda_min: of
-            # equal arguments max keeps the first, np.maximum the second.
-            shift = max(-low, 0.0)
-            # Off the bottom eigenspace the components are -c / (gap + shift).
-            # Only the direction of the bottom components is used, so there a
-            # shift below rounding may be floored without changing the result.
-            floor = max(shift, _EPS * scale)
-            directions += [-x / (g + floor) for x, g in zip(cr[:k], gap[:k])] + [0.0] * (n - k)
-            s_easy += [0.0] * k + [-x / (g + shift) for x, g in zip(cr[k:], gap[k:])]
-        squares = np.array(directions + s_easy).reshape(-1, n)
-        squares = np.vecdot(squares, squares).tolist()
-        for j, i in enumerate(easy):
-            row, length = s_easy[j * n : j * n + n], math.sqrt(squares[j])
-            if length > 0.0:
-                # The bottom components rescaled to complete the unit length.
-                ratio = math.sqrt(max(1.0 - squares[len(easy) + j], 0.0)) / length
-                k = rows[i][1]
-                row[:k] = [x * ratio for x in directions[j * n : j * n + k]]
-            s_eig[i] = row
+        mu = _eigvals(_lifted(gap, cr))
+        (low,) = mu.real.min(axis=-1).tolist()
+        if low != low:
+            _converged(mu, "Eigenvalues")
+        # shift is lambda_min - mu, clamped so that mu <= lambda_min: of equal
+        # arguments max keeps the first, np.maximum the second.
+        shift = max(-low, 0.0)
+        # Off the bottom eigenspace the components are -c / (gap + shift).
+        # Only the direction of the bottom components is used, so there a
+        # shift below rounding may be floored without changing the result.
+        floor = max(shift, _EPS * scale)
+        direction = [-x / (g + floor) for x, g in zip(cr[:k], gap[:k])] + [0.0] * (n - k)
+        s_eig = [0.0] * k + [-x / (g + shift) for x, g in zip(cr[k:], gap[k:])]
+        squares = np.array([direction, s_eig])
+        length_sq, easy_sq = np.vecdot(squares, squares).tolist()
+        if length_sq > 0.0:
+            # The bottom components rescaled to complete the unit length.
+            ratio = math.sqrt(max(1.0 - easy_sq, 0.0)) / math.sqrt(length_sq)
+            s_eig[:k] = [x * ratio for x in direction[:k]]
 
-    s = np.matvec(q, np.array([x for row in s_eig for x in row]).reshape(-1, n))
+    s = np.matvec(q, np.array([s_eig]))
     # x / 1.0 is x, so a zero row stays as it is.
-    s /= np.array([math.sqrt(x) or 1.0 for x in np.vecdot(s, s).tolist()])[:, None]
+    s /= math.sqrt(np.vecdot(s, s).item()) or 1.0
     return np.vecdot(np.vecmat(s, a), s) + 2.0 * np.vecdot(b, s), s
 
 

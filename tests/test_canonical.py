@@ -648,16 +648,16 @@ def test_gufunc_helpers_give_the_public_results(data):
 @pytest.mark.parametrize(
     "call, n, rows",
     [
-        pytest.param(kernel.sphere_min, 3, kernel._STACKED_FROM - 1, id="sphere_min-3"),
-        pytest.param(kernel.sphere_min, 3, kernel._STACKED_FROM, id="sphere_min-3-stacked"),
+        pytest.param(kernel.sphere_min, 3, 1, id="sphere_min-3"),
+        pytest.param(kernel.sphere_min, 3, 2, id="sphere_min-3-stacked"),
         pytest.param(kernel._spectral_norm, 4, 2, id="_spectral_norm-4"),
     ],
 )
 def test_a_failed_lapack_row_raises(call, n, rows):
-    # numpy fills a failed row with nan and warns; sphere_min's per-row loop,
-    # which reads its eigh, the stacked form's check at the call (a stack at
-    # the size that selects it) and sigma's check at the call then raise as
-    # numpy.linalg does
+    # numpy fills a failed row with nan and warns; sphere_min's one-problem
+    # form, which reads its eigh, the stacked form's check at the call (a
+    # stack of two) and sigma's check at the call then raise as numpy.linalg
+    # does
     stack = np.zeros((rows, n, n))
     stack[-1] = np.nan
     args = (stack, np.zeros((rows, n))) if call is kernel.sphere_min else (stack,)
@@ -736,14 +736,13 @@ def test_a_failed_lapack_row_raises_where_the_stage_reads_it(monkeypatch, site, 
         analyze_stack(_lapack_stack())
 
 
-@pytest.mark.parametrize(
-    "rows", [kernel._STACKED_FROM - 1, kernel._STACKED_FROM], ids=["per-row", "stacked"]
-)
+@pytest.mark.parametrize("rows", [1, 2], ids=["one", "stacked"])
 @pytest.mark.parametrize("name", ["eigh_lo", "eigvals"])
 def test_a_failed_sphere_min_row_raises_in_either_form(monkeypatch, name, rows):
-    # the report stacks above reach one form of sphere_min: each form raises
-    # numpy.linalg's text whichever of its LAPACK calls fails on its first
-    # or last row (every row here is off the hard case, so reaches eigvals)
+    # the report stack above reaches the stacked form of sphere_min: each
+    # form raises numpy.linalg's text whichever of its LAPACK calls fails on
+    # its first or last row (every row here is off the hard case, so
+    # reaches eigvals)
     rng = np.random.default_rng(3)
     a = rng.normal(size=(rows, 3, 3))
     a, b = a + np.swapaxes(a, -1, -2), rng.normal(size=(rows, 3))
@@ -817,10 +816,12 @@ def _assembled_lifted(gap, c):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_lifted_gather_is_the_assembly(n, data):
-    # the source rows are built per row on Python floats, from lists
+    # the source row of one problem is built on Python floats, from lists
     c = _scaled_stack(data.draw, (n,))
     gap = np.resize(_scaled_stack(data.draw, (n,)), c.shape)
-    _same_bytes([kernel._lifted(gap.tolist(), c.tolist())], [_assembled_lifted(gap, c)])
+    for i in range(len(c)):
+        want = _assembled_lifted(gap[i : i + 1], c[i : i + 1])
+        _same_bytes([kernel._lifted(gap[i].tolist(), c[i].tolist())], [want])
 
 
 def _canonical_phase(v):

@@ -1,17 +1,19 @@
 """``kernel.sphere_min``'s two forms against the stacked routine they came
 from.
 
-``sphere_min`` takes its per-row form, which runs the elementwise steps
-between its LAPACK calls and its sums of products on Python floats, on
-stacks below ``kernel._STACKED_FROM`` rows, and its stacked form, which runs
-every step on the whole stack, on larger ones.  :func:`_stacked_sphere_min`
-is the routine with every step on the whole stack as first written, frozen
-here as the reference: each form, called directly at every stack size from
-0 through twice that constant and at 25 rows, and ``sphere_min`` on the
-whole stack must give its bytes, value and minimizer.  The per-step premises
-below it compare each Python expression of the per-row form with the numpy
-step it replaced, at signed zeros, subnormals and the thresholds of the
-method.
+``sphere_min`` takes its one-problem form, a straight-line solve that runs
+the elementwise steps between its LAPACK calls and its sums of products on
+Python floats, on a stack of one, and its stacked form, which runs every
+step on the whole stack, on every other stack, the empty one included.
+:func:`_stacked_sphere_min` is the routine with every step on the whole
+stack as first written, frozen here as the reference: ``sphere_min`` on
+consecutive stacks of every size from 0 through 8 and of 25, and
+``_sphere_min_one`` on each row alone, must give its bytes, value and
+minimizer.  The one-problem form rests on the row independence of the
+gufuncs it calls, which a premise test checks on the same case tables.
+The per-step premises below it compare each Python expression of the
+one-problem form with the numpy step it replaced, at signed zeros,
+subnormals and the thresholds of the method.
 """
 
 import math
@@ -81,20 +83,19 @@ def _same_bytes(got, want):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-_FORMS = (kernel._sphere_min_per_row, kernel._sphere_min_stacked)
-
-
 def _assert_stacked_bytes(a, b):
-    """The reference's bytes from ``sphere_min`` on the whole stack, and from
-    each form on consecutive stacks of every size on both sides of the one
-    that selects the stacked form (an empty one for size 0), and of 25."""
+    """The reference's bytes from ``sphere_min`` on the whole stack and on
+    consecutive stacks of every size from 0 (an empty one) through 8 and of
+    25, and from ``_sphere_min_one`` on each row alone."""
     _same_bytes(kernel.sphere_min(a, b), _stacked_sphere_min(a, b))
-    for size in [*range(2 * kernel._STACKED_FROM + 1), 25]:
+    ones = [kernel._sphere_min_one(a[i : i + 1], b[i : i + 1]) for i in range(len(a))]
+    for size in [*range(9), 25]:
         for k in range(0, len(a), size) if size else [0]:
             part = a[k : k + size], b[k : k + size]
-            want = _stacked_sphere_min(*part)
-            for form in _FORMS:
-                _same_bytes(form(*part), want)
+            value, s = want = _stacked_sphere_min(*part)
+            _same_bytes(kernel.sphere_min(*part), want)
+            for i, one in enumerate(ones[k : k + size]):
+                _same_bytes(one, (value[i : i + 1], s[i : i + 1]))
 
 
 def _rotated(rng, lam, c):
@@ -244,9 +245,9 @@ def test_sphere_min_gives_the_stacked_bytes_on_a_tetra_scan_stack():
 
 
 def test_stack_size_selects_the_form(monkeypatch):
-    # one matrix (analyze_matrix, sphere_quadratic_min) and a stack one row
-    # short of the constant take the per-row form; a stack at the constant,
-    # a batch-size stack and a tetra-scan-size stack the stacked form
+    # one matrix (analyze_matrix, sphere_quadratic_min) takes the one-problem
+    # form; an empty stack, stacks of 2 to 4, a batch-size stack and a
+    # tetra-scan-size stack the stacked form
     ran = []
 
     def spy(form):
@@ -256,14 +257,45 @@ def test_stack_size_selects_the_form(monkeypatch):
 
         return run
 
-    for form in _FORMS:
+    forms = (kernel._sphere_min_one, kernel._sphere_min_stacked)
+    for form in forms:
         monkeypatch.setattr(kernel, form.__name__, spy(form))
     a, b = _tetra_scan_problems(2000, 1)
-    sizes = [1, kernel._STACKED_FROM - 1, kernel._STACKED_FROM, 25, 2000]
+    sizes = [1, 0, 2, 3, 4, 25, 2000]
     for rows in sizes:
         kernel.sphere_min(a[:rows], b[:rows])
-    per_row, stacked = (form.__name__ for form in _FORMS)
-    assert ran == [(per_row, 1), (per_row, sizes[1])] + [(stacked, n) for n in sizes[2:]]
+    one, stacked = (form.__name__ for form in forms)
+    assert ran == [(one, 1)] + [(stacked, n) for n in sizes[1:]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_row_gufuncs_are_row_independent(kind, n):
+    # each gufunc that _sphere_min_one calls gives row i of a stack the bytes
+    # of the same call on row i alone, on the operands sphere_min gives it
+    rng = np.random.default_rng([n, sorted(_KINDS).index(kind)])
+    a, b = _KINDS[kind](rng, 75, n)
+    lam, q = kernel._eigh(a)
+    c = np.vecmat(b, q)
+    gap = lam - lam[:, :1]
+    lifted = kernel._stacked_lifted(gap, c)
+    s = np.matvec(q, c)
+    calls = [
+        (kernel._eigh, (a,)),
+        (kernel._eigvals, (lifted,)),
+        (np.vecdot, (b, b)),
+        (np.vecdot, (b, s)),
+        (np.vecmat, (b, q)),
+        (np.vecmat, (s, a)),
+        (np.matvec, (q, c)),
+    ]
+    for call, args in calls:
+        stacked = call(*args)
+        stacked = stacked if isinstance(stacked, tuple) else (stacked,)
+        for i in range(len(a)):
+            alone = call(*(x[i : i + 1] for x in args))
+            alone = alone if isinstance(alone, tuple) else (alone,)
+            _same_bytes(alone, tuple(x[i : i + 1] for x in stacked))
 
 
 def test_sphere_min_of_an_empty_stack():
@@ -271,8 +303,8 @@ def test_sphere_min_of_an_empty_stack():
     assert value.shape == (0,) and s.shape == (0, 3)
 
 
-# Premises of the per-row steps: each Python expression gives the bits of the
-# numpy step it replaced, over signed zeros, subnormals, the thresholds and
+# Premises of the one-problem form's steps: each Python expression gives the
+# bits of the numpy step it replaced, over signed zeros, subnormals, the thresholds and
 # random values.
 _EDGES = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-28, 1e-16, 2.220446049250313e-16]
 _EDGES += [1e-14, 1e-12, 0.25, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 1.5, 2.0, 3.0, 1e150]
