@@ -67,15 +67,13 @@ elementwise steps are many more per row, has two: on a stack of one those
 steps run on Python floats in a straight-line solve of one problem,
 between its ``eigh``, its ``eigvals`` of the lifted matrix and its sums of
 products, which run as numpy calls on that stack of one; on every other
-stack every step runs as a numpy operation on the whole stack.  Per row
-that is 35.5 us at 1 row (65.8 stacked), and stacked 36.9 us at 2 rows,
-27.0 at 3 and 9.9 at 25 (:func:`sphere_min` has the conditions).  The
-loops use only +, -, *, /, ``**`` (C ``pow``, as ``np.float_power``),
-``abs``, ``math.sqrt``, ``math.copysign``, ``math.ldexp``, ``max`` and
-comparisons, each of which gives the bits of the numpy operation it
-replaced: ``max`` keeps the first of equal arguments and ``np.maximum``
-the second, and ``np.sign(-0.0)`` is 0.0, so the loops order and guard
-those calls to match.  No loop calls
+stack every step runs as a numpy operation on the whole stack (README.md
+has each form's cost per row).  The loops use only +, -, *, /, ``**`` (C
+``pow``, as ``np.float_power``), ``abs``, ``math.sqrt``, ``math.copysign``,
+``math.ldexp``, ``max`` and comparisons, each of which gives the bits of
+the numpy operation it replaced: ``max`` keeps the first of equal
+arguments and ``np.maximum`` the second, and ``np.sign(-0.0)`` is 0.0, so
+the loops order and guard those calls to match.  No loop calls
 ``sum()``: Python 3.12's is compensated.  Sums of products cannot move:
 numpy's BLAS kernels fuse multiply and add (FMA) on hosts that have it,
 and on an AVX-512 host ``np.vecdot``
@@ -322,13 +320,10 @@ def sphere_min(a, b):
     on a 1-row array costs 0.4-2 us, a float operation tens of nanoseconds.
     Every other stack (``batch``, the empty one too) takes
     :func:`_sphere_min_stacked`, which runs them as numpy operations on the
-    whole stack, whose fixed cost per call the rows share.  Per row, on the
-    cone stage's problems of the 400 matrices of ``bench/corpus.py``'s
-    ``measured_corpus(6, 16, 25)`` (median of 15 interleaved passes, BLAS
-    on one thread): 35.5 us at 1 row, where the stacked form takes 65.8;
-    and in the stacked form 36.9 us at 2 rows, 27.0 at 3 and 9.9 at 25.
-    Python-float steps per row would take 29.6 and 25.4 us at 2 and 3
-    rows, but only a ``batch`` of two or three files runs such a stack.
+    whole stack, whose fixed cost per call the rows share.  Stacks of two
+    or three rows take the stacked form too, though Python-float steps per
+    row would be faster there: only a ``batch`` of two or three files runs
+    such a stack.  README.md has the costs per row.
     """
     if len(a) == 1:
         return _sphere_min_one(a, b)

@@ -438,29 +438,48 @@ class TestType1Factor:
             type1_factor(type2_canonical(2.0, 1.0, 1.0, 1.0))
 
     @pytest.mark.parametrize(
-        "m, tol, match",
+        "m, tol, vec_error, match",
         [
             (
                 np.random.default_rng(15).normal(size=(4, 4)),
                 1e-9,
+                0.0,
                 "Lorentz normal matrix has complex spectrum",
             ),
-            # two eigenvalues of N 6e-13 apart, distinct at this tol, whose
-            # eigenvectors LAPACK separates only to about 1e-5
+            # N is self-adjoint in the Lorentz form, so the exact eigenvectors
+            # of distinct eigenvalues are Lorentz-orthogonal for every input;
+            # the error is put into the computed eigenbasis instead.  The
+            # first eigenvector eig returns gains 1e-4 times the second.  Every
+            # |v^T G v| of eig's unit eigenvectors here is at least 0.64, so
+            # the screen reads an error between 0.8e-4 and 1.25e-4 under any
+            # kernel, far above both the 1e-6 screen and eig's own error on a
+            # spectrum whose smallest gap is 0.053 ||N||, well above tol.
             (
                 mueller_from_jones(rotation_jones(3, 0.7) @ boost_jones(3, 0.5))
-                @ np.diag([1.0, 0.6, 0.3, 0.3 - 1e-12])
+                @ np.diag([1.0, 0.6, 0.3, 0.15])
                 @ mueller_from_jones(boost_jones(1, 0.5) @ rotation_jones(2, 0.4)),
-                1e-14,
+                1e-9,
+                1e-4,
                 "eigenbasis fails Lorentz orthonormality",
             ),
-            (*_dressed_top_near_tie(57), "subdominant eigenvector is not spacelike"),
+            (*_dressed_top_near_tie(57), 0.0, "subdominant eigenvector is not spacelike"),
         ],
         ids=["complex-spectrum", "orthonormality", "subdominant-not-spacelike"],
     )
-    def test_rejection_reasons(self, m, tol, match):
-        with pytest.raises(NotTypeIError, match=match):
+    def test_rejection_reasons(self, monkeypatch, m, tol, vec_error, match):
+        if vec_error:
+            eig = kernel._eig
+
+            def skewed_eig(a):
+                lam, vecs = eig(a)
+                vecs[..., 0] += vec_error * vecs[..., 1]
+                return lam, vecs
+
+            monkeypatch.setattr(kernel, "_eig", skewed_eig)
+        with pytest.raises(NotTypeIError, match=match) as info:
             type1_factor(m, tol)
+        if vec_error:
+            assert 0.8 * vec_error <= float(str(info.value).split()[-1]) <= 1.25 * vec_error
 
     def test_spacelike_top_eigenvector_rejected(self):
         with pytest.raises(NotTypeIError, match="top eigenvector is not timelike"):

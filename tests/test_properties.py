@@ -7,9 +7,11 @@ form diag(d) dressed by two random Lorentz matrices.  Every input is divided
 by the power of two that brings its largest magnitude into [1/2, 1), and
 entries below 2**-32 are set to zero, so 2**k times it is exact for k in
 -990..500.  The dressing property draws a canonical form of each family
-instead.  The last two properties run ``analyze`` and ``batch`` on files of
-drawn bytes and check the CLI's exit-code contract.  The whole module runs
-in about 5 s (300 examples per property, 100 for ``batch``).
+instead.  The symmetry properties (transposition and mirror conjugation,
+ROADMAP item 21) draw such a dressed form or a near-boundary matrix.  The
+last two properties run ``analyze`` and ``batch`` on files of drawn bytes
+and check the CLI's exit-code contract.  The whole module runs in about
+6 s (300 examples per property, 100 for ``batch``).
 """
 
 import io
@@ -22,7 +24,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from muellercert import jones_ensemble, m_from_h, mueller_from_jones, physicality
+from muellercert import classify, jones_ensemble, m_from_h, mueller_from_jones, physicality
 from muellercert.cli import analyze_matrix, main, render_report, verdict_exit_code
 
 from helpers import (
@@ -157,6 +159,95 @@ def test_family_and_d_do_not_change_under_dressing(family, seed):
         np.testing.assert_allclose(dressed["d"], base["d"], rtol=0.0, atol=1e-6 * base["d"][0])
     else:
         assert base["d"] is None and dressed["d"] is None
+
+
+def _near_boundary(rng):
+    """M(H - eta tr(H) I) for H = B^H B of rank 1 to 3, on the Mueller
+    boundary (rank 1, a Jones matrix, on the cone's boundary too), and
+    1e-7 <= |eta| <= 1e-3 of either sign: H's smallest eigenvalue is
+    -eta tr(H), at least 100 tol from the Mueller threshold."""
+    rows = int(rng.integers(1, 4))
+    b = rng.normal(size=(rows, 4)) + 1j * rng.normal(size=(rows, 4))
+    h = b.conj().T @ b
+    eta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, -3.0)
+    return m_from_h(h - eta * np.trace(h).real * np.eye(4))
+
+
+def _symmetry_draw(kind, seed):
+    """A near-boundary draw, or a canonical form of the family ``kind``
+    between two Lorentz factors."""
+    rng = np.random.default_rng(seed)
+    if kind == "near-boundary":
+        return _near_boundary(rng)
+    return _lorentz(rng) @ _CANONICAL_FORMS[kind](rng) @ _lorentz(rng)
+
+
+_SYMMETRY_DRAWS = st.builds(
+    _symmetry_draw, st.sampled_from([*sorted(_CANONICAL_FORMS), "near-boundary"]), _SEEDS
+)
+_VERDICTS = ("physicality", "pre_mueller", "mueller_jones")
+# F, the mirror: F M(J) F = M(conj J), as F flips the sign of V.
+_MIRROR = np.diag([1.0, 1.0, 1.0, -1.0])
+
+
+def _assert_same_h_spectrum(base, image):
+    # Band, fixed before the run: 1e-13 of the largest |eigenvalue|
+    # (2.0e-15 measured under transposition on 4,000 Gaussian matrices).
+    w, v = (np.array(r["physicality"]["eigenvalues"]) for r in (base, image))
+    assert np.abs(w - v).max() <= 1e-13 * np.abs(w).max()
+
+
+def _cone_slack(report, sigma):
+    """The smaller cone margin of a report, each in units of its scale;
+    the pre-Mueller verdict holds where it is at least -tol."""
+    pre = report["pre_mueller"]
+    return min(pre["intensity_margin"] / sigma, pre["lorentz_margin"] / sigma**2)
+
+
+@settings(max_examples=300, deadline=None)  # under 1 s
+@given(m=_SYMMETRY_DRAWS)
+def test_transposition_keeps_verdicts_family_and_h_spectrum(m):
+    # The adjoint of a completely positive map is completely positive, so
+    # H(M^T) has H(M)'s spectrum (band above) and the Mueller and
+    # Mueller-Jones verdicts, decided 1e-9 of the spectrum from zero, agree.
+    # The Lorentz cone is self-dual, so M and M^T preserve it together, but
+    # the margins are not kept: the pre-Mueller verdicts may differ only
+    # where the side that holds does so by tol alone, its slack below
+    # -1e-13.  N(M^T) = GM N(M) (GM)^-1 where M is nonsingular, so the
+    # family is kept except in two cases.  A pin map e e0^T, e lightlike, is
+    # singular; its transpose e0 e^T is the Type-II form with d = (1, 0, 0,
+    # 0).  And the cluster scale ||N|| is not a similarity invariant, so a
+    # near-tied cluster can be undecidable at tol (Indeterminate) on one
+    # side only.
+    base, image = analyze_matrix(m), analyze_matrix(m.T)
+    _assert_same_h_spectrum(base, image)
+    assert base["physicality"]["verdict"] == image["physicality"]["verdict"]
+    assert base["mueller_jones"]["verdict"] == image["mueller_jones"]["verdict"]
+    if base["pre_mueller"]["verdict"] != image["pre_mueller"]["verdict"]:
+        holds = base if base["pre_mueller"]["verdict"] else image
+        assert _cone_slack(holds, np.linalg.norm(m, 2)) < -1e-13
+        return
+    family, image_family = base["canonical"]["family"], image["canonical"]["family"]
+    if [family, image_family].count("Indeterminate") == 1:
+        undecided = m if family == "Indeterminate" else m.T
+        if "cannot separate defective" in classify(undecided).diagnostics:
+            return
+    assert image_family == {"PinMap": "TypeII"}.get(family, family)
+
+
+@settings(max_examples=300, deadline=None)  # under 1 s
+@given(m=_SYMMETRY_DRAWS)
+def test_mirror_conjugation_keeps_verdicts_family_spectrum_and_margin(m):
+    # F is a Lorentz matrix and orthogonal: F M F keeps H's spectrum (band
+    # above), the family (N(FMF) = F N(M) F) and the Lorentz margin, to
+    # 1e-13 sigma^2, a band fixed before the run (6.8e-15 measured on 4,000
+    # Gaussian matrices), so every verdict.
+    base, image = analyze_matrix(m), analyze_matrix(_MIRROR @ m @ _MIRROR)
+    _assert_same_h_spectrum(base, image)
+    assert [base[k]["verdict"] for k in _VERDICTS] == [image[k]["verdict"] for k in _VERDICTS]
+    assert base["canonical"]["family"] == image["canonical"]["family"]
+    margin = base["pre_mueller"]["lorentz_margin"] - image["pre_mueller"]["lorentz_margin"]
+    assert abs(margin) <= 1e-13 * np.linalg.norm(m, 2) ** 2
 
 
 # File contents: arbitrary bytes, text made of the tokens a matrix file holds

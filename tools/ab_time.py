@@ -15,33 +15,34 @@ file belongs to (its ``bench/corpus.py``, read, never written):
   directory as the benchmark writes them (every fifth file JSON), with the
   output going to an in-memory sink.
 
-After one untimed pass per side, each round times one pass of each side,
-the side that goes first alternating from round to round, so that drift in
-the host's speed falls on both sides alike; sequential runs of the two
-checkouts can differ by more than the change being measured.  It prints
-each side's median pass time, and the median of the per-round ratios
-change / parent with their interquartile range and the number of rounds in
-which the change was faster.  Next it prints each side's fastest pass and
-their ratio: host noise only slows a pass, so the fastest passes move less
-with it than the medians.  Last, it compares one pass of rendered output per
-side and exits 1 when any output differs, else 0.
-
-``--stages`` times the analysis stages instead, each on its first read of
-a fresh analysis: of one matrix per ``exact`` input, or of one stack per
-``batch`` directory, its matrices in the order ``batch`` reads the files.
-The stages are the H stage, the cone stage (which computes sigma and the
-normal matrices), of it ``sphere_min`` apart, the N stage with
+``--stages`` times the analysis stages instead of whole passes, each on
+its first read of a fresh analysis: of one matrix per ``exact`` input, or of
+one stack per ``batch`` directory, its matrices in the order ``batch`` reads
+the files.  The stages are the H stage, the cone stage (which computes sigma
+and the normal matrices), of it ``sphere_min`` apart, the N stage with
 ``type1_d`` (``normal``: both are computed inside the canonical stage, and
 timed there on their first read), the rest of the canonical stage
 (``canonical``: the cone stage, ``normal`` and ``type1_d`` not counted),
 the report assembly (``cli._reports``) on the finished stages, and
 ``render_report`` on the finished reports, rendered as the command renders
 them (``render``): each report alone for ``exact``, and each directory's
-mapping from file name to report for ``batch``.  Rounds interleave the
-sides as above.  It prints each side's median time per input (per matrix
-for ``batch``) of every stage and of their sum (``stages``, ``render``
-included; ``sphere_min`` is in ``cone``), then the ratio change / parent
-of those medians.
+mapping from file name to report for ``batch``.  Their sum is ``stages``
+(``render`` included; ``sphere_min`` is in ``cone``).
+
+After one untimed pass per side, each round times one pass of each side,
+the side that goes first alternating from round to round, so that drift in
+the host's speed falls on both sides alike; sequential runs of the two
+checkouts can differ by more than the change being measured.  Each pass
+yields one time per column: ``pass`` alone for whole passes, one per stage
+under ``--stages``.  For each column it prints one line: each side's median
+time per input (per matrix for ``batch``), the median of the per-round
+ratios change / parent with their interquartile range and the number of
+rounds in which the change was faster, and the ratio of the two sides'
+fastest passes (host noise only slows a pass, so the fastest passes move
+less with it than the medians).  A claim should beat the IQR that the same
+run reads with one checkout on both sides (PARENT = CHANGE).  Last, it
+compares one pass of rendered output per side and exits 1 when any output
+differs, else 0.
 """
 
 import os
@@ -171,6 +172,34 @@ def _args(argv):
     return args
 
 
+def _timed(one_pass):
+    """``one_pass`` as a pass that returns its own time, the column ``pass``."""
+
+    def run(cli, items):
+        start = time.perf_counter()
+        one_pass(cli, items)
+        return {"pass": time.perf_counter() - start}
+
+    return run
+
+
+def _report(times, count, per):
+    """Print one line per column of the passes in ``times`` (side -> passes,
+    each a mapping from column to seconds), paired round by round."""
+    for column in times["parent"][0]:
+        parent, change = ([p[column] for p in times[side]] for side in ("parent", "change"))
+        ratios = [c / p for c, p in zip(change, parent)]
+        q1, median, q3 = statistics.quantiles(ratios, n=4)
+        wins = sum(ratio < 1.0 for ratio in ratios)
+        print(
+            f"{column}: parent {1e6 * statistics.median(parent) / count:.1f} us, "
+            f"change {1e6 * statistics.median(change) / count:.1f} us per {per}; "
+            f"change/parent median {median:.3f}, IQR {q3 - q1:.3f}, "
+            f"change faster in {wins} of {len(ratios)} rounds, "
+            f"fastest {min(change) / min(parent):.3f}"
+        )
+
+
 def main(argv=None) -> int:
     args = _args(argv)
     sys.path.insert(0, str(ROOT / "bench"))
@@ -184,8 +213,7 @@ def main(argv=None) -> int:
         if args.workload == "exact":
             items = [entry.m for entry in corpus.exact_corpus(args.seed, args.per_class)]
             stacks = [(m[None], None) for m in items]
-            one_pass = _exact_pass
-            unit, units, per = "input", "inputs", "input"
+            one_pass, units, per = _exact_pass, "inputs", "input"
         else:
             items, stacks = [], []
             for dnum, entries in enumerate(
@@ -203,54 +231,23 @@ def main(argv=None) -> int:
                 # The files' matrices in name order, as batch reads them back.
                 names = sorted(files)
                 stacks.append(([files[name] for name in names], names))
-            one_pass = _batch_pass
-            unit, units, per = "directory", "directories", "matrix"
+            one_pass, units, per = _batch_pass, "directories", "matrix"
 
         outputs = {name: one_pass(cli, items) for name, cli in sides.items()}
+        timed, timed_items = _timed(one_pass), items
         if args.stages:
-            one_pass, items = _stage_pass, stacks
+            timed, timed_items = _stage_pass, stacks
             for cli in sides.values():
-                one_pass(cli, items)
+                timed(cli, timed_items)
         times = {name: [] for name in sides}
         for r in range(args.rounds):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
             for name in order:
-                start = time.perf_counter()
-                spent = one_pass(sides[name], items)
-                times[name].append(spent if args.stages else time.perf_counter() - start)
+                times[name].append(timed(sides[name], timed_items))
 
     workload = f"{args.workload} stages" if args.stages else args.workload
     print(f"{workload}: {len(items)} {units} per pass, {args.rounds} rounds, seed {args.seed}")
-    if args.stages:
-        count = sum(len(stack) for stack, _ in stacks)
-        medians = {
-            name: {stage: statistics.median(p[stage] for p in passes) for stage in _STAGES}
-            for name, passes in times.items()
-        }
-        for name, median in medians.items():
-            each = (f"{stage} {1e6 * median[stage] / count:.1f} us" for stage in _STAGES)
-            print(f"{name}: {', '.join(each)} per {per}")
-        parent, change = medians["parent"], medians["change"]
-        ratios = (f"{stage} {change[stage] / parent[stage]:.3f}" for stage in _STAGES)
-        print(f"change/parent: {', '.join(ratios)}")
-        return _compare(args, sides, outputs, len(items))
-    for name, passes in times.items():
-        median = statistics.median(passes)
-        per_item = 1e6 * median / len(items)
-        print(f"{name}: median pass {median:.4f} s ({per_item:.1f} us per {unit})")
-    ratios = [c / p for c, p in zip(times["change"], times["parent"])]
-    q1, median, q3 = statistics.quantiles(ratios, n=4)
-    wins = sum(ratio < 1.0 for ratio in ratios)
-    print(
-        f"change/parent: median {median:.3f}, IQR {q3 - q1:.3f} "
-        f"(q1 {q1:.3f}, q3 {q3:.3f}), change faster in {wins} of {len(ratios)} rounds"
-    )
-    fastest = {name: min(passes) for name, passes in times.items()}
-    print(
-        f"fastest pass: parent {fastest['parent']:.4f} s, change {fastest['change']:.4f} s, "
-        f"change/parent {fastest['change'] / fastest['parent']:.3f}"
-    )
-
+    _report(times, sum(len(stack) for stack, _ in stacks), per)
     return _compare(args, sides, outputs, len(items))
 
 
