@@ -146,10 +146,12 @@ def classify(m, tol: float = DEFAULT_TOL) -> CanonicalClass:
     Cone preservation is certified first; everything else is read off the
     Lorentz normal matrix computed from the input normalized to unit
     largest singular value.  Only its top eigenvalue cluster (the
-    eigenvalues within sqrt(tol) of the largest) is examined, since only it
-    can be defective.  A simple top eigenvalue with a timelike eigenvector
-    is Type I.  A tied top cluster whose geometric multiplicity (rank test
-    at tol) matches its size is diagonalizable (Type I), one with a genuine
+    eigenvalues within sqrt(tol) of the largest, unless their condition
+    numbers show that no perturbation at tol closes the gap) is examined,
+    since only it can be defective.  A simple top eigenvalue with a
+    timelike eigenvector is Type I.  A tied top cluster whose geometric
+    multiplicity (rank test at tol) matches its size is diagonalizable
+    (Type I), one with a genuine
     null direction but missing loose-rank dimensions is defective (Type
     II), and anything in between comes back as Indeterminate with
     diagnostics, never as a guess.  A Type-I result carries the factors of

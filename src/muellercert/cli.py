@@ -35,8 +35,9 @@ sorted key order, each slot with the kind of value it holds.  A report as
 mapping, is written from that table in three steps: one walk collects its
 floats in template order and its shape (per slot: null, a scalar's text, a
 list's length, a complex array's shape, or the ensemble's entry shapes);
-a ``%`` template per shape and indent, built from the table on first use
-and kept in a bounded cache, holds every key, indent, bracket and scalar;
+a ``%`` template per shape and indent, which holds every key, indent,
+bracket and scalar, is the first such report's text from ``json``'s
+encoder with ``%s`` for each float, kept in a dict of at most 64 entries;
 and one ``%`` fills it with the floats' text (``format(x, ".12")`` with
 its rare tokens fixed up).  Every other value, and a report-shaped one
 with a key, a value or a shape that the schema does not have in its place,
@@ -55,7 +56,8 @@ returns its document, the writer of its summary and its exit code;
 ``error:`` line.
 
 Exit codes: 0 success, 1 internal error, 2 parse/input failure (a bad
-``--tol``, or ``--tol`` on ``tetra-scan`` or ``vanzyl``, included), and an
+``--tol``, ``--tol`` on ``tetra-scan`` or ``vanzyl``, and a ``--samples``
+count whose arrays numpy cannot allocate included), and an
 input whose Lorentz margin, the unit margin times the square of the largest
 singular value, is beyond the float range: from a largest singular value
 between about 9.5e153 and 1.34e154 on, depending on the matrix.  The cone
@@ -322,10 +324,10 @@ def _float_text(x: float, _format=float.__format__) -> str:
 _DEFAULT = json.JSONEncoder().default
 
 
-def _json(obj, level: int) -> str:
+def _json(obj, level: int, float_text=_float_text) -> str:
     """JSON text of ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)``
     writes it, with every float (a float dict key too) written by
-    :func:`_float_text` and the lines indented from indent ``level``:
+    ``float_text`` and the lines indented from indent ``level``:
     ``json``'s own pure-Python encoder, the one ``dumps`` runs under
     ``indent``, with its errors (TypeError for a value that it cannot
     write, ValueError for a document that holds itself)."""
@@ -333,7 +335,7 @@ def _json(obj, level: int) -> str:
     # sort_keys, skipkeys, one_shot: what json.dumps(indent=2) passes, but
     # the float writer
     encode = _make_iterencode(
-        {}, _DEFAULT, encode_basestring_ascii, "  ", _float_text, ": ", ",", True, False, True
+        {}, _DEFAULT, encode_basestring_ascii, "  ", float_text, ": ", ",", True, False, True
     )
     return "".join(encode(obj, level))
 
@@ -349,9 +351,8 @@ def _fields(obj, keys: tuple) -> list:
     raise TypeError(f"not a dict with the keys {keys}")
 
 
-# A complex array (a Jones matrix or the witness vector), and an ensemble entry.
+# The keys of a complex array (a Jones matrix or the witness vector).
 _COMPLEX = ("imag", "real")
-_ENTRY = (("jones", "complex"), ("weight", "float"))
 
 
 def _complex_shape(obj, floats: list) -> int:
@@ -425,47 +426,6 @@ _REPORT_SCHEMA = (
 _REPORT_KEYS = frozenset(key for key, _ in _REPORT_SCHEMA)
 
 
-def _block(items, inner: str, outer: str, brackets: str = "{}") -> str:
-    """``items`` between ``brackets``, each on a line begun by ``inner``, and
-    the closing bracket on a line begun by ``outer``."""
-    return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
-
-
-def _value_template(kind, shapes, newline: str) -> str:
-    """The text of a value of ``kind``, a slot kind or the fields of a
-    section, on a line begun by ``newline``: ``%s`` for each float, and each
-    slot of the shape that ``shapes`` yields next."""
-    one, two = newline + "  ", newline + "    "
-    if type(kind) is tuple:
-        fields = [f'"{key}": ' + _value_template(k, shapes, one) for key, k in kind]
-        return _block(fields, one, newline)
-    shape = next(shapes)
-    if shape is None:
-        return "null"
-    if kind == "float":
-        return "%s"
-    if kind == "scalar":
-        return shape.replace("%", "%%")
-    if kind == "array":
-        return _block(["%s"] * shape, one, newline, "[]")
-    if kind == "complex":
-        part = _block(["%s"] * 4, two, one, "[]")
-        if shape == 2:
-            part = _block([_block(["%s"] * 2, two + "  ", two, "[]")] * 2, two, one, "[]")
-        return _block(['"imag": ' + part, '"real": ' + part], one, newline)
-    entries = [_value_template(_ENTRY, iter((jones, 1)), one) for jones in shape]
-    return _block(entries, one, newline, "[]") if entries else "[]"
-
-
-# Bounded: a report's shape holds its scalars' text, and the measured
-# corpus has about ten shapes.
-@functools.lru_cache(maxsize=64)
-def _template(shape: tuple, newline: str) -> str:
-    """The text of a report of ``shape`` on a line begun by ``newline``:
-    every key, indent, bracket and scalar, with ``%s`` for each float."""
-    return _value_template(_REPORT_SCHEMA, iter(shape), newline)
-
-
 def _float_texts(floats: list) -> list:
     """:func:`_float_text` of each float, and its TypeError for any other
     value.  ``format(x, ".12")`` writes the ``%.12g`` digits with ``.0``
@@ -483,11 +443,22 @@ def _float_texts(floats: list) -> list:
     return texts
 
 
-def _report_text(report: dict, newline: str) -> str:
-    """A dict with the keys of the schema on a line begun by ``newline``, as
-    ``json`` writes it: one walk collects the report's floats in template
-    order and its shape, one entry per slot, and the template of that shape
-    and indent is filled with the floats' text in one ``%``.  Raises
+# The report templates, keyed by shape and indent level.  Bounded: a shape
+# holds its scalars' text, and the measured corpus has about ten shapes.
+_TEMPLATES: dict = {}
+_TEMPLATE_LIMIT = 64
+
+
+def _report_text(report: dict, level: int) -> str:
+    """A dict with the keys of the schema at indent ``level``, as ``json``
+    writes it: one walk collects the report's floats in template order and
+    its shape, one entry per slot, and the template of that shape and
+    level is filled with the floats' text in one ``%``.  A template is the
+    report's own text from :func:`_json` with ``%s`` for each float (json
+    escapes a NUL in a string, so only the float writer writes one), kept
+    in ``_TEMPLATES``, which is emptied when it holds ``_TEMPLATE_LIMIT``.
+    The floats' text is the type check, so it comes first: a report with a
+    value that is not a float in a float slot builds no template.  Raises
     TypeError at a key or value that the schema does not have in its place
     (an int or a numpy scalar other than ``np.float64`` where a float
     belongs, a float where a bool belongs, a tuple for a list, a missing or
@@ -505,7 +476,15 @@ def _report_text(report: dict, newline: str) -> str:
                 shape.append(_slot_shape(section[field], field_kind, floats))
     except KeyError as exc:
         raise TypeError(f"no key {exc} in the report") from None
-    return _template(tuple(shape), newline) % tuple(_float_texts(floats))
+    texts = tuple(_float_texts(floats))
+    key = (tuple(shape), level)
+    template = _TEMPLATES.get(key)
+    if template is None:
+        if len(_TEMPLATES) >= _TEMPLATE_LIMIT:
+            _TEMPLATES.clear()
+        text = _json(report, level, lambda x: "\0")
+        template = _TEMPLATES[key] = text.replace("%", "%%").replace("\0", "%s")
+    return template % texts
 
 
 def _value_text(obj, level: int) -> str:
@@ -514,7 +493,7 @@ def _value_text(obj, level: int) -> str:
     :func:`_json`."""
     if isinstance(obj, dict) and obj.keys() == _REPORT_KEYS:
         try:
-            return _report_text(obj, "\n" + "  " * level)
+            return _report_text(obj, level)
         except TypeError:
             pass
     return _json(obj, level)
@@ -532,6 +511,7 @@ def render_report(report: dict) -> str:
     builds it, as the whole document (``analyze``) or as a value of a
     mapping with string keys (``batch``'s file-name-to-report mapping), is
     written from the report schema: the template of its shape and indent,
+    text that the encoder below wrote for the first report of that shape,
     filled with its floats' text in one ``%``.  Every other value, and a
     report that the schema rejects, is written by ``json``'s own
     pure-Python encoder, ``json.encoder._make_iterencode`` (a private
@@ -545,7 +525,7 @@ def render_report(report: dict) -> str:
     ):
         items = sorted(report.items())
         texts = [encode_basestring_ascii(key) + ": " + _value_text(val, 1) for key, val in items]
-        return _block(texts, "\n  ", "\n") + "\n"
+        return "{\n  " + ",\n  ".join(texts) + "\n}\n"
     return _value_text(report, 0) + "\n"
 
 
@@ -715,9 +695,10 @@ def _batch(args) -> tuple:
 
 
 def _tetra_scan(args) -> tuple:
+    # A count whose arrays numpy cannot allocate is a usage error too.
     try:
         return tetra_scan(args.samples, args.seed), summarize_tetra_scan, 0
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ParseError(str(exc)) from exc
 
 

@@ -751,8 +751,10 @@ class Analysis:
         complement of its top invariant subspace is negative definite, so
         every lower cluster is diagonalizable (Gohberg, Lancaster & Rodman,
         *Indefinite Linear Algebra*, 2005); a Type-II Jordan block sits in
-        the top cluster, at d0 d1 >= d2^2 >= d3^2.  A simple top eigenvalue
-        with a timelike eigenvector is Type I.  A tied top cluster whose
+        the top cluster, at d0 d1 >= d2^2 >= d3^2.  A top eigenvalue more
+        than sqrt(tol) above the next, or closer only through N's
+        non-normality (:func:`_top_is_simple`), is simple; with a timelike
+        eigenvector it is Type I.  A tied top cluster whose
         geometric multiplicity (rank test at tol) matches its size is
         diagonalizable (Type I), one with a genuine null direction but
         missing loose-rank dimensions is defective (Type II), and anything
@@ -785,7 +787,7 @@ class Analysis:
             # tied cluster's centre is summed left to right, as Python 3.11's
             # sum() adds (3.12's is compensated and can move it by an ulp).
             l0, l1, l2, l3 = max(0.0, l0), max(0.0, l1), max(0.0, l2), max(0.0, l3)
-            if l0 - l1 > cj:
+            if l0 - l1 > cj or _top_is_simple(vecs[i], order[i], l0, l1, tol, nnorm[i]):
                 if timelike[i]:
                     family[i] = _TYPE_I
                 else:
@@ -882,6 +884,35 @@ class Analysis:
         if not (l_left[0, 0] > 0.0 and np.abs(l_left.T @ g @ l_left - g).max() <= 1e-6):
             raise NotTypeIError("left factor is not proper orthochronous Lorentz")
         return l_left, d, l_right
+
+
+def _top_is_simple(vecs, order, l0, l1, tol, nnorm) -> bool:
+    """Whether N's top eigenvalue ``l0``, within sqrt(tol) |N| of the next,
+    ``l1``, is simple at ``tol`` all the same.
+
+    Lorentz dressing M = L D R makes N = R^-1 D^2 R non-normal: its norm
+    grows with R's rapidity while its spectrum, D^2, does not, so a well
+    separated top pair can fall inside the sqrt(tol) |N| cluster width.
+    The pair is simple when it is apart by more than sqrt(tol) at the
+    spectrum's own scale l0 (what an undressed diagonal gets) and no
+    perturbation of N of norm tol |N| closes the gap, to first order.  N
+    is self-adjoint in the Lorentz form, so the left eigenvector of a real
+    eigenvalue with eigenvector x is G x and its condition number is
+    |x|^2 / |x^T G x|.  A perturbed Jordan block has nearly parallel,
+    nearly lightlike eigenvectors, whose condition numbers grow as the
+    inverse square root of the perturbation, so its split stays within
+    the bound."""
+    gap = l0 - l1
+    if gap <= math.sqrt(tol) * l0:
+        return False
+    kappa = 0.0
+    for k in order[:2].tolist():
+        x = vecs[:, k].real
+        quad = abs(float(x @ LORENTZ_METRIC @ x))
+        if quad == 0.0:
+            return False
+        kappa += float(x @ x) / quad
+    return gap > kappa * tol * nnorm
 
 
 def _rank_one_family(u, s1, v, cluster_tol) -> tuple[Family, str | None]:

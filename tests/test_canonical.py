@@ -360,6 +360,17 @@ class TestClassify:
         assert result.family is Family.TYPE_I
         np.testing.assert_allclose(result.d, d, rtol=0.0, atol=1e-6)
 
+    def test_boosted_top_gap_inside_cluster_width_is_type_one(self):
+        # the corner of _tied_type_one: a right rapidity of 5 makes |N|
+        # about 2e4 times its top eigenvalue, so the top gap 1 - 0.81 falls
+        # below sqrt(tol) |N|; the eigenvalues' condition numbers show that
+        # no perturbation at tol closes it
+        d = _tied(0.9, 0.1, "d1 = d2", 1.0)
+        boost = mueller_from_jones(boost_jones(3, 2.5))
+        result = classify(np.diag(d) @ boost @ boost)
+        assert result.family is Family.TYPE_I
+        np.testing.assert_allclose(result.d, d, rtol=0.0, atol=1e-6)
+
 
 class TestType1Factor:
     def test_diagonal_input_yields_identity_factors(self):
@@ -1088,7 +1099,9 @@ def _numpy_classify_full(analysis, normal, full, family, reason):
             reason[i] = "Lorentz normal matrix has complex spectrum"
         elif lam_l[i][3] < -cj:
             reason[i] = "Lorentz normal matrix has a negative eigenvalue"
-        elif lj[0] - lj[1] > cj:
+        elif lj[0] - lj[1] > cj or kernel._top_is_simple(
+            vecs[i], np.arange(4), lj[0], lj[1], tol, nnorm[i]
+        ):
             if timelike[i]:
                 family[i] = Family.TYPE_I
             else:
@@ -1256,7 +1269,8 @@ def _tail_cases():
 
 def _canonical_cases():
     """Stacks for the N stage, type1_d and the canonical stage: tied top
-    clusters (exact, dressed, and near ties that are Indeterminate), lower
+    clusters (exact, dressed, near ties that are Indeterminate, and a
+    boosted top pair inside the cluster width that is simple), lower
     ties, Type II (canonical and dressed), rank-one rows (Polarizer, Pin map
     and a b^T), singular rows (the d3 = 0 screen: a zero, a subnormal entry,
     a rank-one and a rank-two input, d3 at the screen's threshold, signed
@@ -1270,6 +1284,8 @@ def _canonical_cases():
     top += [np.diag([1.0, 1.0, 1.0, 0.3]), np.diag([1.0, 1.0 - 1e-6, 0.5, 0.2])]
     top += [np.diag([1.0, 1.0 - 1e-9, 0.5, -0.2]), np.diag([1.0, 1.0 - 1e-12, 1.0 - 2e-12, 0.2])]
     top += [dressed(m) for m in list(top)] + [_dressed_top_near_tie(seed)[0] for seed in range(4)]
+    boost = mueller_from_jones(boost_jones(3, 5.0))
+    top += [np.diag(_tied(0.9, 0.1, "d1 = d2", 1.0)) @ boost]  # simple through conditioning
     ties = itertools.product(("d1 = d2", "d2 = |d3|", "all"), (1.0, -1.0))
     lower = [np.diag(_tied(0.7, 0.4, tie, sign)) for tie, sign in ties]
     lower += [dressed(m) for m in list(lower)]

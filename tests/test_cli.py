@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -379,11 +380,20 @@ class TestMainCommand:
         assert out == ""
         assert err == f"error: not a directory: {tmp_path / target}\n"
 
-    def test_tetra_scan_without_samples_exit_code(self, capsys):
-        assert main(["tetra-scan", "--samples", "0"]) == 2
+    # 10**15 samples need 28 PiB, which numpy refuses without allocating
+    @pytest.mark.parametrize(
+        "samples, error",
+        [
+            (0, r"samples must be positive"),
+            (10**15, r"Unable to allocate .+ for an array with shape \(1000000000000000, 4\).*"),
+        ],
+        ids=["0", "10**15"],
+    )
+    def test_tetra_scan_without_samples_exit_code(self, samples, error, capsys):
+        assert main(["tetra-scan", "--samples", str(samples)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: samples must be positive\n"
+        assert re.fullmatch(f"error: {error}\n", err)
 
     def test_calls_share_no_parser_state(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "m.txt", np.eye(4))
