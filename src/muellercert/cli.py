@@ -29,19 +29,20 @@ converts each stage array to Python lists once, one ``tolist`` per array,
 which each report slices; :func:`analyze_matrix` is the stack of one.
 :func:`render_report` is the only writer of report text, with the bytes of
 ``json.dumps(indent=2, sort_keys=True)`` on the rounded document.  The
-report schema is one table, ``_REPORT_SCHEMA``: its sections and slots in
-sorted key order, each slot with the kind of value it holds.  A report as
-:func:`analyze_stack` builds it, alone or as a value of ``batch``'s
-mapping, is written from that table in three steps: one walk collects its
-floats in template order and its shape (per slot: null, a scalar's text, a
-list's length, a complex array's shape, or the ensemble's entry shapes);
-a ``%`` template per shape and indent, which holds every key, indent,
-bracket and scalar, is the first such report's text from ``json``'s
-encoder with ``%s`` for each float, kept in a dict of at most 64 entries;
-and one ``%`` fills it with the floats' text (``format(x, ".12")`` with
-its rare tokens fixed up).  Every other value, and a report-shaped one
-with a key, a value or a shape that the schema does not have in its place,
-is written by ``json``'s own pure-Python encoder (the private
+structure of a report is written once, in :func:`_reports`, which builds
+every dict in sorted key order, as ``json`` writes it; so do
+:func:`tetra_scan` and :func:`vanzyl_case`.  Every document, and each
+value of ``batch``'s mapping at its indent, is written in three steps: one
+walk of the value collects its floats and its shape (each dict's keys,
+each float list's length, each other list's length and each scalar's
+text); a ``%`` template per shape and indent, which holds every key,
+indent, bracket and scalar, is the first such value's text from
+``json``'s encoder with ``%s`` for each float, kept in a dict of at most
+64 entries; and one ``%`` fills it with the floats' text
+(``format(x, ".12")`` with its rare tokens fixed up).  A value with no
+template (keys out of sorted order or not strings, a tuple, a numpy
+scalar, a non-float in a list that starts with a float) is written by
+``json``'s own pure-Python encoder (the private
 ``json.encoder._make_iterencode`` that ``json.dumps`` runs under
 ``indent``) with the same float text, started at the value's indent.
 
@@ -208,36 +209,38 @@ def _reports(analysis: Analysis) -> list[dict]:
         ensemble = []
         if mueller:
             ensemble = [
-                {"weight": w_i[k], "jones": _jones_obj(real[k], imag[k])}
+                {"jones": _jones_obj(real[k], imag[k]), "weight": w_i[k]}
                 for k in range(3, 3 - rank, -1)
             ]
-        witness = {"present": False, "vector": None, "expectation": None}
+        witness = {"expectation": None, "present": False, "vector": None}
         if not mueller:
             witness = {
-                "present": True,
-                "vector": {"real": real[0], "imag": imag[0]},
                 "expectation": next(expectations),
+                "present": True,
+                "vector": {"imag": imag[0], "real": real[0]},
             }
+        # Every dict in sorted key order, as json writes it, so that each
+        # report has a template.
         reports.append({
-            "input_echo": echo[i],
-            "pre_mueller": {
-                "verdict": cone_ok[i],
-                "intensity_margin": intensity[i],
-                "lorentz_margin": lorentz[i],
-                "worst_input": worst_input[i],
+            "canonical": {
+                "binding_constraint": canon.binding[i],
+                "d": d,
+                "family": canon.family[i].value,
             },
+            "ensemble": ensemble,
+            "input_echo": echo[i],
+            "mueller_jones": {"jones": jones, "verdict": jones is not None},
             "physicality": {
                 "eigenvalues": eigenvalues,
                 "min_eigenvalue": w_i[0],
-                "verdict": mueller,
                 "rank": rank,
+                "verdict": mueller,
             },
-            "mueller_jones": {"verdict": jones is not None, "jones": jones},
-            "ensemble": ensemble,
-            "canonical": {
-                "family": canon.family[i].value,
-                "d": d,
-                "binding_constraint": canon.binding[i],
+            "pre_mueller": {
+                "intensity_margin": intensity[i],
+                "lorentz_margin": lorentz[i],
+                "verdict": cone_ok[i],
+                "worst_input": worst_input[i],
             },
             "witness": witness,
         })
@@ -246,7 +249,7 @@ def _reports(analysis: Analysis) -> list[dict]:
 
 def _jones_obj(real: list, imag: list) -> dict:
     """Report entry of a Jones matrix from its row-major vectorization."""
-    return {"real": [real[:2], real[2:]], "imag": [imag[:2], imag[2:]]}
+    return {"imag": [imag[:2], imag[2:]], "real": [real[:2], real[2:]]}
 
 
 def tetra_scan(samples: int, seed: int) -> dict:
@@ -268,11 +271,12 @@ def tetra_scan(samples: int, seed: int) -> dict:
     d[:, 1:] = rng.uniform(-1.0, 1.0, size=(samples, 3))
     mueller = type1_constraints(d)
     in_cube = np.all(np.abs(d[:, 1:]) <= 1.0, axis=1)
+    # In sorted key order, as json writes it, so that it has a template.
     return {
-        "samples": int(samples),
-        "seed": int(seed),
         "fraction_mueller": float(np.mean(mueller)),
         "fraction_pre_mueller": float(np.mean(in_cube)),
+        "samples": int(samples),
+        "seed": int(seed),
     }
 
 
@@ -287,12 +291,11 @@ def vanzyl_case() -> dict:
     margins = type1_margins(d)
     worst, violated = worst_type1_constraint(d, 0.0)
     eigs = h_eigs_diagonal(d)
+    # In sorted key order, as json writes it, so that it has a template.
     return {
-        "d": d.tolist(),
-        "physical": not violated,
-        "constraint_margins": margins.tolist(),
         "binding_constraint": TYPE1_CONSTRAINT_FORMS[worst],
-        "violation": float(-margins[worst]),
+        "constraint_margins": margins.tolist(),
+        "d": d.tolist(),
         "diagonal_h_spectrum": eigs.tolist(),
         "negative_count": int(np.count_nonzero(eigs < 0.0)),
         "note": (
@@ -300,6 +303,8 @@ def vanzyl_case() -> dict:
             "measured matrix's eigenvalues are not recoverable from d "
             "because spectra are not double-coset invariants"
         ),
+        "physical": not violated,
+        "violation": float(-margins[worst]),
     }
 
 
@@ -315,7 +320,7 @@ def _float_text(x: float, _format=float.__format__) -> str:
     ``float.__format__``, which writes the same text as ``%.12g``, raises
     TypeError for an int, a bool or any other type, and that is the type
     check of every float that :func:`_json` writes (:func:`_float_texts`,
-    the report's float writer, has the same check)."""
+    the template writer's float writer, has the same check)."""
     text = repr(float(_format(x, ".12g")))
     return _FLOAT_TEXT.get(text, text)
 
@@ -340,90 +345,41 @@ def _json(obj, level: int, float_text=_float_text) -> str:
     return "".join(encode(obj, level))
 
 
-def _fields(obj, keys: tuple) -> list:
-    """The values of a dict with exactly ``keys``, in their order; TypeError
-    for any other object."""
-    if type(obj) is dict and len(obj) == len(keys):
-        try:
-            return [obj[key] for key in keys]
-        except KeyError:
-            pass
-    raise TypeError(f"not a dict with the keys {keys}")
-
-
-# The keys of a complex array (a Jones matrix or the witness vector).
-_COMPLEX = ("imag", "real")
-
-
-def _complex_shape(obj, floats: list) -> int:
-    """The shape of a complex array, ``{"imag": ..., "real": ...}``: 2 for
-    two 2x2 lists of lists (a Jones matrix), 4 for two lists of four (the
-    witness vector).  Its eight values go to ``floats``; TypeError for any
-    other object."""
-    imag, real = _fields(obj, _COMPLEX)
-    if type(imag) is list and type(real) is list and len(imag) == len(real):
-        if len(imag) == 4:
-            floats += imag + real
-            return 4
-        if len(imag) == 2:
-            (a, b), (c, d) = imag, real
-            if type(a) is type(b) is type(c) is type(d) is list and (
-                len(a) == len(b) == len(c) == len(d) == 2
-            ):
-                floats += a + b + c + d
-                return 2
-    raise TypeError("not two 2x2 lists of lists or two lists of four")
-
-
-def _slot_shape(value, kind: str, floats: list):
-    """The shape of a slot's value: None for null, 1 for a float, the text
-    of a scalar (a bool, an int or a string, as ``json`` writes it), a
-    float list's length, a complex array's shape, or the tuple of the
-    shapes of the ensemble's Jones matrices.  The values to be written as
-    floats go to ``floats``; TypeError for a value that the slot does not
-    hold."""
-    if value is None:
-        return None
-    if kind == "float":
-        floats.append(value)
-        return 1
-    if kind == "scalar":
-        if value is True or value is False:
-            return "true" if value else "false"
-        return int.__repr__(value) if type(value) is int else encode_basestring_ascii(value)
-    if kind == "array":
-        if type(value) is not list or not value:
-            raise TypeError("not a nonempty list")
-        floats += value
-        return len(value)
-    if kind == "complex":
-        return _complex_shape(value, floats)
-    if type(value) is not list:
-        raise TypeError("ensemble is not a list")
-    shapes = []
-    for entry in value:
-        jones, weight = _fields(entry, ("jones", "weight"))
-        shapes.append(_complex_shape(jones, floats))
-        floats.append(weight)
-    return tuple(shapes)
-
-
-# The schema of the reports of _reports, in sorted key order: a section is a
-# slot, or fields that each are one.  A slot's kind says what it holds: a
-# float, a scalar, a nonempty list of floats (an array), a complex array, or
-# the ensemble, a list of entries.
-_REPORT_SCHEMA = (
-    ("canonical", (("binding_constraint", "scalar"), ("d", "array"), ("family", "scalar"))),
-    ("ensemble", "ensemble"),
-    ("input_echo", "array"),
-    ("mueller_jones", (("jones", "complex"), ("verdict", "scalar"))),
-    ("physicality", (("eigenvalues", "array"), ("min_eigenvalue", "float"),
-                     ("rank", "scalar"), ("verdict", "scalar"))),
-    ("pre_mueller", (("intensity_margin", "float"), ("lorentz_margin", "float"),
-                     ("verdict", "scalar"), ("worst_input", "array"))),
-    ("witness", (("expectation", "float"), ("present", "scalar"), ("vector", "complex"))),
-)
-_REPORT_KEYS = frozenset(key for key, _ in _REPORT_SCHEMA)
+def _walk(values, shape: list, floats: list) -> None:
+    """Add the shape of each of ``values`` to ``shape``, and its floats to
+    ``floats`` in the order ``json`` writes them once every dict's keys are
+    sorted.  A dict adds the tuple of its keys, in insertion order, and its
+    values; a list whose first item is a float adds its length, and all its
+    items are floats (:func:`_float_texts` checks them); any other list
+    adds minus its length, and its items; a float adds None, and None, a
+    bool, an int or a str its JSON text.  So two values with string keys
+    that ``json`` writes with different text outside their floats never
+    have the same shape.  TypeError for any other value."""
+    for value in values:
+        kind = type(value)
+        if kind is float:
+            shape.append(None)
+            floats.append(value)
+        elif kind is dict:
+            shape.append(tuple(value))
+            _walk(value.values(), shape, floats)
+        elif kind is list:
+            if value and type(value[0]) is float:
+                shape.append(len(value))
+                floats += value
+            else:
+                shape.append(-len(value))
+                _walk(value, shape, floats)
+        elif value is None:
+            shape.append("null")
+        elif kind is bool:
+            shape.append("true" if value else "false")
+        elif kind is int:
+            shape.append(int.__repr__(value))
+        elif kind is str:
+            shape.append(encode_basestring_ascii(value))
+        else:
+            raise TypeError(f"no template for a {kind.__name__}")
 
 
 def _float_texts(floats: list) -> list:
@@ -443,60 +399,46 @@ def _float_texts(floats: list) -> list:
     return texts
 
 
-# The report templates, keyed by shape and indent level.  Bounded: a shape
-# holds its scalars' text, and the measured corpus has about ten shapes.
+# The templates, keyed by shape and indent level.  Bounded: a shape holds
+# its scalars' text, and the measured corpus has about ten report shapes.
 _TEMPLATES: dict = {}
 _TEMPLATE_LIMIT = 64
 
 
-def _report_text(report: dict, level: int) -> str:
-    """A dict with the keys of the schema at indent ``level``, as ``json``
-    writes it: one walk collects the report's floats in template order and
-    its shape, one entry per slot, and the template of that shape and
-    level is filled with the floats' text in one ``%``.  A template is the
-    report's own text from :func:`_json` with ``%s`` for each float (json
-    escapes a NUL in a string, so only the float writer writes one), kept
-    in ``_TEMPLATES``, which is emptied when it holds ``_TEMPLATE_LIMIT``.
-    The floats' text is the type check, so it comes first: a report with a
-    value that is not a float in a float slot builds no template.  Raises
-    TypeError at a key or value that the schema does not have in its place
-    (an int or a numpy scalar other than ``np.float64`` where a float
-    belongs, a float where a bool belongs, a tuple for a list, a missing or
-    extra key)."""
+def _text(obj, level: int) -> str:
+    """``obj`` at indent ``level``, as :func:`_json` writes it: one walk
+    collects its shape and its floats, and the template of that shape and
+    level is filled with the floats' text in one ``%``.  The floats' text
+    is the type check, so it comes before the template is looked up or
+    built.  A template is the first such value's text from :func:`_json`
+    with ``%s`` for each float (json escapes a NUL in a string, so only the
+    float writer writes one), kept in ``_TEMPLATES``, which is emptied when
+    it holds ``_TEMPLATE_LIMIT``.  It is kept only when it holds one NUL per
+    float and every dict lists string keys in sorted order: ``json`` writes
+    keys sorted, and keys of other types can be equal where ``json`` writes
+    them apart (``1 == 1.0 == True``).  A value with no template, and one
+    that the walk rejects or that nests too deep for it, is written by
+    :func:`_json` itself."""
     floats, shape = [], []
     try:
-        for key, kind in _REPORT_SCHEMA:
-            section = report[key]
-            if type(kind) is str:
-                shape.append(_slot_shape(section, kind, floats))
-                continue
-            if type(section) is not dict or len(section) != len(kind):
-                raise TypeError(f"{key} does not have the schema's fields")
-            for field, field_kind in kind:
-                shape.append(_slot_shape(section[field], field_kind, floats))
-    except KeyError as exc:
-        raise TypeError(f"no key {exc} in the report") from None
-    texts = tuple(_float_texts(floats))
-    key = (tuple(shape), level)
-    template = _TEMPLATES.get(key)
-    if template is None:
-        if len(_TEMPLATES) >= _TEMPLATE_LIMIT:
-            _TEMPLATES.clear()
-        text = _json(report, level, lambda x: "\0")
-        template = _TEMPLATES[key] = text.replace("%", "%%").replace("\0", "%s")
+        _walk((obj,), shape, floats)
+        texts = tuple(_float_texts(floats))
+        key = (tuple(shape), level)
+        template = _TEMPLATES.get(key)
+        if template is None:
+            text = _json(obj, level, lambda x: "\0")
+            if text.count("\0") != len(floats) or any(
+                type(part) is tuple
+                and (any(type(k) is not str for k in part) or list(part) != sorted(part))
+                for part in shape
+            ):
+                raise TypeError("no template: a float key, or keys not strings in sorted order")
+            if len(_TEMPLATES) >= _TEMPLATE_LIMIT:
+                _TEMPLATES.clear()
+            template = _TEMPLATES[key] = text.replace("%", "%%").replace("\0", "%s")
+    except (TypeError, RecursionError):
+        return _json(obj, level)
     return template % texts
-
-
-def _value_text(obj, level: int) -> str:
-    """``obj`` at indent ``level``: a dict with the report's keys from the
-    schema, unless the schema rejects it, and anything else by
-    :func:`_json`."""
-    if isinstance(obj, dict) and obj.keys() == _REPORT_KEYS:
-        try:
-            return _report_text(obj, level)
-        except TypeError:
-            pass
-    return _json(obj, level)
 
 
 def render_report(report: dict) -> str:
@@ -507,26 +449,26 @@ def render_report(report: dict) -> str:
     ``"0.123456789012"``, and a -0.0 key is ``"0.0"`` (no command writes a
     float key).
 
-    The writer is chosen once per value.  A report as :func:`analyze_stack`
-    builds it, as the whole document (``analyze``) or as a value of a
-    mapping with string keys (``batch``'s file-name-to-report mapping), is
-    written from the report schema: the template of its shape and indent,
-    text that the encoder below wrote for the first report of that shape,
-    filled with its floats' text in one ``%``.  Every other value, and a
-    report that the schema rejects, is written by ``json``'s own
-    pure-Python encoder, ``json.encoder._make_iterencode`` (a private
-    function of the standard library), with :func:`_float_text` as its
-    float writer: it nests as deep as ``json.dumps`` does, and a document
-    that holds itself raises its ``ValueError`` ("Circular reference
-    detected")."""
+    A non-empty dict with string keys whose values are all dicts (``batch``'s
+    file-name-to-report mapping) is written one value at a time, at indent
+    level 1; any other document is written whole.  Each value is written
+    from the template of its shape and indent, text that ``json``'s encoder
+    wrote for the first value of that shape, filled with its floats' text
+    in one ``%``.  What has no template (a float or int dict key, keys out
+    of sorted order, a tuple, a numpy scalar, a document nested deeper than
+    the walk goes) is written by ``json``'s own pure-Python encoder,
+    ``json.encoder._make_iterencode`` (a private function of the standard
+    library), with :func:`_float_text` as its float writer: it nests as
+    deep as ``json.dumps`` does, and a document that holds itself raises
+    its ``ValueError`` ("Circular reference detected")."""
     if (
-        isinstance(report, dict) and report and report.keys() != _REPORT_KEYS
-        and all(isinstance(key, str) for key in report)
+        isinstance(report, dict) and report
+        and all(isinstance(key, str) and isinstance(value, dict) for key, value in report.items())
     ):
-        items = sorted(report.items())
-        texts = [encode_basestring_ascii(key) + ": " + _value_text(val, 1) for key, val in items]
+        texts = [encode_basestring_ascii(key) + ": " + _text(value, 1)
+                 for key, value in sorted(report.items())]
         return "{\n  " + ",\n  ".join(texts) + "\n}\n"
-    return _value_text(report, 0) + "\n"
+    return _text(report, 0) + "\n"
 
 
 def summarize_report(report: dict) -> str:

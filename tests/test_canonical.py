@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import muellercert
 from muellercert import (
+    DEFAULT_TOL,
     DegenerateSpectrumError,
     Family,
     LORENTZ_METRIC,
@@ -370,6 +371,21 @@ class TestClassify:
         result = classify(np.diag(d) @ boost @ boost)
         assert result.family is Family.TYPE_I
         np.testing.assert_allclose(result.d, d, rtol=0.0, atol=1e-6)
+
+    def test_a_lightlike_top_eigenvector_is_not_simple(self):
+        # _top_is_simple's guard: a lightlike eigenvector's condition number
+        # is unbounded, so a top pair farther apart than sqrt(tol) l0 is not
+        # simple.  (1, 1, 0, 0) / 2 has exact squares, so x^T G x is exactly
+        # 0 whether or not BLAS fuses the dot product's multiply and add;
+        # the unit vector (1, 1, 0, 0) / sqrt(2) reads -2.2e-17 where it does
+        # (OpenBLAS's SkylakeX kernel) and 0 where it does not.
+        x = np.array([0.5, 0.5, 0.0, 0.0])
+        vecs = np.eye(4, dtype=complex)
+        vecs[:, 0] = x
+        tol, l0, l1 = DEFAULT_TOL, 1.0, 0.5
+        assert float(x @ LORENTZ_METRIC @ x) == 0.0
+        assert l0 - l1 > math.sqrt(tol) * l0
+        assert kernel._top_is_simple(vecs, np.arange(4), l0, l1, tol, 1.0) is False
 
 
 class TestType1Factor:

@@ -8,10 +8,12 @@ by the power of two that brings its largest magnitude into [1/2, 1), and
 entries below 2**-32 are set to zero, so 2**k times it is exact for k in
 -990..500.  The dressing property draws a canonical form of each family
 instead.  The symmetry properties (transposition and mirror conjugation,
-ROADMAP item 21) draw such a dressed form or a near-boundary matrix.  The
-last two properties run ``analyze`` and ``batch`` on files of drawn bytes
-and check the CLI's exit-code contract.  The whole module runs in about
-6 s (300 examples per property, 100 for ``batch``).
+ROADMAP item 21) draw such a dressed form or a near-boundary matrix, and
+mirror conjugation is also checked field by field on the reports of the
+golden inputs (``data/golden_reports.json``).  The last two properties
+run ``analyze`` and ``batch`` on files of drawn bytes and check the CLI's
+exit-code contract.  The whole module runs in about 6 s (300 examples per
+property, 100 for ``batch``).
 """
 
 import io
@@ -19,8 +21,10 @@ import json
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -248,6 +252,56 @@ def test_mirror_conjugation_keeps_verdicts_family_spectrum_and_margin(m):
     assert base["canonical"]["family"] == image["canonical"]["family"]
     margin = base["pre_mueller"]["lorentz_margin"] - image["pre_mueller"]["lorentz_margin"]
     assert abs(margin) <= 1e-13 * np.linalg.norm(m, 2) ** 2
+
+
+_GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_reports.json").read_text())
+
+
+def _complex(parts):
+    """A report's complex array, ``{"imag": ..., "real": ...}``, in numpy."""
+    return np.array(parts["real"]) + 1j * np.array(parts["imag"])
+
+
+def _assert_close(value, image, band):
+    assert np.abs(np.subtract(value, image)).max() <= band
+
+
+@pytest.mark.parametrize("case", _GOLDEN, ids=[case["name"] for case in _GOLDEN])
+def test_mirror_conjugation_of_the_golden_reports(case):
+    # F M F against M, field by field.  Bands fixed before the run, so that
+    # the test holds under every OpenBLAS kernel: 1e-13 of each field's
+    # scale (sigma^2 for the Lorentz margin, 1 for the unit vectors), and
+    # for worst_input three cases.  The zero matrix's solve returns the
+    # pole (0, 0, 1) on both sides; rank_one_a's Lorentz margin is at
+    # rounding, so every input is a minimizer and worst_input is not
+    # compared; cone_near_tie's minimizer is near-tied and maps to 1e-8
+    # (4.9e-9 measured on the default kernel).
+    m = np.array(case["m"]).reshape(4, 4)
+    base, image = analyze_matrix(m), analyze_matrix(_MIRROR @ m @ _MIRROR)
+    assert [base[k]["verdict"] for k in _VERDICTS] == [image[k]["verdict"] for k in _VERDICTS]
+    assert base["physicality"]["rank"] == image["physicality"]["rank"]
+    assert base["canonical"]["family"] == image["canonical"]["family"]
+    _assert_same_h_spectrum(base, image)
+    sigma = np.linalg.norm(m, 2)
+    margins = [report["pre_mueller"]["lorentz_margin"] for report in (base, image)]
+    _assert_close(*margins, 1e-13 * sigma**2)
+    d, image_d = base["canonical"]["d"], image["canonical"]["d"]
+    assert (d is None) is (image_d is None)
+    if d is not None:
+        _assert_close(d, image_d, 1e-13 * np.abs(d).max())
+    worst, image_worst = (report["pre_mueller"]["worst_input"] for report in (base, image))
+    if case["name"] == "zero":
+        assert worst == image_worst == [0.0, 0.0, 1.0]
+    elif case["name"] != "rank_one_a":
+        band = 1e-8 if case["name"] == "cone_near_tie" else 1e-13
+        _assert_close(np.multiply(worst, [1.0, 1.0, -1.0]), image_worst, band)
+    # the witness vector and the Jones matrix are conjugated
+    for section, field in (("witness", "vector"), ("mueller_jones", "jones")):
+        parts, image_parts = base[section][field], image[section][field]
+        assert (parts is None) is (image_parts is None)
+        if parts is not None:
+            value = _complex(parts)
+            _assert_close(value.conj(), _complex(image_parts), 1e-13 * np.abs(value).max())
 
 
 # File contents: arbitrary bytes, text made of the tokens a matrix file holds

@@ -14,15 +14,20 @@ captured again when the classification came to rank-test only the top
 cluster, which made it Type I with its d; the top near tie was added then,
 with bytes that the change left as they were.
 
-``render_report`` writes a report, alone or as a value of a mapping with
-string keys, from the report's schema, and hands every other value to
-``json``'s own encoder; all are checked against the standard library's
-encoder applied to the rounded document (``helpers.reference_render_report``),
-the schema writer on every report branch, on report-shaped documents with
-foreign values, on arbitrary floats in every float field, and on the
-special and random floats of the generic tests written into a report's
-``input_echo``.  Circular documents and documents nested 900 deep are
-checked against ``json.dumps`` itself.
+``render_report`` writes every document, and each value of ``batch``'s
+mapping, from the template of its shape, and hands a value with no
+template to ``json``'s own encoder; all are checked against the standard
+library's encoder applied to the rounded document
+(``helpers.reference_render_report``): the template writer on every report
+branch and command document, on report-shaped documents with foreign
+values, on values that a looser shape would confuse, on arbitrary floats
+in every float field, on drawn report shapes, and on the special and
+random floats of the generic tests written into a report's
+``input_echo``.  The reports of the golden inputs and of seeded draws must
+each be written from a template, alone and in a ``batch`` mapping, so a
+dict that ``_reports`` builds out of sorted key order fails.  Circular
+documents and documents nested 900 deep are checked against
+``json.dumps`` itself.
 
 The input boundary of every public array-taking function is checked as
 one table at the end of the file, and so are the return types of the
@@ -30,6 +35,7 @@ single-matrix views: the analysis stages hold Python lists, and the views
 convert their row.
 """
 
+import contextlib
 import inspect
 import json
 import math
@@ -145,12 +151,12 @@ def test_special_float_text(value):
 
 
 @pytest.mark.parametrize("value", _SPECIAL_VALUES, ids=repr)
-def test_special_float_text_in_a_report(value, monkeypatch):
-    # a bare list goes to json; in a report the schema writer writes it
+def test_special_float_text_in_a_report(value):
+    # in a report's float list, which the template writer writes
     report = _full_report()
     report["input_echo"] = [value] * 16
-    calls = _count_schema_writes(monkeypatch)
-    assert render_report(report) == reference_render_report(report)
+    with _template_writes() as calls:
+        assert render_report(report) == reference_render_report(report)
     assert calls == [0]
 
 
@@ -171,15 +177,15 @@ def test_render_matches_the_json_encoder_on_random_bit_patterns():
         assert render_report(doc) == reference_render_report(doc)
 
 
-def test_report_text_on_random_bit_patterns(monkeypatch):
+def test_report_text_on_random_bit_patterns():
     # the same floats, 16 at a time in a report's input_echo, so that the
-    # schema writer's float text writes them
+    # template writer's float text writes them
     floats = _random_bit_patterns()
     report = _full_report()
-    calls = _count_schema_writes(monkeypatch)
-    for start in range(0, len(floats), 16):
-        report["input_echo"] = floats[start : start + 16]
-        assert render_report(report) == reference_render_report(report)
+    with _template_writes() as calls:
+        for start in range(0, len(floats), 16):
+            report["input_echo"] = floats[start : start + 16]
+            assert render_report(report) == reference_render_report(report)
     assert calls == [0] * (len(floats) // 16)
 
 
@@ -516,13 +522,13 @@ def test_reports_read_the_binding_constraint_off_the_analysis(monkeypatch):
     ]
 
 
-# The schema writer.  render_report writes a report as analyze_stack builds
-# it from the report's fixed schema (cli._report_text), alone or nested in
-# batch's mapping, and any other value by json's own encoder; both must
-# give the reference's bytes, or its TypeError.
+# The template writer.  render_report writes every value, a report alone or
+# nested in batch's mapping or any other document, from the template of its
+# shape (cli._text), and falls back to json's own encoder (cli._json) where
+# no template fits; both must give the reference's bytes, or its TypeError.
 
 
-def _schema_reports():
+def _golden_and_drawn_reports():
     """Reports of the golden inputs and seeded draws of every construction."""
     stack = np.stack(
         [np.array(case["m"]).reshape(4, 4) for case in GOLDEN]
@@ -531,23 +537,36 @@ def _schema_reports():
     return analyze_stack(stack)
 
 
-def _count_schema_writes(monkeypatch):
-    """Count the documents that cli._report_text writes without falling
-    through, by their indent levels."""
-    calls = []
-    write = cli._report_text
+@contextlib.contextmanager
+def _template_writes():
+    """Record the indent level of each value that cli._text writes from a
+    template, without falling back to cli._json with its own float
+    writer (the template builder passes a writer of its own)."""
+    calls, fallbacks = [], []
+    text, json_text = cli._text, cli._json
 
-    def counted(report, level):
-        text = write(report, level)
-        calls.append(level)
-        return text
+    def counted_json(obj, level, float_text=cli._float_text):
+        if float_text is cli._float_text:
+            fallbacks.append(level)
+        return json_text(obj, level, float_text)
 
-    monkeypatch.setattr(cli, "_report_text", counted)
-    return calls
+    def counted_text(obj, level):
+        before = len(fallbacks)
+        written = text(obj, level)
+        if len(fallbacks) == before:
+            calls.append(level)
+        return written
+
+    cli._text, cli._json = counted_text, counted_json
+    try:
+        yield calls
+    finally:
+        cli._text, cli._json = text, json_text
 
 
-def test_schema_writer_covers_every_report_branch(monkeypatch):
-    reports = _schema_reports()
+def test_every_report_is_written_from_its_template():
+    # so every dict that _reports builds lists its keys in sorted order
+    reports = _golden_and_drawn_reports()
     assert {report["canonical"]["family"] for report in reports} == {f.value for f in Family}
     assert {len(report["ensemble"]) for report in reports} == {0, 1, 2, 3, 4}
     for section, field in [
@@ -557,14 +576,22 @@ def test_schema_writer_covers_every_report_branch(monkeypatch):
         ("mueller_jones", "jones"),
     ]:
         assert {report[section][field] is None for report in reports} == {True, False}
-    calls = _count_schema_writes(monkeypatch)
-    for report in reports:
-        assert render_report(report) == reference_render_report(report)
-    batch = {f"{k:02d}_m.txt": report for k, report in enumerate(reports)}
-    batch["13_unreadable.txt"] = {"error": "expected 16 numbers, found 3"}
-    batch["mesure_\u00e9t\u00e9_\u03bb.json"] = reports[0]
-    assert render_report(batch) == reference_render_report(batch)
-    assert calls == [0] * len(reports) + [1] * (len(reports) + 1)
+    with _template_writes() as calls:
+        for report in reports:
+            assert render_report(report) == reference_render_report(report)
+        batch = {f"{k:02d}_m.txt": report for k, report in enumerate(reports)}
+        batch["13_unreadable.txt"] = {"error": "expected 16 numbers, found 3"}
+        batch["mesure_été_λ.json"] = reports[0]
+        assert render_report(batch) == reference_render_report(batch)
+    assert calls == [0] * len(reports) + [1] * (len(reports) + 2)
+
+
+def test_command_documents_are_written_from_their_templates():
+    documents = [cli.vanzyl_case(), cli.tetra_scan(1000, 5)]
+    with _template_writes() as calls:
+        for document in documents:
+            assert render_report(document) == reference_render_report(document)
+    assert calls == [0, 0]
 
 
 def _full_report() -> dict:
@@ -600,6 +627,20 @@ def _delete(*path):
 
 def _retuple(*path):
     return _edit(path, lambda container, key: container.__setitem__(key, tuple(container[key])))
+
+
+def _reversed(*path):
+    """A mutation that reverses the key order of the dict at ``path``."""
+
+    def mutate(report):
+        container = report
+        for key in path:
+            container = container[key]
+        items = list(container.items())
+        container.clear()
+        container.update(reversed(items))
+
+    return mutate
 
 
 _FOREIGN = {
@@ -639,12 +680,17 @@ _FOREIGN = {
     "misspelled_jones_key": lambda report: report["mueller_jones"]["jones"].update(
         reel=report["mueller_jones"]["jones"].pop("real")
     ),
-    # shapes past the fixed 2x2 Jones parts and four-entry vector parts
+    # keys out of sorted order, and keys that are not strings
+    "reversed_report": _reversed(),
+    "reversed_section": _reversed("physicality"),
+    "reversed_jones": _reversed("mueller_jones", "jones"),
+    "int_key_in_section": _set(("canonical", 1), None),
+    "float_key_in_section": _set(("witness", 0.5), None),
+    # shapes past the 2x2 Jones parts and four-entry vector parts
     "three_entry_jones_row": _set(("mueller_jones", "jones", "real", 0), [1.0, 0.0, 0.5]),
     "three_jones_rows": _set(("mueller_jones", "jones", "imag"), [[0.0, 0.5]] * 3),
     "three_float_vector": _set(("witness", "vector", "real"), [1.0, 0.0, 0.0]),
     "five_float_vector": _set(("witness", "vector", "real"), [1.0, 0.0, 0.0, 0.0, 0.5]),
-    # each complex slot takes either shape, both parts of one shape
     "vector_as_2x2_parts": _set(
         ("witness", "vector"),
         {"imag": [[0.0, 0.5], [-0.25, 0.0]], "real": [[1.0, 0.0], [0.0, 0.5]]},
@@ -655,28 +701,60 @@ _FOREIGN = {
     "unequal_jones_parts": _set(("mueller_jones", "jones", "real"), [1.0, 0.0, 0.0, 0.5]),
     "unequal_vector_parts": _set(("witness", "vector", "imag"), [[0.0, 0.5], [-0.25, 0.0]]),
 }
-# The foreign values that the schema writer writes itself, as json does.
-_SCHEMA_WRITES = {
-    "bool_rank", "float64_min_eigenvalue", "none_min_eigenvalue", "int_family", "int_verdict",
-    "vector_as_2x2_parts", "jones_as_lists_of_four",
+
+
+# The foreign values that the template writer writes itself, as json does:
+# each a JSON value whose dicts list string keys in sorted order, and whose
+# lists that start with a float hold floats only.  What it hands to json is
+# a numpy or other non-JSON type, a tuple, a non-float item in a list that
+# starts with a float, keys out of sorted order, and a key that is not a
+# string.
+_TEMPLATE_WRITES = {
+    "int_margin", "int_weight", "bool_eigenvalue", "bool_rank", "none_min_eigenvalue",
+    "str_expectation", "int_family", "int_verdict", "empty_echo", "empty_jones_rows",
+    "ragged_jones_rows", "list_for_section", "extra_section_key", "missing_key",
+    "missing_section_key", "missing_jones_key", "misspelled_jones_key", "three_entry_jones_row",
+    "three_jones_rows", "three_float_vector", "five_float_vector", "vector_as_2x2_parts",
+    "jones_as_lists_of_four", "unequal_jones_parts", "unequal_vector_parts",
 }
 
 
 @pytest.mark.parametrize("name", _FOREIGN)
-def test_foreign_values_give_the_reference_bytes_or_its_error(name, monkeypatch):
+def test_foreign_values_give_the_reference_bytes_or_its_error(name):
     report = _full_report()
     _FOREIGN[name](report)
     batch = {"a.txt": report, "b.txt": {"error": "x"}, "c.txt": _full_report()}
-    calls = _count_schema_writes(monkeypatch)
-    for doc in (report, batch):
-        try:
-            expected = reference_render_report(doc)
-        except TypeError:
-            with pytest.raises(TypeError):
-                render_report(doc)
-        else:
-            assert render_report(doc) == expected
-    assert (0 in calls) is (name in _SCHEMA_WRITES)
+    with _template_writes() as calls:
+        for doc in (report, batch):
+            try:
+                expected = reference_render_report(doc)
+            except TypeError:
+                with pytest.raises(TypeError):
+                    render_report(doc)
+            else:
+                assert render_report(doc) == expected
+    assert (0 in calls) is (name in _TEMPLATE_WRITES)
+
+
+# Values that json writes with different text outside their floats, each
+# pair of which a walk that loses a list's length, a scalar's type or a
+# key's type would give one shape: a bare scalar and a one-element list,
+# True and 1, an empty list and no item, a list's items and a nested list's,
+# and dict keys that are equal in Python (1 == 1.0 == True).
+_LOOKALIKES = [
+    0.0, [0.0], [[0.0]], True, 1, 1.0, "1", [True], [1], ["1"], None, [None], [], {},
+    [[], None], [[None], None], [[None, None]], [None, [None]], [[0.0], 0.0], [[0.0, 0.0]],
+    {"a": []}, {"a": [None]}, {"a": {}}, {"a": [{}]},
+    {1: None}, {True: None}, {1.0: None}, {"1": None}, {"true": None},
+]
+
+
+def test_values_that_json_writes_apart_never_share_a_template():
+    for values in (_LOOKALIKES, _LOOKALIKES[::-1], _LOOKALIKES * 2):
+        cli._TEMPLATES.clear()
+        for value in values:
+            assert render_report(value) == reference_render_report(value)
+            assert render_report([value]) == reference_render_report([value])
 
 
 def _float_slots(doc, out: list) -> list:
@@ -698,57 +776,88 @@ _BIT_PATTERNS = st.integers(0, 2**64 - 1).map(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(_SPECIAL_FLOATS, _BIT_PATTERNS), min_size=_FLOAT_SLOTS,
                 max_size=_FLOAT_SLOTS))
-def test_schema_writer_on_every_float_slot(values):
+def test_template_writer_on_every_float_slot(values):
     report = _full_report()
     for (container, key), value in zip(_float_slots(report, []), values):
         container[key] = value
     expected = reference_render_report(report)
-    assert render_report(report) == expected
-    assert cli._report_text(report, 0) + "\n" == expected
+    with _template_writes() as calls:
+        assert render_report(report) == expected
+        assert cli._text(report, 0) + "\n" == expected
+    assert calls == [0, 0]
+
+
+class _Templates(dict):
+    """A template dict that records the most entries it ever held."""
+
+    most = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.most = max(self.most, len(self))
 
 
 def test_template_cache_is_bounded(monkeypatch):
     # more than twice as many report shapes as the cache keeps: input_echo
     # of every length from 1 to 600, and fields that are None on odd lengths
     limit = cli._TEMPLATE_LIMIT
+    templates = _Templates()
+    monkeypatch.setattr(cli, "_TEMPLATES", templates)
     rng = np.random.default_rng(29)
     report = _full_report()
-    calls = _count_schema_writes(monkeypatch)
-    for length in range(1, 601):
-        report["input_echo"] = rng.normal(size=length).tolist()
-        odd = length % 2 == 1
-        report["canonical"]["d"] = None if odd else [1.0, 0.5, 0.25, -0.125]
-        report["witness"]["expectation"] = None if odd else -0.5
-        assert render_report(report) == reference_render_report(report)
-        assert len(cli._TEMPLATES) <= limit
+    with _template_writes() as calls:
+        for length in range(1, 601):
+            report["input_echo"] = rng.normal(size=length).tolist()
+            odd = length % 2 == 1
+            report["canonical"]["d"] = None if odd else [1.0, 0.5, 0.25, -0.125]
+            report["witness"]["expectation"] = None if odd else -0.5
+            assert render_report(report) == reference_render_report(report)
     assert 600 >= 2 * limit
+    assert templates.most == limit
     assert calls == [0] * 600
 
 
-def test_a_rejected_report_leaves_no_template(monkeypatch):
-    # an int in a float slot sends the report to json; the next valid
+def test_error_entries_past_the_template_limit(monkeypatch):
+    # each error text is a shape of its own, and one batch mapping holds
+    # three times as many as the cache keeps, between reports
+    limit = cli._TEMPLATE_LIMIT
+    templates = _Templates()
+    monkeypatch.setattr(cli, "_TEMPLATES", templates)
+    report = _full_report()
+    batch = {}
+    for k in range(3 * limit):
+        batch[f"{k:03d}_bad.txt"] = {"error": f"expected 16 numbers, found {k}"}
+        batch[f"{k:03d}_good.txt"] = report
+    with _template_writes() as calls:
+        assert render_report(batch) == reference_render_report(batch)
+    assert templates.most == limit
+    assert calls == [1] * len(batch)
+
+
+def test_a_rejected_report_leaves_no_template():
+    # an int in a float list sends the report to json; the next valid
     # report of the same shape is still written from its template, so the
     # floats' text (the type check) comes before a template is built
     report, rejected = _full_report(), _full_report()
     for doc in (report, rejected):
         doc["canonical"]["family"] = "template-poisoning"  # a shape of this test only
-    rejected["physicality"]["min_eigenvalue"] = 0
-    calls = _count_schema_writes(monkeypatch)
-    assert render_report(rejected) == reference_render_report(rejected)
-    assert calls == []
-    assert render_report(report) == reference_render_report(report)
+    rejected["physicality"]["eigenvalues"][1] = 0
+    with _template_writes() as calls:
+        assert render_report(rejected) == reference_render_report(rejected)
+        assert calls == []
+        assert render_report(report) == reference_render_report(report)
     assert calls == [0]
 
 
-def test_golden_inputs_with_a_cold_and_a_warm_cache(monkeypatch):
+def test_golden_inputs_with_a_cold_and_a_warm_cache():
     # against the reference, not the pinned bytes, so that any BLAS kernel
     # passes
     reports = [analyze_matrix(np.array(case["m"]).reshape(4, 4)) for case in GOLDEN]
     expected = [reference_render_report(report) for report in reports]
     cli._TEMPLATES.clear()
-    calls = _count_schema_writes(monkeypatch)
-    assert [render_report(report) for report in reports] == expected
-    assert [render_report(report) for report in reports] == expected
+    with _template_writes() as calls:
+        assert [render_report(report) for report in reports] == expected
+        assert [render_report(report) for report in reports] == expected
     assert calls == [0] * (2 * len(reports))
 
 
@@ -812,15 +921,17 @@ def _report_shapes(draw) -> dict:
 
 @settings(max_examples=300, deadline=None)
 @given(_report_shapes())
-def test_schema_writer_on_drawn_report_shapes(report):
-    # the schema writer writes every drawn shape itself, alone and at
+def test_template_writer_on_drawn_report_shapes(report):
+    # the template writer writes every drawn shape itself, alone and at
     # batch's indent, with the reference's bytes
     expected = reference_render_report(report)
-    assert cli._report_text(report, 0) + "\n" == expected
-    assert render_report(report) == expected
     batch = {"a.txt": report, "b.txt": {"error": "x"}}
-    assert render_report(batch) == reference_render_report(batch)
-    assert cli._report_text(report, 1) == "\n  ".join(expected[:-1].split("\n"))
+    with _template_writes() as calls:
+        assert cli._text(report, 0) + "\n" == expected
+        assert render_report(report) == expected
+        assert render_report(batch) == reference_render_report(batch)
+        assert cli._text(report, 1) == "\n  ".join(expected[:-1].split("\n"))
+    assert calls == [0, 0, 1, 1, 1]
 
 
 def test_empty_stack():
