@@ -38,7 +38,8 @@ each float list's length, each other list's length and each scalar's
 text); a ``%`` template per shape and indent, which holds every key,
 indent, bracket and scalar, is the first such value's text from
 ``json``'s encoder with ``%s`` for each float, kept in a dict of at most
-64 entries; and one ``%`` fills it with the floats' text
+64 entries (a value without floats is that text itself, and keeps none);
+and one ``%`` fills it with the floats' text
 (``format(x, ".12")`` with its rare tokens fixed up).  A value with no
 template (keys out of sorted order or not strings, a tuple, a numpy
 scalar, a non-float in a list that starts with a float) is written by
@@ -56,6 +57,13 @@ returns its document, the writer of its summary and its exit code;
 :func:`main` dispatches once and writes the report or the summary, or one
 ``error:`` line.
 
+:func:`run`, the entry of ``python -m muellercert.cli`` and of the
+``muellercert`` script, runs :func:`main` and, once the command is done,
+however it ends, calls ``gc.freeze()``: the interpreter's teardown then
+makes no collector pass over numpy's and the package's objects, and still
+runs atexit handlers and flushes the streams.  :func:`main` does not
+freeze, so tests and in-process callers can call it any number of times.
+
 Exit codes: 0 success, 1 internal error, 2 parse/input failure (a bad
 ``--tol``, ``--tol`` on ``tetra-scan`` or ``vanzyl``, and a ``--samples``
 count whose arrays numpy cannot allocate included), and an
@@ -71,6 +79,7 @@ files).
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -416,8 +425,10 @@ def _text(obj, level: int) -> str:
     it holds ``_TEMPLATE_LIMIT``.  It is kept only when it holds one NUL per
     float and every dict lists string keys in sorted order: ``json`` writes
     keys sorted, and keys of other types can be equal where ``json`` writes
-    them apart (``1 == 1.0 == True``).  A value with no template, and one
-    that the walk rejects or that nests too deep for it, is written by
+    them apart (``1 == 1.0 == True``).  A value without floats (``batch``'s
+    ``{"error": ...}`` entries) is written by the builder, after the same
+    checks, and takes no template.  A value with no template, and one that
+    the walk rejects or that nests too deep for it, is written by
     :func:`_json` itself."""
     floats, shape = [], []
     try:
@@ -433,6 +444,8 @@ def _text(obj, level: int) -> str:
                 for part in shape
             ):
                 raise TypeError("no template: a float key, or keys not strings in sorted order")
+            if not floats:
+                return text
             if len(_TEMPLATES) >= _TEMPLATE_LIMIT:
                 _TEMPLATES.clear()
             template = _TEMPLATES[key] = text.replace("%", "%%").replace("\0", "%s")
@@ -670,7 +683,17 @@ def main(argv=None, out=None, err=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Entry of ``python -m muellercert.cli`` and of the ``muellercert``
+    script: :func:`main` on the process's arguments, then exit with its
+    code.  Once the command is done, whatever way it ends, ``gc.freeze()``
+    moves every object to the collector's permanent generation, so the
+    interpreter's teardown still runs atexit handlers, flushes the streams
+    and clears every module, but makes no collector pass over numpy's and
+    the package's objects, whose memory the process returns as it exits."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

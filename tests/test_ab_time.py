@@ -1,5 +1,5 @@
-"""``tools/ab_time.py``, the in-process A/B timer, with both sides set to
-this checkout on a tiny corpus."""
+"""``tools/ab_time.py``, the A/B timer, with both sides set to this checkout
+on a tiny corpus."""
 
 import re
 import subprocess
@@ -23,8 +23,10 @@ _STAGES = ("hermitian", "cone", "sphere_min", "normal", "canonical", "reports", 
         # one analysis per directory, its times per matrix: 2 stacks of 3
         (["--stages", "--workload", "batch", "--dirs", "2", "--per-dir", "3"],
          "batch stages: 2 directories", _STAGES, "matrix", 2),
+        # one analyze process per input, each timed from start to exit
+        (["--workload", "cli", "--per-class", "1"], "cli: 6 inputs", ["pass"], "input", 6),
     ],
-    ids=["exact", "batch", "exact-stages", "batch-stages"],
+    ids=["exact", "batch", "exact-stages", "batch-stages", "cli"],
 )
 def test_same_checkout_on_both_sides(options, header, columns, per, count):
     done = subprocess.run(
@@ -52,3 +54,12 @@ def test_bad_round_count_is_a_usage_error():
     )
     assert done.returncode == 2
     assert "--rounds must be at least 2" in done.stderr
+
+
+def test_stages_of_cli_processes_is_a_usage_error():
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--workload", "cli", "--stages"],
+        capture_output=True, text=True, check=False, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "--stages times stages in this process" in done.stderr

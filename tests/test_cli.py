@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -533,3 +534,102 @@ def test_analyze_gives_a_verdict_or_an_input_error(tmp_path_factory, values):
     code = main(["analyze", str(path)], out=out, err=err)
     assert code in (0, 2)
     assert (code == 0) == (err.getvalue() == "") == (out.getvalue() != "")
+
+
+_GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_reports.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    """The golden inputs, one file each, and an unreadable file beside them."""
+    root = tmp_path_factory.mktemp("entry")
+    inputs = root / "golden"
+    inputs.mkdir()
+    for case in _GOLDEN:
+        (inputs / f"{case['name']}.txt").write_text(" ".join(map(repr, case["m"])) + "\n")
+    (root / "bad.txt").write_text("1 2 3\n")
+    return root
+
+
+def _in_process(argv) -> tuple:
+    """Exit code, stdout and stderr of ``main(argv)``, a usage error's
+    SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    stdout, stderr = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdout, sys.stderr = stdout, stderr
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+# Each command line of the process entry and its exit code; only an exit
+# code of 2 comes with stderr.  Paths are relative to golden_dir.
+_ENTRY_RUNS = {
+    "analyze": (["analyze", "golden/jones.txt"], 0),
+    "analyze-summary": (["analyze", "golden/type2_a.txt", "--format", "summary"], 0),
+    "batch": (["batch", "golden"], 0),
+    "batch-verdict-exit": (["batch", "golden", "--verdict-exit"], 4),
+    "analyze-verdict-exit": (["analyze", "golden/type1_out.txt", "--verdict-exit"], 3),
+    "tetra-scan": (["tetra-scan", "--samples", "1000", "--seed", "3"], 0),
+    "vanzyl": (["vanzyl"], 0),
+    "parse-error": (["analyze", "bad.txt"], 2),
+    "bad-tol": (["analyze", "golden/jones.txt", "--tol", "x"], 2),
+}
+
+
+def _processes(commands, cwd) -> list:
+    """Exit code, stdout and stderr of each command, a Python command line,
+    run side by side with this checkout's package on PYTHONPATH."""
+    src = str(Path(muellercert.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    procs = [
+        subprocess.Popen([sys.executable, *command], cwd=cwd, env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for command in commands
+    ]
+    outputs = [proc.communicate(timeout=60) for proc in procs]
+    return [(proc.returncode, *output) for proc, output in zip(procs, outputs)]
+
+
+@pytest.mark.parametrize("name", _ENTRY_RUNS)
+def test_process_entry_writes_what_main_writes(golden_dir, name, monkeypatch):
+    # python -m muellercert.cli runs cli.run(), which freezes the collector
+    # at exit: the same bytes and exit code as main in this process, and
+    # under -X dev -W error no warning at teardown either
+    argv, code = _ENTRY_RUNS[name]
+    monkeypatch.chdir(golden_dir)
+    expected = _in_process(argv)
+    assert expected[0] == code
+    assert (expected[2] == b"") is (code != 2)
+    entry = ["-m", "muellercert.cli", *argv]
+    for done in _processes([entry, ["-X", "dev", "-W", "error", *entry]], golden_dir):
+        assert done == expected
+
+
+@pytest.mark.parametrize("name", ["vanzyl", "parse-error", "bad-tol"])
+def test_run_freezes_the_collector_at_exit(golden_dir, name):
+    # atexit handlers still run after run(), and find every object frozen,
+    # after a usage error's SystemExit too
+    script = (
+        "import atexit, gc, sys\n"
+        "from muellercert import cli\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        f"sys.argv = ['muellercert', *{_ENTRY_RUNS[name][0]!r}]\n"
+        "cli.run()\n"
+    )
+    code, out, _ = _processes([["-c", script]], golden_dir)[0]
+    assert code == _ENTRY_RUNS[name][1]
+    assert out.splitlines()[-1] == b"frozen True"
+
+
+def test_main_leaves_the_collector_unfrozen(golden_dir, monkeypatch):
+    # only the process entry freezes; main is called many times in one
+    # process by the tests, the benchmark and tools/ab_time.py
+    monkeypatch.chdir(golden_dir)
+    for name in ("analyze", "batch", "tetra-scan", "vanzyl", "bad-tol"):
+        _in_process(_ENTRY_RUNS[name][0])
+        assert gc.get_freeze_count() == 0, name

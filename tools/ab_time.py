@@ -1,6 +1,6 @@
-"""Time two checkouts of muellercert against each other in one process.
+"""Time two checkouts of muellercert against each other, round by round.
 
-    python3 tools/ab_time.py PARENT CHANGE [--workload exact|batch] [--stages]
+    python3 tools/ab_time.py PARENT CHANGE [--workload exact|batch|cli] [--stages]
         [--seed N] [--rounds R] [--per-class K] [--dirs D] [--per-dir F]
 
 PARENT and CHANGE are the roots of two checkouts.  Each one's package (its
@@ -13,12 +13,19 @@ file belongs to (its ``bench/corpus.py``, read, never written):
 * ``batch``: one pass is ``cli.main(["batch", DIR])`` once per directory of
   ``corpus.measured_corpus(seed, dirs, per_dir)``, written to a temporary
   directory as the benchmark writes them (every fifth file JSON), with the
-  output going to an in-memory sink.
+  output going to an in-memory sink;
+* ``cli``: one pass starts one ``python -m muellercert.cli analyze FILE``
+  process per input of ``corpus.exact_corpus(seed, per_class)``, written
+  to a temporary directory in the same way, with ``PYTHONPATH`` set to the
+  side's ``src`` (the directory of its loaded package), and reads each
+  process's exit code and stdout.  A pass times whole processes, from
+  interpreter start to exit; at about a quarter of a second per process,
+  ``--per-class 1`` (6 inputs) keeps 41 rounds near two minutes.
 
-``--stages`` times the analysis stages instead of whole passes, each on
-its first read of a fresh analysis: of one matrix per ``exact`` input, or of
-one stack per ``batch`` directory, its matrices in the order ``batch`` reads
-the files.  The stages are the H stage, the cone stage (which computes sigma
+``--stages`` (``exact`` and ``batch`` only) times the analysis stages
+instead of whole passes, each on its first read of a fresh analysis: of one
+matrix per ``exact`` input, or of one stack per ``batch`` directory, its
+matrices in the order ``batch`` reads the files.  The stages are the H stage, the cone stage (which computes sigma
 and the normal matrices), of it ``sphere_min`` apart, the N stage with
 ``type1_d`` (``normal``: both are computed inside the canonical stage, and
 timed there on their first read), the rest of the canonical stage
@@ -55,6 +62,7 @@ import argparse  # noqa: E402
 import importlib.util  # noqa: E402
 import io  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -155,11 +163,24 @@ def _batch_pass(cli, dirs):
     return outputs
 
 
+def _cli_pass(cli, files):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    outputs = []
+    for path in files:
+        done = subprocess.run(
+            [sys.executable, "-m", "muellercert.cli", "analyze", str(path)],
+            capture_output=True, cwd=path.parent, env=env, check=False,
+        )
+        outputs.append((done.returncode, done.stdout))
+    return outputs
+
+
 def _args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", choices=("exact", "batch"), default="exact")
+    parser.add_argument("--workload", choices=("exact", "batch", "cli"), default="exact")
     parser.add_argument("--stages", action="store_true")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=10)
@@ -169,6 +190,8 @@ def _args(argv):
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
+    if args.stages and args.workload == "cli":
+        parser.error("--stages times stages in this process, not in a cli process")
     return args
 
 
@@ -210,11 +233,7 @@ def main(argv=None) -> int:
         "change": load_package(args.change.resolve(), "_ab_change"),
     }
     with tempfile.TemporaryDirectory() as tmp:
-        if args.workload == "exact":
-            items = [entry.m for entry in corpus.exact_corpus(args.seed, args.per_class)]
-            stacks = [(m[None], None) for m in items]
-            one_pass, units, per = _exact_pass, "inputs", "input"
-        else:
+        if args.workload == "batch":
             items, stacks = [], []
             for dnum, entries in enumerate(
                 corpus.measured_corpus(args.seed, args.dirs, args.per_dir)
@@ -232,6 +251,17 @@ def main(argv=None) -> int:
                 names = sorted(files)
                 stacks.append(([files[name] for name in names], names))
             one_pass, units, per = _batch_pass, "directories", "matrix"
+        else:
+            entries = corpus.exact_corpus(args.seed, args.per_class)
+            items = [entry.m for entry in entries]
+            stacks = [(m[None], None) for m in items]
+            one_pass, units, per = _exact_pass, "inputs", "input"
+            if args.workload == "cli":
+                items, one_pass = [], _cli_pass
+                for k, entry in enumerate(entries):
+                    as_json = k % 5 == 4
+                    items.append(Path(tmp) / (entry.name + (".json" if as_json else ".txt")))
+                    corpus.write_matrix(items[-1], entry.m, as_json)
 
         outputs = {name: one_pass(cli, items) for name, cli in sides.items()}
         timed, timed_items = _timed(one_pass), items
