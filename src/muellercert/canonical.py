@@ -28,7 +28,7 @@ are provided as simple inequalities on the canonical parameters, equivalent
 to positive semidefiniteness of the associated hermitian matrix.
 """
 
-import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ from .kernel import TYPE1_CONSTRAINT_FORMS  # noqa: F401
 from .kernel import DegenerateSpectrumError, Family, NotTypeIError
 
 
-@dataclasses.dataclass(frozen=True)
-class CanonicalClass:
+class CanonicalClass(NamedTuple):
     """Family verdict of :func:`classify` with canonical parameters and
     factors when determined.
 

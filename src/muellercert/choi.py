@@ -8,7 +8,7 @@ not physical, the most negative eigenvalue and its eigenvector are reported
 as the most violating Jones direction.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ class NotPhysicalError(ValueError):
     associated hermitian matrix has a negative eigenvalue."""
 
 
-@dataclass(frozen=True)
-class PhysicalityReport:
+class PhysicalityReport(NamedTuple):
     """Spectral summary of the associated hermitian matrix.
 
     ``eigenvalues`` is sorted descending and sums to the trace of the input
@@ -38,24 +37,22 @@ class PhysicalityReport:
     rank: int
 
 
-@dataclass(frozen=True)
-class JonesEnsemble:
-    """Convex-sum realization: weights and unit-Frobenius Jones matrices.
+class JonesEnsemble(tuple):
+    """Convex-sum realization: a tuple of (weight, unit-Frobenius Jones
+    matrix) pairs, also read as the plain tuple ``items``.
 
     The number of items equals the rank of the associated hermitian matrix,
     the minimum possible; when eigenvalues repeat, the realization is not
     unique and the eigendecomposition's choice is returned.
     """
 
-    items: tuple[tuple[float, np.ndarray], ...]
-
-    def __len__(self) -> int:
-        return len(self.items)
+    __slots__ = ()
+    items = property(tuple)
 
     def reconstruct(self) -> np.ndarray:
         """Weighted sum of the member Mueller-Jones matrices."""
         out = np.zeros((4, 4))
-        for weight, jones in self.items:
+        for weight, jones in self:
             out += weight * mueller_from_jones(jones)
         return out
 
@@ -89,11 +86,7 @@ def jones_ensemble(m, tol: float = DEFAULT_TOL) -> JonesEnsemble:
             f"most negative eigenvalue {w[0]:.6g} exceeds tolerance; "
             "no convex-sum realization exists"
         )
-    return JonesEnsemble(
-        items=tuple(
-            (w[k], devectorize(h.vecs[0, k])) for k in range(3, 3 - h.rank[0], -1)
-        )
-    )
+    return JonesEnsemble((w[k], devectorize(h.vecs[0, k])) for k in range(3, 3 - h.rank[0], -1))
 
 
 def mueller_jones_test(m, tol: float = DEFAULT_TOL):

@@ -48,7 +48,8 @@ scalar, a non-float in a list that starts with a float) is written by
 ``indent``) with the same float text, started at the value's indent.
 
 ``batch`` reads the files of DIR from one directory listing, symlinks
-followed and subdirectories skipped, in name order.  ``--tol`` and
+followed and subdirectories skipped, in name order; an ``OSError`` from
+checking or listing DIR is one ``cannot read DIR`` error.  ``--tol`` and
 ``--verdict-exit`` belong to ``analyze`` and ``batch``, the commands with
 verdicts.
 
@@ -624,13 +625,16 @@ def _analyze(args) -> tuple:
 
 def _batch(args) -> tuple:
     directory = Path(args.dir)
-    if not directory.is_dir():
-        raise ParseError(f"not a directory: {directory}")
+    try:
+        if not directory.is_dir():
+            raise ParseError(f"not a directory: {directory}")
+        # One listing; DirEntry.is_file follows symlinks, as Path.is_file does.
+        with os.scandir(directory) as listing:
+            files = sorted((entry.name, entry.path) for entry in listing if entry.is_file())
+    except OSError as exc:
+        raise ParseError(f"cannot read {directory}: {exc}") from exc
     results: dict[str, dict | None] = {}
     names, mats = [], []
-    # One listing; DirEntry.is_file follows symlinks, as Path.is_file does.
-    with os.scandir(directory) as listing:
-        files = sorted((entry.name, entry.path) for entry in listing if entry.is_file())
     for name, path in files:
         try:
             mats.append(load_matrix(path))

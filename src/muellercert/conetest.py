@@ -19,7 +19,7 @@ are certificates up to floating point rounding, not estimates.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from .core import DEFAULT_TOL, _array, _unit_exponent, as_mueller_matrix
 from .kernel import Analysis, sphere_min
 
 
-@dataclass(frozen=True)
-class ConeVerdict:
+class ConeVerdict(NamedTuple):
     """Outcome of the cone-preservation test.
 
     ``intensity_margin`` is the minimum output intensity over unit-intensity

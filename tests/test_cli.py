@@ -381,6 +381,21 @@ class TestMainCommand:
         assert out == ""
         assert err == f"error: not a directory: {tmp_path / target}\n"
 
+    @pytest.mark.parametrize("call", ["pathlib.Path.is_dir", "os.scandir"])
+    def test_batch_on_an_unreadable_directory_exit_code(self, tmp_path, capsys, monkeypatch, call):
+        # chmod cannot deny a read to root, so the call that checks or lists
+        # the directory raises in its place
+        def denied(*args):
+            raise PermissionError(13, "Permission denied", str(tmp_path))
+
+        write_matrix(tmp_path, "m.txt", np.eye(4))
+        monkeypatch.setattr(call, denied)
+        assert main(["batch", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        denial = f"[Errno 13] Permission denied: '{tmp_path}'"
+        assert err == f"error: cannot read {tmp_path}: {denial}\n"
+
     # 10**15 samples need 28 PiB, which numpy refuses without allocating
     @pytest.mark.parametrize(
         "samples, error",

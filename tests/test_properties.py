@@ -154,15 +154,21 @@ def _lorentz(rng):
 def test_family_and_d_do_not_change_under_dressing(family, seed):
     # d is reported only where the Lorentz orbit fixes it (Type I), and
     # there L1 K L2 gives K's d within 1e-6 d0, a bound fixed before the run.
+    # The paper's rank-one criterion: a dressed Polarizer or Pin map is
+    # Mueller, with no band, since its H has three zero eigenvalues, all
+    # inside the H threshold.
     rng = np.random.default_rng(seed)
     k = _CANONICAL_FORMS[family](rng)
     base = analyze_matrix(k)["canonical"]
-    dressed = analyze_matrix(_lorentz(rng) @ k @ _lorentz(rng))["canonical"]
+    report = analyze_matrix(_lorentz(rng) @ k @ _lorentz(rng))
+    dressed = report["canonical"]
     assert base["family"] == dressed["family"] == family
     if family == "TypeI":
         np.testing.assert_allclose(dressed["d"], base["d"], rtol=0.0, atol=1e-6 * base["d"][0])
     else:
         assert base["d"] is None and dressed["d"] is None
+    if family in ("Polarizer", "PinMap"):
+        assert report["physicality"]["verdict"] is True
 
 
 def _near_boundary(rng):

@@ -32,14 +32,18 @@ documents and documents nested 900 deep are checked against
 The input boundary of every public array-taking function is checked as
 one table at the end of the file, and so are the return types of the
 single-matrix views: the analysis stages hold Python lists, and the views
-convert their row.
+convert their row.  The four public results are read-only tuples, checked
+as one table, and importing the CLI loads no ``dataclasses``.
 """
 
 import contextlib
 import inspect
 import json
 import math
+import os
 import pydoc
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -1152,3 +1156,49 @@ def test_views_keep_their_return_types(view, m, fields):
             assert (value.dtype, value.shape) == (np.dtype(kind[0]), kind[1])
         else:
             assert type(value) is kind
+
+
+# The public results as records: each view's field names in order.  A
+# JonesEnsemble is the tuple of its (weight, Jones) pairs, one per rank of H.
+_RECORDS = {
+    certify_cone: ("is_pre_mueller", "intensity_margin", "lorentz_margin", "worst_input"),
+    physicality: ("eigenvalues", "min_eigenvalue", "min_eigenvector", "is_mueller", "rank"),
+    classify: ("family", "d", "l_left", "l_right", "diagnostics"),
+    jones_ensemble: ("weight", "jones"),
+}
+
+
+@pytest.mark.parametrize("view", _RECORDS, ids=lambda view: view.__name__)
+def test_public_results_are_read_only_tuples(view):
+    result = view(_M)
+    assert isinstance(result, tuple)
+    if view is jones_ensemble:
+        assert len(result) == physicality(_M).rank == 4
+        assert tuple(result) == result.items
+        assert [len(pair) for pair in result] == [len(_RECORDS[view])] * len(result)
+        with pytest.raises(AttributeError):
+            result.items = ()
+        return
+    assert result._fields == _RECORDS[view]
+    assert result == tuple(getattr(result, name) for name in result._fields)
+    assert result._asdict() == dict(zip(result._fields, result))
+    replaced = result._replace(**{result._fields[0]: None})
+    assert type(replaced) is type(result)
+    assert replaced == (None, *result[1:])
+    with pytest.raises(AttributeError):
+        setattr(result, result._fields[0], None)
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    # The results are tuples, so no module of the package imports
+    # dataclasses; it is dropped first in case site has imported it.
+    src = str(Path(muellercert.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.modules.pop('dataclasses', None); import muellercert.cli; "
+        "print('dataclasses' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
